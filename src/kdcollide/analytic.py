@@ -67,13 +67,9 @@ def auxiliary_functions(cfg: ModelConfig, state: SystemStateParams) -> Auxiliary
     )
 
 
-def _require_resonant(cfg: ModelConfig) -> None:
-    scale = max(1.0, abs(cfg.omega_s), abs(cfg.omega_a))
-    if abs(cfg.detuning) > 1e-12 * scale:
-        raise ValueError(f"resonant closed form evaluated at detuning {cfg.detuning:.6g}")
-
-
 def _resonant_pieces(cfg: ModelConfig, state: SystemStateParams):
+    if not cfg.is_resonant:
+        raise ValueError(f"resonant closed form evaluated at detuning {cfg.detuning:.6g}")
     x = 0.5 * cfg.beta * cfg.hbar * cfg.omega_a
     phi = cfg.g * cfg.tau
     j1 = cfg.lambda_eff * state.r * math.cos(state.phi_c)
@@ -88,7 +84,6 @@ def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     sigma_z eigenstate; the corresponding stochastic values are
     (0, -hbar*omega, +hbar*omega, 0).
     """
-    _require_resonant(cfg)
     x, phi, j1, j2, z = _resonant_pieces(cfg, state)
     s2 = math.sin(2.0 * phi)
     sin_sq = math.sin(phi) ** 2
@@ -108,7 +103,6 @@ def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
 def resonant_kdq_q(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     """Incoherent-heat quasiprobabilities (system side): the thermal parts of
     `resonant_kdq_us`, real and non-negative."""
-    _require_resonant(cfg)
     x, phi, _, _, z = _resonant_pieces(cfg, state)
     sin_sq = math.sin(phi) ** 2
     cos_sq = math.cos(phi) ** 2
@@ -130,7 +124,6 @@ def resonant_kdq_w(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     The coherence products use the quasiprobability prefactor (lambda, or
     lambda-tilde in the weakly coherent mode).
     """
-    _require_resonant(cfg)
     x, phi, _, _, z = _resonant_pieces(cfg, state)
     pref = cfg.kdq_coherence_prefactor
     j1 = pref * state.r * math.cos(state.phi_c)
@@ -215,7 +208,6 @@ def resonant_w_q_stats(cfg: ModelConfig, state: SystemStateParams) -> ResonantWo
     The work moments carry the quasiprobability prefactor; the heat moments
     are coherence-independent.
     """
-    _require_resonant(cfg)
     x, phi, _, _, z = _resonant_pieces(cfg, state)
     pref = cfg.kdq_coherence_prefactor
     j1 = pref * state.r * math.cos(state.phi_c)
@@ -236,7 +228,6 @@ def resonant_energy_stats(cfg: ModelConfig, state: SystemStateParams) -> tuple[f
     The variance keeps its imaginary part -i (hbar*omega)^2 j1 sin(2 phi);
     truncating it would hide the non-classical signature.
     """
-    _require_resonant(cfg)
     x, phi, j1, j2, z = _resonant_pieces(cfg, state)
     e = cfg.hbar * cfg.omega_a
     s2 = math.sin(2.0 * phi)
@@ -253,7 +244,6 @@ def resonant_nonpositivity(cfg: ModelConfig, state: SystemStateParams) -> tuple[
     n_re depends on the coherence only through j2 = lambda*Im[rho12] and
     n_im only through j1 = lambda*Re[rho12].
     """
-    _require_resonant(cfg)
     x, phi, j1, j2, z = _resonant_pieces(cfg, state)
     s1 = math.sin(phi)
     s2 = math.sin(2.0 * phi)

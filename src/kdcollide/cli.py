@@ -30,7 +30,8 @@ Config files are flat ``key = value`` lines grouped in sections:
 
 Unknown sections or keys are errors.  Output is a deterministic CSV (17
 significant digits, no timestamps) plus a ``<path>.meta.json`` sidecar with
-the run parameters.
+the run parameters; for custom runs it also counts the skipped rows per
+reason (``skip_reasons``).
 """
 
 from __future__ import annotations
@@ -385,6 +386,7 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     n_output_cols = len(header) - len(sweep_names) - 1
 
     table = ResultTable(header=header)
+    skip_reasons: dict[str, int] = {}
     combos = itertools.product(*(grid for _, grid in spec.sweep)) if spec.sweep else [()]
     for combo in combos:
         cfg, state = spec.cfg, spec.state
@@ -393,7 +395,8 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
             for name, value in zip(sweep_names, combo):
                 cfg, state = _apply_parameter(cfg, state, name, value)
             outputs = _evaluate_outputs(cfg, state, spec.outputs)
-        except ValueError:
+        except ValueError as exc:
+            skip_reasons[str(exc)] = skip_reasons.get(str(exc), 0) + 1
             row.append(1.0)
             row.extend([math.nan] * n_output_cols)
         else:
@@ -406,6 +409,7 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
         "state": _state_meta(spec.state),
         "sweep": {name: list(grid) for name, grid in spec.sweep},
         "quantities": list(spec.outputs),
+        "skip_reasons": skip_reasons,
     }
     return table
 
@@ -807,6 +811,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{spec.preset}: wrote {len(table.rows)} rows to {spec.out_path}")
+    reasons = table.meta.get("skip_reasons")
+    if reasons and sum(reasons.values()) == len(table.rows):
+        print(f"error: every row skipped; first reason: {next(iter(reasons))}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -16,7 +16,6 @@ from .model import (
     build_ancilla,
     build_hamiltonians,
     build_system_state,
-    check_energy_preserving,
 )
 
 # Default initial state for steady-state sweeps (max-coherence qubit state).
@@ -81,14 +80,6 @@ class StepRecord:
     q_a: float | None
     moments: dict[str, kdq.MomentSet] = field(default_factory=dict)
     nonpositivity: dict[str, kdq.NonPositivityReport] = field(default_factory=dict)
-
-    @property
-    def w_avg(self) -> float | None:
-        return self.w_s
-
-    @property
-    def q_avg(self) -> float | None:
-        return self.q_s
 
 
 @dataclass(frozen=True)
@@ -162,7 +153,7 @@ def evolve(
         raise ValueError("need at least one collision")
     rho_a, _, _ = build_ancilla(cfg)
     u = collision_unitary(cfg)
-    split = cfg.is_weak or check_energy_preserving(cfg)
+    split = cfg.is_weak or cfg.is_resonant
     states = [np.asarray(rho_s0, dtype=complex)]
     records = []
     for step in range(n):

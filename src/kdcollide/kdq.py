@@ -12,10 +12,18 @@ Seven stochastic quantities are supported, identified by the strings in
 - ``ws``, ``qs``: the same split from the system point of view (values
   ``+u_s``).
 
-All quasiprobabilities are two-time traces Tr[U^dag P_fin U P_in rho] with
-the bare collision unitary U = exp(-i (H_S + H_A + H_int) tau / hbar); see
-``measurement_unitary``.  Distributions over unit-trace states sum to 1,
-the coherent-work ones sum to 0.
+All quasiprobabilities are two-time traces Tr[U^dag P_fin U P_in W] with
+the bare collision unitary U = exp(-i (H_S + H_A + H_int) tau / hbar) (see
+``measurement_unitary``) and W the weighted initial operator: rho_S (x) rho_A,
+rho_S (x) rho_A_th, or the coherence prefactor times rho_S (x) chi_A.
+Distributions over unit-trace states sum to 1, the coherent-work ones to 0.
+
+H_S and H_A are diagonal in the product basis |s a>, so every projector is a
+sum of basis projectors and every distribution is a block sum of one 4x4
+array: Q[i, f] = (W U^dag)[i, f] U[f, i] and quasiprobabilities G^T Q G,
+where the 0/1 matrix G marks the level of each basis state (system level,
+ancilla level, (system, ancilla) pair, or joint level of H_S + H_A), with
+levels from ``linalg.group_levels``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, eig_hermitian, tensor, unitary_from_hamiltonian
+from .linalg import dag, group_levels, tensor, unitary_from_hamiltonian
 from .model import IDENTITY_2, ModelConfig, build_ancilla, build_hamiltonians
 
 US = "us"
@@ -118,26 +126,41 @@ def measurement_unitary(cfg: ModelConfig) -> np.ndarray:
 
 
 def _check_work_heat_regime(cfg: ModelConfig) -> None:
-    scale = max(1.0, abs(cfg.omega_s), abs(cfg.omega_a))
-    off_resonant = abs(cfg.detuning) > 1e-12 * scale
-    if off_resonant and not cfg.is_weak:
+    if not (cfg.is_resonant or cfg.is_weak):
         raise ValueError(
             "coherent-work/heat quasiprobabilities require a resonant "
             f"interaction in exact mode (detuning {cfg.detuning:.6g})"
         )
-    if off_resonant:
+    if not cfg.is_resonant:
         warnings.warn(
             "coherent-work/heat split off resonance is not energy-preserving",
             ValidityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     if cfg.g * cfg.tau > PULSE_AREA_VALIDITY + 1e-12:
         warnings.warn(
             f"pulse area g*tau = {cfg.g * cfg.tau:.4g} exceeds pi/6: "
             "coherent work / incoherent heat enter the strong-coupling regime",
             ValidityWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _weight(
+    quantity: str, rho_s: np.ndarray, cfg: ModelConfig, unitary: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the request; return (propagator U, weighted initial operator W)."""
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if quantity in _WORK_HEAT:
+        _check_work_heat_regime(cfg)
+    u = measurement_unitary(cfg) if unitary is None else np.asarray(unitary, dtype=complex)
+    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
+    if quantity in (US, UA, USA):
+        return u, tensor(rho_s, rho_a)
+    if quantity in (Q, QS):
+        return u, tensor(rho_s, rho_a_th)
+    return u, cfg.kdq_coherence_prefactor * tensor(rho_s, chi_a)
 
 
 def kdq_distribution(
@@ -157,65 +180,43 @@ def kdq_distribution(
     are merged into joint eigenspace projectors instead.
     """
     quantity = quantity.lower()
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    if quantity in _WORK_HEAT:
-        _check_work_heat_regime(cfg)
-    u = measurement_unitary(cfg) if unitary is None else np.asarray(unitary, dtype=complex)
+    u, weight = _weight(quantity, rho_s, cfg, unitary)
     if u.shape != (4, 4):
         raise ValueError("unitary must act on the 4-dimensional joint space")
-    h_s, h_a, h_int, _ = build_hamiltonians(cfg)
-    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
-
-    if quantity in (US, UA, USA):
-        weight = tensor(rho_s, rho_a)
-    elif quantity in (Q, QS):
-        weight = tensor(rho_s, rho_a_th)
-    else:
-        weight = cfg.kdq_coherence_prefactor * tensor(rho_s, chi_a)
-
-    dec_s = eig_hermitian(h_s)
-    dec_a = eig_hermitian(h_a)
+    h_s, h_a, _, _ = build_hamiltonians(cfg)
+    e_s, e_a = np.diag(h_s).real, np.diag(h_a).real
+    levels_s, index_s = group_levels(e_s)
+    levels_a, index_a = group_levels(e_a)
     local_energies = None
-    sign = 1.0
+    sign = -1.0 if quantity in (W, Q) else 1.0
+    # level[b]: level of product-basis state b = 2 * (system index) + (ancilla index).
     if quantity in (US, WS, QS):
-        projectors = [tensor(p, IDENTITY_2) for p in dec_s.projectors]
-        energies = list(dec_s.eigenvalues)
-        labels: list[int | tuple[int, int]] = list(range(len(energies)))
+        energies, level = levels_s, np.repeat(index_s, 2)
     elif quantity in (UA, W, Q):
-        projectors = [tensor(IDENTITY_2, p) for p in dec_a.projectors]
-        energies = list(dec_a.eigenvalues)
-        labels = list(range(len(energies)))
-        if quantity in (W, Q):
-            sign = -1.0
+        energies, level = levels_a, np.tile(index_a, 2)
     elif group_degenerate:
-        h_total = tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a)
-        dec = eig_hermitian(h_total)
-        projectors = list(dec.projectors)
-        energies = list(dec.eigenvalues)
-        labels = list(range(len(energies)))
+        energies, level = group_levels(np.add.outer(e_s, e_a).ravel())
     else:
-        projectors = []
-        energies = []
-        labels = []
-        for ell, p_s in enumerate(dec_s.projectors):
-            for k, p_a in enumerate(dec_a.projectors):
-                projectors.append(tensor(p_s, p_a))
-                energies.append(dec_s.eigenvalues[ell] + dec_a.eigenvalues[k])
-                labels.append((ell, k))
-        local_energies = (dec_s.eigenvalues, dec_a.eigenvalues)
-
-    back_propagated = [dag(u) @ p @ u for p in projectors]
-    entries = []
-    for i_in, p_in in enumerate(projectors):
-        right = p_in @ weight
-        for i_fin, b_fin in enumerate(back_propagated):
-            quasiprob = complex(np.trace(b_fin @ right))
-            value = sign * (energies[i_fin] - energies[i_in])
-            entries.append(
-                KdqEntry(TransitionLabel(quantity, labels[i_in], labels[i_fin]), value, quasiprob)
-            )
-    return KdqDistribution(quantity, tuple(entries), collision_index, local_energies)
+        energies = tuple(es + ea for es in levels_s for ea in levels_a)
+        level = np.add.outer(index_s * len(levels_a), index_a).ravel()
+        local_energies = (levels_s, levels_a)
+    n = len(energies)
+    labels = [divmod(i, len(levels_a)) if local_energies else i for i in range(n)]
+    # G[b, level] = 1 where basis state b belongs to the level.
+    g = np.equal.outer(level, np.arange(n)).astype(float)
+    # Q[i, f] = Tr[U^dag |f><f| U |i><i| W] = (W U^dag)[i, f] U[f, i].
+    q = (weight @ dag(u)) * u.T
+    quasiprobs = g.T @ q @ g
+    entries = tuple(
+        KdqEntry(
+            TransitionLabel(quantity, labels[i_in], labels[i_fin]),
+            sign * (energies[i_fin] - energies[i_in]),
+            complex(quasiprobs[i_in, i_fin]),
+        )
+        for i_in in range(n)
+        for i_fin in range(n)
+    )
+    return KdqDistribution(quantity, entries, collision_index, local_energies)
 
 
 def marginalize_usa_to_us(dist: KdqDistribution) -> KdqDistribution:
@@ -231,12 +232,12 @@ def marginalize_usa_to_ua(dist: KdqDistribution) -> KdqDistribution:
 def _marginalize(dist: KdqDistribution, target: str) -> KdqDistribution:
     if dist.quantity != USA or dist.local_energies is None:
         raise ValueError("marginalization needs a usa distribution with pair labels")
-    pick = 0 if target == US else 1
-    energies = dist.local_energies[pick]
+    n_s, n_a = (len(e) for e in dist.local_energies)
+    # Axes (system in, ancilla in, system fin, ancilla fin).
+    joint = dist.quasiprobs().reshape(n_s, n_a, n_s, n_a)
+    acc = joint.sum(axis=(1, 3)) if target == US else joint.sum(axis=(0, 2))
+    energies = dist.local_energies[0 if target == US else 1]
     n = len(energies)
-    acc = np.zeros((n, n), dtype=complex)
-    for entry in dist.entries:
-        acc[entry.label.i_in[pick], entry.label.i_fin[pick]] += entry.quasiprob
     entries = tuple(
         KdqEntry(TransitionLabel(target, i_in, i_fin), energies[i_fin] - energies[i_in], complex(acc[i_in, i_fin]))
         for i_in in range(n)
@@ -266,20 +267,8 @@ def average_via_trace(
     differ only in floating-point grouping.
     """
     quantity = quantity.lower()
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    if quantity in _WORK_HEAT:
-        _check_work_heat_regime(cfg)
-    u = measurement_unitary(cfg) if unitary is None else np.asarray(unitary, dtype=complex)
-    h_s, h_a, h_int, _ = build_hamiltonians(cfg)
-    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
-
-    if quantity in (US, UA, USA):
-        weight = tensor(rho_s, rho_a)
-    elif quantity in (Q, QS):
-        weight = tensor(rho_s, rho_a_th)
-    else:
-        weight = cfg.kdq_coherence_prefactor * tensor(rho_s, chi_a)
+    u, weight = _weight(quantity, rho_s, cfg, unitary)
+    h_s, h_a, _, _ = build_hamiltonians(cfg)
 
     if quantity in (US, WS, QS):
         observable = tensor(h_s, IDENTITY_2)

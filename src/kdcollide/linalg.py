@@ -99,31 +99,46 @@ class SpectralDecomposition:
         return out
 
 
+def group_levels(
+    energies: np.ndarray, degeneracy_tol: float = 1e-9
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """Group real energies into levels sorted in descending order.
+
+    A new level starts when an energy lies more than ``degeneracy_tol`` times
+    the spread below the first energy of the current level; a level's energy
+    is the mean of its members.  Returns ``(levels, index)`` with
+    ``index[k]`` the level of ``energies[k]``.
+    """
+    energies = np.asarray(energies, dtype=float)
+    order = np.argsort(-energies, kind="stable")
+    ordered = energies[order]
+    threshold = degeneracy_tol * float(ordered[0] - ordered[-1])
+    index = np.empty(len(ordered), dtype=int)
+    levels: list[float] = []
+    start = 0
+    for stop in range(1, len(ordered) + 1):
+        if stop == len(ordered) or ordered[start] - ordered[stop] > threshold:
+            index[order[start:stop]] = len(levels)
+            levels.append(float(np.mean(ordered[start:stop])))
+            start = stop
+    return tuple(levels), index
+
+
 def eig_hermitian(m: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralDecomposition:
     """Spectral decomposition with degenerate eigenvalues grouped.
 
     ``degeneracy_tol`` is relative to the spectral range, so resonantly
-    degenerate levels are grouped regardless of the overall energy scale.
+    degenerate levels are grouped regardless of the overall energy scale;
+    see `group_levels`.
     """
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m):
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     evals, evecs = np.linalg.eigh(m)
-    evals = evals[::-1]
     evecs = evecs[:, ::-1]
-    spread = float(evals[0] - evals[-1])
-    threshold = degeneracy_tol * spread
-
-    eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
-    start = 0
-    for stop in range(1, len(evals) + 1):
-        if stop == len(evals) or evals[start] - evals[stop] > threshold:
-            block = evecs[:, start:stop]
-            projectors.append(block @ block.conj().T)
-            eigenvalues.append(float(np.mean(evals[start:stop])))
-            start = stop
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projectors))
+    levels, index = group_levels(evals[::-1], degeneracy_tol)
+    blocks = (evecs[:, index == level] for level in range(len(levels)))
+    return SpectralDecomposition(levels, tuple(b @ b.conj().T for b in blocks))
 
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:

@@ -8,6 +8,7 @@ from configuration problems.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,9 +67,7 @@ def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
         rho_s = build_system_state(state)
         for quantity in (kdq.US, kdq.UA, kdq.USA):
             worst = max(worst, abs(kdq.kdq_distribution(quantity, rho_s, cfg).total() - 1.0))
-        if abs(cfg.detuning) < 1e-12:
-            import warnings
-
+        if cfg.is_resonant:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", kdq.ValidityWarning)
                 worst = max(worst, abs(kdq.kdq_distribution(kdq.Q, rho_s, cfg).total() - 1.0))
@@ -77,8 +76,6 @@ def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
 
 
 def _check_oracle_resonant(rng: np.random.Generator, draws: int = 200) -> float:
-    import warnings
-
     worst = 0.0
     for _ in range(draws):
         cfg, state = random_parameters(rng, resonant=True)

@@ -41,12 +41,6 @@ def _require_weak(cfg: ModelConfig) -> None:
         raise ValueError("this operation requires the weakly coherent mode")
 
 
-def _require_resonant(cfg: ModelConfig) -> None:
-    scale = max(1.0, abs(cfg.omega_s), abs(cfg.omega_a))
-    if abs(cfg.detuning) > 1e-12 * scale:
-        raise ValueError(f"resonant interaction required (detuning {cfg.detuning:.6g})")
-
-
 def coherent_correction_G(cfg: ModelConfig, chi_a: np.ndarray | None = None) -> np.ndarray:
     """Drive correction G = Tr_A[H_int (I (x) chi_A)] on the system qubit."""
     _, _, h_int, _ = build_hamiltonians(cfg)
@@ -63,7 +57,8 @@ def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
     checks that they agree; at resonance they are the same number.
     """
     _require_weak(cfg)
-    _require_resonant(cfg)
+    if not cfg.is_resonant:
+        raise ValueError(f"resonant interaction required (detuning {cfg.detuning:.6g})")
     h_s, h_a, h_int, _ = build_hamiltonians(cfg)
     g_corr = coherent_correction_G(cfg)
     system_side = (
@@ -99,14 +94,18 @@ def incoherent_heat_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
     return float(np.trace(h_a @ ancilla_dissipation).real)
 
 
+def _dissipate(rho_s: np.ndarray, h_int: np.ndarray, rho_a_th: np.ndarray, hbar: float) -> np.ndarray:
+    joint = tensor(rho_s, rho_a_th)
+    c1 = h_int @ joint - joint @ h_int
+    c2 = h_int @ c1 - c1 @ h_int
+    return -partial_trace(c2, keep="S") / (2.0 * hbar**2)
+
+
 def dissipator(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Thermal dissipator D[rho] = -(1/2 hbar^2) Tr_A[H_int,[H_int, rho (x) rho_A_th]]."""
     _, _, h_int, _ = build_hamiltonians(cfg)
     _, rho_a_th, _ = build_ancilla(cfg)
-    joint = tensor(np.asarray(rho_s, dtype=complex), rho_a_th)
-    c1 = h_int @ joint - joint @ h_int
-    c2 = h_int @ c1 - c1 @ h_int
-    return -partial_trace(c2, keep="S") / (2.0 * cfg.hbar**2)
+    return _dissipate(np.asarray(rho_s, dtype=complex), h_int, rho_a_th, cfg.hbar)
 
 
 def master_equation_rhs(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -144,11 +143,7 @@ def integrate_master_equation(
     _, rho_a_th, _ = build_ancilla(cfg)
 
     def rhs(rho: np.ndarray) -> np.ndarray:
-        joint = tensor(rho, rho_a_th)
-        c1 = h_int @ joint - joint @ h_int
-        c2 = h_int @ c1 - c1 @ h_int
-        diss = -partial_trace(c2, keep="S") / (2.0 * cfg.hbar**2)
-        return (-1j / cfg.hbar) * (drive @ rho - rho @ drive) + diss
+        return (-1j / cfg.hbar) * (drive @ rho - rho @ drive) + _dissipate(rho, h_int, rho_a_th, cfg.hbar)
 
     rho = np.asarray(rho_s0, dtype=complex)
     states = [rho]
@@ -169,7 +164,8 @@ def work_observables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     the sign convention makes Tr[O2 rho_S] coincide with the mean of the
     coherent-work KDQ distribution.
     """
-    _require_resonant(cfg)
+    if not cfg.is_resonant:
+        raise ValueError(f"resonant interaction required (detuning {cfg.detuning:.6g})")
     _, h_a, _, _ = build_hamiltonians(cfg)
     _, _, chi_a = build_ancilla(cfg)
     u = measurement_unitary(cfg)
@@ -190,7 +186,6 @@ def operator_approach(rho_s: np.ndarray, cfg: ModelConfig) -> OperatorWorkSpectr
     KDQ route, here the probabilities are fixed by the state and the values
     move with the collision time.
     """
-    _require_resonant(cfg)
     o1, o2 = work_observables(cfg)
     scale = max(1.0, cfg.hbar * abs(cfg.omega_s))
     if float(np.linalg.norm(o1)) > 1e-12 * scale:

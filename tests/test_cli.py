@@ -251,6 +251,41 @@ class TestMain:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
 
+    def test_validate_rejects_nan_parameter(self, tmp_path, capsys):
+        config = tmp_path / "nan.cfg"
+        config.write_text(CUSTOM_CONFIG.replace("omega_s = 4.0", "omega_s = nan"))
+        assert main(["validate", str(config)]) == 1
+        assert "omega_s must be finite" in capsys.readouterr().err
+
+    def test_all_skipped_run_fails(self, tmp_path, capsys):
+        # Detuned exact mode: the coherent-work mean is undefined on every row.
+        out = tmp_path / "skipped.csv"
+        config = tmp_path / "skipped.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {out}\nquantities = w_mean, delta_e_s",
+            )
+        )
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "every row skipped" in err and "resonant" in err
+        meta = json.loads((tmp_path / "skipped.csv.meta.json").read_text())
+        assert sum(meta["skip_reasons"].values()) == meta["rows"] == 5
+
+    def test_partly_skipped_run_succeeds(self, tmp_path):
+        out = tmp_path / "partly.csv"
+        config = tmp_path / "partly.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", "lambda = 0.0, 0.2, 0.9").replace(
+                "[output]\nquantities", f"[output]\npath = {out}\nquantities"
+            )
+        )
+        assert main(["run", str(config)]) == 0
+        meta = json.loads((tmp_path / "partly.csv.meta.json").read_text())
+        assert list(meta["skip_reasons"].values()) == [1]
+        assert "exceeds the positivity bound" in next(iter(meta["skip_reasons"]))
+
     def test_preset_subcommand(self, tmp_path):
         out = tmp_path / "fig6.csv"
         assert main(["preset", "fig6", "--out", str(out), "--points", "8"]) == 0

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_case, random_density_matrix
+from kdcollide import analytic, kdq, smalltau
 from kdcollide.collision import (
     bch_collide_once,
     collide_once,
@@ -180,9 +181,30 @@ class TestEvolve:
         record = evolve(build_system_state(state), cfg, 1, thermo=True).per_step[0]
         assert abs(record.w_s + record.q_s - record.delta_e_s) < 1e-12
         assert abs(record.w_a + record.q_a - record.delta_e_a) < 1e-12
-        assert record.w_avg == record.w_s and record.q_avg == record.q_s
         assert set(record.moments) == {"us", "ua", "usa", "w", "q"}
         assert set(record.nonpositivity) == {"us", "ua", "usa", "q"}
+
+    @pytest.mark.parametrize("delta, resonant", [(5e-11, False), (5e-13, True)])
+    def test_resonance_classed_alike_everywhere(self, delta, resonant):
+        # One resonance test decides the split in `evolve`, the work/heat
+        # distributions and the resonant closed forms.
+        cfg = ModelConfig(omega_s=1.0 + delta, omega_a=1.0, g=1.0, tau=0.4, beta=1.0, lam=0.1)
+        state = SystemStateParams(0.25, math.sqrt(3) / 4, math.pi / 4)
+        rho_s = build_system_state(state)
+        records = evolve(rho_s, cfg, 2, thermo=True).per_step
+        assert len(records) == 2
+        assert all((r.w_s is not None) == resonant for r in records)
+        checks = (
+            lambda: kdq.kdq_distribution(kdq.W, rho_s, cfg),
+            lambda: smalltau.operator_approach(rho_s, cfg),
+            lambda: analytic.resonant_kdq_us(cfg, state),
+        )
+        for check in checks:
+            if resonant:
+                check()
+            else:
+                with pytest.raises(ValueError, match="detuning"):
+                    check()
 
     def test_rejects_zero_collisions(self, rng):
         cfg, state = random_case(rng)

@@ -3,10 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_case
 from kdcollide import kdq
+from kdcollide.cli import fig7_config
+from kdcollide.collision import collision_unitary
 from kdcollide.kdq import (
     ValidityWarning,
     average_via_trace,
@@ -313,3 +317,105 @@ class TestSystemSideSplit:
         q_ws = kdq_distribution(kdq.WS, rho_s, cfg).quasiprobs()
         q_qs = kdq_distribution(kdq.QS, rho_s, cfg).quasiprobs()
         assert_allclose(q_ws + q_qs, q_us, atol=1e-13)
+
+
+def reference_distribution(quantity, rho_s, cfg, unitary=None, group_degenerate=False):
+    """(labels, values, quasiprobs) from explicit projectors.
+
+    Each entry is Tr[U^dag P_fin U P_in W] with the projectors P of
+    `eig_hermitian` and one trace per entry, independent of the block-sum
+    kernel of `kdq_distribution`.
+    """
+    u = measurement_unitary(cfg) if unitary is None else unitary
+    h_s, h_a, _, _ = build_hamiltonians(cfg)
+    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
+    if quantity in (kdq.US, kdq.UA, kdq.USA):
+        weight = tensor(rho_s, rho_a)
+    elif quantity in (kdq.Q, kdq.QS):
+        weight = tensor(rho_s, rho_a_th)
+    else:
+        weight = cfg.kdq_coherence_prefactor * tensor(rho_s, chi_a)
+    dec_s, dec_a = eig_hermitian(h_s), eig_hermitian(h_a)
+    if quantity in (kdq.US, kdq.WS, kdq.QS):
+        projectors = [tensor(p, IDENTITY_2) for p in dec_s.projectors]
+        energies = list(dec_s.eigenvalues)
+        labels = list(range(len(energies)))
+    elif quantity in (kdq.UA, kdq.W, kdq.Q):
+        projectors = [tensor(IDENTITY_2, p) for p in dec_a.projectors]
+        energies = list(dec_a.eigenvalues)
+        labels = list(range(len(energies)))
+    elif group_degenerate:
+        dec = eig_hermitian(tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a))
+        projectors, energies = list(dec.projectors), list(dec.eigenvalues)
+        labels = list(range(len(energies)))
+    else:
+        projectors, energies, labels = [], [], []
+        for ell, p_s in enumerate(dec_s.projectors):
+            for k, p_a in enumerate(dec_a.projectors):
+                projectors.append(tensor(p_s, p_a))
+                energies.append(dec_s.eigenvalues[ell] + dec_a.eigenvalues[k])
+                labels.append((ell, k))
+    sign = -1.0 if quantity in (kdq.W, kdq.Q) else 1.0
+    out_labels, values, probs = [], [], []
+    for i_in, p_in in enumerate(projectors):
+        for i_fin, p_fin in enumerate(projectors):
+            out_labels.append((labels[i_in], labels[i_fin]))
+            values.append(sign * (energies[i_fin] - energies[i_in]))
+            probs.append(complex(np.trace(dag(u) @ p_fin @ u @ p_in @ weight)))
+    return out_labels, values, np.array(probs)
+
+
+def assert_matches_reference(quantity, rho_s, cfg, unitary=None, group_degenerate=False):
+    dist = kdq_distribution(quantity, rho_s, cfg, unitary=unitary, group_degenerate=group_degenerate)
+    labels, values, probs = reference_distribution(quantity, rho_s, cfg, unitary, group_degenerate)
+    assert [(e.label.i_in, e.label.i_fin) for e in dist.entries] == labels
+    assert all(e.label.quantity == quantity for e in dist.entries)
+    # Equal except below ~1e-146, where LAPACK rescales the reference's
+    # eigh input and moves the last bit of its eigenvalues.
+    assert_allclose(dist.values(), values, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(dist.quasiprobs() - probs)) <= 1e-13
+
+
+# Frequencies in [-3, 3] with exact zeros, so merged (omega = 0) and reversed
+# (omega < 0) level orders are drawn as well.
+_omegas = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega_s=_omegas, omega_a=_omegas, resonant=st.booleans(), weak=st.booleans(),
+    g=st.floats(0.1, 2.0), tau=st.floats(0.01, 1.5), beta=st.floats(0.0, 4.0),
+    lam_frac=st.floats(-1.0, 1.0), rho11=_unit, r_frac=_unit, phi_c=st.floats(0.0, 2.0 * math.pi),
+)
+def test_kernel_matches_projector_traces(
+    omega_s, omega_a, resonant, weak, g, tau, beta, lam_frac, rho11, r_frac, phi_c
+):
+    if resonant:
+        omega_s = omega_a
+    cfg = ModelConfig(
+        omega_s=omega_s, omega_a=omega_a, g=g, tau=tau, beta=beta,
+        mode=MODE_WEAK if weak else "exact",
+    )
+    lam = lam_frac * cfg.lambda_max
+    if weak:
+        cfg = ModelConfig(**{**cfg.__dict__, "lam_tilde": lam / math.sqrt(tau)})
+    else:
+        cfg = ModelConfig(**{**cfg.__dict__, "lam": lam})
+    state = SystemStateParams(rho11, r_frac * math.sqrt(rho11 * (1.0 - rho11)), phi_c)
+    rho_s = build_system_state(state)
+    # The weak-mode trajectory propagator is passed explicitly, as `evolve` does.
+    unitary = collision_unitary(cfg) if weak else None
+    quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
+    for quantity in quantities:
+        assert_matches_reference(quantity, rho_s, cfg, unitary)
+    if cfg.is_resonant:
+        assert_matches_reference(kdq.USA, rho_s, cfg, unitary, group_degenerate=True)
+
+
+def test_kernel_matches_projector_traces_in_si_units():
+    cfg = fig7_config()
+    rho_s = build_system_state(SystemStateParams(0.25, math.sqrt(3) / 4, math.pi / 4))
+    for quantity in kdq.QUANTITIES:
+        assert_matches_reference(quantity, rho_s, cfg)
+    assert_matches_reference(kdq.USA, rho_s, cfg, group_degenerate=True)

@@ -9,6 +9,7 @@ from kdcollide.linalg import (
     commutator_norm,
     dag,
     eig_hermitian,
+    group_levels,
     is_density_matrix,
     is_hermitian,
     is_psd,
@@ -118,6 +119,21 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestGroupLevels:
+    def test_descending_with_degenerate_pair_merged(self):
+        levels, index = group_levels([0.0, 1.3, -1.3, 1e-12])
+        assert levels == (1.3, 5e-13, -1.3)
+        assert list(index) == [1, 0, 2, 1]
+
+    def test_zero_spread_is_one_level(self):
+        levels, index = group_levels([0.0, -0.0])
+        assert levels == (0.0,) and list(index) == [0, 0]
+
+    def test_negative_frequency_reverses_order(self):
+        levels, index = group_levels(np.diag(-0.5 * SIGMA_Z).real)
+        assert levels == (0.5, -0.5) and list(index) == [1, 0]
 
 
 class TestUnitary:

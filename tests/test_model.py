@@ -138,6 +138,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg_with(hbar=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(omega_s=math.nan), "omega_s"),
+            (dict(g=math.inf, tau=math.nan), "g"),
+            (dict(omega_a=-math.inf), "omega_a"),
+            (dict(beta=math.inf), "beta"),
+            (dict(lam=math.nan), "lam"),
+            (dict(hbar=math.nan), "hbar"),
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            cfg_with(**kwargs)
+
+    @pytest.mark.parametrize("field", ["rho11", "r", "phi_c"])
+    def test_state_rejects_non_finite(self, field):
+        params = dict(rho11=0.5, r=0.1, phi_c=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                SystemStateParams(**{**params, field: bad})
+
+    def test_resonance_threshold(self):
+        # |detuning| <= 1e-12 * max(1, |omega_s|, |omega_a|).
+        assert cfg_with(0.0).is_resonant
+        assert cfg_with(5e-13).is_resonant
+        assert not cfg_with(5e-11).is_resonant
+        assert ModelConfig(omega_s=1e6 + 5e-7, omega_a=1e6, g=1.0, tau=0.5, beta=0.0).is_resonant
+        assert not ModelConfig(omega_s=1e6 + 5e-6, omega_a=1e6, g=1.0, tau=0.5, beta=0.0).is_resonant
+
     def test_exact_mode_allows_zero_tau(self):
         assert cfg_with(tau=0.0).tau == 0.0
 
