@@ -9,21 +9,31 @@ Conventions: the pulse area is phi = g*tau, the coherence products are
 j1 = lambda*Re[rho12] and j2 = lambda*Im[rho12], and entry arrays are
 ordered by (initial index major, final index minor), matching
 `kdq.kdq_distribution`.  Resonant formulas require omega_s == omega_a.
+Thermal weights enter in forms that cannot overflow (tanh, or a and b
+divided by c_beta), so every formula reaches the zero-temperature limit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelConfig, SystemStateParams
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # largest argument of a finite math.exp
+
 
 @dataclass(frozen=True)
 class AuxiliaryFunctions:
-    """Shorthands entering the detuned closed forms."""
+    """Shorthands entering the detuned closed forms.
+
+    ``a`` and ``b`` are carried divided by ``c_beta`` (inf once
+    1 + e^(beta*hbar*omega_a) overflows); theta and amplitude*sin(theta) = b
+    do not depend on that common factor.
+    """
 
     c_beta: float
     tau_tilde: float
@@ -50,10 +60,11 @@ def auxiliary_functions(cfg: ModelConfig, state: SystemStateParams) -> Auxiliary
     lam = cfg.lambda_eff
     re12 = state.r * math.cos(state.phi_c)
     im12 = state.r * math.sin(state.phi_c)
-    c_beta = 1.0 + math.exp(cfg.beta * cfg.hbar * cfg.omega_a)
+    y = cfg.beta * cfg.hbar * cfg.omega_a
+    c_beta = 1.0 + math.exp(y) if y <= _LOG_FLOAT_MAX else math.inf
     root = math.sqrt(4.0 * cfg.g**2 + delta**2)
-    a = lam * c_beta * im12 * root
-    b = cfg.g * (c_beta * state.rho11 - 1.0) - delta * lam * c_beta * re12
+    a = lam * im12 * root
+    b = cfg.g * (state.rho11 - _ancilla_populations(cfg)[0]) - delta * lam * re12
     theta = math.atan2(b, a) if (a != 0.0 or b != 0.0) else 0.0
     return AuxiliaryFunctions(
         c_beta=c_beta,
@@ -67,14 +78,20 @@ def auxiliary_functions(cfg: ModelConfig, state: SystemStateParams) -> Auxiliary
     )
 
 
+def _ancilla_populations(cfg: ModelConfig) -> tuple[float, float]:
+    """Thermal ancilla populations (e^-x, e^x)/Z_A = (1 -+ tanh x)/2, x = beta*hbar*omega_a/2."""
+    t = math.tanh(0.5 * cfg.beta * cfg.hbar * cfg.omega_a)
+    return 0.5 * (1.0 - t), 0.5 * (1.0 + t)
+
+
 def _resonant_pieces(cfg: ModelConfig, state: SystemStateParams):
     if not cfg.is_resonant:
         raise ValueError(f"resonant closed form evaluated at detuning {cfg.detuning:.6g}")
-    x = 0.5 * cfg.beta * cfg.hbar * cfg.omega_a
+    w_up, w_dn = _ancilla_populations(cfg)
     phi = cfg.g * cfg.tau
     j1 = cfg.lambda_eff * state.r * math.cos(state.phi_c)
     j2 = cfg.lambda_eff * state.r * math.sin(state.phi_c)
-    return x, phi, j1, j2, cfg.z_a
+    return w_up, w_dn, phi, j1, j2
 
 
 def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
@@ -84,17 +101,17 @@ def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     sigma_z eigenstate; the corresponding stochastic values are
     (0, -hbar*omega, +hbar*omega, 0).
     """
-    x, phi, j1, j2, z = _resonant_pieces(cfg, state)
+    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfg, state)
     s2 = math.sin(2.0 * phi)
     sin_sq = math.sin(phi) ** 2
     cos_sq = math.cos(phi) ** 2
     p0, p1 = state.rho11, 1.0 - state.rho11
     return np.array(
         [
-            p0 / z * (math.exp(x) * cos_sq + math.exp(-x)) - 0.5 * j2 * s2 + 0.5j * j1 * s2,
-            p0 / z * math.exp(x) * sin_sq + 0.5 * j2 * s2 - 0.5j * j1 * s2,
-            p1 / z * math.exp(-x) * sin_sq - 0.5 * j2 * s2 - 0.5j * j1 * s2,
-            p1 / z * (math.exp(-x) * cos_sq + math.exp(x)) + 0.5 * j2 * s2 + 0.5j * j1 * s2,
+            p0 * (w_dn * cos_sq + w_up) - 0.5 * j2 * s2 + 0.5j * j1 * s2,
+            p0 * w_dn * sin_sq + 0.5 * j2 * s2 - 0.5j * j1 * s2,
+            p1 * w_up * sin_sq - 0.5 * j2 * s2 - 0.5j * j1 * s2,
+            p1 * (w_up * cos_sq + w_dn) + 0.5 * j2 * s2 + 0.5j * j1 * s2,
         ],
         dtype=complex,
     )
@@ -103,16 +120,16 @@ def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
 def resonant_kdq_q(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     """Incoherent-heat quasiprobabilities (system side): the thermal parts of
     `resonant_kdq_us`, real and non-negative."""
-    x, phi, _, _, z = _resonant_pieces(cfg, state)
+    w_up, w_dn, phi, _, _ = _resonant_pieces(cfg, state)
     sin_sq = math.sin(phi) ** 2
     cos_sq = math.cos(phi) ** 2
     p0, p1 = state.rho11, 1.0 - state.rho11
     return np.array(
         [
-            p0 / z * (math.exp(x) * cos_sq + math.exp(-x)),
-            p0 / z * math.exp(x) * sin_sq,
-            p1 / z * math.exp(-x) * sin_sq,
-            p1 / z * (math.exp(-x) * cos_sq + math.exp(x)),
+            p0 * (w_dn * cos_sq + w_up),
+            p0 * w_dn * sin_sq,
+            p1 * w_up * sin_sq,
+            p1 * (w_up * cos_sq + w_dn),
         ],
         dtype=float,
     )
@@ -124,7 +141,7 @@ def resonant_kdq_w(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     The coherence products use the quasiprobability prefactor (lambda, or
     lambda-tilde in the weakly coherent mode).
     """
-    x, phi, _, _, z = _resonant_pieces(cfg, state)
+    _, _, phi, _, _ = _resonant_pieces(cfg, state)
     pref = cfg.kdq_coherence_prefactor
     j1 = pref * state.r * math.cos(state.phi_c)
     j2 = pref * state.r * math.sin(state.phi_c)
@@ -144,13 +161,7 @@ def delta_e_s(cfg: ModelConfig, state: SystemStateParams) -> float:
     """Average internal-energy change of the system over one collision."""
     aux = auxiliary_functions(cfg, state)
     delta = cfg.detuning
-    pre = (
-        2.0
-        * cfg.hbar
-        * cfg.g
-        * (cfg.omega_a + delta)
-        / (aux.c_beta * (4.0 * cfg.g**2 + delta**2))
-    )
+    pre = 2.0 * cfg.hbar * cfg.g * (cfg.omega_a + delta) / (4.0 * cfg.g**2 + delta**2)
     return pre * (-aux.b - aux.amplitude * math.sin(aux.tau_tilde - aux.theta))
 
 
@@ -158,13 +169,7 @@ def delta_e_s_envelopes(cfg: ModelConfig, state: SystemStateParams) -> tuple[flo
     """(lower, upper) envelope of `delta_e_s`, dropping the oscillating term."""
     aux = auxiliary_functions(cfg, state)
     delta = cfg.detuning
-    pre = (
-        2.0
-        * cfg.hbar
-        * cfg.g
-        * (cfg.omega_a + delta)
-        / (aux.c_beta * (4.0 * cfg.g**2 + delta**2))
-    )
+    pre = 2.0 * cfg.hbar * cfg.g * (cfg.omega_a + delta) / (4.0 * cfg.g**2 + delta**2)
     branch_1 = pre * (-aux.b - aux.amplitude)
     branch_2 = pre * (-aux.b + aux.amplitude)
     return min(branch_1, branch_2), max(branch_1, branch_2)
@@ -174,7 +179,7 @@ def delta_e_sa(cfg: ModelConfig, state: SystemStateParams) -> float:
     """Average non-energy-preserving work over one collision."""
     aux = auxiliary_functions(cfg, state)
     delta = cfg.detuning
-    pre = -4.0 * cfg.hbar * cfg.g * delta / (aux.c_beta * (4.0 * cfg.g**2 + delta**2))
+    pre = -4.0 * cfg.hbar * cfg.g * delta / (4.0 * cfg.g**2 + delta**2)
     half = 0.5 * aux.tau_tilde
     return pre * aux.amplitude * math.sin(half) * math.cos(half - aux.theta)
 
@@ -208,7 +213,7 @@ def resonant_w_q_stats(cfg: ModelConfig, state: SystemStateParams) -> ResonantWo
     The work moments carry the quasiprobability prefactor; the heat moments
     are coherence-independent.
     """
-    x, phi, _, _, z = _resonant_pieces(cfg, state)
+    w_up, w_dn, phi, _, _ = _resonant_pieces(cfg, state)
     pref = cfg.kdq_coherence_prefactor
     j1 = pref * state.r * math.cos(state.phi_c)
     j2 = pref * state.r * math.sin(state.phi_c)
@@ -217,8 +222,8 @@ def resonant_w_q_stats(cfg: ModelConfig, state: SystemStateParams) -> ResonantWo
     sin_sq = math.sin(phi) ** 2
     w_mean = -e * j2 * s2
     w_variance = -(e**2) * s2 * (j2**2 * s2 + 1j * j1)
-    q_mean = e * sin_sq * (math.exp(-x) / z - state.rho11)
-    q_second = e**2 * sin_sq * (math.exp(-x) + 2.0 * state.rho11 * math.sinh(x)) / z
+    q_mean = e * sin_sq * (w_up - state.rho11)
+    q_second = e**2 * sin_sq * (w_up + state.rho11 * (w_dn - w_up))
     return ResonantWorkHeatStats(w_mean, w_variance, q_mean, q_second - q_mean**2)
 
 
@@ -228,12 +233,12 @@ def resonant_energy_stats(cfg: ModelConfig, state: SystemStateParams) -> tuple[f
     The variance keeps its imaginary part -i (hbar*omega)^2 j1 sin(2 phi);
     truncating it would hide the non-classical signature.
     """
-    x, phi, j1, j2, z = _resonant_pieces(cfg, state)
+    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfg, state)
     e = cfg.hbar * cfg.omega_a
     s2 = math.sin(2.0 * phi)
     sin_sq = math.sin(phi) ** 2
-    mean = -e * (state.rho11 - math.exp(-x) / z) * sin_sq - e * j2 * s2
-    second = e**2 * sin_sq * (math.exp(-x) + 2.0 * state.rho11 * math.sinh(x)) / z
+    mean = -e * (state.rho11 - w_up) * sin_sq - e * j2 * s2
+    second = e**2 * sin_sq * (w_up + state.rho11 * (w_dn - w_up))
     variance = second - 1j * e**2 * j1 * s2 - mean**2
     return mean, variance
 
@@ -244,17 +249,15 @@ def resonant_nonpositivity(cfg: ModelConfig, state: SystemStateParams) -> tuple[
     n_re depends on the coherence only through j2 = lambda*Im[rho12] and
     n_im only through j1 = lambda*Re[rho12].
     """
-    x, phi, j1, j2, z = _resonant_pieces(cfg, state)
+    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfg, state)
     s1 = math.sin(phi)
     s2 = math.sin(2.0 * phi)
     c2 = math.cos(2.0 * phi)
     n_re = -1.0
-    for k in (+1.0, -1.0):
-        rho_k = state.rho11 if k > 0 else 1.0 - state.rho11
-        n_re += abs(s1) * abs(rho_k * math.exp(k * x) / z * s1 + k * j2 * math.cos(phi))
-        n_re += abs(
-            0.5 * rho_k * (1.0 + math.exp(-k * x) / z + math.exp(k * x) * c2 / z)
-            - 0.5 * k * j2 * s2
-        )
+    # (k, rho_k, e^(k x)/Z_A, e^(-k x)/Z_A)
+    branches = ((1.0, state.rho11, w_dn, w_up), (-1.0, 1.0 - state.rho11, w_up, w_dn))
+    for k, rho_k, w_k, w_other in branches:
+        n_re += abs(s1) * abs(rho_k * w_k * s1 + k * j2 * math.cos(phi))
+        n_re += abs(0.5 * rho_k * (1.0 + w_other + w_k * c2) - 0.5 * k * j2 * s2)
     n_im = 2.0 * abs(j1 * s2)
     return n_re, n_im

@@ -1,25 +1,21 @@
-"""Single collisions, repeated-collision trajectories, steady-state search."""
+"""Single collisions, repeated-collision trajectories and the steady state.
+
+Each collision applies Phi(rho_S) = Tr_A[U (rho_S (x) rho_A) U^dag], the 4x4
+matrix S of `_channel`; `collide_once` alone forms the joint state.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kdq
 from .linalg import dag, partial_trace, tensor, trace_distance, unitary_from_hamiltonian
-from .model import (
-    IDENTITY_2,
-    ModelConfig,
-    SystemStateParams,
-    build_ancilla,
-    build_hamiltonians,
-    build_system_state,
-)
+from .model import IDENTITY_2, ModelConfig, build_ancilla, build_hamiltonians
 
-# Default initial state for steady-state sweeps (max-coherence qubit state).
-DEFAULT_INITIAL_STATE = SystemStateParams(rho11=0.25, r=math.sqrt(3.0) / 4.0, phi_c=math.pi / 4.0)
+# The fixed point is unique when S - I has a second-smallest singular value above this.
+_UNIQUENESS_BOUND = 1e-12
 
 
 def collision_unitary(cfg: ModelConfig) -> np.ndarray:
@@ -38,6 +34,12 @@ def collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
     u = collision_unitary(cfg)
     rho_sa = u @ tensor(rho_s, rho_a) @ dag(u)
     return partial_trace(rho_sa, keep="S"), rho_sa
+
+
+def _channel(u: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
+    """4x4 matrix S with (S @ rho_s.ravel()).reshape(2, 2) = Tr_A[u (rho_s (x) rho_a) u^dag]."""
+    u4 = u.reshape(2, 2, 2, 2)
+    return np.einsum("ikmn,nq,jkpq->ijmp", u4, rho_a, u4.conj()).reshape(4, 4)
 
 
 def bch_collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -92,6 +94,8 @@ class CollisionTrajectory:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
+    """`find_steady_state` output; ``iterations`` is always 0 (no iteration)."""
+
     state: np.ndarray
     iterations: int
     residual: float
@@ -99,13 +103,10 @@ class SteadyStateResult:
 
 
 def _make_step_record(
-    rho_s: np.ndarray, cfg: ModelConfig, u: np.ndarray, split: bool, index: int
+    rho_s: np.ndarray, cfg: ModelConfig, u: np.ndarray, split: bool, index: int,
+    hs_full: np.ndarray, ha_full: np.ndarray, ancilla: tuple[np.ndarray, ...],
 ) -> StepRecord:
-    h_s, h_a, _, _ = build_hamiltonians(cfg)
-    hs_full = tensor(h_s, IDENTITY_2)
-    ha_full = tensor(IDENTITY_2, h_a)
-    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
-
+    rho_a, rho_a_th, chi_a = ancilla
     joint = tensor(rho_s, rho_a)
     evolved = u @ joint @ dag(u)
     delta_e_s = float(np.trace(hs_full @ (evolved - joint)).real)
@@ -144,6 +145,7 @@ def evolve(
 ) -> CollisionTrajectory:
     """Run n collisions against identically prepared ancillas.
 
+    The states are advanced with the one-collision matrix S (`_channel`).
     With ``thermo=True`` every step records the energy changes, their
     coherent/thermal split when available, and the KDQ moments and
     non-positivity witnesses, all evaluated with the trajectory's own
@@ -151,46 +153,42 @@ def evolve(
     """
     if n < 1:
         raise ValueError("need at least one collision")
-    rho_a, _, _ = build_ancilla(cfg)
+    h_s, h_a, _, _ = build_hamiltonians(cfg)
+    hs_full, ha_full = tensor(h_s, IDENTITY_2), tensor(IDENTITY_2, h_a)
+    ancilla = build_ancilla(cfg)
     u = collision_unitary(cfg)
+    s = _channel(u, ancilla[0])
     split = cfg.is_weak or cfg.is_resonant
     states = [np.asarray(rho_s0, dtype=complex)]
     records = []
-    for step in range(n):
+    for index in range(1, n + 1):
         rho_s = states[-1]
         if thermo:
-            records.append(_make_step_record(rho_s, cfg, u, split, step + 1))
-        joint = u @ tensor(rho_s, rho_a) @ dag(u)
-        states.append(partial_trace(joint, keep="S"))
+            records.append(_make_step_record(rho_s, cfg, u, split, index, hs_full, ha_full, ancilla))
+        states.append((s @ rho_s.ravel()).reshape(2, 2))
     return CollisionTrajectory(tuple(states), tuple(records))
 
 
-def find_steady_state(
-    cfg: ModelConfig,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-    rho_s0: np.ndarray | None = None,
-) -> SteadyStateResult:
-    """Iterate collisions until consecutive states stop moving.
+def find_steady_state(cfg: ModelConfig, tol: float = 1e-12) -> SteadyStateResult:
+    """Fixed point of the one-collision map from one SVD of S - I.
 
-    Convergence additionally requires the fixed-point residual
-    ||rho - Phi(rho)|| <= 10*tol, so a slowly spiralling trajectory that
-    merely stalls is flagged instead of silently accepted.
+    The state is the identity projected onto the null space of S - I
+    (singular values <= 1e-12) at unit trace.  ``converged`` requires a unique
+    fixed point (second-smallest singular value above 1e-12; tau = 0 and
+    resonant g*tau = omega*tau = pi, both S = I, fail) and a ``residual``
+    ||rho - Phi(rho)|| <= 10*tol, with Phi applied by `collide_once`, not S.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rho = build_system_state(DEFAULT_INITIAL_STATE) if rho_s0 is None else np.asarray(rho_s0, dtype=complex)
     rho_a, _, _ = build_ancilla(cfg)
-    u = collision_unitary(cfg)
-
-    def step(state: np.ndarray) -> np.ndarray:
-        return partial_trace(u @ tensor(state, rho_a) @ dag(u), keep="S")
-
-    for iteration in range(1, max_iter + 1):
-        rho_next = step(rho)
-        if trace_distance(rho, rho_next) <= tol:
-            residual = trace_distance(rho_next, step(rho_next))
-            return SteadyStateResult(rho_next, iteration, residual, residual <= 10.0 * tol)
-        rho = rho_next
-    residual = trace_distance(rho, step(rho))
-    return SteadyStateResult(rho, max_iter, residual, False)
+    s = _channel(collision_unitary(cfg), rho_a)
+    # Trace preservation gives S - I's population diagonal without cancellation.
+    s_minus_i = s - np.eye(4)
+    s_minus_i[0, 0], s_minus_i[3, 3] = -s[3, 0], -s[0, 3]
+    _, singular, vh = np.linalg.svd(s_minus_i)
+    null = vh[min(np.count_nonzero(singular > _UNIQUENESS_BOUND), 3):]
+    rho = (null.conj().T @ (null @ IDENTITY_2.ravel())).reshape(2, 2)
+    rho = 0.5 * (rho + dag(rho)) / np.trace(rho).real
+    residual = trace_distance(rho, collide_once(rho, cfg)[0])
+    converged = singular[-2] > _UNIQUENESS_BOUND and residual <= 10.0 * tol
+    return SteadyStateResult(rho, 0, residual, bool(converged))

@@ -30,8 +30,9 @@ _BOUNDARY_SLACK = 1e-12
 
 
 def partition_function(beta: float, omega: float, hbar: float = 1.0) -> float:
-    """Z = exp(-beta*hbar*omega/2) + exp(+beta*hbar*omega/2)."""
-    return 2.0 * math.cosh(0.5 * beta * hbar * omega)
+    """Z = exp(-beta*hbar*omega/2) + exp(+beta*hbar*omega/2); inf once it overflows."""
+    x = 0.5 * beta * hbar * omega
+    return 2.0 * math.cosh(x) if abs(x) < 710.0 else math.inf
 
 
 def _require_finite(params, exclude: tuple[str, ...] = ()) -> None:
@@ -195,9 +196,11 @@ def build_ancilla(
             raise ValueError("chi_a must be a Hermitian 2x2 matrix")
         if np.max(np.abs(np.diag(chi_a))) > 1e-14:
             raise ValueError("chi_a must have no diagonal elements in the H_A eigenbasis")
-    z_a = cfg.z_a
+    # (e^-x, e^x)/Z_A as logistic functions of 2x, which cannot overflow.
     x = 0.5 * cfg.beta * cfg.hbar * cfg.omega_a
-    rho_a_th = np.diag([math.exp(-x) / z_a, math.exp(x) / z_a]).astype(complex)
+    t = math.exp(-2.0 * abs(x))
+    low, high = t / (1.0 + t), 1.0 / (1.0 + t)
+    rho_a_th = np.diag([low, high] if x >= 0.0 else [high, low]).astype(complex)
     rho_a = rho_a_th + cfg.lambda_eff * chi_a
     return rho_a, rho_a_th, chi_a
 

@@ -14,14 +14,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import analytic, kdq
-from .collision import bch_collide_once, evolve
-from .linalg import dag, tensor, unitary_from_hamiltonian
+from .collision import bch_collide_once, collide_once, evolve
 from .model import (
     MODE_WEAK,
     ModelConfig,
     SystemStateParams,
-    build_ancilla,
-    build_hamiltonians,
     build_system_state,
     partition_function,
 )
@@ -167,10 +164,7 @@ def _check_bch_order() -> tuple[float, float]:
                 omega_s=1.0, omega_a=1.0, g=math.sqrt(tau), tau=tau, beta=0.7,
                 lam_tilde=0.2 / math.sqrt(tau), mode=MODE_WEAK,
             )
-            _, _, _, h_sa = build_hamiltonians(cfg)
-            rho_a, _, _ = build_ancilla(cfg)
-            u = unitary_from_hamiltonian(h_sa, tau, cfg.hbar)
-            exact = u @ tensor(rho_s, rho_a) @ dag(u)
+            exact = collide_once(rho_s, cfg)[1]
             errors.append(float(np.linalg.norm(exact - bch_collide_once(rho_s, cfg))))
         ratios.append(errors[0] / errors[1])
     return min(ratios), max(ratios)

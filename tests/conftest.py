@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from kdcollide.model import MODE_WEAK, ModelConfig, SystemStateParams
+from kdcollide.model import MODE_EXACT, MODE_WEAK, ModelConfig, SystemStateParams
 
 
 @pytest.fixture
@@ -52,3 +54,31 @@ def random_density_matrix(rng, dim=2):
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (a + a.conj().T)
+
+
+# Frequencies in [-3, 3] with exact zeros, so merged (omega = 0) and reversed
+# (omega < 0) level orders are drawn as well.
+_omegas = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def admissible_cases(draw):
+    """Hypothesis strategy over admissible (ModelConfig, SystemStateParams) pairs.
+
+    Exact and weakly coherent modes, resonant and detuned configs, every
+    ancilla coherence up to the positivity bound and every system state.
+    """
+    omega_a = draw(_omegas)
+    omega_s = omega_a if draw(st.booleans()) else draw(_omegas)
+    weak = draw(st.booleans())
+    tau = draw(st.floats(0.01, 1.5))
+    cfg = ModelConfig(
+        omega_s=omega_s, omega_a=omega_a, g=draw(st.floats(0.1, 2.0)), tau=tau,
+        beta=draw(st.floats(0.0, 4.0)), mode=MODE_WEAK if weak else MODE_EXACT,
+    )
+    lam = draw(st.floats(-1.0, 1.0)) * cfg.lambda_max
+    cfg = replace(cfg, lam_tilde=lam / math.sqrt(tau)) if weak else replace(cfg, lam=lam)
+    rho11 = draw(_unit)
+    r = draw(_unit) * math.sqrt(rho11 * (1.0 - rho11))
+    return cfg, SystemStateParams(rho11, r, draw(st.floats(0.0, 2.0 * math.pi)))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -50,6 +51,38 @@ class TestAuxiliary:
         aux = analytic.auxiliary_functions(cfg, state)
         assert aux.a == 0.0 and aux.b == 0.0 and aux.theta == 0.0
         assert analytic.delta_e_s(cfg, state) == 0.0
+
+
+class TestZeroTemperature:
+    RESONANT = (
+        analytic.resonant_kdq_us,
+        analytic.resonant_kdq_q,
+        analytic.resonant_kdq_w,
+        analytic.resonant_w_q_stats,
+        analytic.resonant_energy_stats,
+        analytic.resonant_nonpositivity,
+    )
+    DETUNED = (
+        analytic.delta_e_s,
+        analytic.delta_e_s_envelopes,
+        analytic.delta_e_sa,
+        analytic.delta_e_sa_limit,
+    )
+
+    @pytest.mark.parametrize("delta", [0.0, 3.0])
+    def test_oracles_reach_the_limit(self, delta):
+        # At beta*hbar*omega_a = 2000 exp and cosh overflow; every oracle must
+        # give what it gives at 100, where the upper population is ~e^-100.
+        def evaluate(oracle, beta):
+            value = oracle(detuned(resonant_cfg(beta=beta, lam=0.0), delta), FIG_STATE)
+            if isinstance(value, analytic.ResonantWorkHeatStats):
+                value = astuple(value)
+            return np.asarray(value, dtype=complex)
+
+        oracles = self.DETUNED + (self.RESONANT if delta == 0.0 else ())
+        for oracle in oracles:
+            warm, cold = evaluate(oracle, 100.0), evaluate(oracle, 2000.0)
+            assert np.max(np.abs(cold - warm)) <= 1e-14, oracle.__name__
 
 
 class TestDeltaES:

@@ -286,6 +286,28 @@ class TestMain:
         assert list(meta["skip_reasons"].values()) == [1]
         assert "exceeds the positivity bound" in next(iter(meta["skip_reasons"]))
 
+    def test_zero_temperature_sweep(self, tmp_path):
+        # beta*hbar*omega_a up to 2000 overflows exp and cosh; every row must
+        # still be evaluated and agree with the closed form.
+        out = tmp_path / "cold.csv"
+        config = tmp_path / "cold.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("lambda = 0.2", "lambda = 0.0")
+            .replace("phi_c = linspace(0.0, 6.0, 5)", "beta = 1.0, 800.0, 2000.0")
+            .replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {out}\nquantities = delta_e_s, analytic_delta_e_s",
+            )
+        )
+        assert main(["validate", str(config)]) == 0
+        assert main(["run", str(config)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert header == ["beta", "skipped", "delta_e_s", "analytic_delta_e_s"]
+        assert [row[0] for row in rows] == ["1", "800", "2000"]
+        for row in rows:
+            assert row[1] == "0"
+            assert abs(float(row[2]) - float(row[3])) <= 1e-10
+
     def test_preset_subcommand(self, tmp_path):
         out = tmp_path / "fig6.csv"
         assert main(["preset", "fig6", "--out", str(out), "--points", "8"]) == 0

@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_case
+from conftest import admissible_cases, random_case
 from kdcollide import kdq
 from kdcollide.cli import fig7_config
 from kdcollide.collision import collision_unitary
@@ -376,36 +375,13 @@ def assert_matches_reference(quantity, rho_s, cfg, unitary=None, group_degenerat
     assert np.max(np.abs(dist.quasiprobs() - probs)) <= 1e-13
 
 
-# Frequencies in [-3, 3] with exact zeros, so merged (omega = 0) and reversed
-# (omega < 0) level orders are drawn as well.
-_omegas = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
-_unit = st.floats(0.0, 1.0)
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    omega_s=_omegas, omega_a=_omegas, resonant=st.booleans(), weak=st.booleans(),
-    g=st.floats(0.1, 2.0), tau=st.floats(0.01, 1.5), beta=st.floats(0.0, 4.0),
-    lam_frac=st.floats(-1.0, 1.0), rho11=_unit, r_frac=_unit, phi_c=st.floats(0.0, 2.0 * math.pi),
-)
-def test_kernel_matches_projector_traces(
-    omega_s, omega_a, resonant, weak, g, tau, beta, lam_frac, rho11, r_frac, phi_c
-):
-    if resonant:
-        omega_s = omega_a
-    cfg = ModelConfig(
-        omega_s=omega_s, omega_a=omega_a, g=g, tau=tau, beta=beta,
-        mode=MODE_WEAK if weak else "exact",
-    )
-    lam = lam_frac * cfg.lambda_max
-    if weak:
-        cfg = ModelConfig(**{**cfg.__dict__, "lam_tilde": lam / math.sqrt(tau)})
-    else:
-        cfg = ModelConfig(**{**cfg.__dict__, "lam": lam})
-    state = SystemStateParams(rho11, r_frac * math.sqrt(rho11 * (1.0 - rho11)), phi_c)
+@given(case=admissible_cases())
+def test_kernel_matches_projector_traces(case):
+    cfg, state = case
     rho_s = build_system_state(state)
     # The weak-mode trajectory propagator is passed explicitly, as `evolve` does.
-    unitary = collision_unitary(cfg) if weak else None
+    unitary = collision_unitary(cfg) if cfg.is_weak else None
     quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
     for quantity in quantities:
         assert_matches_reference(quantity, rho_s, cfg, unitary)

@@ -100,6 +100,16 @@ class TestAncilla:
         with pytest.raises(ValueError):
             cfg_with(tau=tau, lam_tilde=1.05 * ok, mode=MODE_WEAK)
 
+    @pytest.mark.parametrize("omega_a", [1.0, -1.0])
+    def test_zero_temperature_limit(self, omega_a):
+        # beta*hbar*|omega_a| = 2000 overflows exp and cosh; the ancilla is
+        # then the pure lower level and no coherence fits.
+        cfg = ModelConfig(omega_s=omega_a, omega_a=omega_a, g=1.0, tau=0.5, beta=2000.0)
+        rho_a, rho_a_th, _ = build_ancilla(cfg)
+        lower = np.diag([0.0, 1.0]) if omega_a > 0 else np.diag([1.0, 0.0])
+        assert np.array_equal(rho_a, lower) and np.array_equal(rho_a_th, lower)
+        assert cfg.z_a == math.inf and cfg.lambda_max == 0.0
+
     def test_custom_chi_validation(self):
         cfg = cfg_with()
         with pytest.raises(ValueError):
