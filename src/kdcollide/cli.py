@@ -449,10 +449,9 @@ def _nonpositivity_sweep(quantity: str, points: int) -> ResultTable:
         for tau in taus:
             cfg = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=tau, beta=beta)
             cfg = replace(cfg, lam=cfg.lambda_max)
-            unitary = kdq.measurement_unitary(cfg)
             for phi_c in phis:
                 state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=float(phi_c))
-                dist = kdq.kdq_distribution(quantity, build_system_state(state), cfg, unitary=unitary)
+                dist = kdq.kdq_distribution(quantity, build_system_state(state), cfg)
                 report = kdq.nonpositivity(dist)
                 table.rows.append([beta, tau, float(phi_c), report.n_q, report.n_re, report.n_im])
     table.meta = {

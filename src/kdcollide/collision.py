@@ -6,13 +6,14 @@ matrix S of `_channel`; `collide_once` alone forms the joint state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kdq
-from .linalg import dag, partial_trace, tensor, trace_distance, unitary_from_hamiltonian
-from .model import IDENTITY_2, ModelConfig, build_ancilla, build_hamiltonians
+from .linalg import commutator, dag, partial_trace, tensor, trace_distance
+from .model import IDENTITY_2, ModelConfig
 
 # The fixed point is unique when S - I has a second-smallest singular value above this.
 _UNIQUENESS_BOUND = 1e-12
@@ -24,15 +25,13 @@ def collision_unitary(cfg: ModelConfig) -> np.ndarray:
     In the weakly coherent mode the interaction inside H_SA is scaled by
     1/sqrt(tau); in exact mode this coincides with `kdq.measurement_unitary`.
     """
-    _, _, _, h_sa = build_hamiltonians(cfg)
-    return unitary_from_hamiltonian(h_sa, cfg.tau, cfg.hbar)
+    return cfg.operators.u
 
 
 def collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """One collision: return (reduced system state, joint post-collision state)."""
-    rho_a, _, _ = build_ancilla(cfg)
     u = collision_unitary(cfg)
-    rho_sa = u @ tensor(rho_s, rho_a) @ dag(u)
+    rho_sa = u @ tensor(rho_s, cfg.operators.rho_a) @ dag(u)
     return partial_trace(rho_sa, keep="S"), rho_sa
 
 
@@ -53,11 +52,10 @@ def bch_collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """
     if not cfg.is_weak:
         raise ValueError("bch_collide_once requires the weakly coherent mode")
-    _, _, _, h_sa = build_hamiltonians(cfg)
-    rho_a, _, _ = build_ancilla(cfg)
-    joint = tensor(rho_s, rho_a)
-    c1 = h_sa @ joint - joint @ h_sa
-    c2 = h_sa @ c1 - c1 @ h_sa
+    h_sa = cfg.operators.h_sa
+    joint = tensor(rho_s, cfg.operators.rho_a)
+    c1 = commutator(h_sa, joint)
+    c2 = commutator(h_sa, c1)
     return joint - (1j * cfg.tau / cfg.hbar) * c1 - (cfg.tau**2 / (2.0 * cfg.hbar**2)) * c2
 
 
@@ -65,12 +63,14 @@ def bch_collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 class StepRecord:
     """Thermodynamic bookkeeping of one collision.
 
-    Energy changes are direct traces against the propagated joint state, so
+    Every number is a KDQ mean, sum Q[i,f] (e_f - e_i) = Tr[H (U W U^dag - W)]:
+    the energy changes are those of ``us``, ``ua``, ``usa``, so
     ``delta_e_s + delta_e_a == delta_e_sa`` holds to rounding at any
-    detuning.  The coherent-work / incoherent-heat split (w_*, q_*) is the
-    decomposition of each side's energy change over the coherent and thermal
-    parts of the ancilla state; it is filled only when the collision is
-    energy-preserving (resonant) or in the weakly coherent mode.
+    detuning.  The coherent-work / incoherent-heat split is over the coherent
+    and thermal parts of the ancilla state: q_s, q_a are the means of ``qs``,
+    ``-q`` and w_s, w_a those of ``ws``, ``-w`` times lambda_eff over the
+    coherence prefactor.  It is filled only when the collision is resonant or
+    in the weakly coherent mode.  ``moments`` holds us, ua, usa, w and q.
     """
 
     delta_e_s: float
@@ -102,41 +102,21 @@ class SteadyStateResult:
     converged: bool
 
 
-def _make_step_record(
-    rho_s: np.ndarray, cfg: ModelConfig, u: np.ndarray, split: bool, index: int,
-    hs_full: np.ndarray, ha_full: np.ndarray, ancilla: tuple[np.ndarray, ...],
-) -> StepRecord:
-    rho_a, rho_a_th, chi_a = ancilla
-    joint = tensor(rho_s, rho_a)
-    evolved = u @ joint @ dag(u)
-    delta_e_s = float(np.trace(hs_full @ (evolved - joint)).real)
-    delta_e_a = float(np.trace(ha_full @ (evolved - joint)).real)
-    delta_e_sa = float(np.trace((hs_full + ha_full) @ (evolved - joint)).real)
-
+def _make_step_record(rho_s: np.ndarray, cfg: ModelConfig) -> StepRecord:
+    split = cfg.is_weak or cfg.is_resonant
+    quantities = [kdq.US, kdq.UA, kdq.USA] + ([kdq.W, kdq.Q, kdq.WS, kdq.QS] if split else [])
+    dists = {q: kdq.kdq_distribution(q, rho_s, cfg, unitary=cfg.operators.u) for q in quantities}
+    moment_table = {q: kdq.moments(dist) for q, dist in dists.items()}
+    mean = {q: m.mean.real for q, m in moment_table.items()}
     w_s = w_a = q_s = q_a = None
     if split:
-        chi_joint = tensor(rho_s, chi_a)
-        chi_evolved = u @ chi_joint @ dag(u)
-        th_joint = tensor(rho_s, rho_a_th)
-        th_evolved = u @ th_joint @ dag(u)
-        lam_eff = cfg.lambda_eff
-        w_s = lam_eff * float(np.trace(hs_full @ (chi_evolved - chi_joint)).real)
-        w_a = lam_eff * float(np.trace(ha_full @ (chi_evolved - chi_joint)).real)
-        q_s = float(np.trace(hs_full @ (th_evolved - th_joint)).real)
-        q_a = float(np.trace(ha_full @ (th_evolved - th_joint)).real)
-
-    quantities = [kdq.US, kdq.UA, kdq.USA]
-    if split:
-        quantities += [kdq.W, kdq.Q]
-    moment_table: dict[str, kdq.MomentSet] = {}
-    witness_table: dict[str, kdq.NonPositivityReport] = {}
-    for quantity in quantities:
-        dist = kdq.kdq_distribution(quantity, rho_s, cfg, unitary=u, collision_index=index)
-        moment_table[quantity] = kdq.moments(dist)
-        if quantity in kdq.UNIT_SUM:
-            witness_table[quantity] = kdq.nonpositivity(dist)
+        # lambda_eff / kdq_coherence_prefactor, without dividing 0 by 0 at zero coherence.
+        c = math.sqrt(cfg.tau) if cfg.is_weak else 1.0
+        w_s, w_a, q_s, q_a = c * mean[kdq.WS], -c * mean[kdq.W], mean[kdq.QS], -mean[kdq.Q]
+        del moment_table[kdq.WS], moment_table[kdq.QS]
+    witness_table = {q: kdq.nonpositivity(dists[q]) for q in moment_table if q in kdq.UNIT_SUM}
     return StepRecord(
-        delta_e_s, delta_e_a, delta_e_sa, w_s, w_a, q_s, q_a, moment_table, witness_table
+        mean[kdq.US], mean[kdq.UA], mean[kdq.USA], w_s, w_a, q_s, q_a, moment_table, witness_table
     )
 
 
@@ -153,18 +133,13 @@ def evolve(
     """
     if n < 1:
         raise ValueError("need at least one collision")
-    h_s, h_a, _, _ = build_hamiltonians(cfg)
-    hs_full, ha_full = tensor(h_s, IDENTITY_2), tensor(IDENTITY_2, h_a)
-    ancilla = build_ancilla(cfg)
-    u = collision_unitary(cfg)
-    s = _channel(u, ancilla[0])
-    split = cfg.is_weak or cfg.is_resonant
+    s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
     states = [np.asarray(rho_s0, dtype=complex)]
     records = []
-    for index in range(1, n + 1):
+    for _ in range(n):
         rho_s = states[-1]
         if thermo:
-            records.append(_make_step_record(rho_s, cfg, u, split, index, hs_full, ha_full, ancilla))
+            records.append(_make_step_record(rho_s, cfg))
         states.append((s @ rho_s.ravel()).reshape(2, 2))
     return CollisionTrajectory(tuple(states), tuple(records))
 
@@ -180,8 +155,7 @@ def find_steady_state(cfg: ModelConfig, tol: float = 1e-12) -> SteadyStateResult
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rho_a, _, _ = build_ancilla(cfg)
-    s = _channel(collision_unitary(cfg), rho_a)
+    s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
     # Trace preservation gives S - I's population diagonal without cancellation.
     s_minus_i = s - np.eye(4)
     s_minus_i[0, 0], s_minus_i[3, 3] = -s[3, 0], -s[0, 3]

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, group_levels, tensor, unitary_from_hamiltonian
-from .model import IDENTITY_2, ModelConfig, build_ancilla, build_hamiltonians
+from .linalg import dag, group_levels, tensor
+from .model import IDENTITY_2, ModelConfig
 
 US = "us"
 UA = "ua"
@@ -82,7 +82,6 @@ class KdqEntry:
 class KdqDistribution:
     quantity: str
     entries: tuple[KdqEntry, ...]
-    collision_index: int = 1
     # Local level energies (system, ancilla), kept for marginalization.
     local_energies: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
@@ -120,9 +119,7 @@ def measurement_unitary(cfg: ModelConfig) -> np.ndarray:
     distributions of a scaled trajectory pass that propagator explicitly via
     the ``unitary`` argument of `kdq_distribution`.
     """
-    h_s, h_a, h_int, _ = build_hamiltonians(cfg)
-    h_total = tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a) + h_int
-    return unitary_from_hamiltonian(h_total, cfg.tau, cfg.hbar)
+    return cfg.operators.u_bare
 
 
 def _check_work_heat_regime(cfg: ModelConfig) -> None:
@@ -155,12 +152,12 @@ def _weight(
     if quantity in _WORK_HEAT:
         _check_work_heat_regime(cfg)
     u = measurement_unitary(cfg) if unitary is None else np.asarray(unitary, dtype=complex)
-    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
+    ops = cfg.operators
     if quantity in (US, UA, USA):
-        return u, tensor(rho_s, rho_a)
+        return u, tensor(rho_s, ops.rho_a)
     if quantity in (Q, QS):
-        return u, tensor(rho_s, rho_a_th)
-    return u, cfg.kdq_coherence_prefactor * tensor(rho_s, chi_a)
+        return u, tensor(rho_s, ops.rho_a_th)
+    return u, cfg.kdq_coherence_prefactor * tensor(rho_s, ops.chi_a)
 
 
 def kdq_distribution(
@@ -168,7 +165,6 @@ def kdq_distribution(
     rho_s: np.ndarray,
     cfg: ModelConfig,
     unitary: np.ndarray | None = None,
-    collision_index: int = 1,
     group_degenerate: bool = False,
 ) -> KdqDistribution:
     """KDQ distribution of one stochastic quantity for a single collision.
@@ -183,10 +179,8 @@ def kdq_distribution(
     u, weight = _weight(quantity, rho_s, cfg, unitary)
     if u.shape != (4, 4):
         raise ValueError("unitary must act on the 4-dimensional joint space")
-    h_s, h_a, _, _ = build_hamiltonians(cfg)
-    e_s, e_a = np.diag(h_s).real, np.diag(h_a).real
-    levels_s, index_s = group_levels(e_s)
-    levels_a, index_a = group_levels(e_a)
+    ops = cfg.operators
+    (levels_s, index_s), (levels_a, index_a) = ops.levels_s, ops.levels_a
     local_energies = None
     sign = -1.0 if quantity in (W, Q) else 1.0
     # level[b]: level of product-basis state b = 2 * (system index) + (ancilla index).
@@ -195,7 +189,7 @@ def kdq_distribution(
     elif quantity in (UA, W, Q):
         energies, level = levels_a, np.tile(index_a, 2)
     elif group_degenerate:
-        energies, level = group_levels(np.add.outer(e_s, e_a).ravel())
+        energies, level = group_levels(np.add.outer(np.diag(ops.h_s), np.diag(ops.h_a)).real.ravel())
     else:
         energies = tuple(es + ea for es in levels_s for ea in levels_a)
         level = np.add.outer(index_s * len(levels_a), index_a).ravel()
@@ -216,7 +210,7 @@ def kdq_distribution(
         for i_in in range(n)
         for i_fin in range(n)
     )
-    return KdqDistribution(quantity, entries, collision_index, local_energies)
+    return KdqDistribution(quantity, entries, local_energies)
 
 
 def marginalize_usa_to_us(dist: KdqDistribution) -> KdqDistribution:
@@ -243,7 +237,7 @@ def _marginalize(dist: KdqDistribution, target: str) -> KdqDistribution:
         for i_in in range(n)
         for i_fin in range(n)
     )
-    return KdqDistribution(target, entries, dist.collision_index)
+    return KdqDistribution(target, entries)
 
 
 def moments(dist: KdqDistribution) -> MomentSet:
@@ -268,8 +262,7 @@ def average_via_trace(
     """
     quantity = quantity.lower()
     u, weight = _weight(quantity, rho_s, cfg, unitary)
-    h_s, h_a, _, _ = build_hamiltonians(cfg)
-
+    h_s, h_a = cfg.operators.h_s, cfg.operators.h_a
     if quantity in (US, WS, QS):
         observable = tensor(h_s, IDENTITY_2)
         sign = 1.0

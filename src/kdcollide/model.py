@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import commutator_norm, is_hermitian, tensor
+from .linalg import commutator_norm, group_levels, is_hermitian, partial_trace, tensor, unitary_from_hamiltonian
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -120,6 +121,11 @@ class ModelConfig:
         """Prefactor of the coherent-work quasiprobabilities (lam or lam_tilde)."""
         return self.lam_tilde if self.is_weak else self.lam
 
+    @cached_property
+    def operators(self) -> Operators:
+        """This config's `Operators`, built on first use; equality, hash and `replace` ignore it."""
+        return _build_operators(self)
+
 
 @dataclass(frozen=True)
 class SystemStateParams:
@@ -205,15 +211,56 @@ def build_ancilla(
     return rho_a, rho_a_th, chi_a
 
 
+@dataclass(frozen=True)
+class Operators:
+    """The operators of one config, shared by every caller and so read-only.
+
+    ``u`` is exp(-i H_SA tau / hbar) (`collision_unitary`), ``u_bare`` the
+    unscaled `measurement_unitary` (the same object in exact mode),
+    ``levels_*`` the `group_levels` of diag(H_S), diag(H_A) and ``g`` the
+    drive correction Tr_A[H_int (I (x) chi_A)].
+    """
+
+    h_s: np.ndarray
+    h_a: np.ndarray
+    h_int: np.ndarray
+    h_sa: np.ndarray
+    rho_a: np.ndarray
+    rho_a_th: np.ndarray
+    chi_a: np.ndarray
+    u: np.ndarray
+    u_bare: np.ndarray
+    levels_s: tuple[tuple[float, ...], np.ndarray]
+    levels_a: tuple[tuple[float, ...], np.ndarray]
+    g: np.ndarray
+
+
+def _build_operators(cfg: ModelConfig) -> Operators:
+    h_s, h_a, h_int, h_sa = build_hamiltonians(cfg)
+    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
+    chi_a = chi_a.copy()  # the default is the module's SIGMA_X, which stays writable
+    u = u_bare = unitary_from_hamiltonian(h_sa, cfg.tau, cfg.hbar)
+    if cfg.is_weak:
+        h_bare = tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a) + h_int
+        u_bare = unitary_from_hamiltonian(h_bare, cfg.tau, cfg.hbar)
+    (levels_s, index_s), (levels_a, index_a) = (group_levels(np.diag(h).real) for h in (h_s, h_a))
+    g = partial_trace(h_int @ tensor(IDENTITY_2, chi_a), keep="S")
+    for m in (h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, index_s, index_a, g):
+        m.setflags(write=False)
+    return Operators(
+        h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, (levels_s, index_s), (levels_a, index_a), g
+    )
+
+
 def total_bare_hamiltonian(cfg: ModelConfig) -> np.ndarray:
     """H_S (x) I + I (x) H_A on the joint space."""
-    h_s, h_a, _, _ = build_hamiltonians(cfg)
-    return tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a)
+    ops = cfg.operators
+    return tensor(ops.h_s, IDENTITY_2) + tensor(IDENTITY_2, ops.h_a)
 
 
 def check_energy_preserving(cfg: ModelConfig, tol: float = 1e-10) -> bool:
     """True iff [H_int, H_S + H_A] vanishes (resonant interaction)."""
-    _, _, h_int, _ = build_hamiltonians(cfg)
+    h_int = cfg.operators.h_int
     h_bare = total_bare_hamiltonian(cfg)
     # Scale-free criterion: the commutator of A and B lives on the scale
     # ||A||*||B||, whatever the unit system.
@@ -223,7 +270,7 @@ def check_energy_preserving(cfg: ModelConfig, tol: float = 1e-10) -> bool:
 
 def check_excitation_preserving(cfg: ModelConfig, tol: float = 1e-10) -> bool:
     """True iff [H_int, n_S + n_A] vanishes, with n = |0><0| locally."""
-    _, _, h_int, _ = build_hamiltonians(cfg)
+    h_int = cfg.operators.h_int
     number_op = SIGMA_PLUS @ SIGMA_MINUS
     n_total = tensor(number_op, IDENTITY_2) + tensor(IDENTITY_2, number_op)
     scale = float(np.linalg.norm(h_int)) * float(np.linalg.norm(n_total))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kdq import measurement_unitary
-from .linalg import dag, eig_hermitian, partial_trace, tensor
-from .model import IDENTITY_2, ModelConfig, build_ancilla, build_hamiltonians
+from .linalg import commutator, dag, eig_hermitian, partial_trace, tensor
+from .model import IDENTITY_2, ModelConfig
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,9 @@ def _require_weak(cfg: ModelConfig) -> None:
 
 def coherent_correction_G(cfg: ModelConfig, chi_a: np.ndarray | None = None) -> np.ndarray:
     """Drive correction G = Tr_A[H_int (I (x) chi_A)] on the system qubit."""
-    _, _, h_int, _ = build_hamiltonians(cfg)
     if chi_a is None:
-        _, _, chi_a = build_ancilla(cfg)
-    return partial_trace(h_int @ tensor(IDENTITY_2, chi_a), keep="S")
+        return cfg.operators.g
+    return partial_trace(cfg.operators.h_int @ tensor(IDENTITY_2, chi_a), keep="S")
 
 
 def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
@@ -59,20 +58,19 @@ def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
     _require_weak(cfg)
     if not cfg.is_resonant:
         raise ValueError(f"resonant interaction required (detuning {cfg.detuning:.6g})")
-    h_s, h_a, h_int, _ = build_hamiltonians(cfg)
+    ops = cfg.operators
     g_corr = coherent_correction_G(cfg)
     system_side = (
         (1j / cfg.hbar)
         * cfg.lam_tilde
         * cfg.tau
-        * np.trace((g_corr @ h_s - h_s @ g_corr) @ rho_s)
+        * np.trace((g_corr @ ops.h_s - ops.h_s @ g_corr) @ rho_s)
     )
-    rho_a, _, _ = build_ancilla(cfg)
-    g_a = partial_trace(h_int @ tensor(rho_s, IDENTITY_2), keep="A")
+    g_a = partial_trace(ops.h_int @ tensor(rho_s, IDENTITY_2), keep="A")
     ancilla_side = (
         (-1j / cfg.hbar)
         * math.sqrt(cfg.tau)
-        * np.trace((g_a @ h_a - h_a @ g_a) @ rho_a)
+        * np.trace((g_a @ ops.h_a - ops.h_a @ g_a) @ ops.rho_a)
     )
     scale = max(abs(system_side), abs(ancilla_side), cfg.hbar * abs(cfg.omega_s) * cfg.tau)
     if abs(system_side - ancilla_side) > 1e-10 * scale:
@@ -85,36 +83,28 @@ def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
 def incoherent_heat_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
     """Per-collision incoherent heat Tr[H_A D_n[rho_A_th]] of the collision map."""
     _require_weak(cfg)
-    h_s, h_a, h_int, _ = build_hamiltonians(cfg)
-    _, rho_a_th, _ = build_ancilla(cfg)
-    joint = tensor(rho_s, rho_a_th)
-    c1 = h_int @ joint - joint @ h_int
-    c2 = h_int @ c1 - c1 @ h_int
-    ancilla_dissipation = (cfg.tau / (2.0 * cfg.hbar**2)) * partial_trace(c2, keep="A")
-    return float(np.trace(h_a @ ancilla_dissipation).real)
+    nested = _thermal_double_commutator(rho_s, cfg)
+    ancilla_dissipation = (cfg.tau / (2.0 * cfg.hbar**2)) * partial_trace(nested, keep="A")
+    return float(np.trace(cfg.operators.h_a @ ancilla_dissipation).real)
 
 
-def _dissipate(rho_s: np.ndarray, h_int: np.ndarray, rho_a_th: np.ndarray, hbar: float) -> np.ndarray:
-    joint = tensor(rho_s, rho_a_th)
-    c1 = h_int @ joint - joint @ h_int
-    c2 = h_int @ c1 - c1 @ h_int
-    return -partial_trace(c2, keep="S") / (2.0 * hbar**2)
+def _thermal_double_commutator(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """[H_int, [H_int, rho_S (x) rho_A_th]] on the joint space."""
+    h_int = cfg.operators.h_int
+    return commutator(h_int, commutator(h_int, tensor(rho_s, cfg.operators.rho_a_th)))
 
 
 def dissipator(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Thermal dissipator D[rho] = -(1/2 hbar^2) Tr_A[H_int,[H_int, rho (x) rho_A_th]]."""
-    _, _, h_int, _ = build_hamiltonians(cfg)
-    _, rho_a_th, _ = build_ancilla(cfg)
-    return _dissipate(np.asarray(rho_s, dtype=complex), h_int, rho_a_th, cfg.hbar)
+    return -partial_trace(_thermal_double_commutator(rho_s, cfg), keep="S") / (2.0 * cfg.hbar**2)
 
 
 def master_equation_rhs(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Reduced generator -(i/hbar)[H_S + lt*G, rho] + D[rho]."""
     _require_weak(cfg)
-    h_s, _, _, _ = build_hamiltonians(cfg)
-    drive = h_s + cfg.lam_tilde * coherent_correction_G(cfg)
+    drive = cfg.operators.h_s + cfg.lam_tilde * cfg.operators.g
     rho_s = np.asarray(rho_s, dtype=complex)
-    return (-1j / cfg.hbar) * (drive @ rho_s - rho_s @ drive) + dissipator(rho_s, cfg)
+    return (-1j / cfg.hbar) * commutator(drive, rho_s) + dissipator(rho_s, cfg)
 
 
 def integrate_master_equation(
@@ -138,20 +128,13 @@ def integrate_master_equation(
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
     steps = int(round(t_final / dt))
-    h_s, _, h_int, _ = build_hamiltonians(cfg)
-    drive = h_s + cfg.lam_tilde * coherent_correction_G(cfg)
-    _, rho_a_th, _ = build_ancilla(cfg)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        return (-1j / cfg.hbar) * (drive @ rho - rho @ drive) + _dissipate(rho, h_int, rho_a_th, cfg.hbar)
-
     rho = np.asarray(rho_s0, dtype=complex)
     states = [rho]
     for _ in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
+        k1 = master_equation_rhs(rho, cfg)
+        k2 = master_equation_rhs(rho + 0.5 * dt * k1, cfg)
+        k3 = master_equation_rhs(rho + 0.5 * dt * k2, cfg)
+        k4 = master_equation_rhs(rho + dt * k3, cfg)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(rho)
     return dt * np.arange(steps + 1), states
@@ -166,15 +149,12 @@ def work_observables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     if not cfg.is_resonant:
         raise ValueError(f"resonant interaction required (detuning {cfg.detuning:.6g})")
-    _, h_a, _, _ = build_hamiltonians(cfg)
-    _, _, chi_a = build_ancilla(cfg)
     u = measurement_unitary(cfg)
-    ha_full = tensor(IDENTITY_2, h_a)
+    ha_full = tensor(IDENTITY_2, cfg.operators.h_a)
+    chi_full = tensor(IDENTITY_2, cfg.operators.chi_a)
     prefactor = cfg.kdq_coherence_prefactor
-    o1 = -prefactor * partial_trace(ha_full @ tensor(IDENTITY_2, chi_a), keep="S")
-    o2 = -prefactor * partial_trace(
-        dag(u) @ ha_full @ u @ tensor(IDENTITY_2, chi_a), keep="S"
-    )
+    o1 = -prefactor * partial_trace(ha_full @ chi_full, keep="S")
+    o2 = -prefactor * partial_trace(dag(u) @ ha_full @ u @ chi_full, keep="S")
     return o1, o2
 
 

@@ -89,6 +89,31 @@ class TestFirstLaw:
                 assert abs(record.delta_e_sa) < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore::kdcollide.kdq.ValidityWarning")
+@settings(max_examples=60, deadline=None)
+@given(case=admissible_cases())
+def test_step_record_matches_single_traces(case):
+    # Each record entry against the single-trace average on the collision
+    # propagator: a common factor or sign slip would still pass the first law.
+    cfg, state = case
+    rho_s = build_system_state(state)
+    record = evolve(rho_s, cfg, 1, thermo=True).per_step[0]
+    u = collision_unitary(cfg)
+
+    def avg(quantity):
+        return kdq.average_via_trace(quantity, rho_s, cfg, unitary=u).real
+
+    expected = {"delta_e_s": avg(kdq.US), "delta_e_a": avg(kdq.UA), "delta_e_sa": avg(kdq.USA)}
+    if cfg.is_weak or cfg.is_resonant:
+        c = math.sqrt(cfg.tau) if cfg.is_weak else 1.0
+        expected.update(q_s=avg(kdq.QS), q_a=-avg(kdq.Q), w_s=c * avg(kdq.WS), w_a=-c * avg(kdq.W))
+    else:
+        assert (record.w_s, record.w_a, record.q_s, record.q_a) == (None,) * 4
+    bound = 1e-12 * max(1.0, cfg.hbar * abs(cfg.omega_s), cfg.hbar * abs(cfg.omega_a))
+    for name, value in expected.items():
+        assert abs(getattr(record, name) - value) <= bound, name
+
+
 class TestBch:
     def test_requires_weak_mode(self, rng):
         with pytest.raises(ValueError):

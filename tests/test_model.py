@@ -1,9 +1,14 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from kdcollide import model
+from kdcollide.cli import ExperimentSpec, run
+from kdcollide.collision import evolve
 from kdcollide.linalg import commutator_norm, is_density_matrix, is_hermitian
 from kdcollide.model import (
     IDENTITY_2,
@@ -19,6 +24,7 @@ from kdcollide.model import (
     partition_function,
     total_bare_hamiltonian,
 )
+from kdcollide.smalltau import integrate_master_equation
 
 
 def cfg_with(delta=0.0, **kwargs):
@@ -193,3 +199,52 @@ class TestConfigValidation:
         exact = cfg_with(0.0, lam=0.2)
         assert exact.lambda_eff == 0.2
         assert exact.kdq_coherence_prefactor == 0.2
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of `build_hamiltonians` and `build_ancilla` through any kdcollide module."""
+    counts = {}
+    for name in ("build_hamiltonians", "build_ancilla"):
+        counts[name] = 0
+        build = getattr(model, name)
+
+        def counted(*args, _name=name, _build=build, **kwargs):
+            counts[_name] += 1
+            return _build(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.partition(".")[0] == "kdcollide" and getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestOperatorCache:
+    def test_evolve_builds_once(self, builds):
+        cfg = cfg_with(lam=0.2)
+        evolve(build_system_state(SystemStateParams(0.25, 0.4, 1.0)), cfg, 50, thermo=True)
+        assert all(0 < n <= 1 for n in builds.values()), builds
+
+    def test_master_equation_builds_once(self, builds):
+        cfg = cfg_with(tau=0.02, lam_tilde=0.25, mode=MODE_WEAK)
+        integrate_master_equation(build_system_state(SystemStateParams(0.3)), cfg, 100 * 0.001, 0.001)
+        assert all(0 < n <= 1 for n in builds.values()), builds
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2"])
+    def test_preset_builds_once_per_config(self, builds, preset, tmp_path):
+        # 18 configs (three temperatures, six pulse durations), 16 phases each.
+        out = tmp_path / f"{preset}.csv"
+        run(ExperimentSpec(preset=preset, cfg=None, state=None, out_path=str(out), points=16, collisions=8))
+        assert all(0 < n <= 18 for n in builds.values()), builds
+
+    def test_shared_read_only_and_outside_equality(self):
+        cfg = cfg_with(lam=0.2)
+        ops = cfg.operators
+        assert cfg.operators is ops
+        with pytest.raises(ValueError):
+            ops.u[0, 0] = 0.0
+        twin = replace(cfg)
+        assert twin == cfg and hash(twin) == hash(cfg)
+        assert twin.operators is not ops
+        assert_allclose(twin.operators.u, ops.u, rtol=0, atol=0)
+        assert SIGMA_X.flags.writeable
