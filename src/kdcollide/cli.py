@@ -31,7 +31,7 @@ Config files are flat ``key = value`` lines grouped in sections:
 Unknown sections or keys are errors.  Output is a deterministic CSV (17
 significant digits, no timestamps) plus a ``<path>.meta.json`` sidecar with
 the run parameters; for custom runs it also counts the skipped rows per
-reason (``skip_reasons``).
+reason (``skip_reasons``, the row's numbers in the message masked as ``<x>``).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -336,6 +337,11 @@ def _real_mean(value: complex) -> float:
     return value.real
 
 
+_MEAN_QUANTITIES = {
+    "delta_e_s": kdq.US, "delta_e_a": kdq.UA, "delta_e_sa": kdq.USA, "w_mean": kdq.W, "q_mean": kdq.Q,
+}
+
+
 def _evaluate_outputs(
     cfg: ModelConfig, state: SystemStateParams, outputs: tuple[str, ...]
 ) -> list[float]:
@@ -349,13 +355,8 @@ def _evaluate_outputs(
 
     values: list[float] = []
     for name in outputs:
-        if name in ("delta_e_s", "delta_e_a", "delta_e_sa"):
-            quantity = {"delta_e_s": kdq.US, "delta_e_a": kdq.UA, "delta_e_sa": kdq.USA}[name]
-            values.append(_real_mean(kdq.average_via_trace(quantity, rho_s, cfg)))
-        elif name == "w_mean":
-            values.append(_real_mean(kdq.average_via_trace(kdq.W, rho_s, cfg)))
-        elif name == "q_mean":
-            values.append(_real_mean(kdq.average_via_trace(kdq.Q, rho_s, cfg)))
+        if name in _MEAN_QUANTITIES:
+            values.append(_real_mean(kdq.moments(dist(_MEAN_QUANTITIES[name])).mean))
         elif name.startswith("var_"):
             quantity = name[len("var_") :]
             var = kdq.moments(dist(quantity)).variance
@@ -377,6 +378,10 @@ def _evaluate_outputs(
     return values
 
 
+# A row's own numbers in an error message (not the 1 of "1/Z_A"), masked in skip reasons.
+_ROW_NUMBER = re.compile(r"(?<=[\s=])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?=[\s),:;]|$)")
+
+
 def _run_custom(spec: ExperimentSpec) -> ResultTable:
     assert spec.cfg is not None and spec.state is not None
     sweep_names = [name for name, _ in spec.sweep]
@@ -396,7 +401,8 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
                 cfg, state = _apply_parameter(cfg, state, name, value)
             outputs = _evaluate_outputs(cfg, state, spec.outputs)
         except ValueError as exc:
-            skip_reasons[str(exc)] = skip_reasons.get(str(exc), 0) + 1
+            reason = _ROW_NUMBER.sub("<x>", str(exc))
+            skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
             row.append(1.0)
             row.extend([math.nan] * n_output_cols)
         else:
@@ -565,19 +571,17 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     for delta, v_us, v_usa in zip(deltas, var_us0, var_usa0):
         table.rows.append([0.0, float(delta), 0.0, v_us, v_usa, math.nan, math.nan])
 
-    peak_deltas = [
-        float(deltas[i])
+    # (delta, var_us, var_usa) at the local maxima of var_us, the lambda = 0 references.
+    peaks = [
+        (float(deltas[i]), var_us0[i], var_usa0[i])
         for i in range(1, len(deltas) - 1)
         if var_us0[i] > var_us0[i - 1] and var_us0[i] >= var_us0[i + 1]
     ][:3]
     lam_max = base.lambda_max
     lams = np.linspace(-lam_max, lam_max, spec.points)
-    for delta in peak_deltas:
-        cfg0 = replace(base, omega_s=1.0 + delta)
-        ref_us = _variance_re(kdq.US, rho_s, cfg0)
-        ref_usa = _variance_re(kdq.USA, rho_s, cfg0)
+    for delta, ref_us, ref_usa in peaks:
         for lam in lams:
-            cfg = replace(cfg0, lam=float(lam))
+            cfg = replace(base, omega_s=1.0 + delta, lam=float(lam))
             v_us = _variance_re(kdq.US, rho_s, cfg)
             v_usa = _variance_re(kdq.USA, rho_s, cfg)
             table.rows.append(
@@ -590,7 +594,7 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
         "delta_range": [0.0, 20.0],
         "lambda_range": [-lam_max, lam_max],
         "points": spec.points,
-        "peak_deltas": peak_deltas,
+        "peak_deltas": [delta for delta, _, _ in peaks],
         "panel": "0: delta sweep at lambda=0; 1: lambda sweep at each peak delta",
     }
     return table
@@ -610,23 +614,15 @@ def _preset_fig5(spec: ExperimentSpec) -> ResultTable:
     table = ResultTable(
         header=["tau", "w0_re", "w0_im", "wplus_re", "wplus_im", "wminus_re", "wminus_im"]
     )
-    omega = 1.0
     with warnings.catch_warnings():
         # The sweep intentionally crosses the g*tau = pi/6 validity border.
         warnings.simplefilter("ignore", kdq.ValidityWarning)
         for tau in taus:
-            cfg = _fig56_config(float(tau))
-            dist = kdq.kdq_distribution(kdq.W, rho_s, cfg)
-            grouped = {0.0: 0j, omega: 0j, -omega: 0j}
-            for entry in dist.entries:
-                grouped[round(entry.value, 12)] += entry.quasiprob
+            # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
+            q = kdq.kdq_distribution(kdq.W, rho_s, _fig56_config(float(tau))).matrix
+            w0, w_plus, w_minus = np.trace(q), q[0, 1], q[1, 0]
             table.rows.append(
-                [
-                    float(tau),
-                    grouped[0.0].real, grouped[0.0].imag,
-                    grouped[omega].real, grouped[omega].imag,
-                    grouped[-omega].real, grouped[-omega].imag,
-                ]
+                [float(tau), w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
             )
     table.meta = {
         "preset": "fig5",

@@ -28,6 +28,7 @@ levels from ``linalg.group_levels``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,21 +79,40 @@ class KdqEntry:
     quasiprob: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KdqDistribution:
+    """Quasiprobabilities ``matrix[i_in, i_fin]`` over pairs of levels.
+
+    ``levels`` carries the quantity's sign: a transition's value is
+    ``levels[i_fin] - levels[i_in]``.  The flat views are initial-index major.
+    """
+
     quantity: str
-    entries: tuple[KdqEntry, ...]
+    matrix: np.ndarray
+    levels: np.ndarray
     # Local level energies (system, ancilla), kept for marginalization.
     local_energies: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def total(self) -> complex:
-        return complex(sum(e.quasiprob for e in self.entries))
+        return complex(self.matrix.sum())
 
     def quasiprobs(self) -> np.ndarray:
-        return np.array([e.quasiprob for e in self.entries], dtype=complex)
+        return self.matrix.flatten()
 
     def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries], dtype=float)
+        return (self.levels - self.levels[:, None]).ravel()
+
+    @property
+    def entries(self) -> tuple[KdqEntry, ...]:
+        """One `KdqEntry` per transition, built on each access."""
+        n_a = len(self.local_energies[1]) if self.local_energies else 0
+        labels = [divmod(i, n_a) if n_a else i for i in range(len(self.levels))]
+        return tuple(
+            KdqEntry(TransitionLabel(self.quantity, i_in, i_fin), float(value), complex(quasiprob))
+            for (i_in, i_fin), value, quasiprob in zip(
+                itertools.product(labels, repeat=2), self.values(), self.quasiprobs()
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -169,8 +189,8 @@ def kdq_distribution(
 ) -> KdqDistribution:
     """KDQ distribution of one stochastic quantity for a single collision.
 
-    Entries are enumerated with the initial index as the major key and the
-    final index as the minor key, each ascending.  ``usa`` uses the product
+    The matrix is indexed [initial level, final level], levels in the order
+    of ``linalg.group_levels`` (descending energy).  ``usa`` uses the product
     projectors labelled by (system, ancilla) index pairs; with
     ``group_degenerate=True`` levels of H_S + H_A that coincide (resonance)
     are merged into joint eigenspace projectors instead.
@@ -182,7 +202,6 @@ def kdq_distribution(
     ops = cfg.operators
     (levels_s, index_s), (levels_a, index_a) = ops.levels_s, ops.levels_a
     local_energies = None
-    sign = -1.0 if quantity in (W, Q) else 1.0
     # level[b]: level of product-basis state b = 2 * (system index) + (ancilla index).
     if quantity in (US, WS, QS):
         energies, level = levels_s, np.repeat(index_s, 2)
@@ -191,26 +210,16 @@ def kdq_distribution(
     elif group_degenerate:
         energies, level = group_levels(np.add.outer(np.diag(ops.h_s), np.diag(ops.h_a)).real.ravel())
     else:
-        energies = tuple(es + ea for es in levels_s for ea in levels_a)
+        energies = np.add.outer(levels_s, levels_a).ravel()
         level = np.add.outer(index_s * len(levels_a), index_a).ravel()
         local_energies = (levels_s, levels_a)
-    n = len(energies)
-    labels = [divmod(i, len(levels_a)) if local_energies else i for i in range(n)]
+    # w and q take the ancilla's values with the opposite sign: -(e_f - e_i).
+    levels = (-1.0 if quantity in (W, Q) else 1.0) * np.asarray(energies, dtype=float)
     # G[b, level] = 1 where basis state b belongs to the level.
-    g = np.equal.outer(level, np.arange(n)).astype(float)
+    g = np.equal.outer(level, np.arange(len(levels))).astype(float)
     # Q[i, f] = Tr[U^dag |f><f| U |i><i| W] = (W U^dag)[i, f] U[f, i].
     q = (weight @ dag(u)) * u.T
-    quasiprobs = g.T @ q @ g
-    entries = tuple(
-        KdqEntry(
-            TransitionLabel(quantity, labels[i_in], labels[i_fin]),
-            sign * (energies[i_fin] - energies[i_in]),
-            complex(quasiprobs[i_in, i_fin]),
-        )
-        for i_in in range(n)
-        for i_fin in range(n)
-    )
-    return KdqDistribution(quantity, entries, local_energies)
+    return KdqDistribution(quantity, g.T @ q @ g, levels, local_energies)
 
 
 def marginalize_usa_to_us(dist: KdqDistribution) -> KdqDistribution:
@@ -228,16 +237,9 @@ def _marginalize(dist: KdqDistribution, target: str) -> KdqDistribution:
         raise ValueError("marginalization needs a usa distribution with pair labels")
     n_s, n_a = (len(e) for e in dist.local_energies)
     # Axes (system in, ancilla in, system fin, ancilla fin).
-    joint = dist.quasiprobs().reshape(n_s, n_a, n_s, n_a)
-    acc = joint.sum(axis=(1, 3)) if target == US else joint.sum(axis=(0, 2))
-    energies = dist.local_energies[0 if target == US else 1]
-    n = len(energies)
-    entries = tuple(
-        KdqEntry(TransitionLabel(target, i_in, i_fin), energies[i_fin] - energies[i_in], complex(acc[i_in, i_fin]))
-        for i_in in range(n)
-        for i_fin in range(n)
-    )
-    return KdqDistribution(target, entries)
+    joint = dist.matrix.reshape(n_s, n_a, n_s, n_a)
+    side = 0 if target == US else 1
+    return KdqDistribution(target, joint.sum(axis=(1 - side, 3 - side)), np.asarray(dist.local_energies[side]))
 
 
 def moments(dist: KdqDistribution) -> MomentSet:

@@ -286,6 +286,20 @@ class TestMain:
         assert list(meta["skip_reasons"].values()) == [1]
         assert "exceeds the positivity bound" in next(iter(meta["skip_reasons"]))
 
+    def test_skipped_rows_counted_per_cause(self, tmp_path):
+        # lambda > 1/Z_A = 0.4434 at beta = 1 on four rows, each with its own numbers.
+        out = tmp_path / "lambdas.csv"
+        config = tmp_path / "lambdas.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", "lambda = 0.1, 0.5, 0.6, 0.7, 0.8").replace(
+                "[output]\nquantities", f"[output]\npath = {out}\nquantities"
+            )
+        )
+        assert main(["run", str(config)]) == 0
+        (reason, rows), = json.loads((tmp_path / "lambdas.csv.meta.json").read_text())["skip_reasons"].items()
+        assert rows == 4
+        assert "exceeds the positivity bound 1/Z_A" in reason
+
     def test_zero_temperature_sweep(self, tmp_path):
         # beta*hbar*omega_a up to 2000 overflows exp and cosh; every row must
         # still be evaluated and agree with the closed form.

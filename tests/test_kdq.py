@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, random_case
 from kdcollide import kdq
-from kdcollide.cli import fig7_config
-from kdcollide.collision import collision_unitary
+from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
+from kdcollide.collision import collision_unitary, evolve
 from kdcollide.kdq import (
     ValidityWarning,
     average_via_trace,
@@ -201,6 +202,9 @@ class TestMarginalization:
                 direct = kdq_distribution(quantity, rho_s, cfg)
                 assert_allclose(marginal.quasiprobs(), direct.quasiprobs(), atol=1e-12)
                 assert_allclose(marginal.values(), direct.values(), atol=1e-12)
+                assert [(e.label.i_in, e.label.i_fin, e.value) for e in marginal.entries] == [
+                    (e.label.i_in, e.label.i_fin, e.value) for e in direct.entries
+                ]
 
     def test_tpm_marginal_stays_classical(self, rng):
         cfg, state = random_case(rng, coherent=False)
@@ -214,6 +218,45 @@ class TestMarginalization:
         dist = kdq_distribution(kdq.US, build_system_state(state), cfg)
         with pytest.raises(ValueError):
             marginalize_usa_to_us(dist)
+
+
+@pytest.fixture
+def entries_built(monkeypatch):
+    """Number of `KdqEntry` objects constructed, by any caller."""
+    count = [0]
+    init = kdq.KdqEntry.__init__
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kdq.KdqEntry, "__init__", counted)
+    return count
+
+
+class TestEntriesOnDemand:
+    """Entries are a view built on request; the hot paths read the matrix."""
+
+    def test_counter_sees_the_view(self, entries_built, rng):
+        cfg, state = random_case(rng)
+        dist = kdq_distribution(kdq.USA, build_system_state(state), cfg)
+        assert entries_built[0] == 0
+        assert len(dist.entries) == 16
+        assert entries_built[0] == 16
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2"])
+    def test_presets_build_none(self, entries_built, preset):
+        run(ExperimentSpec(preset=preset, cfg=None, state=None, points=16))
+        assert entries_built[0] == 0
+
+    def test_custom_sweep_builds_none(self, entries_built):
+        run(parse_config((Path(__file__).parent / "golden" / "custom.cfg").read_text()))
+        assert entries_built[0] == 0
+
+    def test_thermo_trajectory_builds_none(self, entries_built):
+        cfg = resonant_cfg(lam=0.2)
+        evolve(build_system_state(SystemStateParams(0.25, 0.4, 1.0)), cfg, 8, thermo=True)
+        assert entries_built[0] == 0
 
 
 class TestHermitianSymmetry:
