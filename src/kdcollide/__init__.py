@@ -10,8 +10,6 @@ from .model import (  # noqa: F401
     build_ancilla,
     build_hamiltonians,
     build_system_state,
-    check_energy_preserving,
-    check_excitation_preserving,
     partition_function,
 )
 from .collision import (  # noqa: F401

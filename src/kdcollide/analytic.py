@@ -7,8 +7,10 @@ generate figure curves cheaply.
 
 Conventions: the pulse area is phi = g*tau, the coherence products are
 j1 = lambda*Re[rho12] and j2 = lambda*Im[rho12], and entry arrays are
-ordered by (initial index major, final index minor), matching
-`kdq.kdq_distribution`.  Resonant formulas require omega_s == omega_a.
+ordered by sigma_z index (initial index major, final index minor).
+`kdq.kdq_distribution` orders levels by descending energy instead, so the
+two orders agree only for positive frequencies.  Resonant formulas require
+omega_s == omega_a.
 Thermal weights enter in forms that cannot overflow (tanh, or a and b
 divided by c_beta), so every formula reaches the zero-temperature limit.
 """

@@ -116,6 +116,10 @@ class ExperimentSpec:
     points: int = 512
     collisions: int = 100
 
+    def __post_init__(self) -> None:
+        if self.points < 1 or self.collisions < 1:
+            raise ConfigError("points and collisions must be positive")
+
 
 @dataclass
 class ResultTable:
@@ -244,8 +248,6 @@ def parse_config(text: str) -> ExperimentSpec:
         collisions = int(run_kv.get("collisions", "100"))
     except ValueError as exc:
         raise ConfigError(f"bad integer in [run]: {exc}") from exc
-    if points < 1 or collisions < 1:
-        raise ConfigError("points and collisions must be positive")
 
     if preset != "custom":
         for name in ("model", "state", "sweep"):
@@ -768,27 +770,17 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_selftest()
 
-    if args.command == "preset":
-        spec = ExperimentSpec(
-            preset=args.name,
-            cfg=None,
-            state=None,
-            out_path=str(args.out) if args.out else f"{args.name}.csv",
-            points=args.points,
-            collisions=args.collisions,
-        )
-        table = run(spec)
-        print(f"{spec.preset}: wrote {len(table.rows)} rows to {spec.out_path}")
-        return 0
-
     try:
-        text = args.config.read_text(encoding="utf-8")
+        if args.command == "preset":
+            spec = ExperimentSpec(
+                preset=args.name, cfg=None, state=None, points=args.points, collisions=args.collisions
+            )
+        else:
+            spec = parse_config(args.config.read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
-    try:
-        spec = parse_config(text)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

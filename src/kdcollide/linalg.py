@@ -21,13 +21,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of [a, b]."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(commutator(a, b)))
-
-
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 
@@ -142,7 +135,11 @@ def eig_hermitian(m: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralDecomp
 
 
 def unitary_from_hamiltonian(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
-    """exp(-i h t / hbar) via eigendecomposition of the Hermitian generator."""
+    """exp(-i h t / hbar) via eigendecomposition of the Hermitian generator.
+
+    The package's propagators are closed forms (`model`); this generic one is
+    their test reference.
+    """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("unitary_from_hamiltonian requires a Hermitian matrix")

@@ -1,19 +1,20 @@
-"""Qubit-qubit model: Hamiltonians, ancilla and system states, structural checks.
+"""Qubit-qubit model: Hamiltonians, ancilla and system states, closed-form propagators.
 
 Basis convention: |0> = (1, 0)^T with sigma_z |0> = +|0>, so the level with
-index 0 has energy +hbar*omega/2.  The ancilla coherence operator chi_A
-defaults to sigma_x.
+index 0 has energy +hbar*omega/2.  The ancilla coherence operator chi_A is
+sigma_x.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import commutator_norm, group_levels, is_hermitian, partial_trace, tensor, unitary_from_hamiltonian
+from .linalg import group_levels, tensor
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -186,22 +187,13 @@ def build_hamiltonians(
     return h_s, h_a, h_int, h_sa
 
 
-def build_ancilla(
-    cfg: ModelConfig, chi_a: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_ancilla(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (rho_a, rho_a_th, chi_a) for the environment qubit.
 
-    rho_a = rho_a_th + lambda_eff * chi_a; `ModelConfig` has already
-    rejected a coherence magnitude beyond 1/Z_A.
+    rho_a = rho_a_th + lambda_eff * chi_a with chi_a = sigma_x; `ModelConfig`
+    has already rejected a coherence magnitude beyond 1/Z_A.
     """
-    if chi_a is None:
-        chi_a = SIGMA_X
-    else:
-        chi_a = np.asarray(chi_a, dtype=complex)
-        if chi_a.shape != (2, 2) or not is_hermitian(chi_a):
-            raise ValueError("chi_a must be a Hermitian 2x2 matrix")
-        if np.max(np.abs(np.diag(chi_a))) > 1e-14:
-            raise ValueError("chi_a must have no diagonal elements in the H_A eigenbasis")
+    chi_a = SIGMA_X.copy()  # callers may freeze it; the module's SIGMA_X stays writable
     # (e^-x, e^x)/Z_A as logistic functions of 2x, which cannot overflow.
     x = 0.5 * cfg.beta * cfg.hbar * cfg.omega_a
     t = math.exp(-2.0 * abs(x))
@@ -235,43 +227,35 @@ class Operators:
     g: np.ndarray
 
 
+def _swap_unitary(cfg: ModelConfig, coupling: float) -> np.ndarray:
+    """exp(-i H tau / hbar) for H = H_S (x) I + I (x) H_A + hbar*coupling*(s+ s- + s- s+).
+
+    The swap coupling conserves excitations: |00> and |11> only pick up
+    phases, and {|01>, |10>} rotates under delta/2 sigma_z + coupling sigma_x
+    at Omega = sqrt(delta^2/4 + coupling^2) > 0.  hbar cancels.
+    """
+    half_delta = 0.5 * cfg.detuning
+    omega = math.hypot(half_delta, coupling)
+    cos, sin_by_omega = math.cos(omega * cfg.tau), math.sin(omega * cfg.tau) / omega
+    phase = cmath.exp(-0.5j * (cfg.omega_s + cfg.omega_a) * cfg.tau)
+    diag, off = complex(cos, -sin_by_omega * half_delta), complex(0.0, -sin_by_omega * coupling)
+    return np.array(
+        [[phase, 0, 0, 0], [0, diag, off, 0], [0, off, diag.conjugate(), 0], [0, 0, 0, phase.conjugate()]],
+        dtype=complex,
+    )
+
+
 def _build_operators(cfg: ModelConfig) -> Operators:
     h_s, h_a, h_int, h_sa = build_hamiltonians(cfg)
     rho_a, rho_a_th, chi_a = build_ancilla(cfg)
-    chi_a = chi_a.copy()  # the default is the module's SIGMA_X, which stays writable
-    u = u_bare = unitary_from_hamiltonian(h_sa, cfg.tau, cfg.hbar)
+    u = u_bare = _swap_unitary(cfg, cfg.g)
     if cfg.is_weak:
-        h_bare = tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a) + h_int
-        u_bare = unitary_from_hamiltonian(h_bare, cfg.tau, cfg.hbar)
+        u = _swap_unitary(cfg, cfg.g / math.sqrt(cfg.tau))
     (levels_s, index_s), (levels_a, index_a) = (group_levels(np.diag(h).real) for h in (h_s, h_a))
-    g = partial_trace(h_int @ tensor(IDENTITY_2, chi_a), keep="S")
+    # Tr_A[H_int (I (x) chi_A)] of the swap coupling with chi_A = sigma_x.
+    g = cfg.hbar * cfg.g * chi_a
     for m in (h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, index_s, index_a, g):
         m.setflags(write=False)
     return Operators(
         h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, (levels_s, index_s), (levels_a, index_a), g
     )
-
-
-def total_bare_hamiltonian(cfg: ModelConfig) -> np.ndarray:
-    """H_S (x) I + I (x) H_A on the joint space."""
-    ops = cfg.operators
-    return tensor(ops.h_s, IDENTITY_2) + tensor(IDENTITY_2, ops.h_a)
-
-
-def check_energy_preserving(cfg: ModelConfig, tol: float = 1e-10) -> bool:
-    """True iff [H_int, H_S + H_A] vanishes (resonant interaction)."""
-    h_int = cfg.operators.h_int
-    h_bare = total_bare_hamiltonian(cfg)
-    # Scale-free criterion: the commutator of A and B lives on the scale
-    # ||A||*||B||, whatever the unit system.
-    scale = float(np.linalg.norm(h_int)) * float(np.linalg.norm(h_bare))
-    return commutator_norm(h_int, h_bare) <= tol * scale
-
-
-def check_excitation_preserving(cfg: ModelConfig, tol: float = 1e-10) -> bool:
-    """True iff [H_int, n_S + n_A] vanishes, with n = |0><0| locally."""
-    h_int = cfg.operators.h_int
-    number_op = SIGMA_PLUS @ SIGMA_MINUS
-    n_total = tensor(number_op, IDENTITY_2) + tensor(IDENTITY_2, number_op)
-    scale = float(np.linalg.norm(h_int)) * float(np.linalg.norm(n_total))
-    return commutator_norm(h_int, n_total) <= tol * scale

@@ -41,11 +41,9 @@ def _require_weak(cfg: ModelConfig) -> None:
         raise ValueError("this operation requires the weakly coherent mode")
 
 
-def coherent_correction_G(cfg: ModelConfig, chi_a: np.ndarray | None = None) -> np.ndarray:
+def coherent_correction_G(cfg: ModelConfig) -> np.ndarray:
     """Drive correction G = Tr_A[H_int (I (x) chi_A)] on the system qubit."""
-    if chi_a is None:
-        return cfg.operators.g
-    return partial_trace(cfg.operators.h_int @ tensor(IDENTITY_2, chi_a), keep="S")
+    return cfg.operators.g
 
 
 def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:

@@ -4,9 +4,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from conftest import random_case
+from conftest import admissible_cases, random_case
 from kdcollide import analytic, kdq
 from kdcollide.model import ModelConfig, SystemStateParams, build_system_state
 
@@ -337,3 +338,45 @@ class TestResonantNonPositivity:
             analytic.resonant_energy_stats(cfg, state)
         with pytest.raises(ValueError):
             analytic.resonant_kdq_us(cfg, state)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=admissible_cases())
+def test_detuned_closed_forms_match_kdq_means(case):
+    cfg, state = case
+    rho_s = build_system_state(state)
+    for quantity, oracle in ((kdq.US, analytic.delta_e_s), (kdq.USA, analytic.delta_e_sa)):
+        mean = kdq.moments(kdq.kdq_distribution(quantity, rho_s, cfg)).mean
+        assert abs(mean - oracle(cfg, state)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=admissible_cases().filter(lambda case: case[0].is_resonant))
+def test_resonant_closed_forms_match_kdq(case):
+    cfg, state = case
+    rho_s = build_system_state(state)
+    dist = {q: kdq.kdq_distribution(q, rho_s, cfg) for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
+    mean, variance = analytic.resonant_energy_stats(cfg, state)
+    stats = analytic.resonant_w_q_stats(cfg, state)
+    us, w, q = (kdq.moments(dist[quantity]) for quantity in (kdq.US, kdq.W, kdq.Q))
+    for numeric, closed in (
+        (us.mean, mean), (us.variance, variance),
+        (w.mean, stats.w_mean), (w.variance, stats.w_variance),
+        (q.mean, stats.q_mean), (q.variance, stats.q_variance),
+    ):
+        assert abs(numeric - closed) <= 1e-10
+    # The oracle assumes two levels per qubit in sigma_z order; the kernel
+    # merges the levels of a zero (or underflowing) frequency and orders
+    # them by descending energy, so entries agree only for positive ones.
+    if any(len(levels) < 2 for levels, _ in (cfg.operators.levels_s, cfg.operators.levels_a)):
+        return
+    n_re, n_im = analytic.resonant_nonpositivity(cfg, state)
+    report = kdq.nonpositivity(dist[kdq.US])
+    assert abs(report.n_re - n_re) <= 1e-10 and abs(report.n_im - n_im) <= 1e-10
+    if min(cfg.omega_s, cfg.omega_a) > 0:
+        for quantity, oracle in (
+            (kdq.US, analytic.resonant_kdq_us),
+            (kdq.QS, analytic.resonant_kdq_q),
+            (kdq.WS, analytic.resonant_kdq_w),
+        ):
+            assert np.max(np.abs(dist[quantity].quasiprobs() - oracle(cfg, state))) <= 1e-10

@@ -226,6 +226,8 @@ class TestPresets:
         for row in table.rows:
             assert row[cols["p_hi"]] + row[cols["p_lo"]] == pytest.approx(1.0, abs=1e-12)
             assert row[cols["w_hi"]] >= row[cols["w_lo"]]
+        # At tau = 0 the collision is the identity, so O2 = 0: w = 0 with certainty.
+        assert table.rows[0] == [0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 class TestMain:
@@ -326,6 +328,13 @@ class TestMain:
         out = tmp_path / "fig6.csv"
         assert main(["preset", "fig6", "--out", str(out), "--points", "8"]) == 0
         assert out.exists()
+
+    def test_preset_rejects_non_positive_sizes(self, tmp_path, capsys):
+        for argv in (["fig1", "--points", "0"], ["fig3a", "--points", "-3"], ["fig7", "--collisions", "0"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main(["preset", argv[0], "--out", str(out), *argv[1:]]) == 1
+            assert "points and collisions must be positive" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_selftest_exit_code(self, capsys):
         assert main(["selftest"]) == 0

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -438,3 +439,32 @@ def test_kernel_matches_projector_traces_in_si_units():
     for quantity in kdq.QUANTITIES:
         assert_matches_reference(quantity, rho_s, cfg)
     assert_matches_reference(kdq.USA, rho_s, cfg, group_degenerate=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=admissible_cases())
+def test_normalization_and_marginalization(case):
+    cfg, state = case
+    rho_s = build_system_state(state)
+    dist = {q: kdq_distribution(q, rho_s, cfg) for q in (kdq.US, kdq.UA, kdq.USA)}
+    totals = [dist[q].total() - 1.0 for q in dist]
+    if cfg.is_resonant or cfg.is_weak:
+        totals += [kdq_distribution(kdq.Q, rho_s, cfg).total() - 1.0, kdq_distribution(kdq.W, rho_s, cfg).total()]
+    assert max(abs(t) for t in totals) <= 1e-12
+    for marginal, quantity in (
+        (marginalize_usa_to_us(dist[kdq.USA]), kdq.US),
+        (marginalize_usa_to_ua(dist[kdq.USA]), kdq.UA),
+    ):
+        assert np.max(np.abs(marginal.quasiprobs() - dist[quantity].quasiprobs())) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=admissible_cases())
+def test_tpm_limit_has_no_negativity(case):
+    # No coherence in the ancilla (lambda = 0) or the system (r = 0).
+    cfg, state = case
+    cfg = replace(cfg, lam=0.0, lam_tilde=0.0)
+    rho_s = build_system_state(SystemStateParams(state.rho11))
+    for quantity in (kdq.US, kdq.UA, kdq.USA):
+        report = nonpositivity(kdq_distribution(quantity, rho_s, cfg))
+        assert max(abs(report.n_q), abs(report.n_re), abs(report.n_im)) <= 1e-12

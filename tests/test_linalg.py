@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import random_hermitian
 from kdcollide.linalg import (
-    commutator_norm,
+    commutator,
     dag,
     eig_hermitian,
     group_levels,
@@ -173,15 +173,12 @@ class TestUnitary:
 
 class TestCommutatorNorm:
     def test_self_commutes(self):
-        assert commutator_norm(SIGMA_Z, SIGMA_Z) == 0.0
+        assert np.linalg.norm(commutator(SIGMA_Z, SIGMA_Z)) == 0.0
 
     def test_pauli_algebra(self):
         # [sx, sy] = 2i sz, Frobenius norm 2*sqrt(2)
-        assert abs(commutator_norm(SIGMA_X, SIGMA_Y) - 2.0 * math.sqrt(2.0)) < 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator_norm(np.eye(2), np.eye(4))
+        assert_allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z, rtol=0, atol=1e-14)
+        assert abs(np.linalg.norm(commutator(SIGMA_X, SIGMA_Y)) - 2.0 * math.sqrt(2.0)) < 1e-14
 
 
 class TestTraceDistance:

@@ -7,30 +7,46 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kdcollide import model
-from kdcollide.cli import ExperimentSpec, run
+from kdcollide.cli import ExperimentSpec, fig7_config, run
 from kdcollide.collision import evolve
-from kdcollide.linalg import commutator_norm, is_density_matrix, is_hermitian
+from hypothesis import example, given, settings
+
+from conftest import admissible_cases
+from kdcollide.linalg import commutator, is_density_matrix, is_hermitian, tensor, unitary_from_hamiltonian
 from kdcollide.model import (
     IDENTITY_2,
     MODE_WEAK,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_X,
     ModelConfig,
     SystemStateParams,
     build_ancilla,
     build_hamiltonians,
     build_system_state,
-    check_energy_preserving,
-    check_excitation_preserving,
     partition_function,
-    total_bare_hamiltonian,
 )
 from kdcollide.smalltau import integrate_master_equation
+
+# Total excitation number n_S + n_A, with n = |0><0| locally.
+NUMBER = tensor(SIGMA_PLUS @ SIGMA_MINUS, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_PLUS @ SIGMA_MINUS)
 
 
 def cfg_with(delta=0.0, **kwargs):
     defaults = dict(omega_s=1.0 + delta, omega_a=1.0, g=1.0, tau=0.5, beta=1.0)
     defaults.update(kwargs)
     return ModelConfig(**defaults)
+
+
+def bare_hamiltonian(cfg):
+    """H_S (x) I + I (x) H_A from the local terms of `build_hamiltonians`."""
+    h_s, h_a, _, _ = build_hamiltonians(cfg)
+    return tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a)
+
+
+def commutator_size(a, b):
+    """Frobenius norm of [a, b] relative to ||a|| ||b||."""
+    return float(np.linalg.norm(commutator(a, b))) / float(np.linalg.norm(a) * np.linalg.norm(b))
 
 
 class TestHamiltonians:
@@ -43,17 +59,19 @@ class TestHamiltonians:
     def test_resonant_energy_preserving(self):
         cfg = cfg_with(0.0)
         _, _, h_int, _ = build_hamiltonians(cfg)
-        assert commutator_norm(h_int, total_bare_hamiltonian(cfg)) < 1e-12
-        assert check_energy_preserving(cfg)
+        assert float(np.linalg.norm(commutator(h_int, bare_hamiltonian(cfg)))) < 1e-12
 
     def test_detuned_not_energy_preserving(self):
         cfg = cfg_with(3.0)
-        assert not check_energy_preserving(cfg)
-        assert check_excitation_preserving(cfg)
+        _, _, h_int, _ = build_hamiltonians(cfg)
+        assert commutator_size(h_int, bare_hamiltonian(cfg)) > 1e-10
+        assert commutator_size(h_int, NUMBER) <= 1e-10
 
     def test_always_excitation_preserving(self):
+        # The premise of the closed-form propagators in `model`.
         for delta in (-5.0, 0.0, 0.7, 12.0):
-            assert check_excitation_preserving(cfg_with(delta, g=1.7))
+            _, _, h_int, _ = build_hamiltonians(cfg_with(delta, g=1.7))
+            assert commutator_size(h_int, NUMBER) <= 1e-10
 
     def test_h_sa_hermitian_both_modes(self):
         for cfg in (cfg_with(2.0, lam=0.1), cfg_with(2.0, lam_tilde=0.1, mode=MODE_WEAK)):
@@ -64,8 +82,22 @@ class TestHamiltonians:
         tau = 0.04
         cfg = cfg_with(0.0, tau=tau, lam_tilde=0.1, mode=MODE_WEAK)
         _, _, h_int, h_sa = build_hamiltonians(cfg)
-        bare = total_bare_hamiltonian(cfg)
-        assert_allclose(h_sa - bare, h_int / math.sqrt(tau), atol=1e-14)
+        assert_allclose(h_sa - bare_hamiltonian(cfg), h_int / math.sqrt(tau), atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=admissible_cases())
+@example(case=(fig7_config(), SystemStateParams(0.5)))
+def test_closed_form_propagators_match_eigh(case):
+    # The operator set's closed-form U against the eigh exponential of H_SA,
+    # and u_bare against that of the unscaled H_S (x) I + I (x) H_A + H_int.
+    cfg, _ = case
+    _, _, h_int, h_sa = build_hamiltonians(cfg)
+    ops = cfg.operators
+    assert_allclose(ops.u, unitary_from_hamiltonian(h_sa, cfg.tau, cfg.hbar), rtol=0, atol=1e-14)
+    bare = unitary_from_hamiltonian(bare_hamiltonian(cfg) + h_int, cfg.tau, cfg.hbar)
+    assert_allclose(ops.u_bare, bare, rtol=0, atol=1e-14)
+
 
 
 class TestAncilla:
@@ -115,11 +147,6 @@ class TestAncilla:
         lower = np.diag([0.0, 1.0]) if omega_a > 0 else np.diag([1.0, 0.0])
         assert np.array_equal(rho_a, lower) and np.array_equal(rho_a_th, lower)
         assert cfg.z_a == math.inf and cfg.lambda_max == 0.0
-
-    def test_custom_chi_validation(self):
-        cfg = cfg_with()
-        with pytest.raises(ValueError):
-            build_ancilla(cfg, chi_a=np.diag([1.0, -1.0]))
 
 
 class TestSystemState:

@@ -59,13 +59,6 @@ class TestCoherentCorrection:
         # For the swap interaction with chi = sigma_x this is hbar*g*sigma_x.
         assert_allclose(g_corr, cfg.hbar * cfg.g * SIGMA_X, atol=1e-14)
 
-    def test_zero_coherence_operator(self):
-        assert_allclose(coherent_correction_G(weak_cfg(), chi_a=0.0 * SIGMA_X), np.zeros((2, 2)))
-
-    def test_hermitian(self, rng):
-        chi = np.array([[0.0, 0.3 - 0.4j], [0.3 + 0.4j, 0.0]])
-        assert is_hermitian(coherent_correction_G(weak_cfg(), chi_a=chi))
-
 
 class TestCoherentWorkAndHeat:
     def test_work_vanishes_without_coherence(self, rng):
