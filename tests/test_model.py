@@ -4,14 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from numpy.testing import assert_allclose
 
+from conftest import admissible_cases
 from kdcollide import model
 from kdcollide.cli import ExperimentSpec, fig7_config, run
 from kdcollide.collision import evolve
-from hypothesis import example, given, settings
-
-from conftest import admissible_cases
 from kdcollide.linalg import commutator, is_density_matrix, is_hermitian, tensor, unitary_from_hamiltonian
 from kdcollide.model import (
     IDENTITY_2,
@@ -97,7 +96,6 @@ def test_closed_form_propagators_match_eigh(case):
     assert_allclose(ops.u, unitary_from_hamiltonian(h_sa, cfg.tau, cfg.hbar), rtol=0, atol=1e-14)
     bare = unitary_from_hamiltonian(bare_hamiltonian(cfg) + h_int, cfg.tau, cfg.hbar)
     assert_allclose(ops.u_bare, bare, rtol=0, atol=1e-14)
-
 
 
 class TestAncilla:
