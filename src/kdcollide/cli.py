@@ -128,16 +128,13 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
 
-def _format_value(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(table: ResultTable, path: Path) -> None:
     """Write the table and its metadata sidecar; output is byte-deterministic."""
     path = Path(path)
+    # "%.17g" % v is format(float(v), ".17g") for every float and int, nan and inf included.
+    row_format = ",".join(["%.17g"] * len(table.header))
     lines = [",".join(table.header)]
-    for row in table.rows:
-        lines.append(",".join(_format_value(v) for v in row))
+    lines.extend(row_format % tuple(row) for row in table.rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     meta = dict(table.meta)
     meta["columns"] = table.header
@@ -451,17 +448,19 @@ def _nonpositivity_sweep(quantity: str, points: int) -> ResultTable:
     detuned single collision at three temperatures and six pulse durations."""
     taus = [math.pi / 36, math.pi / 18, math.pi / 12, math.pi / 9, 5 * math.pi / 36, math.pi / 6]
     betas = [5.0, 1.0, 0.2]
-    phis = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False).tolist()
+    rho_s = np.array(
+        [build_system_state(SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=phi_c)) for phi_c in phis]
+    )
     table = ResultTable(header=["beta", "tau", "phi_c", "n_q", "n_re", "n_im"])
     for beta in betas:
         for tau in taus:
             cfg = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=tau, beta=beta)
             cfg = replace(cfg, lam=cfg.lambda_max)
-            for phi_c in phis:
-                state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=float(phi_c))
-                dist = kdq.kdq_distribution(quantity, build_system_state(state), cfg)
-                report = kdq.nonpositivity(dist)
-                table.rows.append([beta, tau, float(phi_c), report.n_q, report.n_re, report.n_im])
+            # One kernel call and one witness reduction over the whole phase grid.
+            matrix, _, _ = kdq._kernel(quantity, rho_s, cfg)
+            witnesses = kdq._witnesses(matrix).tolist()
+            table.rows.extend([beta, tau, phi_c, *w] for phi_c, w in zip(phis, witnesses))
     table.meta = {
         "quantity": quantity,
         "detuning": 3.0,

@@ -166,7 +166,11 @@ def _check_work_heat_regime(cfg: ModelConfig) -> None:
 def _weight(
     quantity: str, rho_s: np.ndarray, cfg: ModelConfig, unitary: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the request; return (propagator U, weighted initial operator W)."""
+    """Validate the request; return (propagator U, weighted initial operators W).
+
+    ``rho_s`` is a (..., 2, 2) stack of system states and W the matching
+    (..., 4, 4) stack.
+    """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if quantity in _WORK_HEAT:
@@ -174,28 +178,33 @@ def _weight(
     u = measurement_unitary(cfg) if unitary is None else np.asarray(unitary, dtype=complex)
     ops = cfg.operators
     if quantity in (US, UA, USA):
-        return u, tensor(rho_s, ops.rho_a)
-    if quantity in (Q, QS):
-        return u, tensor(rho_s, ops.rho_a_th)
-    return u, cfg.kdq_coherence_prefactor * tensor(rho_s, ops.chi_a)
+        ancilla = ops.rho_a
+    elif quantity in (Q, QS):
+        ancilla = ops.rho_a_th
+    else:
+        ancilla = ops.chi_a
+    rho_s = np.asarray(rho_s, dtype=complex)
+    # W[..., (s, a), (s', a')] = rho_S[..., s, s'] ancilla[a, a']: the Kronecker
+    # product of each state, with np.kron's own elementwise arithmetic.
+    weight = (rho_s[..., :, None, :, None] * ancilla[:, None, :]).reshape(rho_s.shape[:-2] + (4, 4))
+    if quantity in (W, WS):
+        weight = cfg.kdq_coherence_prefactor * weight
+    return u, weight
 
 
-def kdq_distribution(
+def _kernel(
     quantity: str,
     rho_s: np.ndarray,
     cfg: ModelConfig,
     unitary: np.ndarray | None = None,
     group_degenerate: bool = False,
-) -> KdqDistribution:
-    """KDQ distribution of one stochastic quantity for a single collision.
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, ...], tuple[float, ...]] | None]:
+    """KDQ matrices of a (..., 2, 2) stack of system states under one config.
 
-    The matrix is indexed [initial level, final level], levels in the order
-    of ``linalg.group_levels`` (descending energy).  ``usa`` uses the product
-    projectors labelled by (system, ancilla) index pairs; with
-    ``group_degenerate=True`` levels of H_S + H_A that coincide (resonance)
-    are merged into joint eigenspace projectors instead.
+    Returns ``(matrix, levels, local_energies)`` with ``matrix[..., i_in,
+    i_fin]`` the quasiprobabilities of each state; the levels depend on the
+    config only.  `kdq_distribution` is the view of one state.
     """
-    quantity = quantity.lower()
     u, weight = _weight(quantity, rho_s, cfg, unitary)
     if u.shape != (4, 4):
         raise ValueError("unitary must act on the 4-dimensional joint space")
@@ -217,9 +226,28 @@ def kdq_distribution(
     levels = (-1.0 if quantity in (W, Q) else 1.0) * np.asarray(energies, dtype=float)
     # G[b, level] = 1 where basis state b belongs to the level.
     g = np.equal.outer(level, np.arange(len(levels))).astype(float)
-    # Q[i, f] = Tr[U^dag |f><f| U |i><i| W] = (W U^dag)[i, f] U[f, i].
+    # Q[..., i, f] = Tr[U^dag |f><f| U |i><i| W] = (W U^dag)[..., i, f] U[f, i].
     q = (weight @ dag(u)) * u.T
-    return KdqDistribution(quantity, g.T @ q @ g, levels, local_energies)
+    return g.T @ q @ g, levels, local_energies
+
+
+def kdq_distribution(
+    quantity: str,
+    rho_s: np.ndarray,
+    cfg: ModelConfig,
+    unitary: np.ndarray | None = None,
+    group_degenerate: bool = False,
+) -> KdqDistribution:
+    """KDQ distribution of one stochastic quantity for a single collision.
+
+    The matrix is indexed [initial level, final level], levels in the order
+    of ``linalg.group_levels`` (descending energy).  ``usa`` uses the product
+    projectors labelled by (system, ancilla) index pairs; with
+    ``group_degenerate=True`` levels of H_S + H_A that coincide (resonance)
+    are merged into joint eigenspace projectors instead.
+    """
+    quantity = quantity.lower()
+    return KdqDistribution(quantity, *_kernel(quantity, rho_s, cfg, unitary, group_degenerate))
 
 
 def marginalize_usa_to_us(dist: KdqDistribution) -> KdqDistribution:
@@ -278,6 +306,15 @@ def average_via_trace(
     return sign * complex(np.trace(observable @ (evolved - weight)))
 
 
+def _witnesses(matrix: np.ndarray) -> np.ndarray:
+    """(n_q, n_re, n_im) of each unit-sum quasiprobability matrix in a (..., n, n) stack, on a new last axis."""
+    probs = matrix.reshape(matrix.shape[:-2] + (-1,))
+    return np.stack(
+        [np.abs(probs).sum(axis=-1) - 1.0, np.abs(probs.real).sum(axis=-1) - 1.0, np.abs(probs.imag).sum(axis=-1)],
+        axis=-1,
+    )
+
+
 def nonpositivity(dist: KdqDistribution) -> NonPositivityReport:
     """Non-positivity witnesses of a unit-sum KDQ distribution.
 
@@ -289,9 +326,5 @@ def nonpositivity(dist: KdqDistribution) -> NonPositivityReport:
             "non-positivity functionals presuppose a unit-sum distribution; "
             f"{dist.quantity!r} sums to zero"
         )
-    probs = dist.quasiprobs()
-    return NonPositivityReport(
-        n_q=float(np.sum(np.abs(probs)) - 1.0),
-        n_re=float(np.sum(np.abs(probs.real)) - 1.0),
-        n_im=float(np.sum(np.abs(probs.imag))),
-    )
+    n_q, n_re, n_im = _witnesses(dist.matrix).tolist()
+    return NonPositivityReport(n_q=n_q, n_re=n_re, n_im=n_im)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -73,6 +74,14 @@ class ModelConfig:
             raise ValueError("coupling g must be positive")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
+        for name in ("omega_s", "omega_a"):
+            # A level energy hbar*omega/2 below the smallest normal float loses
+            # its digits or underflows to 0, merging the qubit's two levels.
+            omega = getattr(self, name)
+            if omega != 0.0 and abs(0.5 * self.hbar * omega) < sys.float_info.min:
+                raise ValueError(
+                    f"{name} = {omega!r} is too small: hbar*{name}/2 is below the smallest normal float"
+                )
         if self.beta < 0:
             raise ValueError("inverse temperature beta must be non-negative")
         if self.mode == MODE_WEAK:

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -57,8 +58,11 @@ def random_hermitian(rng, dim):
 
 
 # Frequencies in [-3, 3] with exact zeros, so merged (omega = 0) and reversed
-# (omega < 0) level orders are drawn as well.
-_omegas = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+# (omega < 0) level orders are drawn as well.  `ModelConfig` rejects a nonzero
+# frequency whose level energy omega/2 is below the smallest normal float.
+_omegas = st.one_of(
+    st.just(0.0), st.floats(-3.0, 3.0).filter(lambda w: w == 0.0 or abs(0.5 * w) >= sys.float_info.min)
+)
 _unit = st.floats(0.0, 1.0)
 
 
@@ -79,6 +83,12 @@ def admissible_cases(draw):
     )
     lam = draw(st.floats(-1.0, 1.0)) * cfg.lambda_max
     cfg = replace(cfg, lam_tilde=lam / math.sqrt(tau)) if weak else replace(cfg, lam=lam)
+    return cfg, draw(system_states())
+
+
+@st.composite
+def system_states(draw):
+    """Hypothesis strategy over every system state, coherence up to the positivity bound."""
     rho11 = draw(_unit)
     r = draw(_unit) * math.sqrt(rho11 * (1.0 - rho11))
-    return cfg, SystemStateParams(rho11, r, draw(st.floats(0.0, 2.0 * math.pi)))
+    return SystemStateParams(rho11, r, draw(st.floats(0.0, 2.0 * math.pi)))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,15 @@ import pytest
 from kdcollide.cli import (
     ConfigError,
     ExperimentSpec,
+    ResultTable,
     fig7_config,
     main,
     parse_config,
     run,
+    write_csv,
 )
+from kdcollide.kdq import kdq_distribution, nonpositivity
+from kdcollide.model import ModelConfig, SystemStateParams, build_system_state
 
 CUSTOM_CONFIG = """
 [run]
@@ -182,6 +187,34 @@ class TestPresets:
         assert meta["detuning"] == 3.0
         for value, quoted in zip(meta["lambda_max_values"], (0.082, 0.443, 0.498)):
             assert value == pytest.approx(quoted, abs=5e-4)
+
+    @pytest.mark.parametrize("preset, quantity", [("fig1", "us"), ("fig2", "usa")])
+    def test_phase_grid_matches_per_state_path(self, preset, quantity, tmp_path):
+        # The preset evaluates each config's whole phase grid at once; its CSV
+        # must be byte for byte the one built row by row from the per-state
+        # distribution and witnesses, on the grid its sidecar records.
+        points = 16
+        out = tmp_path / f"{preset}.csv"
+        table = run(ExperimentSpec(preset=preset, cfg=None, state=None, out_path=str(out), points=points))
+        meta = table.meta
+        reference = ResultTable(header=table.header, meta=meta)
+        for beta in meta["betas"]:
+            for tau in meta["taus"]:
+                cfg = ModelConfig(omega_s=meta["omega_s"], omega_a=meta["omega_a"], g=meta["g"], tau=tau, beta=beta)
+                cfg = replace(cfg, lam=cfg.lambda_max)
+                for phi_c in np.linspace(0.0, 2.0 * math.pi, points, endpoint=False):
+                    rho_s = build_system_state(SystemStateParams(meta["rho11"], meta["r"], float(phi_c)))
+                    report = nonpositivity(kdq_distribution(quantity, rho_s, cfg))
+                    reference.rows.append([beta, tau, float(phi_c), report.n_q, report.n_re, report.n_im])
+        write_csv(reference, tmp_path / "reference.csv")
+        assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_csv_special_values(self, tmp_path):
+        values = [0.0, -0.0, 1, -7, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308, 0.1, 1e300,
+                  np.float64(1.0 / 3.0)]
+        path = tmp_path / "special.csv"
+        write_csv(ResultTable(header=[f"c{i}" for i in range(len(values))], rows=[values]), path)
+        assert path.read_text().splitlines()[1] == ",".join(format(float(v), ".17g") for v in values)
 
     def test_csv_floats_round_trip(self, tmp_path):
         # 17 significant digits reproduce the doubles bit-exactly on re-read.

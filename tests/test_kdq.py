@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -6,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import admissible_cases, random_case
+from conftest import admissible_cases, random_case, system_states
 from kdcollide import kdq
 from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import collision_unitary, evolve
@@ -439,6 +441,27 @@ def test_kernel_matches_projector_traces_in_si_units():
     for quantity in kdq.QUANTITIES:
         assert_matches_reference(quantity, rho_s, cfg)
     assert_matches_reference(kdq.USA, rho_s, cfg, group_degenerate=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=admissible_cases(), states=st.lists(system_states(), min_size=1, max_size=8))
+def test_stacked_kernel_matches_per_state(case, states):
+    # The kernel runs the same operations on every state of a stack, so each
+    # slice equals the per-object distribution and its witnesses bit for bit.
+    cfg, _ = case
+    rho_s = np.array([build_system_state(state) for state in states])
+    quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
+    requests = [(quantity, False) for quantity in quantities] + [(kdq.USA, True)]
+    for (quantity, grouped), unitary in itertools.product(requests, (None, collision_unitary(cfg))):
+        matrix, levels, _ = kdq._kernel(quantity, rho_s, cfg, unitary, grouped)
+        assert matrix.shape == (len(states), len(levels), len(levels))
+        witnesses = kdq._witnesses(matrix).tolist()
+        for k, rho in enumerate(rho_s):
+            dist = kdq_distribution(quantity, rho, cfg, unitary, grouped)
+            assert np.array_equal(matrix[k], dist.matrix)
+            if quantity not in kdq.ZERO_SUM:
+                report = nonpositivity(dist)
+                assert witnesses[k] == [report.n_q, report.n_re, report.n_im]
 
 
 @settings(max_examples=100, deadline=None)

@@ -209,6 +209,20 @@ class TestConfigValidation:
         assert ModelConfig(omega_s=1e6 + 5e-7, omega_a=1e6, g=1.0, tau=0.5, beta=0.0).is_resonant
         assert not ModelConfig(omega_s=1e6 + 5e-6, omega_a=1e6, g=1.0, tau=0.5, beta=0.0).is_resonant
 
+    @pytest.mark.parametrize("field", ["omega_s", "omega_a"])
+    @pytest.mark.parametrize("omega", [5e-324, -5e-324, sys.float_info.min])
+    def test_rejects_subnormal_level_energy(self, field, omega):
+        # hbar*omega/2 below the smallest normal float; at 5e-324 it underflows to 0.
+        with pytest.raises(ValueError, match=f"^{field} = .* is too small"):
+            cfg_with(**{field: omega})
+
+    def test_smallest_level_energies_accepted(self):
+        tiny = 2.0 * sys.float_info.min
+        assert cfg_with(omega_s=tiny, omega_a=tiny).omega_s == tiny
+        assert cfg_with(omega_s=0.0, omega_a=0.0).omega_a == 0.0
+        with pytest.raises(ValueError, match="^omega_s = 1.0 is too small"):
+            cfg_with(hbar=sys.float_info.min)
+
     def test_exact_mode_allows_zero_tau(self):
         assert cfg_with(tau=0.0).tau == 0.0
 
