@@ -28,10 +28,17 @@ Config files are flat ``key = value`` lines grouped in sections:
     path = out.csv
     quantities = delta_e_s, n_q_us, var_us
 
-Unknown sections or keys are errors.  Output is a deterministic CSV (17
-significant digits, no timestamps) plus a ``<path>.meta.json`` sidecar with
-the run parameters; for custom runs it also counts the skipped rows per
-reason (``skip_reasons``, the row's numbers in the message masked as ``<x>``).
+Unknown sections or keys, a key given twice in a section and a quantity
+listed twice are errors.  A custom run builds each distinct model config of
+its sweep grid once and evaluates all of that config's rows in one stacked
+call (`_evaluate`, shared with fig1, fig2 and fig4).  A row that cannot be
+evaluated is skipped, with the reason of its model config, else of its
+state, else of the first quantity undefined for its config.
+
+Output is a deterministic CSV (17 significant digits, no timestamps) plus a
+``<path>.meta.json`` sidecar with the run parameters; for custom runs it also
+counts the skipped rows per reason in row order (``skip_reasons``, the row's
+numbers in the message masked as ``<x>``).
 """
 
 from __future__ import annotations
@@ -56,19 +63,15 @@ HBAR_SI = 1.054571817e-34
 
 PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "custom")
 
-_MODEL_KEYS = {
-    "mode": str,
-    "omega_s": float,
-    "omega_a": float,
-    "g": float,
-    "tau": float,
-    "beta": float,
-    "lambda": float,
-    "lambda_tilde": float,
-    "hbar": float,
+# Config key -> field of ModelConfig ([model]) or SystemStateParams ([state]).
+_FIELDS = {
+    "model": {
+        "mode": "mode", "omega_s": "omega_s", "omega_a": "omega_a", "g": "g", "tau": "tau", "beta": "beta",
+        "lambda": "lam", "lambda_tilde": "lam_tilde", "hbar": "hbar",
+    },
+    "state": {"rho11": "rho11", "r": "r", "phi_c": "phi_c"},
 }
-_STATE_KEYS = {"rho11": float, "r": float, "phi_c": float}
-_SWEEPABLE = tuple(k for k in _MODEL_KEYS if k != "mode") + tuple(_STATE_KEYS)
+_SWEEPABLE = (set(_FIELDS["model"]) | set(_FIELDS["state"])) - {"mode"}
 
 # Output quantities for custom runs -> emitted columns.
 QUANTITY_COLUMNS: dict[str, tuple[str, ...]] = {
@@ -180,11 +183,12 @@ def parse_config(text: str) -> ExperimentSpec:
     """Parse and fully validate a config file into an ExperimentSpec."""
     section = None
     run_kv: dict[str, str] = {}
-    model_kv: dict[str, float | str] = {}
-    state_kv: dict[str, float] = {}
+    # [model] and [state] values under their ModelConfig / SystemStateParams field names.
+    params: dict[str, dict[str, float | str]] = {"model": {}, "state": {}}
     sweep: list[tuple[str, tuple[float, ...]]] = []
     output_kv: dict[str, str] = {}
     section_lines: dict[str, int] = {}
+    key_lines: dict[tuple[str, str], int] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -205,29 +209,26 @@ def parse_config(text: str) -> ExperimentSpec:
         value = value.strip()
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        if (section, key) in key_lines:
+            first = key_lines[section, key]
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}] (first on line {first})")
+        key_lines[section, key] = lineno
         if section == "run":
             if key not in ("preset", "points", "collisions"):
                 raise ConfigError(f"line {lineno}: unknown key {key!r} in [run]")
             run_kv[key] = value
-        elif section == "model":
-            if key not in _MODEL_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [model]")
+        elif section in params:
+            if key not in _FIELDS[section]:
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
             if key == "mode":
                 if value not in (MODE_EXACT, MODE_WEAK):
                     raise ConfigError(f"line {lineno}: mode must be {MODE_EXACT} or {MODE_WEAK}")
-                model_kv[key] = value
+                params[section]["mode"] = value
             else:
                 try:
-                    model_kv[key] = float(value)
+                    params[section][_FIELDS[section][key]] = float(value)
                 except ValueError as exc:
                     raise ConfigError(f"line {lineno}: bad number for {key!r}: {value!r}") from exc
-        elif section == "state":
-            if key not in _STATE_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [state]")
-            try:
-                state_kv[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad number for {key!r}: {value!r}") from exc
         elif section == "sweep":
             if key not in _SWEEPABLE:
                 raise ConfigError(f"line {lineno}: {key!r} is not a sweepable parameter")
@@ -254,35 +255,33 @@ def parse_config(text: str) -> ExperimentSpec:
                 )
         if "quantities" in output_kv:
             raise ConfigError(f"preset {preset!r} defines its own output quantities")
-        return ExperimentSpec(
-            preset=preset,
-            cfg=None,
-            state=None,
-            out_path=output_kv.get("path"),
-            points=points,
-            collisions=collisions,
-        )
+        out_path = output_kv.get("path")
+        return ExperimentSpec(preset, None, None, out_path=out_path, points=points, collisions=collisions)
 
     if "model" not in section_lines:
         raise ConfigError("custom run needs a [model] section")
     if "state" not in section_lines:
         raise ConfigError("custom run needs a [state] section")
-    quantities = tuple(
-        q.strip() for q in output_kv.get("quantities", "").split(",") if q.strip()
-    )
+    quantities = tuple(q.strip() for q in output_kv.get("quantities", "").split(",") if q.strip())
     if not quantities:
         raise ConfigError("custom run needs [output] quantities")
-    for q in quantities:
+    for i, q in enumerate(quantities):
         if q not in QUANTITY_COLUMNS:
             raise ConfigError(
                 f"unknown output quantity {q!r}; known: {', '.join(sorted(QUANTITY_COLUMNS))}"
             )
-    cfg = _build_config(model_kv)
-    state = _build_state(state_kv)
+        if q in quantities[:i]:
+            raise ConfigError(f"line {key_lines['output', 'quantities']}: duplicate quantity {q!r} in [output]")
+    for key in ("omega_s", "omega_a", "g", "tau", "beta"):
+        if key not in params["model"]:
+            raise ConfigError(f"[model] is missing required key {key!r}")
+    cfg = ModelConfig(**params["model"])
+    if "rho11" not in params["state"]:
+        raise ConfigError("[state] is missing required key 'rho11'")
     return ExperimentSpec(
         preset="custom",
         cfg=cfg,
-        state=state,
+        state=SystemStateParams(**params["state"]),
         sweep=tuple(sweep),
         outputs=quantities,
         out_path=output_kv.get("path"),
@@ -291,90 +290,64 @@ def parse_config(text: str) -> ExperimentSpec:
     )
 
 
-def _build_config(kv: dict[str, float | str]) -> ModelConfig:
-    required = ("omega_s", "omega_a", "g", "tau", "beta")
-    for key in required:
-        if key not in kv:
-            raise ConfigError(f"[model] is missing required key {key!r}")
-    return ModelConfig(
-        omega_s=float(kv["omega_s"]),
-        omega_a=float(kv["omega_a"]),
-        g=float(kv["g"]),
-        tau=float(kv["tau"]),
-        beta=float(kv["beta"]),
-        lam=float(kv.get("lambda", 0.0)),
-        lam_tilde=float(kv.get("lambda_tilde", 0.0)),
-        hbar=float(kv.get("hbar", 1.0)),
-        mode=str(kv.get("mode", MODE_EXACT)),
-    )
-
-
-def _build_state(kv: dict[str, float]) -> SystemStateParams:
-    if "rho11" not in kv:
-        raise ConfigError("[state] is missing required key 'rho11'")
-    return SystemStateParams(
-        rho11=kv["rho11"], r=kv.get("r", 0.0), phi_c=kv.get("phi_c", 0.0)
-    )
-
-
 # --------------------------------------------------------------------------
-# custom sweep execution
-
-
-def _apply_parameter(cfg: ModelConfig, state: SystemStateParams, name: str, value: float):
-    if name in _STATE_KEYS:
-        return cfg, replace(state, **{name: value})
-    field_name = {"lambda": "lam", "lambda_tilde": "lam_tilde"}.get(name, name)
-    return replace(cfg, **{field_name: value}), state
-
-
-def _real_mean(value: complex) -> float:
-    # Physical averages are real; a visible imaginary part means the pipeline
-    # is broken, not that truncation is in order.
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise RuntimeError(f"expected a real average, got {value}")
-    return value.real
+# evaluation and custom sweep execution
 
 
 _MEAN_QUANTITIES = {
     "delta_e_s": kdq.US, "delta_e_a": kdq.UA, "delta_e_sa": kdq.USA, "w_mean": kdq.W, "q_mean": kdq.Q,
 }
+_WITNESSES = ("n_q", "n_re", "n_im")
+_ANALYTIC = {
+    "analytic_delta_e_s": analytic.delta_e_s,
+    "analytic_delta_e_s_envelopes": analytic.delta_e_s_envelopes,
+    "analytic_delta_e_sa": analytic.delta_e_sa,
+    "analytic_delta_e_sa_limit": analytic.delta_e_sa_limit,
+}
 
 
-def _evaluate_outputs(
-    cfg: ModelConfig, state: SystemStateParams, outputs: tuple[str, ...]
-) -> list[float]:
-    rho_s = build_system_state(state)
-    dists: dict[str, kdq.KdqDistribution] = {}
+def _evaluate(
+    cfg: ModelConfig, states: list[SystemStateParams], rho_s: np.ndarray, outputs: tuple[str, ...]
+) -> np.ndarray:
+    """The `QUANTITY_COLUMNS` of ``outputs`` for a stack of states under one config.
 
-    def dist(quantity: str) -> kdq.KdqDistribution:
-        if quantity not in dists:
-            dists[quantity] = kdq.kdq_distribution(quantity, rho_s, cfg)
-        return dists[quantity]
+    ``rho_s`` holds the density matrices of ``states``; row k of the result
+    is state k.  Each quantity takes one kernel call over the whole stack.
+    Raises ValueError when a quantity is undefined for the config.
+    """
+    kernels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    reduced: dict[tuple[str, str], tuple[np.ndarray, ...] | np.ndarray] = {}
 
-    values: list[float] = []
+    def reduce(reducer: str, quantity: str):
+        # The stacked "moments" or "witnesses" of a quantity, each computed once.
+        if (reducer, quantity) not in reduced:
+            if quantity not in kernels:
+                kernels[quantity] = kdq._kernel(quantity, rho_s, cfg)[:2]
+            matrix, levels = kernels[quantity]
+            stack = kdq._moments(matrix, levels) if reducer == "moments" else kdq._witnesses(matrix)
+            reduced[reducer, quantity] = stack
+        return reduced[reducer, quantity]
+
+    columns = []
     for name in outputs:
         if name in _MEAN_QUANTITIES:
-            values.append(_real_mean(kdq.moments(dist(_MEAN_QUANTITIES[name])).mean))
+            mean = reduce("moments", _MEAN_QUANTITIES[name])[0]
+            # Physical averages are real; a visible imaginary part means the
+            # pipeline is broken, not that truncation is in order.
+            complex_rows = np.abs(mean.imag) > 1e-12 * np.maximum(1.0, np.abs(mean.real))
+            if complex_rows.any():
+                raise RuntimeError(f"expected a real average, got {complex(mean[complex_rows][0])}")
+            columns.append(mean.real)
         elif name.startswith("var_"):
-            quantity = name[len("var_") :]
-            var = kdq.moments(dist(quantity)).variance
-            values.extend([var.real, var.imag])
-        elif name.startswith(("n_q_", "n_re_", "n_im_")):
-            kind, _, quantity = name.rpartition("_")
-            report = kdq.nonpositivity(dist(quantity))
-            values.append({"n_q": report.n_q, "n_re": report.n_re, "n_im": report.n_im}[kind])
-        elif name == "analytic_delta_e_s":
-            values.append(analytic.delta_e_s(cfg, state))
-        elif name == "analytic_delta_e_s_envelopes":
-            values.extend(analytic.delta_e_s_envelopes(cfg, state))
-        elif name == "analytic_delta_e_sa":
-            values.append(analytic.delta_e_sa(cfg, state))
-        elif name == "analytic_delta_e_sa_limit":
-            values.append(analytic.delta_e_sa_limit(cfg, state))
+            variance = reduce("moments", name[len("var_") :])[2]
+            columns.extend([variance.real, variance.imag])
+        elif name in _ANALYTIC:
+            values = np.array([_ANALYTIC[name](cfg, state) for state in states], dtype=float)
+            columns.extend(values.reshape(len(states), -1).T)
         else:
-            raise ValueError(f"unknown output quantity {name!r}")
-    return values
+            kind, _, quantity = name.rpartition("_")
+            columns.append(reduce("witnesses", quantity)[..., _WITNESSES.index(kind)])
+    return np.array(columns).T
 
 
 # A row's own numbers in an error message (not the 1 of "1/Z_A"), masked in skip reasons.
@@ -382,36 +355,65 @@ _ROW_NUMBER = re.compile(r"(?<=[\s=])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?=[\
 
 
 def _run_custom(spec: ExperimentSpec) -> ResultTable:
+    """Evaluate every point of the sweep grid; a row that cannot be evaluated is
+    skipped with the reason of its model config, else of its state, else of
+    the first quantity undefined for its config."""
     assert spec.cfg is not None and spec.state is not None
-    sweep_names = [name for name, _ in spec.sweep]
-    header = list(sweep_names) + ["skipped"]
+    header = [name for name, _ in spec.sweep] + ["skipped"]
     for name in spec.outputs:
         header.extend(QUANTITY_COLUMNS[name])
-    n_output_cols = len(header) - len(sweep_names) - 1
+    n_output_cols = len(header) - len(spec.sweep) - 1
+
+    def changes(section: str, point: tuple[int, ...]) -> dict[str, float]:
+        # The swept values of one section at a grid point, under their field names.
+        fields = _FIELDS[section]
+        return {fields[name]: grid[k] for (name, grid), k in zip(spec.sweep, point) if name in fields}
+
+    # Rows at the same grid position on every model axis share one config (positions,
+    # not values, so that -0.0 and 0.0 stay apart).
+    points = list(itertools.product(*(range(len(grid)) for _, grid in spec.sweep)))
+    configs: dict[tuple[int, ...], list[int]] = {}
+    for i, point in enumerate(points):
+        model_point = tuple(k for (name, _), k in zip(spec.sweep, point) if name in _FIELDS["model"])
+        configs.setdefault(model_point, []).append(i)
+    evaluated: dict[int, list[float]] = {}
+    reasons: dict[int, str] = {}
+    for rows in configs.values():
+        try:
+            cfg = replace(spec.cfg, **changes("model", points[rows[0]]))
+        except ValueError as exc:
+            reasons.update(dict.fromkeys(rows, str(exc)))
+            continue
+        states: dict[int, SystemStateParams] = {}
+        for i in rows:
+            try:
+                states[i] = replace(spec.state, **changes("state", points[i]))
+            except ValueError as exc:
+                reasons[i] = str(exc)
+        if not states:
+            continue
+        rho_s = np.array([build_system_state(state) for state in states.values()])
+        try:
+            values = _evaluate(cfg, list(states.values()), rho_s, spec.outputs)
+        except ValueError as exc:
+            reasons.update(dict.fromkeys(states, str(exc)))
+        else:
+            evaluated.update(zip(states, values.tolist()))
 
     table = ResultTable(header=header)
     skip_reasons: dict[str, int] = {}
-    combos = itertools.product(*(grid for _, grid in spec.sweep)) if spec.sweep else [()]
-    for combo in combos:
-        cfg, state = spec.cfg, spec.state
-        row = list(combo)
-        try:
-            for name, value in zip(sweep_names, combo):
-                cfg, state = _apply_parameter(cfg, state, name, value)
-            outputs = _evaluate_outputs(cfg, state, spec.outputs)
-        except ValueError as exc:
-            reason = _ROW_NUMBER.sub("<x>", str(exc))
-            skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
-            row.append(1.0)
-            row.extend([math.nan] * n_output_cols)
+    for i, point in enumerate(points):
+        row = [grid[k] for (_, grid), k in zip(spec.sweep, point)]
+        if i in evaluated:
+            row += [0.0, *evaluated[i]]
         else:
-            row.append(0.0)
-            row.extend(outputs)
+            reason = _ROW_NUMBER.sub("<x>", reasons[i])
+            skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
+            row += [1.0] + [math.nan] * n_output_cols
         table.rows.append(row)
     table.meta = {
         "preset": "custom",
-        "model": _config_meta(spec.cfg),
-        "state": _state_meta(spec.state),
+        **_params_meta(spec.cfg, spec.state),
         "sweep": {name: list(grid) for name, grid in spec.sweep},
         "quantities": list(spec.outputs),
         "skip_reasons": skip_reasons,
@@ -419,22 +421,12 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-def _config_meta(cfg: ModelConfig) -> dict:
+def _params_meta(cfg: ModelConfig, state: SystemStateParams) -> dict:
+    """Sidecar "model" and "state" entries under their config keys."""
     return {
-        "mode": cfg.mode,
-        "omega_s": cfg.omega_s,
-        "omega_a": cfg.omega_a,
-        "g": cfg.g,
-        "tau": cfg.tau,
-        "beta": cfg.beta,
-        "lambda": cfg.lam,
-        "lambda_tilde": cfg.lam_tilde,
-        "hbar": cfg.hbar,
+        section: {key: getattr(params, name) for key, name in _FIELDS[section].items()}
+        for section, params in (("model", cfg), ("state", state))
     }
-
-
-def _state_meta(state: SystemStateParams) -> dict:
-    return {"rho11": state.rho11, "r": state.r, "phi_c": state.phi_c}
 
 
 # --------------------------------------------------------------------------
@@ -443,25 +435,26 @@ def _state_meta(state: SystemStateParams) -> dict:
 _R_MAX_QUARTER = math.sqrt(3.0) / 4.0  # r_max for rho11 = 1/4
 
 
-def _nonpositivity_sweep(quantity: str, points: int) -> ResultTable:
-    """Non-positivity witness of one distribution vs. coherence phase, for the
-    detuned single collision at three temperatures and six pulse durations."""
+def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
+    """Non-positivity witnesses of ``us`` (fig1) or ``usa`` (fig2) vs. coherence
+    phase, for the detuned single collision at three temperatures and six
+    pulse durations."""
+    quantity = {"fig1": kdq.US, "fig2": kdq.USA}[spec.preset]
     taus = [math.pi / 36, math.pi / 18, math.pi / 12, math.pi / 9, 5 * math.pi / 36, math.pi / 6]
     betas = [5.0, 1.0, 0.2]
-    phis = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False).tolist()
-    rho_s = np.array(
-        [build_system_state(SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=phi_c)) for phi_c in phis]
-    )
+    phis = np.linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False).tolist()
+    states = [SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=phi_c) for phi_c in phis]
+    rho_s = np.array([build_system_state(state) for state in states])
+    outputs = tuple(f"{kind}_{quantity}" for kind in _WITNESSES)
     table = ResultTable(header=["beta", "tau", "phi_c", "n_q", "n_re", "n_im"])
     for beta in betas:
         for tau in taus:
             cfg = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=tau, beta=beta)
             cfg = replace(cfg, lam=cfg.lambda_max)
-            # One kernel call and one witness reduction over the whole phase grid.
-            matrix, _, _ = kdq._kernel(quantity, rho_s, cfg)
-            witnesses = kdq._witnesses(matrix).tolist()
+            witnesses = _evaluate(cfg, states, rho_s, outputs).tolist()
             table.rows.extend([beta, tau, phi_c, *w] for phi_c, w in zip(phis, witnesses))
     table.meta = {
+        "preset": spec.preset,
         "quantity": quantity,
         "detuning": 3.0,
         "omega_a": 1.0,
@@ -477,20 +470,8 @@ def _nonpositivity_sweep(quantity: str, points: int) -> ResultTable:
             ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=b).lambda_max
             for b in betas
         ],
-        "phi_c_points": points,
+        "phi_c_points": spec.points,
     }
-    return table
-
-
-def _preset_fig1(spec: ExperimentSpec) -> ResultTable:
-    table = _nonpositivity_sweep(kdq.US, spec.points)
-    table.meta["preset"] = "fig1"
-    return table
-
-
-def _preset_fig2(spec: ExperimentSpec) -> ResultTable:
-    table = _nonpositivity_sweep(kdq.USA, spec.points)
-    table.meta["preset"] = "fig2"
     return table
 
 
@@ -510,8 +491,7 @@ def _preset_fig3a(spec: ExperimentSpec) -> ResultTable:
             table.rows.append([lam, float(delta), analytic.delta_e_s(cfg, state), lo, hi])
     table.meta = {
         "preset": "fig3a",
-        "model": _config_meta(base),
-        "state": _state_meta(state),
+        **_params_meta(base, state),
         "lambdas": lams,
         "delta_range": [-20.0, 20.0],
         "delta_points": spec.points,
@@ -534,8 +514,7 @@ def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
             )
     table.meta = {
         "preset": "fig3b",
-        "model": _config_meta(base),
-        "state": _state_meta(state),
+        **_params_meta(base, state),
         "detuning": 20.0,
         "lambdas": lams,
         "tau_range": [0.0, math.pi / 2.0],
@@ -544,24 +523,20 @@ def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-def _variance_re(quantity: str, rho_s: np.ndarray, cfg: ModelConfig) -> float:
-    return kdq.moments(kdq.kdq_distribution(quantity, rho_s, cfg)).variance.real
-
-
 def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     """Variance of the system energy change and of the non-energy-preserving
     work: vs. detuning at lambda=0 (panel a), then vs. lambda at the local
     maxima of the panel-a curve, normalized to their lambda=0 value."""
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
-    rho_s = build_system_state(state)
+    rho_s = build_system_state(state)[None]
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
+
+    def variances_re(cfg: ModelConfig) -> tuple[float, float]:
+        var_us_re, _, var_usa_re, _ = _evaluate(cfg, [state], rho_s, ("var_us", "var_usa"))[0].tolist()
+        return var_us_re, var_usa_re
+
     deltas = np.linspace(0.0, 20.0, spec.points)
-    var_us0 = []
-    var_usa0 = []
-    for delta in deltas:
-        cfg = replace(base, omega_s=1.0 + float(delta))
-        var_us0.append(_variance_re(kdq.US, rho_s, cfg))
-        var_usa0.append(_variance_re(kdq.USA, rho_s, cfg))
+    var_us0, var_usa0 = zip(*(variances_re(replace(base, omega_s=1.0 + float(delta))) for delta in deltas))
 
     table = ResultTable(
         header=[
@@ -582,16 +557,13 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     lams = np.linspace(-lam_max, lam_max, spec.points)
     for delta, ref_us, ref_usa in peaks:
         for lam in lams:
-            cfg = replace(base, omega_s=1.0 + delta, lam=float(lam))
-            v_us = _variance_re(kdq.US, rho_s, cfg)
-            v_usa = _variance_re(kdq.USA, rho_s, cfg)
+            v_us, v_usa = variances_re(replace(base, omega_s=1.0 + delta, lam=float(lam)))
             table.rows.append(
                 [1.0, delta, float(lam), v_us, v_usa, v_us / ref_us, v_usa / ref_usa]
             )
     table.meta = {
         "preset": "fig4",
-        "model": _config_meta(base),
-        "state": _state_meta(state),
+        **_params_meta(base, state),
         "delta_range": [0.0, 20.0],
         "lambda_range": [-lam_max, lam_max],
         "points": spec.points,
@@ -627,8 +599,7 @@ def _preset_fig5(spec: ExperimentSpec) -> ResultTable:
             )
     table.meta = {
         "preset": "fig5",
-        "model": _config_meta(_fig56_config(0.0)),
-        "state": _state_meta(state),
+        **_params_meta(_fig56_config(0.0), state),
         "lambda": _fig56_config(0.0).lam,
         "tau_range": [0.0, math.pi],
         "tau_points": spec.points,
@@ -656,8 +627,7 @@ def _preset_fig6(spec: ExperimentSpec) -> ResultTable:
             )
     table.meta = {
         "preset": "fig6",
-        "model": _config_meta(_fig56_config(0.0)),
-        "state": _state_meta(state),
+        **_params_meta(_fig56_config(0.0), state),
         "lambda": _fig56_config(0.0).lam,
         "tau_range": [0.0, math.pi],
         "tau_points": spec.points,
@@ -702,8 +672,7 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
         )
     table.meta = {
         "preset": "fig7",
-        "model": _config_meta(cfg),
-        "state": _state_meta(state),
+        **_params_meta(cfg, state),
         "collisions": spec.collisions,
         "beta_hbar_omega": cfg.beta * cfg.hbar * cfg.omega_a,
         "lambda": cfg.lam,
@@ -714,8 +683,8 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
 
 
 _PRESET_RUNNERS = {
-    "fig1": _preset_fig1,
-    "fig2": _preset_fig2,
+    "fig1": _nonpositivity_sweep,
+    "fig2": _nonpositivity_sweep,
     "fig3a": _preset_fig3a,
     "fig3b": _preset_fig3b,
     "fig4": _preset_fig4,

@@ -102,24 +102,6 @@ class SteadyStateResult:
     converged: bool
 
 
-def _make_step_record(rho_s: np.ndarray, cfg: ModelConfig) -> StepRecord:
-    split = cfg.is_weak or cfg.is_resonant
-    quantities = [kdq.US, kdq.UA, kdq.USA] + ([kdq.W, kdq.Q, kdq.WS, kdq.QS] if split else [])
-    dists = {q: kdq.kdq_distribution(q, rho_s, cfg, unitary=cfg.operators.u) for q in quantities}
-    moment_table = {q: kdq.moments(dist) for q, dist in dists.items()}
-    mean = {q: m.mean.real for q, m in moment_table.items()}
-    w_s = w_a = q_s = q_a = None
-    if split:
-        # lambda_eff / kdq_coherence_prefactor, without dividing 0 by 0 at zero coherence.
-        c = math.sqrt(cfg.tau) if cfg.is_weak else 1.0
-        w_s, w_a, q_s, q_a = c * mean[kdq.WS], -c * mean[kdq.W], mean[kdq.QS], -mean[kdq.Q]
-        del moment_table[kdq.WS], moment_table[kdq.QS]
-    witness_table = {q: kdq.nonpositivity(dists[q]) for q in moment_table if q in kdq.UNIT_SUM}
-    return StepRecord(
-        mean[kdq.US], mean[kdq.UA], mean[kdq.USA], w_s, w_a, q_s, q_a, moment_table, witness_table
-    )
-
-
 def evolve(
     rho_s0: np.ndarray, cfg: ModelConfig, n: int, thermo: bool = False
 ) -> CollisionTrajectory:
@@ -129,18 +111,38 @@ def evolve(
     With ``thermo=True`` every step records the energy changes, their
     coherent/thermal split when available, and the KDQ moments and
     non-positivity witnesses, all evaluated with the trajectory's own
-    propagator.
+    propagator: one kernel call per quantity over the states before each
+    collision.
     """
     if n < 1:
         raise ValueError("need at least one collision")
     s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
     states = [np.asarray(rho_s0, dtype=complex)]
-    records = []
     for _ in range(n):
-        rho_s = states[-1]
-        if thermo:
-            records.append(_make_step_record(rho_s, cfg))
-        states.append((s @ rho_s.ravel()).reshape(2, 2))
+        states.append((s @ states[-1].ravel()).reshape(2, 2))
+    if not thermo:
+        return CollisionTrajectory(tuple(states), ())
+    split = cfg.is_weak or cfg.is_resonant
+    quantities = [kdq.US, kdq.UA, kdq.USA] + ([kdq.W, kdq.Q, kdq.WS, kdq.QS] if split else [])
+    moment_sets, reports = {}, {}
+    for q in quantities:
+        matrix, levels, _ = kdq._kernel(q, np.array(states[:-1]), cfg, unitary=cfg.operators.u)
+        moment_sets[q] = [kdq.MomentSet(*m) for m in zip(*(a.tolist() for a in kdq._moments(matrix, levels)))]
+        if q in (kdq.US, kdq.UA, kdq.USA, kdq.Q):
+            reports[q] = [kdq.NonPositivityReport(*w) for w in kdq._witnesses(matrix).tolist()]
+    mean = {q: [m.mean.real for m in sets] for q, sets in moment_sets.items()}
+    # lambda_eff / kdq_coherence_prefactor, without dividing 0 by 0 at zero coherence.
+    c = math.sqrt(cfg.tau) if cfg.is_weak else 1.0
+    records = []
+    for k in range(n):
+        w_s = w_a = q_s = q_a = None
+        if split:
+            w_s, w_a, q_s, q_a = c * mean[kdq.WS][k], -c * mean[kdq.W][k], mean[kdq.QS][k], -mean[kdq.Q][k]
+        records.append(StepRecord(
+            mean[kdq.US][k], mean[kdq.UA][k], mean[kdq.USA][k], w_s, w_a, q_s, q_a,
+            {q: moment_sets[q][k] for q in quantities if q not in (kdq.WS, kdq.QS)},
+            {q: report[k] for q, report in reports.items()},
+        ))
     return CollisionTrajectory(tuple(states), tuple(records))
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -149,18 +150,20 @@ def _check_work_heat_regime(cfg: ModelConfig) -> None:
             f"interaction in exact mode (detuning {cfg.detuning:.6g})"
         )
     if not cfg.is_resonant:
-        warnings.warn(
-            "coherent-work/heat split off resonance is not energy-preserving",
-            ValidityWarning,
-            stacklevel=4,
-        )
+        _warn("coherent-work/heat split off resonance is not energy-preserving")
     if cfg.g * cfg.tau > PULSE_AREA_VALIDITY + 1e-12:
-        warnings.warn(
+        _warn(
             f"pulse area g*tau = {cfg.g * cfg.tau:.4g} exceeds pi/6: "
-            "coherent work / incoherent heat enter the strong-coupling regime",
-            ValidityWarning,
-            stacklevel=4,
+            "coherent work / incoherent heat enter the strong-coupling regime"
         )
+
+
+def _warn(message: str) -> None:
+    """Issue a `ValidityWarning` attributed to the first caller outside this module."""
+    frame, stacklevel = sys._getframe(1), 2
+    while frame.f_globals is globals():
+        frame, stacklevel = frame.f_back, stacklevel + 1
+    warnings.warn(message, ValidityWarning, stacklevel=stacklevel)
 
 
 def _weight(
@@ -270,13 +273,26 @@ def _marginalize(dist: KdqDistribution, target: str) -> KdqDistribution:
     return KdqDistribution(target, joint.sum(axis=(1 - side, 3 - side)), np.asarray(dist.local_energies[side]))
 
 
+def _moments(matrix: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, second moment, variance) of each quasiprobability matrix in a (..., n, n) stack."""
+    values = (levels - levels[:, None]).ravel()
+    probs = matrix.reshape(matrix.shape[:-2] + (-1,))
+    mean = np.sum(probs * values, axis=-1)
+    second = np.sum(probs * values**2, axis=-1)
+    # mean**2 as Python's complex power forms it, (1 + 0j) * (mean * mean), whose
+    # factor can flip the sign of a zero imaginary part; NumPy's complex product
+    # rounds differently on arrays.
+    re, im = mean.real, mean.imag
+    square_re = re * re - im * im
+    variance = np.empty_like(second)
+    variance.real = second.real - square_re
+    variance.imag = second.imag - (re * im + im * re + 0.0 * square_re)
+    return mean, second, variance
+
+
 def moments(dist: KdqDistribution) -> MomentSet:
     """Mean, second moment and variance of a KDQ distribution (complex)."""
-    values = dist.values()
-    probs = dist.quasiprobs()
-    mean = complex(np.sum(probs * values))
-    second = complex(np.sum(probs * values**2))
-    return MomentSet(mean, second, second - mean**2)
+    return MomentSet(*(complex(m) for m in _moments(dist.matrix, dist.levels)))
 
 
 def average_via_trace(

@@ -107,6 +107,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not a sweepable"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("omega_a = 1.0", "omega_a = 1.0\nomega_a = 2.0", 8),
+            ("phi_c = linspace(0.0, 6.0, 5)", "g = 1, 2\ng = 3", 20),
+        ],
+        ids=["model", "sweep"],
+    )
+    def test_duplicate_key_rejected(self, old, new, line):
+        with pytest.raises(ConfigError, match=f"line {line}: duplicate key"):
+            parse_config(CUSTOM_CONFIG.replace(old, new))
+
+    def test_duplicate_quantity_rejected(self):
+        text = CUSTOM_CONFIG.replace("delta_e_s, n_q_us, var_us", "delta_e_s, var_us, delta_e_s")
+        with pytest.raises(ConfigError, match="line 22: duplicate quantity 'delta_e_s'"):
+            parse_config(text)
+
 
 class TestCustomRun:
     def test_sweep_table_shape(self, tmp_path):
@@ -129,6 +146,26 @@ class TestCustomRun:
         flags = [row[1] for row in table.rows]
         assert flags == [0.0, 0.0, 1.0]
         assert math.isnan(table.rows[2][2])
+
+    @pytest.mark.parametrize(
+        "base, first, second",
+        [
+            (("lambda = 0.2", "lambda = 0.4"), "beta = 5.0", "lambda = 0.05"),
+            (("rho11 = 0.25\nr = 0.4330127018922193", "rho11 = 0.5\nr = 0.5"), "rho11 = 0.9", "r = 0.1"),
+        ],
+        ids=["beta-lambda", "rho11-r"],
+    )
+    def test_sweep_order_does_not_skip_valid_rows(self, base, first, second):
+        # Alone, the first swept value breaks a base constraint that the second
+        # restores; the row is valid whichever order the [sweep] keys come in.
+        text = CUSTOM_CONFIG.replace(*base)
+        rows = [
+            run(parse_config(text.replace("phi_c = linspace(0.0, 6.0, 5)", f"{a}\n{b}"))).rows
+            for a, b in ((first, second), (second, first))
+        ]
+        assert [len(r) for r in rows] == [1, 1]
+        assert rows[0][0][2:] == rows[1][0][2:]
+        assert rows[0][0][2] == 0.0 and not any(math.isnan(v) for v in rows[0][0])
 
     def test_off_resonant_work_request_flagged(self):
         # The base config is detuned, so coherent-work output cannot be

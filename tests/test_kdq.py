@@ -154,6 +154,11 @@ class TestMoments:
         cfg, state = random_case(rng)
         m = moments(kdq_distribution(kdq.US, build_system_state(state), cfg))
         assert m.variance == m.second_moment - m.mean**2
+        # Every slice of a stack keeps it bit for bit, also on generic complex
+        # matrices, where NumPy's own complex product rounds differently.
+        matrix = rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))
+        for mean, second, variance in zip(*kdq._moments(matrix, rng.normal(size=4))):
+            assert complex(variance) == complex(second) - complex(mean) ** 2
 
     def test_w_variance_symmetries(self):
         # At resonance: Re[var_w] = -mean_w^2 and Im[var_w] = Im[<w^2>].
@@ -353,6 +358,15 @@ class TestValidityGuards:
         with pytest.raises(ValueError):
             kdq_distribution("energy", build_system_state(state), cfg)
 
+    def test_warning_points_at_caller(self):
+        cfg = resonant_cfg(tau=1.0, lam=0.2)  # g*tau = 1 > pi/6
+        rho_s = build_system_state(SystemStateParams(0.5))
+        for public in (kdq_distribution, average_via_trace):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ValidityWarning)
+                public(kdq.Q, rho_s, cfg)
+            assert [w.filename for w in caught] == [__file__], public.__name__
+
 
 class TestSystemSideSplit:
     def test_ws_plus_qs_equals_us_entrywise(self, rng):
@@ -447,7 +461,8 @@ def test_kernel_matches_projector_traces_in_si_units():
 @given(case=admissible_cases(), states=st.lists(system_states(), min_size=1, max_size=8))
 def test_stacked_kernel_matches_per_state(case, states):
     # The kernel runs the same operations on every state of a stack, so each
-    # slice equals the per-object distribution and its witnesses bit for bit.
+    # slice equals the per-object distribution, its moments and its witnesses
+    # bit for bit.
     cfg, _ = case
     rho_s = np.array([build_system_state(state) for state in states])
     quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
@@ -456,9 +471,11 @@ def test_stacked_kernel_matches_per_state(case, states):
         matrix, levels, _ = kdq._kernel(quantity, rho_s, cfg, unitary, grouped)
         assert matrix.shape == (len(states), len(levels), len(levels))
         witnesses = kdq._witnesses(matrix).tolist()
+        moment_stack = kdq._moments(matrix, levels)
         for k, rho in enumerate(rho_s):
             dist = kdq_distribution(quantity, rho, cfg, unitary, grouped)
             assert np.array_equal(matrix[k], dist.matrix)
+            assert kdq.MomentSet(*(complex(m[k]) for m in moment_stack)) == moments(dist)
             if quantity not in kdq.ZERO_SUM:
                 report = nonpositivity(dist)
                 assert witnesses[k] == [report.n_q, report.n_re, report.n_im]

@@ -1,6 +1,7 @@
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import admissible_cases
 from kdcollide import model
-from kdcollide.cli import ExperimentSpec, fig7_config, run
+from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import evolve
 from kdcollide.linalg import commutator, is_density_matrix, is_hermitian, tensor, unitary_from_hamiltonian
 from kdcollide.model import (
@@ -26,6 +27,8 @@ from kdcollide.model import (
     partition_function,
 )
 from kdcollide.smalltau import integrate_master_equation
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Total excitation number n_S + n_A, with n = |0><0| locally.
 NUMBER = tensor(SIGMA_PLUS @ SIGMA_MINUS, IDENTITY_2) + tensor(IDENTITY_2, SIGMA_PLUS @ SIGMA_MINUS)
@@ -269,12 +272,18 @@ class TestOperatorCache:
         integrate_master_equation(build_system_state(SystemStateParams(0.3)), cfg, 100 * 0.001, 0.001)
         assert all(0 < n <= 1 for n in builds.values()), builds
 
-    @pytest.mark.parametrize("preset", ["fig1", "fig2"])
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "custom"])
     def test_preset_builds_once_per_config(self, builds, preset, tmp_path):
-        # 18 configs (three temperatures, six pulse durations), 16 phases each.
+        # fig1/fig2: 18 configs (three temperatures, six pulse durations), 16
+        # phases each.  The golden custom sweep: 4 lambdas x 4 phases, of
+        # which 3 lambdas make a valid config.
         out = tmp_path / f"{preset}.csv"
-        run(ExperimentSpec(preset=preset, cfg=None, state=None, out_path=str(out), points=16, collisions=8))
-        assert all(0 < n <= 18 for n in builds.values()), builds
+        if preset == "custom":
+            spec, configs = parse_config((GOLDEN / "custom.cfg").read_text(encoding="utf-8")), 3
+        else:
+            spec, configs = ExperimentSpec(preset=preset, cfg=None, state=None, points=16, collisions=8), 18
+        run(replace(spec, out_path=str(out)))
+        assert all(0 < n <= configs for n in builds.values()), builds
 
     def test_shared_read_only_and_outside_equality(self):
         cfg = cfg_with(lam=0.2)
