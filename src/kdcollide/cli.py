@@ -30,10 +30,11 @@ Config files are flat ``key = value`` lines grouped in sections:
 
 Unknown sections or keys, a key given twice in a section and a quantity
 listed twice are errors.  A custom run builds each distinct model config of
-its sweep grid once and evaluates all of that config's rows in one stacked
-call (`_evaluate`, shared with fig1, fig2 and fig4).  A row that cannot be
-evaluated is skipped, with the reason of its model config, else of its
-state, else of the first quantity undefined for its config.
+its sweep grid once and evaluates the rows of every config whose quantities
+are all defined in one call over the stack of configs (`_evaluate`, shared
+with fig1, fig2 and fig4).  A row that cannot be evaluated is skipped, with
+the reason of its model config, else of its state, else of the first
+quantity undefined for its config.
 
 Output is a deterministic CSV (17 significant digits, no timestamps) plus a
 ``<path>.meta.json`` sidecar with the run parameters; for custom runs it also
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import __version__, analytic, kdq
 from .collision import evolve
-from .model import MODE_EXACT, MODE_WEAK, ModelConfig, SystemStateParams, build_system_state
+from .model import MODE_EXACT, MODE_WEAK, ModelConfig, SystemStateParams, _operator_stacks, build_system_state
 
 HBAR_SI = 1.054571817e-34
 
@@ -306,48 +307,61 @@ _ANALYTIC = {
 }
 
 
+def _kdq_quantity(name: str) -> str | None:
+    """The KDQ quantity behind an output quantity; None for the analytic ones."""
+    if name in _ANALYTIC:
+        return None
+    if name in _MEAN_QUANTITIES:
+        return _MEAN_QUANTITIES[name]
+    return name.removeprefix("var_").rpartition("_")[2]
+
+
 def _evaluate(
-    cfg: ModelConfig, states: list[SystemStateParams], rho_s: np.ndarray, outputs: tuple[str, ...]
+    cfgs: list[ModelConfig], states: list[SystemStateParams], rho_s: np.ndarray, outputs: tuple[str, ...]
 ) -> np.ndarray:
-    """The `QUANTITY_COLUMNS` of ``outputs`` for a stack of states under one config.
+    """The `QUANTITY_COLUMNS` of ``outputs`` for a stack of states, state k under ``cfgs[k]``.
 
     ``rho_s`` holds the density matrices of ``states``; row k of the result
-    is state k.  Each quantity takes one kernel call over the whole stack.
-    Raises ValueError when a quantity is undefined for the config.
+    is state k.  The configs are stacked in parts by `model._operator_stacks`
+    and each quantity takes one kernel call per part.  Raises ValueError when
+    a quantity is undefined for a config.
     """
-    kernels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    reduced: dict[tuple[str, str], tuple[np.ndarray, ...] | np.ndarray] = {}
+    table = np.empty((len(states), sum(len(QUANTITY_COLUMNS[name]) for name in outputs)))
+    for rows, ops in _operator_stacks(cfgs):
+        kernels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        reduced: dict[tuple[str, str], tuple[np.ndarray, ...] | np.ndarray] = {}
 
-    def reduce(reducer: str, quantity: str):
-        # The stacked "moments" or "witnesses" of a quantity, each computed once.
-        if (reducer, quantity) not in reduced:
-            if quantity not in kernels:
-                kernels[quantity] = kdq._kernel(quantity, rho_s, cfg)[:2]
-            matrix, levels = kernels[quantity]
-            stack = kdq._moments(matrix, levels) if reducer == "moments" else kdq._witnesses(matrix)
-            reduced[reducer, quantity] = stack
-        return reduced[reducer, quantity]
+        def reduce(reducer: str, quantity: str):
+            # The stacked "moments" or "witnesses" of a quantity, each computed once.
+            if (reducer, quantity) not in reduced:
+                if quantity not in kernels:
+                    kernels[quantity] = kdq._kernel(quantity, rho_s[rows], ops)[:2]
+                matrix, levels = kernels[quantity]
+                stack = kdq._moments(matrix, levels) if reducer == "moments" else kdq._witnesses(matrix)
+                reduced[reducer, quantity] = stack
+            return reduced[reducer, quantity]
 
-    columns = []
-    for name in outputs:
-        if name in _MEAN_QUANTITIES:
-            mean = reduce("moments", _MEAN_QUANTITIES[name])[0]
-            # Physical averages are real; a visible imaginary part means the
-            # pipeline is broken, not that truncation is in order.
-            complex_rows = np.abs(mean.imag) > 1e-12 * np.maximum(1.0, np.abs(mean.real))
-            if complex_rows.any():
-                raise RuntimeError(f"expected a real average, got {complex(mean[complex_rows][0])}")
-            columns.append(mean.real)
-        elif name.startswith("var_"):
-            variance = reduce("moments", name[len("var_") :])[2]
-            columns.extend([variance.real, variance.imag])
-        elif name in _ANALYTIC:
-            values = np.array([_ANALYTIC[name](cfg, state) for state in states], dtype=float)
-            columns.extend(values.reshape(len(states), -1).T)
-        else:
-            kind, _, quantity = name.rpartition("_")
-            columns.append(reduce("witnesses", quantity)[..., _WITNESSES.index(kind)])
-    return np.array(columns).T
+        columns = []
+        for name in outputs:
+            if name in _MEAN_QUANTITIES:
+                mean = reduce("moments", _MEAN_QUANTITIES[name])[0]
+                # Physical averages are real; a visible imaginary part means the
+                # pipeline is broken, not that truncation is in order.
+                complex_rows = np.abs(mean.imag) > 1e-12 * np.maximum(1.0, np.abs(mean.real))
+                if complex_rows.any():
+                    raise RuntimeError(f"expected a real average, got {complex(mean[complex_rows][0])}")
+                columns.append(mean.real)
+            elif name.startswith("var_"):
+                variance = reduce("moments", _kdq_quantity(name))[2]
+                columns.extend([variance.real, variance.imag])
+            elif name in _ANALYTIC:
+                values = np.array([_ANALYTIC[name](cfgs[k], states[k]) for k in rows], dtype=float)
+                columns.extend(values.reshape(len(rows), -1).T)
+            else:
+                kind = name.rpartition("_")[0]
+                columns.append(reduce("witnesses", _kdq_quantity(name))[..., _WITNESSES.index(kind)])
+        table[rows] = np.array(columns).T
+    return table
 
 
 # A row's own numbers in an error message (not the 1 of "1/Z_A"), masked in skip reasons.
@@ -376,8 +390,10 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     for i, point in enumerate(points):
         model_point = tuple(k for (name, _), k in zip(spec.sweep, point) if name in _FIELDS["model"])
         configs.setdefault(model_point, []).append(i)
-    evaluated: dict[int, list[float]] = {}
     reasons: dict[int, str] = {}
+    # The rows to evaluate, with their configs and states, in one stacked call.
+    kept: dict[int, tuple[ModelConfig, SystemStateParams]] = {}
+    work_heat = any(_kdq_quantity(name) in kdq._WORK_HEAT for name in spec.outputs)
     for rows in configs.values():
         try:
             cfg = replace(spec.cfg, **changes("model", points[rows[0]]))
@@ -390,15 +406,18 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
                 states[i] = replace(spec.state, **changes("state", points[i]))
             except ValueError as exc:
                 reasons[i] = str(exc)
-        if not states:
-            continue
-        rho_s = np.array([build_system_state(state) for state in states.values()])
-        try:
-            values = _evaluate(cfg, list(states.values()), rho_s, spec.outputs)
-        except ValueError as exc:
-            reasons.update(dict.fromkeys(states, str(exc)))
-        else:
-            evaluated.update(zip(states, values.tolist()))
+        if work_heat:
+            try:
+                kdq._require_work_heat_regime(cfg)
+            except ValueError as exc:
+                reasons.update(dict.fromkeys(states, str(exc)))
+                continue
+        kept.update((i, (cfg, state)) for i, state in states.items())
+    evaluated: dict[int, list[float]] = {}
+    if kept:
+        cfgs, states = zip(*kept.values())
+        rho_s = np.array([build_system_state(state) for state in states])
+        evaluated = dict(zip(kept, _evaluate(list(cfgs), list(states), rho_s, spec.outputs).tolist()))
 
     table = ResultTable(header=header)
     skip_reasons: dict[str, int] = {}
@@ -451,7 +470,7 @@ def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
         for tau in taus:
             cfg = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=tau, beta=beta)
             cfg = replace(cfg, lam=cfg.lambda_max)
-            witnesses = _evaluate(cfg, states, rho_s, outputs).tolist()
+            witnesses = _evaluate([cfg] * len(states), states, rho_s, outputs).tolist()
             table.rows.extend([beta, tau, phi_c, *w] for phi_c, w in zip(phis, witnesses))
     table.meta = {
         "preset": spec.preset,
@@ -528,15 +547,15 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     work: vs. detuning at lambda=0 (panel a), then vs. lambda at the local
     maxima of the panel-a curve, normalized to their lambda=0 value."""
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
-    rho_s = build_system_state(state)[None]
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
 
-    def variances_re(cfg: ModelConfig) -> tuple[float, float]:
-        var_us_re, _, var_usa_re, _ = _evaluate(cfg, [state], rho_s, ("var_us", "var_usa"))[0].tolist()
-        return var_us_re, var_usa_re
+    def variances_re(cfgs: list[ModelConfig]) -> tuple[list[float], list[float]]:
+        rho_s = np.repeat(build_system_state(state)[None], len(cfgs), axis=0)
+        var_us, var_usa = _evaluate(cfgs, [state] * len(cfgs), rho_s, ("var_us", "var_usa"))[:, ::2].T.tolist()
+        return var_us, var_usa
 
     deltas = np.linspace(0.0, 20.0, spec.points)
-    var_us0, var_usa0 = zip(*(variances_re(replace(base, omega_s=1.0 + float(delta))) for delta in deltas))
+    var_us0, var_usa0 = variances_re([replace(base, omega_s=1.0 + float(delta)) for delta in deltas])
 
     table = ResultTable(
         header=[
@@ -555,12 +574,10 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     ][:3]
     lam_max = base.lambda_max
     lams = np.linspace(-lam_max, lam_max, spec.points)
-    for delta, ref_us, ref_usa in peaks:
-        for lam in lams:
-            v_us, v_usa = variances_re(replace(base, omega_s=1.0 + delta, lam=float(lam)))
-            table.rows.append(
-                [1.0, delta, float(lam), v_us, v_usa, v_us / ref_us, v_usa / ref_usa]
-            )
+    grid = [(delta, ref_us, ref_usa, float(lam)) for delta, ref_us, ref_usa in peaks for lam in lams]
+    var_us1, var_usa1 = variances_re([replace(base, omega_s=1.0 + delta, lam=lam) for delta, _, _, lam in grid])
+    for (delta, ref_us, ref_usa, lam), v_us, v_usa in zip(grid, var_us1, var_usa1):
+        table.rows.append([1.0, delta, lam, v_us, v_usa, v_us / ref_us, v_usa / ref_usa])
     table.meta = {
         "preset": "fig4",
         **_params_meta(base, state),
@@ -587,16 +604,16 @@ def _preset_fig5(spec: ExperimentSpec) -> ResultTable:
     table = ResultTable(
         header=["tau", "w0_re", "w0_im", "wplus_re", "wplus_im", "wminus_re", "wminus_im"]
     )
+    q = np.empty((len(taus), 2, 2), dtype=complex)
     with warnings.catch_warnings():
         # The sweep intentionally crosses the g*tau = pi/6 validity border.
         warnings.simplefilter("ignore", kdq.ValidityWarning)
-        for tau in taus:
-            # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
-            q = kdq.kdq_distribution(kdq.W, rho_s, _fig56_config(float(tau))).matrix
-            w0, w_plus, w_minus = np.trace(q), q[0, 1], q[1, 0]
-            table.rows.append(
-                [float(tau), w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
-            )
+        for rows, ops in _operator_stacks([_fig56_config(float(tau)) for tau in taus]):
+            q[rows] = kdq._kernel(kdq.W, rho_s, ops)[0]
+    # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
+    w0, w_plus, w_minus = np.trace(q, axis1=-2, axis2=-1), q[:, 0, 1], q[:, 1, 0]
+    columns = [taus, w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
+    table.rows.extend(np.array(columns).T.tolist())
     table.meta = {
         "preset": "fig5",
         **_params_meta(_fig56_config(0.0), state),

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dag, group_levels, tensor
-from .model import IDENTITY_2, ModelConfig
+from .model import IDENTITY_2, ModelConfig, _OperatorStack, _view
 
 US = "us"
 UA = "ua"
@@ -143,12 +143,17 @@ def measurement_unitary(cfg: ModelConfig) -> np.ndarray:
     return cfg.operators.u_bare
 
 
-def _check_work_heat_regime(cfg: ModelConfig) -> None:
+def _require_work_heat_regime(cfg: ModelConfig) -> None:
+    """Raise ValueError when the coherent-work/heat split is undefined for ``cfg``."""
     if not (cfg.is_resonant or cfg.is_weak):
         raise ValueError(
             "coherent-work/heat quasiprobabilities require a resonant "
             f"interaction in exact mode (detuning {cfg.detuning:.6g})"
         )
+
+
+def _check_work_heat_regime(cfg: ModelConfig) -> None:
+    _require_work_heat_regime(cfg)
     if not cfg.is_resonant:
         _warn("coherent-work/heat split off resonance is not energy-preserving")
     if cfg.g * cfg.tau > PULSE_AREA_VALIDITY + 1e-12:
@@ -167,71 +172,79 @@ def _warn(message: str) -> None:
 
 
 def _weight(
-    quantity: str, rho_s: np.ndarray, cfg: ModelConfig, unitary: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the request; return (propagator U, weighted initial operators W).
+    quantity: str, rho_s: np.ndarray, cfg: ModelConfig | _OperatorStack, unitary: np.ndarray | None
+) -> tuple[_OperatorStack, np.ndarray, np.ndarray]:
+    """Validate the request; return (operators, propagator U, weighted initial operators W).
 
     ``rho_s`` is a (..., 2, 2) stack of system states and W the matching
-    (..., 4, 4) stack.
+    (..., 4, 4) stack.  ``cfg`` is one config or a `model._OperatorStack`
+    aligned with the leading axis of ``rho_s``.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
+    ops = _view(cfg) if isinstance(cfg, ModelConfig) else cfg
     if quantity in _WORK_HEAT:
-        _check_work_heat_regime(cfg)
-    u = measurement_unitary(cfg) if unitary is None else np.asarray(unitary, dtype=complex)
-    ops = cfg.operators
+        for c in ops.cfgs:
+            _check_work_heat_regime(c)
+    u = ops.u_bare if unitary is None else np.asarray(unitary, dtype=complex)
     if quantity in (US, UA, USA):
         ancilla = ops.rho_a
     elif quantity in (Q, QS):
         ancilla = ops.rho_a_th
     else:
         ancilla = ops.chi_a
-    rho_s = np.asarray(rho_s, dtype=complex)
-    # W[..., (s, a), (s', a')] = rho_S[..., s, s'] ancilla[a, a']: the Kronecker
-    # product of each state, with np.kron's own elementwise arithmetic.
-    weight = (rho_s[..., :, None, :, None] * ancilla[:, None, :]).reshape(rho_s.shape[:-2] + (4, 4))
+    weight = tensor(rho_s, ancilla)
     if quantity in (W, WS):
-        weight = cfg.kdq_coherence_prefactor * weight
-    return u, weight
+        weight = ops.prefactor * weight
+    return ops, u, weight
 
 
 def _kernel(
     quantity: str,
     rho_s: np.ndarray,
-    cfg: ModelConfig,
+    cfg: ModelConfig | _OperatorStack,
     unitary: np.ndarray | None = None,
     group_degenerate: bool = False,
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[float, ...], tuple[float, ...]] | None]:
-    """KDQ matrices of a (..., 2, 2) stack of system states under one config.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """KDQ matrices of a (..., 2, 2) stack of system states.
 
-    Returns ``(matrix, levels, local_energies)`` with ``matrix[..., i_in,
-    i_fin]`` the quasiprobabilities of each state; the levels depend on the
-    config only.  `kdq_distribution` is the view of one state.
+    ``cfg`` is one config for every state, or a `model._OperatorStack`
+    aligned with the leading axis of ``rho_s`` (one level structure per
+    stack; grouped ``usa`` also needs one joint level count).  Returns
+    ``(matrix, levels, local_energies)`` with ``matrix[..., i_in, i_fin]``
+    the quasiprobabilities of each state and ``levels[..., k]`` those of its
+    config.  `kdq_distribution` is the view of one state.
     """
-    u, weight = _weight(quantity, rho_s, cfg, unitary)
-    if u.shape != (4, 4):
+    ops, u, weight = _weight(quantity, rho_s, cfg, unitary)
+    if u.shape[-2:] != (4, 4):
         raise ValueError("unitary must act on the 4-dimensional joint space")
-    ops = cfg.operators
-    (levels_s, index_s), (levels_a, index_a) = ops.levels_s, ops.levels_a
     local_energies = None
-    # level[b]: level of product-basis state b = 2 * (system index) + (ancilla index).
+    # level[..., b]: level of product-basis state b = 2 * (system index) + (ancilla index).
     if quantity in (US, WS, QS):
-        energies, level = levels_s, np.repeat(index_s, 2)
+        energies, level = ops.levels_s, np.repeat(ops.index_s, 2, axis=-1)
     elif quantity in (UA, W, Q):
-        energies, level = levels_a, np.tile(index_a, 2)
+        energies, level = ops.levels_a, np.tile(ops.index_a, 2)
     elif group_degenerate:
-        energies, level = group_levels(np.add.outer(np.diag(ops.h_s), np.diag(ops.h_a)).real.ravel())
+        diagonals = [np.diagonal(h, axis1=-2, axis2=-1) for h in (ops.h_s, ops.h_a)]
+        joint = (diagonals[0][..., :, None] + diagonals[1][..., None, :]).real
+        grouped = [group_levels(e) for e in joint.reshape(-1, 4)]
+        if len({len(levels) for levels, _ in grouped}) > 1:
+            raise ValueError("grouped usa needs one joint level count across the stack")
+        energies = np.array([levels for levels, _ in grouped]).reshape(joint.shape[:-2] + (-1,))
+        level = np.array([index for _, index in grouped]).reshape(joint.shape[:-2] + (4,))
     else:
-        energies = np.add.outer(levels_s, levels_a).ravel()
-        level = np.add.outer(index_s * len(levels_a), index_a).ravel()
-        local_energies = (levels_s, levels_a)
+        energies = (ops.levels_s[..., :, None] + ops.levels_a[..., None, :]).reshape(ops.levels_s.shape[:-1] + (-1,))
+        level = (ops.index_s[..., :, None] * ops.levels_a.shape[-1] + ops.index_a[..., None, :]).reshape(
+            ops.index_s.shape[:-1] + (4,)
+        )
+        local_energies = (ops.levels_s, ops.levels_a)
     # w and q take the ancilla's values with the opposite sign: -(e_f - e_i).
-    levels = (-1.0 if quantity in (W, Q) else 1.0) * np.asarray(energies, dtype=float)
-    # G[b, level] = 1 where basis state b belongs to the level.
-    g = np.equal.outer(level, np.arange(len(levels))).astype(float)
-    # Q[..., i, f] = Tr[U^dag |f><f| U |i><i| W] = (W U^dag)[..., i, f] U[f, i].
-    q = (weight @ dag(u)) * u.T
-    return g.T @ q @ g, levels, local_energies
+    levels = (-1.0 if quantity in (W, Q) else 1.0) * energies
+    # G[..., b, level] = 1 where basis state b belongs to the level.
+    g = (level[..., :, None] == np.arange(levels.shape[-1])).astype(float)
+    # Q[..., i, f] = Tr[U^dag |f><f| U |i><i| W] = (W U^dag)[..., i, f] U[..., f, i].
+    q = (weight @ dag(u)) * u.swapaxes(-1, -2)
+    return g.swapaxes(-1, -2) @ q @ g, levels, local_energies
 
 
 def kdq_distribution(
@@ -250,7 +263,10 @@ def kdq_distribution(
     are merged into joint eigenspace projectors instead.
     """
     quantity = quantity.lower()
-    return KdqDistribution(quantity, *_kernel(quantity, rho_s, cfg, unitary, group_degenerate))
+    matrix, levels, local_energies = _kernel(quantity, rho_s, cfg, unitary, group_degenerate)
+    if local_energies is not None:
+        local_energies = tuple(tuple(e.tolist()) for e in local_energies)
+    return KdqDistribution(quantity, matrix, levels, local_energies)
 
 
 def marginalize_usa_to_us(dist: KdqDistribution) -> KdqDistribution:
@@ -267,15 +283,23 @@ def _marginalize(dist: KdqDistribution, target: str) -> KdqDistribution:
     if dist.quantity != USA or dist.local_energies is None:
         raise ValueError("marginalization needs a usa distribution with pair labels")
     n_s, n_a = (len(e) for e in dist.local_energies)
-    # Axes (system in, ancilla in, system fin, ancilla fin).
-    joint = dist.matrix.reshape(n_s, n_a, n_s, n_a)
     side = 0 if target == US else 1
-    return KdqDistribution(target, joint.sum(axis=(1 - side, 3 - side)), np.asarray(dist.local_energies[side]))
+    return KdqDistribution(target, _block_sums(dist.matrix, n_s, n_a, target), np.asarray(dist.local_energies[side]))
+
+
+def _block_sums(matrix: np.ndarray, n_s: int, n_a: int, target: str) -> np.ndarray:
+    """``target`` (``us`` or ``ua``) marginals of a (..., n_s n_a, n_s n_a) stack of pair-labelled ``usa`` matrices."""
+    # Axes (..., system in, ancilla in, system fin, ancilla fin).
+    joint = matrix.reshape(matrix.shape[:-2] + (n_s, n_a, n_s, n_a))
+    return joint.sum(axis=(-3, -1) if target == US else (-4, -2))
 
 
 def _moments(matrix: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean, second moment, variance) of each quasiprobability matrix in a (..., n, n) stack."""
-    values = (levels - levels[:, None]).ravel()
+    """(mean, second moment, variance) of each quasiprobability matrix in a (..., n, n) stack.
+
+    ``levels`` is (n,) for one config or (..., n) aligned with the stack.
+    """
+    values = (levels[..., None, :] - levels[..., :, None]).reshape(levels.shape[:-1] + (-1,))
     probs = matrix.reshape(matrix.shape[:-2] + (-1,))
     mean = np.sum(probs * values, axis=-1)
     second = np.sum(probs * values**2, axis=-1)
@@ -306,20 +330,30 @@ def average_via_trace(
     Equals ``moments(kdq_distribution(...)).mean`` identically; the two paths
     differ only in floating-point grouping.
     """
-    quantity = quantity.lower()
-    u, weight = _weight(quantity, rho_s, cfg, unitary)
-    h_s, h_a = cfg.operators.h_s, cfg.operators.h_a
+    return complex(_trace_average(quantity.lower(), rho_s, cfg, unitary))
+
+
+def _trace_average(
+    quantity: str,
+    rho_s: np.ndarray,
+    cfg: ModelConfig | _OperatorStack,
+    unitary: np.ndarray | None = None,
+) -> np.ndarray:
+    """Tr[O (U W U^dag - W)] of a (..., 2, 2) stack of system states, O the quantity's signed energy.
+
+    ``cfg`` is one config or a `model._OperatorStack` aligned with the
+    leading axis of ``rho_s``; `average_via_trace` is the view of one state.
+    """
+    ops, u, weight = _weight(quantity, rho_s, cfg, unitary)
     if quantity in (US, WS, QS):
-        observable = tensor(h_s, IDENTITY_2)
-        sign = 1.0
+        observable = tensor(ops.h_s, IDENTITY_2)
     elif quantity == USA:
-        observable = tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a)
-        sign = 1.0
+        observable = tensor(ops.h_s, IDENTITY_2) + tensor(IDENTITY_2, ops.h_a)
     else:
-        observable = tensor(IDENTITY_2, h_a)
-        sign = -1.0 if quantity in (W, Q) else 1.0
+        observable = tensor(IDENTITY_2, ops.h_a)
+    sign = -1.0 if quantity in (W, Q) else 1.0
     evolved = u @ weight @ dag(u)
-    return sign * complex(np.trace(observable @ (evolved - weight)))
+    return sign * np.trace(observable @ (evolved - weight), axis1=-2, axis2=-1)
 
 
 def _witnesses(matrix: np.ndarray) -> np.ndarray:

@@ -8,13 +8,19 @@ import numpy as np
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return m.conj().T
+    """Hermitian conjugate of a matrix, or of each matrix in a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two square matrices, or of two stacks of them.
+
+    Stacks broadcast over their leading axes; each product is formed with
+    np.kron's own elementwise arithmetic.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Qubit-qubit model: Hamiltonians, ancilla and system states, closed-form propagators.
+"""Qubit-qubit model: Hamiltonians, ancilla and system states, closed-form propagators,
+and the operators of many configs stacked for the KDQ kernel.
 
 Basis convention: |0> = (1, 0)^T with sigma_z |0> = +|0>, so the level with
 index 0 has energy +hbar*omega/2.  The ancilla coherence operator chi_A is
@@ -10,12 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import group_levels, tensor
+from .linalg import tensor
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -82,6 +85,8 @@ class ModelConfig:
                 raise ValueError(
                     f"{name} = {omega!r} is too small: hbar*{name}/2 is below the smallest normal float"
                 )
+            if not math.isfinite(self.hbar * omega):
+                raise ValueError(f"{name} = {omega!r} is too large: hbar*{name} overflows")
         if self.beta < 0:
             raise ValueError("inverse temperature beta must be non-negative")
         if self.mode == MODE_WEAK:
@@ -89,6 +94,19 @@ class ModelConfig:
                 raise ValueError("weakly coherent mode requires tau > 0")
         elif self.tau < 0:
             raise ValueError("collision time tau must be non-negative")
+        # The propagators and the closed forms take cos, sin and exp of these
+        # phases; an infinite (or NaN) one has no value there.
+        phases = {
+            "(omega_s + omega_a)*tau/2": 0.5 * (self.omega_s + self.omega_a) * self.tau,
+            "tau*sqrt(4*g^2 + delta^2)": self.tau * math.sqrt(4.0 * self.g * self.g + self.detuning * self.detuning),
+        }
+        if self.mode == MODE_WEAK:
+            phases["tau*hypot(delta/2, g/sqrt(tau))"] = self.tau * math.hypot(
+                0.5 * self.detuning, self.g / math.sqrt(self.tau)
+            )
+        for name, phase in phases.items():
+            if not math.isfinite(phase):
+                raise ValueError(f"collision phase {name} = {phase!r} is not finite at tau = {self.tau!r}")
         bound = self.lambda_max
         if abs(self.lambda_eff) > bound + _BOUNDARY_SLACK:
             raise ValueError(
@@ -203,13 +221,18 @@ def build_ancilla(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     has already rejected a coherence magnitude beyond 1/Z_A.
     """
     chi_a = SIGMA_X.copy()  # callers may freeze it; the module's SIGMA_X stays writable
-    # (e^-x, e^x)/Z_A as logistic functions of 2x, which cannot overflow.
+    rho_a_th = np.diag(_thermal_populations(cfg)).astype(complex)
+    rho_a = rho_a_th + cfg.lambda_eff * chi_a
+    return rho_a, rho_a_th, chi_a
+
+
+def _thermal_populations(cfg: ModelConfig) -> tuple[float, float]:
+    """Populations (e^-x, e^x)/Z_A of the thermal ancilla, x = beta*hbar*omega_a/2,
+    as logistic functions of 2x, which cannot overflow."""
     x = 0.5 * cfg.beta * cfg.hbar * cfg.omega_a
     t = math.exp(-2.0 * abs(x))
     low, high = t / (1.0 + t), 1.0 / (1.0 + t)
-    rho_a_th = np.diag([low, high] if x >= 0.0 else [high, low]).astype(complex)
-    rho_a = rho_a_th + cfg.lambda_eff * chi_a
-    return rho_a, rho_a_th, chi_a
+    return (low, high) if x >= 0.0 else (high, low)
 
 
 @dataclass(frozen=True)
@@ -218,8 +241,8 @@ class Operators:
 
     ``u`` is exp(-i H_SA tau / hbar) (`collision_unitary`), ``u_bare`` the
     unscaled `measurement_unitary` (the same object in exact mode),
-    ``levels_*`` the `group_levels` of diag(H_S), diag(H_A) and ``g`` the
-    drive correction Tr_A[H_int (I (x) chi_A)].
+    ``levels_*`` the `linalg.group_levels` of diag(H_S), diag(H_A) (from
+    `_local_levels`) and ``g`` the drive correction Tr_A[H_int (I (x) chi_A)].
     """
 
     h_s: np.ndarray
@@ -236,31 +259,48 @@ class Operators:
     g: np.ndarray
 
 
-def _swap_unitary(cfg: ModelConfig, coupling: float) -> np.ndarray:
-    """exp(-i H tau / hbar) for H = H_S (x) I + I (x) H_A + hbar*coupling*(s+ s- + s- s+).
+def _swap_entries(cfg: ModelConfig, coupling: float) -> tuple[complex, complex, complex]:
+    """(phase, diag, off) of exp(-i H tau / hbar) for H = H_S (x) I + I (x) H_A + hbar*coupling*(s+ s- + s- s+).
 
-    The swap coupling conserves excitations: |00> and |11> only pick up
-    phases, and {|01>, |10>} rotates under delta/2 sigma_z + coupling sigma_x
-    at Omega = sqrt(delta^2/4 + coupling^2) > 0.  hbar cancels.
+    The swap coupling conserves excitations: |00> and |11> pick up the phase
+    and its conjugate, and {|01>, |10>} rotates under delta/2 sigma_z +
+    coupling sigma_x at Omega = sqrt(delta^2/4 + coupling^2) > 0, giving the
+    block [[diag, off], [off, conj(diag)]].  hbar cancels.
     """
     half_delta = 0.5 * cfg.detuning
     omega = math.hypot(half_delta, coupling)
     cos, sin_by_omega = math.cos(omega * cfg.tau), math.sin(omega * cfg.tau) / omega
     phase = cmath.exp(-0.5j * (cfg.omega_s + cfg.omega_a) * cfg.tau)
-    diag, off = complex(cos, -sin_by_omega * half_delta), complex(0.0, -sin_by_omega * coupling)
-    return np.array(
-        [[phase, 0, 0, 0], [0, diag, off, 0], [0, off, diag.conjugate(), 0], [0, 0, 0, phase.conjugate()]],
-        dtype=complex,
-    )
+    return phase, complex(cos, -sin_by_omega * half_delta), complex(0.0, -sin_by_omega * coupling)
+
+
+def _swap_matrices(entries: Sequence[tuple[complex, complex, complex]]) -> np.ndarray:
+    """(M, 4, 4) propagators from M `_swap_entries`."""
+    phase, diag, off = np.array(entries, dtype=complex).reshape(-1, 3).T
+    u = np.zeros((len(phase), 4, 4), dtype=complex)
+    u[:, 0, 0], u[:, 3, 3] = phase, phase.conj()
+    u[:, 1, 1], u[:, 2, 2] = diag, diag.conj()
+    u[:, 1, 2] = u[:, 2, 1] = off
+    return u
+
+
+def _local_levels(x: float) -> tuple[tuple[float, ...], np.ndarray]:
+    """`linalg.group_levels` of a qubit's level energies (x, -x), x = hbar*omega/2, in closed form.
+
+    `ModelConfig` keeps 2|x| finite, so the two levels merge only at x = 0.
+    """
+    if x == 0.0:
+        return (0.0,), np.array([0, 0])
+    return (abs(x), -abs(x)), np.array([0, 1] if x > 0.0 else [1, 0])
 
 
 def _build_operators(cfg: ModelConfig) -> Operators:
     h_s, h_a, h_int, h_sa = build_hamiltonians(cfg)
     rho_a, rho_a_th, chi_a = build_ancilla(cfg)
-    u = u_bare = _swap_unitary(cfg, cfg.g)
+    u = u_bare = _swap_matrices([_swap_entries(cfg, cfg.g)])[0]
     if cfg.is_weak:
-        u = _swap_unitary(cfg, cfg.g / math.sqrt(cfg.tau))
-    (levels_s, index_s), (levels_a, index_a) = (group_levels(np.diag(h).real) for h in (h_s, h_a))
+        u = _swap_matrices([_swap_entries(cfg, cfg.g / math.sqrt(cfg.tau))])[0]
+    (levels_s, index_s), (levels_a, index_a) = (_local_levels(0.5 * cfg.hbar * w) for w in (cfg.omega_s, cfg.omega_a))
     # Tr_A[H_int (I (x) chi_A)] of the swap coupling with chi_A = sigma_x.
     g = cfg.hbar * cfg.g * chi_a
     for m in (h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, index_s, index_a, g):
@@ -268,3 +308,108 @@ def _build_operators(cfg: ModelConfig) -> Operators:
     return Operators(
         h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, (levels_s, index_s), (levels_a, index_a), g
     )
+
+
+# Rows per stacked part: bounds the size of the kernel's arrays (and so the
+# peak memory of long sweeps) at a small cost per part.
+_STACK_ROWS = 128
+
+
+class _OperatorStack(NamedTuple):
+    """What the KDQ kernel reads of one config (`_view`) or of a stack of configs (`_operator_stacks`).
+
+    A stack's arrays carry a leading axis aligned with the leading axis of a
+    state stack (row k under config k); a single config's arrays have none
+    and broadcast over any state stack.  ``cfgs`` are the distinct configs,
+    ``u``/``u_bare`` the collision and measurement propagators,
+    ``prefactor`` the coherence prefactor (shape (M, 1, 1) in a stack),
+    ``h_s``/``h_a`` the local Hamiltonians, ``levels_*`` the local levels in
+    descending order and ``index_*`` the level of each local basis state.
+    """
+
+    cfgs: tuple[ModelConfig, ...]
+    u: np.ndarray
+    u_bare: np.ndarray
+    rho_a: np.ndarray
+    rho_a_th: np.ndarray
+    chi_a: np.ndarray
+    prefactor: float | np.ndarray
+    h_s: np.ndarray
+    h_a: np.ndarray
+    levels_s: np.ndarray
+    index_s: np.ndarray
+    levels_a: np.ndarray
+    index_a: np.ndarray
+
+
+def _view(cfg: ModelConfig) -> _OperatorStack:
+    """One config's `Operators` as the kernel reads them."""
+    ops = cfg.operators
+    (levels_s, index_s), (levels_a, index_a) = ops.levels_s, ops.levels_a
+    return _OperatorStack(
+        (cfg,), ops.u, ops.u_bare, ops.rho_a, ops.rho_a_th, ops.chi_a, cfg.kdq_coherence_prefactor,
+        ops.h_s, ops.h_a, np.array(levels_s), index_s, np.array(levels_a), index_a,
+    )
+
+
+def _stack(cfgs: list[ModelConfig]) -> _OperatorStack:
+    """The operators of M configs with one local level count each, on a leading axis.
+
+    Built from `_swap_entries`, `_thermal_populations` and `_local_levels`
+    per config with the arithmetic of `Operators`, so every slice equals the
+    config's own operators bit for bit; no Hamiltonian or `Operators` is built.
+    """
+    bare = [_swap_entries(cfg, cfg.g) for cfg in cfgs]
+    u = u_bare = _swap_matrices(bare)
+    if any(cfg.is_weak for cfg in cfgs):
+        u = _swap_matrices([_swap_entries(c, c.g / math.sqrt(c.tau)) if c.is_weak else e for c, e in zip(cfgs, bare)])
+    hbar, omega_s, omega_a, lam, prefactor = np.array(
+        [(cfg.hbar, cfg.omega_s, cfg.omega_a, cfg.lambda_eff, cfg.kdq_coherence_prefactor) for cfg in cfgs]
+    ).T
+    rho_a_th = np.zeros((len(cfgs), 2, 2), dtype=complex)
+    rho_a_th[:, 0, 0], rho_a_th[:, 1, 1] = np.array([_thermal_populations(cfg) for cfg in cfgs]).T
+    x_s, x_a = 0.5 * hbar * omega_s, 0.5 * hbar * omega_a
+    (levels_s, index_s), (levels_a, index_a) = (
+        (np.array([levels for levels, _ in local]), np.array([index for _, index in local]))
+        for local in ([_local_levels(x) for x in xs.tolist()] for xs in (x_s, x_a))
+    )
+    return _OperatorStack(
+        tuple(cfgs), u, u_bare, rho_a_th + lam[:, None, None] * SIGMA_X, rho_a_th, SIGMA_X, prefactor[:, None, None],
+        x_s[:, None, None] * SIGMA_Z, x_a[:, None, None] * SIGMA_Z, levels_s, index_s, levels_a, index_a,
+    )
+
+
+def _operator_stacks(cfgs: Sequence[ModelConfig]) -> list[tuple[np.ndarray, _OperatorStack]]:
+    """The kernel's operators for a state stack whose row k is under ``cfgs[k]``.
+
+    Returns ``(rows, stack)`` parts in order of first row.  Rows under a
+    single config make one part, that config's cached `_view`.  Otherwise a
+    stack needs one level structure, and a zero frequency merges a qubit's
+    two levels, so the rows are split by which frequencies are zero, and then
+    into blocks of at most `_STACK_ROWS` rows; each block is a `_stack` of
+    its configs gathered to its rows (a `_view` if it has one config).
+    """
+    ids = list(map(id, cfgs))
+    distinct = dict(zip(ids, cfgs))
+    if len(distinct) == 1:
+        return [(np.arange(len(ids)), _view(cfgs[0]))]
+    shape_of = {key: (cfg.omega_s == 0.0, cfg.omega_a == 0.0) for key, cfg in distinct.items()}
+    by_shape: dict[tuple[bool, bool], list[int]] = {}
+    for row, key in enumerate(ids):
+        by_shape.setdefault(shape_of[key], []).append(row)
+    parts = []
+    for shape_rows in by_shape.values():
+        for start in range(0, len(shape_rows), _STACK_ROWS):
+            rows = shape_rows[start : start + _STACK_ROWS]
+            members = dict.fromkeys(ids[row] for row in rows)
+            if len(members) == 1:
+                parts.append((np.array(rows), _view(cfgs[rows[0]])))
+                continue
+            stack = _stack([distinct[key] for key in members])
+            if len(rows) > len(members):
+                # Some config has several rows: gather each row's config.
+                slot = dict(zip(members, range(len(members))))
+                take = [slot[ids[row]] for row in rows]
+                stack = _OperatorStack(stack.cfgs, *(a if a is SIGMA_X else a[take] for a in stack[1:]))
+            parts.append((np.array(rows), stack))
+    return parts

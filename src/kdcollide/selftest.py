@@ -7,8 +7,10 @@ from configuration problems.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +21,14 @@ from .model import (
     MODE_WEAK,
     ModelConfig,
     SystemStateParams,
+    _operator_stacks,
     build_system_state,
     partition_function,
 )
+
+
+# Random draws evaluated together; bounds the memory a check holds at once.
+_DRAWS_HELD = 100
 
 
 def random_parameters(rng: np.random.Generator, resonant: bool, weak: bool = False):
@@ -57,90 +64,97 @@ def _check_lambda_max() -> float:
     return worst
 
 
+def _stacks(pairs: Iterable[tuple[ModelConfig, SystemStateParams]]):
+    """(pairs, operator stack, state stack) per part of `model._operator_stacks` over (config, state) pairs.
+
+    The pairs are taken `_DRAWS_HELD` at a time, so that lazily drawn pairs
+    never all sit in memory at once.
+    """
+    pairs = iter(pairs)
+    while batch := list(itertools.islice(pairs, _DRAWS_HELD)):
+        rho_s = np.array([build_system_state(state) for _, state in batch])
+        for rows, ops in _operator_stacks([cfg for cfg, _ in batch]):
+            yield [batch[k] for k in rows], ops, rho_s[rows]
+
+
+def _deviation(numeric: np.ndarray, expected) -> float:
+    """Largest |numeric - expected| over a stack; 0 for an empty one."""
+    return float(np.max(np.abs(numeric - np.asarray(expected)), initial=0.0))
+
+
 def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
     worst = 0.0
-    for k in range(draws):
-        cfg, state = random_parameters(rng, resonant=(k % 2 == 0))
-        rho_s = build_system_state(state)
+    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=(k % 2 == 0)) for k in range(draws)):
         for quantity in (kdq.US, kdq.UA, kdq.USA):
-            worst = max(worst, abs(kdq.kdq_distribution(quantity, rho_s, cfg).total() - 1.0))
-        if cfg.is_resonant:
+            worst = max(worst, _deviation(kdq._kernel(quantity, rho_s, ops)[0].sum(axis=(-2, -1)), 1.0))
+        # Heat sums to 1 and work to 0 where the split is defined.
+        for _, resonant_ops, resonant_rho_s in _stacks([(cfg, state) for cfg, state in pairs if cfg.is_resonant]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", kdq.ValidityWarning)
-                worst = max(worst, abs(kdq.kdq_distribution(kdq.Q, rho_s, cfg).total() - 1.0))
-                worst = max(worst, abs(kdq.kdq_distribution(kdq.W, rho_s, cfg).total()))
+                for quantity, total in ((kdq.Q, 1.0), (kdq.W, 0.0)):
+                    matrix = kdq._kernel(quantity, resonant_rho_s, resonant_ops)[0]
+                    worst = max(worst, _deviation(matrix.sum(axis=(-2, -1)), total))
     return worst
 
 
 def _check_oracle_resonant(rng: np.random.Generator, draws: int = 200) -> float:
     worst = 0.0
-    for _ in range(draws):
-        cfg, state = random_parameters(rng, resonant=True)
-        rho_s = build_system_state(state)
+    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=True) for _ in range(draws)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kdq.ValidityWarning)
-            num_us = kdq.kdq_distribution(kdq.US, rho_s, cfg).quasiprobs()
-            num_q = kdq.kdq_distribution(kdq.QS, rho_s, cfg).quasiprobs()
-            num_w = kdq.kdq_distribution(kdq.WS, rho_s, cfg).quasiprobs()
-            w_dist = kdq.kdq_distribution(kdq.W, rho_s, cfg)
-            q_dist = kdq.kdq_distribution(kdq.Q, rho_s, cfg)
-        worst = max(worst, float(np.max(np.abs(num_us - analytic.resonant_kdq_us(cfg, state)))))
-        worst = max(worst, float(np.max(np.abs(num_q - analytic.resonant_kdq_q(cfg, state)))))
-        worst = max(worst, float(np.max(np.abs(num_w - analytic.resonant_kdq_w(cfg, state)))))
+            kernels = {q: kdq._kernel(q, rho_s, ops)[:2] for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
+        for quantity, oracle in (
+            (kdq.US, analytic.resonant_kdq_us), (kdq.QS, analytic.resonant_kdq_q), (kdq.WS, analytic.resonant_kdq_w),
+        ):
+            quasiprobs = kernels[quantity][0].reshape(len(pairs), -1)
+            worst = max(worst, _deviation(quasiprobs, [oracle(cfg, state) for cfg, state in pairs]))
 
-        mean, variance = analytic.resonant_energy_stats(cfg, state)
-        mom = kdq.moments(kdq.kdq_distribution(kdq.US, rho_s, cfg))
-        worst = max(worst, abs(mom.mean - mean), abs(mom.variance - variance))
+        mean, _, variance = kdq._moments(*kernels[kdq.US])
+        expected = [analytic.resonant_energy_stats(cfg, state) for cfg, state in pairs]
+        worst = max(worst, _deviation(mean, [m for m, _ in expected]), _deviation(variance, [v for _, v in expected]))
 
-        stats = analytic.resonant_w_q_stats(cfg, state)
-        w_mom = kdq.moments(w_dist)
-        q_mom = kdq.moments(q_dist)
-        worst = max(worst, abs(w_mom.mean - stats.w_mean), abs(w_mom.variance - stats.w_variance))
-        worst = max(worst, abs(q_mom.mean - stats.q_mean), abs(q_mom.variance - stats.q_variance))
+        stats = [analytic.resonant_w_q_stats(cfg, state) for cfg, state in pairs]
+        for quantity in (kdq.W, kdq.Q):
+            mean, _, variance = kdq._moments(*kernels[quantity])
+            worst = max(
+                worst,
+                _deviation(mean, [getattr(s, f"{quantity}_mean") for s in stats]),
+                _deviation(variance, [getattr(s, f"{quantity}_variance") for s in stats]),
+            )
 
-        n_re, n_im = analytic.resonant_nonpositivity(cfg, state)
-        report = kdq.nonpositivity(kdq.kdq_distribution(kdq.US, rho_s, cfg))
-        worst = max(worst, abs(report.n_re - n_re), abs(report.n_im - n_im))
+        witnesses = kdq._witnesses(kernels[kdq.US][0])
+        expected = np.array([analytic.resonant_nonpositivity(cfg, state) for cfg, state in pairs])
+        worst = max(worst, _deviation(witnesses[:, 1:], expected))
     return worst
 
 
 def _check_oracle_detuned(rng: np.random.Generator, draws: int = 200) -> float:
     worst = 0.0
-    for _ in range(draws):
-        cfg, state = random_parameters(rng, resonant=False)
-        rho_s = build_system_state(state)
-        de_s = kdq.average_via_trace(kdq.US, rho_s, cfg).real
-        de_sa = kdq.average_via_trace(kdq.USA, rho_s, cfg).real
-        worst = max(worst, abs(de_s - analytic.delta_e_s(cfg, state)))
-        worst = max(worst, abs(de_sa - analytic.delta_e_sa(cfg, state)))
+    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=False) for _ in range(draws)):
+        for quantity, oracle in ((kdq.US, analytic.delta_e_s), (kdq.USA, analytic.delta_e_sa)):
+            average = kdq._trace_average(quantity, rho_s, ops).real
+            worst = max(worst, _deviation(average, [oracle(cfg, state) for cfg, state in pairs]))
     return worst
 
 
 def _check_marginalization(rng: np.random.Generator, draws: int = 50) -> float:
     worst = 0.0
-    for _ in range(draws):
-        cfg, state = random_parameters(rng, resonant=False)
-        rho_s = build_system_state(state)
-        usa = kdq.kdq_distribution(kdq.USA, rho_s, cfg)
-        for marginal, quantity in (
-            (kdq.marginalize_usa_to_us(usa), kdq.US),
-            (kdq.marginalize_usa_to_ua(usa), kdq.UA),
-        ):
-            direct = kdq.kdq_distribution(quantity, rho_s, cfg)
-            worst = max(worst, float(np.max(np.abs(marginal.quasiprobs() - direct.quasiprobs()))))
+    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=False) for _ in range(draws)):
+        usa, _, (levels_s, levels_a) = kdq._kernel(kdq.USA, rho_s, ops)
+        for quantity in (kdq.US, kdq.UA):
+            marginal = kdq._block_sums(usa, levels_s.shape[-1], levels_a.shape[-1], quantity)
+            worst = max(worst, _deviation(marginal, kdq._kernel(quantity, rho_s, ops)[0]))
     return worst
 
 
 def _check_tpm_limit(rng: np.random.Generator, draws: int = 50) -> float:
+    def classical(cfg: ModelConfig, state: SystemStateParams) -> tuple[ModelConfig, SystemStateParams]:
+        return replace(cfg, lam=0.0), SystemStateParams(rho11=state.rho11, r=0.0)
+
     worst = 0.0
-    for _ in range(draws):
-        cfg, state = random_parameters(rng, resonant=False)
-        cfg = replace(cfg, lam=0.0)
-        state = SystemStateParams(rho11=state.rho11, r=0.0)
-        rho_s = build_system_state(state)
+    for _, ops, rho_s in _stacks(classical(*random_parameters(rng, resonant=False)) for _ in range(draws)):
         for quantity in (kdq.US, kdq.UA, kdq.USA):
-            report = kdq.nonpositivity(kdq.kdq_distribution(quantity, rho_s, cfg))
-            worst = max(worst, abs(report.n_q), abs(report.n_re), abs(report.n_im))
+            worst = max(worst, _deviation(kdq._witnesses(kdq._kernel(quantity, rho_s, ops)[0]), 0.0))
     return worst
 
 

@@ -372,6 +372,30 @@ class TestMain:
         assert rows == 4
         assert "exceeds the positivity bound 1/Z_A" in reason
 
+    def test_infinite_collision_phase_row_skipped(self, tmp_path):
+        # At resonance with tau = 1e308 the closed forms' phase 2 g tau overflows:
+        # that config's row is skipped with a reason naming the phase, and the
+        # stacked evaluation of the other row goes on.
+        out = tmp_path / "phase.csv"
+        config = tmp_path / "phase.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("omega_s = 4.0", "omega_s = 1.0")
+            .replace("phi_c = linspace(0.0, 6.0, 5)", "tau = 0.5, 1e308")
+            .replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {out}\nquantities = delta_e_s, w_mean, analytic_delta_e_s",
+            )
+        )
+        assert main(["run", str(config)]) == 0
+        meta = json.loads((tmp_path / "phase.csv.meta.json").read_text())
+        assert meta["skip_reasons"] == {"collision phase tau*sqrt(4*g^2 + delta^2) = inf is not finite at tau = <x>": 1}
+        header, *lines = out.read_text().splitlines()
+        assert header == "tau,skipped,delta_e_s,w_mean,analytic_delta_e_s"
+        (tau_ok, skipped_ok, *values), (tau_bad, skipped_bad, *_) = ([float(v) for v in l.split(",")] for l in lines)
+        assert (tau_ok, skipped_ok, tau_bad, skipped_bad) == (0.5, 0.0, 1e308, 1.0)
+        assert all(math.isfinite(v) for v in values)
+        assert values[0] == pytest.approx(values[2], abs=1e-12)
+
     def test_zero_temperature_sweep(self, tmp_path):
         # beta*hbar*omega_a up to 2000 overflows exp and cosh; every row must
         # still be evaluated and agree with the closed form.

@@ -3,6 +3,7 @@ import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, random_case, system_states
-from kdcollide import kdq
+from kdcollide import kdq, model
 from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import collision_unitary, evolve
 from kdcollide.kdq import (
@@ -30,6 +31,7 @@ from kdcollide.model import (
     MODE_WEAK,
     ModelConfig,
     SystemStateParams,
+    _operator_stacks,
     build_ancilla,
     build_hamiltonians,
     build_system_state,
@@ -479,6 +481,101 @@ def test_stacked_kernel_matches_per_state(case, states):
             if quantity not in kdq.ZERO_SUM:
                 report = nonpositivity(dist)
                 assert witnesses[k] == [report.n_q, report.n_re, report.n_im]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_stack_matches_per_config(cfgs, rho_s, quantities, group_degenerate=False):
+    # Every slice of each config-stack part equals the one-config views bit for bit.
+    parts = _operator_stacks(cfgs)
+    assert sorted(np.concatenate([rows for rows, _ in parts]).tolist()) == list(range(len(cfgs)))
+    for rows, ops in parts:
+        assert len({(cfgs[k].omega_s == 0.0, cfgs[k].omega_a == 0.0) for k in rows}) == 1
+        assert len(rows) <= model._STACK_ROWS or len({id(cfgs[k]) for k in rows}) == 1
+        stack_u = ops.u if len(ops.cfgs) > 1 else np.repeat(ops.u[None], len(rows), axis=0)
+        for quantity, unitary in itertools.product(quantities, (None, stack_u)):
+            matrix, levels, local = kdq._kernel(quantity, rho_s[rows], ops, unitary, group_degenerate)
+            moment_stack = kdq._moments(matrix, levels)
+            witnesses = kdq._witnesses(matrix).tolist()
+            averages = None if group_degenerate else kdq._trace_average(quantity, rho_s[rows], ops, unitary)
+            for j, k in enumerate(rows):
+                cfg, rho = cfgs[k], rho_s[k]
+                own_u = None if unitary is None else collision_unitary(cfg)
+                dist = kdq_distribution(quantity, rho, cfg, own_u, group_degenerate)
+                assert_same_bits(matrix[j], dist.matrix)
+                assert_same_bits(np.broadcast_to(levels, matrix.shape[:-1])[j], dist.levels)
+                assert kdq.MomentSet(*(complex(m[j]) for m in moment_stack)) == moments(dist)
+                if quantity not in kdq.ZERO_SUM:
+                    report = nonpositivity(dist)
+                    assert witnesses[j] == [report.n_q, report.n_re, report.n_im]
+                if averages is not None:
+                    assert complex(averages[j]) == average_via_trace(quantity, rho, cfg, own_u)
+                if local is not None:
+                    n_s, n_a = local[0].shape[-1], local[1].shape[-1]
+                    for target, marginalize in ((kdq.US, marginalize_usa_to_us), (kdq.UA, marginalize_usa_to_ua)):
+                        assert_same_bits(kdq._block_sums(matrix, n_s, n_a, target)[j], marginalize(dist).matrix)
+
+
+# Zero, negative and positive frequencies, both modes, resonant and detuned.
+_MIXED_STACK = [
+    (ModelConfig(omega_s=0.0, omega_a=1.3, g=0.7, tau=0.4, beta=1.0, lam=0.1), 2),
+    (ModelConfig(omega_s=-0.8, omega_a=-0.8, g=1.1, tau=0.9, beta=0.5, lam=-0.2), 1),
+    (ModelConfig(omega_s=2.5, omega_a=0.6, g=0.5, tau=0.3, beta=2.0, lam=0.05), 3),
+    (ModelConfig(omega_s=0.7, omega_a=0.7, g=0.9, tau=0.2, beta=0.0, lam_tilde=0.5, mode=MODE_WEAK), 2),
+    (ModelConfig(omega_s=1.5, omega_a=0.0, g=0.3, tau=1.2, beta=3.0, lam=0.4), 1),
+    (ModelConfig(omega_s=-1.9, omega_a=0.4, g=1.4, tau=0.6, beta=1.5, lam_tilde=0.1, mode=MODE_WEAK), 2),
+    (ModelConfig(omega_s=-0.0, omega_a=0.9, g=0.8, tau=0.5, beta=0.7, lam_tilde=-0.3, mode=MODE_WEAK), 2),
+    (ModelConfig(omega_s=0.0, omega_a=0.0, g=1.2, tau=0.3, beta=1.0, lam=0.2), 1),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cases=st.lists(
+        st.tuples(admissible_cases(), st.lists(system_states(), min_size=1, max_size=4)), min_size=1, max_size=8
+    ),
+    data=st.data(),
+)
+def test_config_stack_matches_per_config(cases, data):
+    # Row k of the state stack is under cfgs[k]: each drawn config once per
+    # state, rows shuffled, so a config's rows need not be adjacent.  Small
+    # blocks split a config's rows across parts.
+    rows = [(cfg, state) for (cfg, _), states in cases for state in states]
+    rows = [rows[k] for k in data.draw(st.permutations(range(len(rows))))]
+    with mock.patch.object(model, "_STACK_ROWS", data.draw(st.sampled_from([1, 2, 3, 5, model._STACK_ROWS]))):
+        _assert_config_stack(rows)
+
+
+def test_config_stack_mixes_modes_signs_and_zero_frequencies():
+    rng = np.random.default_rng(5)
+    states = [SystemStateParams(0.25, 0.4, 0.7), SystemStateParams(0.9, 0.1, 2.0), SystemStateParams(0.5)]
+    rows = [(cfg, states[k % 3]) for cfg, count in _MIXED_STACK for k in range(count)]
+    _assert_config_stack([rows[k] for k in rng.permutation(len(rows))])
+    # Grouped usa: 3 joint levels at resonance, 4 off it.
+    (_, ops), = _operator_stacks([_MIXED_STACK[1][0], _MIXED_STACK[2][0]])
+    with pytest.raises(ValueError, match="one joint level count"):
+        kdq._kernel(kdq.USA, np.array([build_system_state(state) for state in states[:2]]), ops, group_degenerate=True)
+
+
+def _assert_config_stack(rows):
+    cfgs = [cfg for cfg, _ in rows]
+    rho_s = np.array([build_system_state(state) for _, state in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        assert_stack_matches_per_config(cfgs, rho_s, (kdq.US, kdq.UA, kdq.USA))
+        # The work/heat split is defined for resonant or weak configs only.
+        split = [k for k, cfg in enumerate(cfgs) if cfg.is_resonant or cfg.is_weak]
+        if split:
+            assert_stack_matches_per_config([cfgs[k] for k in split], rho_s[split], (kdq.W, kdq.Q, kdq.WS, kdq.QS))
+        # Grouped usa needs one joint level count per stack.
+        joint: dict[int, list[int]] = {}
+        for k, cfg in enumerate(cfgs):
+            joint.setdefault(len(kdq_distribution(kdq.USA, rho_s[k], cfg, group_degenerate=True).levels), []).append(k)
+        for ks in joint.values():
+            assert_stack_matches_per_config([cfgs[k] for k in ks], rho_s[ks], (kdq.USA,), group_degenerate=True)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ from numpy.testing import assert_allclose
 from conftest import admissible_cases
 from kdcollide import model
 from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
-from kdcollide.collision import evolve
+from kdcollide.collision import evolve, find_steady_state
 from kdcollide.linalg import commutator, is_density_matrix, is_hermitian, tensor, unitary_from_hamiltonian
 from kdcollide.model import (
     IDENTITY_2,
@@ -233,6 +234,35 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg_with(tau=0.0, mode=MODE_WEAK)
 
+    @pytest.mark.parametrize(
+        "kwargs, phase",
+        [
+            # |00> and |11> would pick up exp(-+i 1e310).
+            (dict(omega_s=1e10, omega_a=1e10, tau=1e300), "(omega_s + omega_a)*tau/2"),
+            # Resonant: the closed forms' phase 2 g tau overflows, (omega_s + omega_a) tau / 2 does not.
+            (dict(tau=1e308), "tau*sqrt(4*g^2 + delta^2)"),
+            (dict(omega_s=1e200, tau=0.0), "tau*sqrt(4*g^2 + delta^2)"),
+            # Weak mode: g/sqrt(tau) overflows though g*g and g*tau do not.
+            (dict(g=1e150, tau=1e-320, mode=MODE_WEAK), "tau*hypot(delta/2, g/sqrt(tau))"),
+        ],
+    )
+    def test_rejects_infinite_collision_phase(self, kwargs, phase):
+        # cos/sin/exp of the phase have no value; the config is rejected when
+        # constructed instead of failing with "math domain error" when used.
+        message = rf"^collision phase {re.escape(phase)} = (inf|nan) is not finite at tau = "
+        with pytest.raises(ValueError, match=message):
+            cfg_with(**kwargs)
+
+    def test_large_finite_phases_accepted(self):
+        cfg = cfg_with(omega_s=1e10, omega_a=1e10, tau=1e290)
+        assert np.isfinite(cfg.operators.u).all()
+        assert find_steady_state(cfg).state.shape == (2, 2)
+
+    @pytest.mark.parametrize("field", ["omega_s", "omega_a"])
+    def test_rejects_overflowing_level_splitting(self, field):
+        with pytest.raises(ValueError, match=f"^{field} = 1e\\+300 is too large: hbar\\*{field} overflows"):
+            cfg_with(**{field: 1e300, "hbar": 1e10, "tau": 0.0})
+
     def test_derived_accessors(self):
         cfg = cfg_with(3.0, tau=0.25, lam_tilde=0.3, mode=MODE_WEAK)
         assert cfg.detuning == 3.0
@@ -275,15 +305,16 @@ class TestOperatorCache:
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "custom"])
     def test_preset_builds_once_per_config(self, builds, preset, tmp_path):
         # fig1/fig2: 18 configs (three temperatures, six pulse durations), 16
-        # phases each.  The golden custom sweep: 4 lambdas x 4 phases, of
-        # which 3 lambdas make a valid config.
+        # phases each, one config at a time.  The golden custom sweep: 4
+        # lambdas x 4 phases, of which 3 lambdas make a valid config; its rows
+        # are evaluated as one config stack, which builds no `Operators`.
         out = tmp_path / f"{preset}.csv"
         if preset == "custom":
-            spec, configs = parse_config((GOLDEN / "custom.cfg").read_text(encoding="utf-8")), 3
+            spec, configs = parse_config((GOLDEN / "custom.cfg").read_text(encoding="utf-8")), 0
         else:
             spec, configs = ExperimentSpec(preset=preset, cfg=None, state=None, points=16, collisions=8), 18
         run(replace(spec, out_path=str(out)))
-        assert all(0 < n <= configs for n in builds.values()), builds
+        assert all(0 < n <= configs if configs else n == 0 for n in builds.values()), builds
 
     def test_shared_read_only_and_outside_equality(self):
         cfg = cfg_with(lam=0.2)
