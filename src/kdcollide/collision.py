@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kdq
 from .linalg import commutator, dag, partial_trace, tensor, trace_distance
-from .model import IDENTITY_2, ModelConfig
+from .model import IDENTITY_2, ModelConfig, build_hamiltonians
 
 # The fixed point is unique when S - I has a second-smallest singular value above this.
 _UNIQUENESS_BOUND = 1e-12
@@ -52,7 +52,7 @@ def bch_collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """
     if not cfg.is_weak:
         raise ValueError("bch_collide_once requires the weakly coherent mode")
-    h_sa = cfg.operators.h_sa
+    h_sa = build_hamiltonians(cfg)[3]
     joint = tensor(rho_s, cfg.operators.rho_a)
     c1 = commutator(h_sa, joint)
     c2 = commutator(h_sa, c1)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dag, group_levels, tensor
-from .model import IDENTITY_2, ModelConfig, _OperatorStack, _view
+from .model import IDENTITY_2, ModelConfig, Operators
 
 US = "us"
 UA = "ua"
@@ -172,19 +172,19 @@ def _warn(message: str) -> None:
 
 
 def _weight(
-    quantity: str, rho_s: np.ndarray, cfg: ModelConfig | _OperatorStack, unitary: np.ndarray | None
-) -> tuple[_OperatorStack, np.ndarray, np.ndarray]:
+    quantity: str, rho_s: np.ndarray, cfg: ModelConfig | Operators, unitary: np.ndarray | None
+) -> tuple[Operators, np.ndarray, np.ndarray]:
     """Validate the request; return (operators, propagator U, weighted initial operators W).
 
     ``rho_s`` is a (..., 2, 2) stack of system states and W the matching
-    (..., 4, 4) stack.  ``cfg`` is one config or a `model._OperatorStack`
+    (..., 4, 4) stack.  ``cfg`` is one config or a stack of `model.Operators`
     aligned with the leading axis of ``rho_s``.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    ops = _view(cfg) if isinstance(cfg, ModelConfig) else cfg
+    ops, cfgs = (cfg.operators, (cfg,)) if isinstance(cfg, ModelConfig) else (cfg, cfg.cfgs)
     if quantity in _WORK_HEAT:
-        for c in ops.cfgs:
+        for c in cfgs:
             _check_work_heat_regime(c)
     u = ops.u_bare if unitary is None else np.asarray(unitary, dtype=complex)
     if quantity in (US, UA, USA):
@@ -202,13 +202,13 @@ def _weight(
 def _kernel(
     quantity: str,
     rho_s: np.ndarray,
-    cfg: ModelConfig | _OperatorStack,
+    cfg: ModelConfig | Operators,
     unitary: np.ndarray | None = None,
     group_degenerate: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """KDQ matrices of a (..., 2, 2) stack of system states.
 
-    ``cfg`` is one config for every state, or a `model._OperatorStack`
+    ``cfg`` is one config for every state, or a stack of `model.Operators`
     aligned with the leading axis of ``rho_s`` (one level structure per
     stack; grouped ``usa`` also needs one joint level count).  Returns
     ``(matrix, levels, local_energies)`` with ``matrix[..., i_in, i_fin]``
@@ -336,12 +336,12 @@ def average_via_trace(
 def _trace_average(
     quantity: str,
     rho_s: np.ndarray,
-    cfg: ModelConfig | _OperatorStack,
+    cfg: ModelConfig | Operators,
     unitary: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tr[O (U W U^dag - W)] of a (..., 2, 2) stack of system states, O the quantity's signed energy.
 
-    ``cfg`` is one config or a `model._OperatorStack` aligned with the
+    ``cfg`` is one config or a stack of `model.Operators` aligned with the
     leading axis of ``rho_s``; `average_via_trace` is the view of one state.
     """
     ops, u, weight = _weight(quantity, rho_s, cfg, unitary)

@@ -1,5 +1,5 @@
 """Qubit-qubit model: Hamiltonians, ancilla and system states, closed-form propagators,
-and the operators of many configs stacked for the KDQ kernel.
+and one builder of the operators of a config or of a stack of configs.
 
 Basis convention: |0> = (1, 0)^T with sigma_z |0> = +|0>, so the level with
 index 0 has energy +hbar*omega/2.  The ancilla coherence operator chi_A is
@@ -151,8 +151,15 @@ class ModelConfig:
 
     @cached_property
     def operators(self) -> Operators:
-        """This config's `Operators`, built on first use; equality, hash and `replace` ignore it."""
-        return _build_operators(self)
+        """This config's `Operators`: the `_stack` of this one config without its config axis, read-only.
+
+        Built on first use; equality, hash and `replace` ignore it.
+        """
+        stack = _stack([self])
+        ops = Operators((), *(a[0] for a in stack[1:]))
+        for a in ops[1:]:
+            a.setflags(write=False)
+        return ops
 
 
 @dataclass(frozen=True)
@@ -235,28 +242,49 @@ def _thermal_populations(cfg: ModelConfig) -> tuple[float, float]:
     return (low, high) if x >= 0.0 else (high, low)
 
 
-@dataclass(frozen=True)
-class Operators:
-    """The operators of one config, shared by every caller and so read-only.
+# Rows per stacked part: bounds the size of the kernel's arrays (and so the
+# peak memory of long sweeps) at a small cost per part.
+_STACK_ROWS = 128
 
-    ``u`` is exp(-i H_SA tau / hbar) (`collision_unitary`), ``u_bare`` the
-    unscaled `measurement_unitary` (the same object in exact mode),
-    ``levels_*`` the `linalg.group_levels` of diag(H_S), diag(H_A) (from
-    `_local_levels`) and ``g`` the drive correction Tr_A[H_int (I (x) chi_A)].
+# The swap coupling s+ s- + s- s+ on the joint space.
+_SWAP = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)
+
+
+class Operators(NamedTuple):
+    """The operators of one config (`ModelConfig.operators`) or of a stack of configs (`_operator_stacks`).
+
+    A stack's arrays carry a leading axis aligned with the leading axis of a
+    state stack (row k under config k); one config's arrays have none,
+    broadcast over any state stack and are read-only, because every caller
+    shares them.  ``cfgs`` are the distinct configs; a config's own
+    operators list none, because a reference back to the config that caches
+    them would keep both alive until the garbage collector runs.  ``u`` is
+    the collision propagator exp(-i H_SA tau / hbar) (`collision_unitary`),
+    ``u_bare`` the unscaled `measurement_unitary` (equal to ``u`` in exact
+    mode), ``rho_a`` = ``rho_a_th`` + lambda_eff ``chi_a`` the ancilla
+    state, ``prefactor`` the coherence prefactor (shape (1, 1) per config),
+    ``h_s``/``h_a`` the local Hamiltonians, ``h_int`` the coupling
+    hbar*g*(s+ s- + s- s+), ``g`` the drive correction
+    Tr_A[H_int (I (x) chi_A)], ``levels_*`` the local levels in descending
+    order and ``index_*`` the level of each local basis state (the
+    `linalg.group_levels` of diag(H_S), diag(H_A)).
     """
 
-    h_s: np.ndarray
-    h_a: np.ndarray
-    h_int: np.ndarray
-    h_sa: np.ndarray
+    cfgs: tuple[ModelConfig, ...]
+    u: np.ndarray
+    u_bare: np.ndarray
     rho_a: np.ndarray
     rho_a_th: np.ndarray
     chi_a: np.ndarray
-    u: np.ndarray
-    u_bare: np.ndarray
-    levels_s: tuple[tuple[float, ...], np.ndarray]
-    levels_a: tuple[tuple[float, ...], np.ndarray]
+    prefactor: np.ndarray
+    h_s: np.ndarray
+    h_a: np.ndarray
+    h_int: np.ndarray
     g: np.ndarray
+    levels_s: np.ndarray
+    index_s: np.ndarray
+    levels_a: np.ndarray
+    index_a: np.ndarray
 
 
 def _swap_entries(cfg: ModelConfig, coupling: float) -> tuple[complex, complex, complex]:
@@ -294,105 +322,52 @@ def _local_levels(x: float) -> tuple[tuple[float, ...], np.ndarray]:
     return (abs(x), -abs(x)), np.array([0, 1] if x > 0.0 else [1, 0])
 
 
-def _build_operators(cfg: ModelConfig) -> Operators:
-    h_s, h_a, h_int, h_sa = build_hamiltonians(cfg)
-    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
-    u = u_bare = _swap_matrices([_swap_entries(cfg, cfg.g)])[0]
-    if cfg.is_weak:
-        u = _swap_matrices([_swap_entries(cfg, cfg.g / math.sqrt(cfg.tau))])[0]
-    (levels_s, index_s), (levels_a, index_a) = (_local_levels(0.5 * cfg.hbar * w) for w in (cfg.omega_s, cfg.omega_a))
-    # Tr_A[H_int (I (x) chi_A)] of the swap coupling with chi_A = sigma_x.
-    g = cfg.hbar * cfg.g * chi_a
-    for m in (h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, index_s, index_a, g):
-        m.setflags(write=False)
-    return Operators(
-        h_s, h_a, h_int, h_sa, rho_a, rho_a_th, chi_a, u, u_bare, (levels_s, index_s), (levels_a, index_a), g
-    )
-
-
-# Rows per stacked part: bounds the size of the kernel's arrays (and so the
-# peak memory of long sweeps) at a small cost per part.
-_STACK_ROWS = 128
-
-
-class _OperatorStack(NamedTuple):
-    """What the KDQ kernel reads of one config (`_view`) or of a stack of configs (`_operator_stacks`).
-
-    A stack's arrays carry a leading axis aligned with the leading axis of a
-    state stack (row k under config k); a single config's arrays have none
-    and broadcast over any state stack.  ``cfgs`` are the distinct configs,
-    ``u``/``u_bare`` the collision and measurement propagators,
-    ``prefactor`` the coherence prefactor (shape (M, 1, 1) in a stack),
-    ``h_s``/``h_a`` the local Hamiltonians, ``levels_*`` the local levels in
-    descending order and ``index_*`` the level of each local basis state.
-    """
-
-    cfgs: tuple[ModelConfig, ...]
-    u: np.ndarray
-    u_bare: np.ndarray
-    rho_a: np.ndarray
-    rho_a_th: np.ndarray
-    chi_a: np.ndarray
-    prefactor: float | np.ndarray
-    h_s: np.ndarray
-    h_a: np.ndarray
-    levels_s: np.ndarray
-    index_s: np.ndarray
-    levels_a: np.ndarray
-    index_a: np.ndarray
-
-
-def _view(cfg: ModelConfig) -> _OperatorStack:
-    """One config's `Operators` as the kernel reads them."""
-    ops = cfg.operators
-    (levels_s, index_s), (levels_a, index_a) = ops.levels_s, ops.levels_a
-    return _OperatorStack(
-        (cfg,), ops.u, ops.u_bare, ops.rho_a, ops.rho_a_th, ops.chi_a, cfg.kdq_coherence_prefactor,
-        ops.h_s, ops.h_a, np.array(levels_s), index_s, np.array(levels_a), index_a,
-    )
-
-
-def _stack(cfgs: list[ModelConfig]) -> _OperatorStack:
+def _stack(cfgs: list[ModelConfig]) -> Operators:
     """The operators of M configs with one local level count each, on a leading axis.
 
-    Built from `_swap_entries`, `_thermal_populations` and `_local_levels`
-    per config with the arithmetic of `Operators`, so every slice equals the
-    config's own operators bit for bit; no Hamiltonian or `Operators` is built.
+    The one operator builder: `ModelConfig.operators` is its M = 1 case.
+    Filled per config from `_swap_entries`, `_thermal_populations` and
+    `_local_levels`, with the arithmetic of `build_hamiltonians` and
+    `build_ancilla`, which it does not call.
     """
     bare = [_swap_entries(cfg, cfg.g) for cfg in cfgs]
     u = u_bare = _swap_matrices(bare)
     if any(cfg.is_weak for cfg in cfgs):
         u = _swap_matrices([_swap_entries(c, c.g / math.sqrt(c.tau)) if c.is_weak else e for c, e in zip(cfgs, bare)])
-    hbar, omega_s, omega_a, lam, prefactor = np.array(
-        [(cfg.hbar, cfg.omega_s, cfg.omega_a, cfg.lambda_eff, cfg.kdq_coherence_prefactor) for cfg in cfgs]
+    hbar, omega_s, omega_a, coupling, lam, prefactor = np.array(
+        [(cfg.hbar, cfg.omega_s, cfg.omega_a, cfg.g, cfg.lambda_eff, cfg.kdq_coherence_prefactor) for cfg in cfgs]
     ).T
+    chi_a = np.repeat(SIGMA_X[None], len(cfgs), axis=0)
     rho_a_th = np.zeros((len(cfgs), 2, 2), dtype=complex)
     rho_a_th[:, 0, 0], rho_a_th[:, 1, 1] = np.array([_thermal_populations(cfg) for cfg in cfgs]).T
-    x_s, x_a = 0.5 * hbar * omega_s, 0.5 * hbar * omega_a
+    x_s, x_a, hbar_g = 0.5 * hbar * omega_s, 0.5 * hbar * omega_a, (hbar * coupling)[:, None, None]
     (levels_s, index_s), (levels_a, index_a) = (
         (np.array([levels for levels, _ in local]), np.array([index for _, index in local]))
         for local in ([_local_levels(x) for x in xs.tolist()] for xs in (x_s, x_a))
     )
-    return _OperatorStack(
-        tuple(cfgs), u, u_bare, rho_a_th + lam[:, None, None] * SIGMA_X, rho_a_th, SIGMA_X, prefactor[:, None, None],
-        x_s[:, None, None] * SIGMA_Z, x_a[:, None, None] * SIGMA_Z, levels_s, index_s, levels_a, index_a,
+    return Operators(
+        tuple(cfgs), u, u_bare, rho_a_th + lam[:, None, None] * chi_a, rho_a_th, chi_a, prefactor[:, None, None],
+        x_s[:, None, None] * SIGMA_Z, x_a[:, None, None] * SIGMA_Z, hbar_g * _SWAP, hbar_g * chi_a,
+        levels_s, index_s, levels_a, index_a,
     )
 
 
-def _operator_stacks(cfgs: Sequence[ModelConfig]) -> list[tuple[np.ndarray, _OperatorStack]]:
+def _operator_stacks(cfgs: Sequence[ModelConfig]) -> list[tuple[np.ndarray, Operators]]:
     """The kernel's operators for a state stack whose row k is under ``cfgs[k]``.
 
-    Returns ``(rows, stack)`` parts in order of first row.  Rows under a
-    single config make one part, that config's cached `_view`.  Otherwise a
-    stack needs one level structure, and a zero frequency merges a qubit's
-    two levels, so the rows are split by which frequencies are zero, and then
-    into blocks of at most `_STACK_ROWS` rows; each block is a `_stack` of
-    its configs gathered to its rows (a `_view` if it has one config).
+    Returns ``(rows, operators)`` parts in order of first row.  Rows under a
+    single config make one part, that config's cached `ModelConfig.operators`
+    listing the config.
+    Otherwise a stack needs one level structure, and a zero frequency merges
+    a qubit's two levels, so the rows are split by which frequencies are
+    zero, and then into blocks of at most `_STACK_ROWS` rows; each block is
+    a `_stack` of its configs gathered to its rows (the config's own
+    operators, listing it, if it has one config).
     """
     ids = list(map(id, cfgs))
     distinct = dict(zip(ids, cfgs))
     if len(distinct) == 1:
-        return [(np.arange(len(ids)), _view(cfgs[0]))]
+        return [(np.arange(len(ids)), cfgs[0].operators._replace(cfgs=(cfgs[0],)))]
     shape_of = {key: (cfg.omega_s == 0.0, cfg.omega_a == 0.0) for key, cfg in distinct.items()}
     by_shape: dict[tuple[bool, bool], list[int]] = {}
     for row, key in enumerate(ids):
@@ -403,13 +378,14 @@ def _operator_stacks(cfgs: Sequence[ModelConfig]) -> list[tuple[np.ndarray, _Ope
             rows = shape_rows[start : start + _STACK_ROWS]
             members = dict.fromkeys(ids[row] for row in rows)
             if len(members) == 1:
-                parts.append((np.array(rows), _view(cfgs[rows[0]])))
+                cfg = cfgs[rows[0]]
+                parts.append((np.array(rows), cfg.operators._replace(cfgs=(cfg,))))
                 continue
             stack = _stack([distinct[key] for key in members])
             if len(rows) > len(members):
                 # Some config has several rows: gather each row's config.
                 slot = dict(zip(members, range(len(members))))
                 take = [slot[ids[row]] for row in rows]
-                stack = _OperatorStack(stack.cfgs, *(a if a is SIGMA_X else a[take] for a in stack[1:]))
+                stack = Operators(stack.cfgs, *(a[take] for a in stack[1:]))
             parts.append((np.array(rows), stack))
     return parts

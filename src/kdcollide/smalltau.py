@@ -119,12 +119,17 @@ def integrate_master_equation(
     _require_weak(cfg)
     if dt is None:
         dt = cfg.tau / 20.0
+    for name, value in (("t_final", t_final), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if dt > cfg.tau:
         raise ValueError(f"dt = {dt:.6g} exceeds the collision time tau = {cfg.tau:.6g}")
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt must be finite, got {t_final / dt!r}")
     steps = int(round(t_final / dt))
     rho = np.asarray(rho_s0, dtype=complex)
     states = [rho]

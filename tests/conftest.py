@@ -46,6 +46,12 @@ def random_case(rng, resonant=False, weak=False, coherent=True):
     return cfg, state
 
 
+def assert_same_bits(a, b):
+    """Equal dtype, shape and bytes: the arrays agree bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_density_matrix(rng, dim=2):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T

@@ -368,7 +368,7 @@ def test_resonant_closed_forms_match_kdq(case):
     # The oracle assumes two levels per qubit in sigma_z order; the kernel
     # merges the levels of a zero frequency and orders them by descending
     # energy, so entries agree only for positive ones.
-    if any(len(levels) < 2 for levels, _ in (cfg.operators.levels_s, cfg.operators.levels_a)):
+    if any(len(levels) < 2 for levels in (cfg.operators.levels_s, cfg.operators.levels_a)):
         return
     n_re, n_im = analytic.resonant_nonpositivity(cfg, state)
     report = kdq.nonpositivity(dist[kdq.US])

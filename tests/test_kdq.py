@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import admissible_cases, random_case, system_states
+from conftest import admissible_cases, assert_same_bits, random_case, system_states
 from kdcollide import kdq, model
 from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import collision_unitary, evolve
@@ -481,11 +481,6 @@ def test_stacked_kernel_matches_per_state(case, states):
             if quantity not in kdq.ZERO_SUM:
                 report = nonpositivity(dist)
                 assert witnesses[k] == [report.n_q, report.n_re, report.n_im]
-
-
-def assert_same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_stack_matches_per_config(cfgs, rho_s, quantities, group_degenerate=False):

@@ -1,19 +1,28 @@
 import math
 import re
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import admissible_cases
+from conftest import admissible_cases, assert_same_bits
 from kdcollide import model
-from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
+from kdcollide.cli import HBAR_SI, ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import evolve, find_steady_state
-from kdcollide.linalg import commutator, is_density_matrix, is_hermitian, tensor, unitary_from_hamiltonian
+from kdcollide.linalg import (
+    commutator,
+    group_levels,
+    is_density_matrix,
+    is_hermitian,
+    tensor,
+    unitary_from_hamiltonian,
+)
 from kdcollide.model import (
     IDENTITY_2,
     MODE_WEAK,
@@ -100,6 +109,35 @@ def test_closed_form_propagators_match_eigh(case):
     assert_allclose(ops.u, unitary_from_hamiltonian(h_sa, cfg.tau, cfg.hbar), rtol=0, atol=1e-14)
     bare = unitary_from_hamiltonian(bare_hamiltonian(cfg) + h_int, cfg.tau, cfg.hbar)
     assert_allclose(ops.u_bare, bare, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=admissible_cases(), si=st.booleans())
+@example(case=(fig7_config(), SystemStateParams(0.5)), si=False)
+@example(case=(replace(fig7_config(), omega_s=0.0, lam=0.0, mode=MODE_WEAK), SystemStateParams(0.5)), si=False)
+@example(case=(cfg_with(omega_s=-0.0, omega_a=0.0, tau=0.3, lam_tilde=0.2, mode=MODE_WEAK), None), si=True)
+def test_cached_operators_match_reference_builders(case, si):
+    # The one builder's cached operators against the public reference
+    # builders, bit for bit, and the levels against `group_levels`.
+    cfg, _ = case
+    if si:
+        try:
+            cfg = replace(cfg, hbar=HBAR_SI)
+        except ValueError:  # hbar*omega/2 of a tiny frequency falls below the smallest normal float
+            assume(False)
+    ops = cfg.operators
+    h_s, h_a, h_int, _ = build_hamiltonians(cfg)
+    rho_a, rho_a_th, chi_a = build_ancilla(cfg)
+    references = dict(h_s=h_s, h_a=h_a, h_int=h_int, rho_a=rho_a, rho_a_th=rho_a_th, chi_a=chi_a)
+    references["g"] = cfg.hbar * cfg.g * chi_a
+    for name, reference in references.items():
+        assert_same_bits(getattr(ops, name), reference)
+    for levels, index, h in ((ops.levels_s, ops.index_s, h_s), (ops.levels_a, ops.index_a, h_a)):
+        expected_levels, expected_index = group_levels(np.diagonal(h).real)
+        assert_same_bits(levels, np.array(expected_levels))
+        assert_same_bits(index, expected_index)
+    assert ops.cfgs == () and ops.prefactor == cfg.kdq_coherence_prefactor
+    assert not any(a.flags.writeable for a in ops[1:])
 
 
 class TestAncilla:
@@ -275,46 +313,44 @@ class TestConfigValidation:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of `build_hamiltonians` and `build_ancilla` through any kdcollide module."""
-    counts = {}
-    for name in ("build_hamiltonians", "build_ancilla"):
-        counts[name] = 0
-        build = getattr(model, name)
+    """The configs passed to `model._stack`, the one operator builder, in call order."""
+    configs = []
+    stack = model._stack
 
-        def counted(*args, _name=name, _build=build, **kwargs):
-            counts[_name] += 1
-            return _build(*args, **kwargs)
+    def counted(cfgs):
+        configs.extend(cfgs)
+        return stack(cfgs)
 
-        for key, module in list(sys.modules.items()):
-            if key.partition(".")[0] == "kdcollide" and getattr(module, name, None) is build:
-                monkeypatch.setattr(module, name, counted)
-    return counts
+    monkeypatch.setattr(model, "_stack", counted)
+    return configs
 
 
 class TestOperatorCache:
     def test_evolve_builds_once(self, builds):
         cfg = cfg_with(lam=0.2)
         evolve(build_system_state(SystemStateParams(0.25, 0.4, 1.0)), cfg, 50, thermo=True)
-        assert all(0 < n <= 1 for n in builds.values()), builds
+        assert builds == [cfg]
 
     def test_master_equation_builds_once(self, builds):
         cfg = cfg_with(tau=0.02, lam_tilde=0.25, mode=MODE_WEAK)
         integrate_master_equation(build_system_state(SystemStateParams(0.3)), cfg, 100 * 0.001, 0.001)
-        assert all(0 < n <= 1 for n in builds.values()), builds
+        assert builds == [cfg]
 
-    @pytest.mark.parametrize("preset", ["fig1", "fig2", "custom"])
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3a", "fig3b", "custom"])
     def test_preset_builds_once_per_config(self, builds, preset, tmp_path):
         # fig1/fig2: 18 configs (three temperatures, six pulse durations), 16
-        # phases each, one config at a time.  The golden custom sweep: 4
-        # lambdas x 4 phases, of which 3 lambdas make a valid config; its rows
-        # are evaluated as one config stack, which builds no `Operators`.
+        # phases each, one config at a time.  fig3a/fig3b ask the evaluator for
+        # analytic outputs only, which read no operators.  The golden custom
+        # sweep: 4 lambdas x 4 phases, of which 3 lambdas make a valid config;
+        # its rows are evaluated as one config stack.
         out = tmp_path / f"{preset}.csv"
+        configs = {"fig1": 18, "fig2": 18, "fig3a": 0, "fig3b": 0, "custom": 3}[preset]
         if preset == "custom":
-            spec, configs = parse_config((GOLDEN / "custom.cfg").read_text(encoding="utf-8")), 0
+            spec = parse_config((GOLDEN / "custom.cfg").read_text(encoding="utf-8"))
         else:
-            spec, configs = ExperimentSpec(preset=preset, cfg=None, state=None, points=16, collisions=8), 18
+            spec = ExperimentSpec(preset=preset, cfg=None, state=None, points=16, collisions=8)
         run(replace(spec, out_path=str(out)))
-        assert all(0 < n <= configs if configs else n == 0 for n in builds.values()), builds
+        assert (0 < len(builds) <= configs if configs else not builds) and len(set(builds)) == len(builds), builds
 
     def test_shared_read_only_and_outside_equality(self):
         cfg = cfg_with(lam=0.2)
@@ -327,3 +363,13 @@ class TestOperatorCache:
         assert twin.operators is not ops
         assert_allclose(twin.operators.u, ops.u, rtol=0, atol=0)
         assert SIGMA_X.flags.writeable
+
+    def test_cached_operators_free_with_their_config(self):
+        # Operators that referred back to their config would form a cycle,
+        # freed only by the garbage collector, and raise the peak memory of
+        # sweeps over many configs.
+        cfg = cfg_with(lam=0.2)
+        ops = cfg.operators
+        alive = weakref.ref(cfg)
+        del cfg
+        assert alive() is None and not ops.cfgs

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -163,6 +164,16 @@ class TestMasterEquation:
         rho0 = build_system_state(SystemStateParams(0.5))
         with pytest.raises(ValueError):
             integrate_master_equation(rho0, cfg, 1.0, dt=0.05)
+
+    @pytest.mark.parametrize(
+        "t_final, dt, name",
+        [(math.inf, None, "t_final"), (math.nan, None, "t_final"), (1.0, math.nan, "dt"), (1e308, 1e-10, "t_final / dt")],
+    )
+    def test_rejects_non_finite_times(self, t_final, dt, name):
+        # The step count int(round(t_final / dt)) has no value here.
+        rho0 = build_system_state(SystemStateParams(0.5))
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got"):
+            integrate_master_equation(rho0, weak_cfg(), t_final, dt)
 
 
 class TestOperatorApproach:
