@@ -155,8 +155,8 @@ def find_steady_state(cfg: ModelConfig, tol: float = 1e-12) -> SteadyStateResult
     resonant g*tau = omega*tau = pi, both S = I, fail) and a ``residual``
     ||rho - Phi(rho)|| <= 10*tol, with Phi applied by `collide_once`, not S.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
     # Trace preservation gives S - I's population diagonal without cancellation.
     s_minus_i = s - np.eye(4)

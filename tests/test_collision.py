@@ -279,8 +279,11 @@ class TestSteadyState:
         assert is_density_matrix(result.state)
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            find_steady_state(resonant_cfg(), tol=0.0)
+        # NaN would leave the result uncertified without a word, and +inf
+        # would certify any residual.
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {tol!r}$"):
+                find_steady_state(resonant_cfg(), tol=tol)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from conftest import random_case, random_density_matrix
-from kdcollide import kdq
+from conftest import admissible_cases, random_case, random_density_matrix, system_states
+from kdcollide import kdq, smalltau
 from kdcollide.linalg import is_hermitian, psd_floor, trace_distance
 from kdcollide.model import (
     MODE_WEAK,
@@ -36,6 +37,19 @@ def weak_cfg(**kwargs):
     )
     defaults.update(kwargs)
     return ModelConfig(**defaults)
+
+
+def rk4_reference(rho, cfg, dt, steps):
+    """Stage-by-stage classical RK4 on `master_equation_rhs`, one state per step."""
+    states = [rho]
+    for _ in range(steps):
+        k1 = master_equation_rhs(rho, cfg)
+        k2 = master_equation_rhs(rho + 0.5 * dt * k1, cfg)
+        k3 = master_equation_rhs(rho + 0.5 * dt * k2, cfg)
+        k4 = master_equation_rhs(rho + dt * k3, cfg)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(rho)
+    return states
 
 
 def manual_partial_trace_a(m):
@@ -165,6 +179,36 @@ class TestMasterEquation:
         with pytest.raises(ValueError):
             integrate_master_equation(rho0, cfg, 1.0, dt=0.05)
 
+    def test_grid_stops_at_t_final(self):
+        # 1.0 / 0.35 rounds up to 3 steps, and a third step would end at 1.05.
+        times, states = integrate_master_equation(
+            build_system_state(SystemStateParams(0.5)), weak_cfg(tau=0.5), 1.0, dt=0.35
+        )
+        assert_allclose(times, [0.0, 0.35, 0.7], rtol=0, atol=1e-15)
+        assert len(states) == 3
+
+    @pytest.mark.parametrize("tau", [0.02, 0.1, 0.37, 1.3])
+    def test_whole_step_count_is_kept(self, tau):
+        dt = tau / 20.0
+        times, states = integrate_master_equation(
+            build_system_state(SystemStateParams(0.5)), weak_cfg(tau=tau), 1000 * dt, dt
+        )
+        assert len(times) == len(states) == 1001
+        assert times[-1] == 1000 * dt
+
+    def test_generator_is_built_once(self, monkeypatch):
+        calls = []
+        rhs = smalltau.master_equation_rhs
+
+        def counted(rho_s, cfg):
+            calls.append(cfg)
+            return rhs(rho_s, cfg)
+
+        monkeypatch.setattr(smalltau, "master_equation_rhs", counted)
+        _, states = integrate_master_equation(build_system_state(SystemStateParams(0.3)), weak_cfg(), 100 * 0.001, 0.001)
+        assert len(states) == 101
+        assert len(calls) <= 4
+
     @pytest.mark.parametrize(
         "t_final, dt, name",
         [(math.inf, None, "t_final"), (math.nan, None, "t_final"), (1.0, math.nan, "dt"), (1e308, 1e-10, "t_final / dt")],
@@ -174,6 +218,21 @@ class TestMasterEquation:
         rho0 = build_system_state(SystemStateParams(0.5))
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got"):
             integrate_master_equation(rho0, weak_cfg(), t_final, dt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=admissible_cases().filter(lambda case: case[0].is_weak), state=system_states())
+def test_step_matrix_matches_stagewise_rk4(case, state):
+    cfg, _ = case
+    rho0 = build_system_state(state)
+    dt = cfg.tau / 20.0
+    times, states = integrate_master_equation(rho0, cfg, 200 * dt, dt)
+    reference = rk4_reference(np.asarray(rho0, dtype=complex), cfg, dt, 200)
+    assert len(times) == len(states) == len(reference) == 201
+    for rho, expected in zip(states, reference):
+        assert float(np.max(np.abs(rho - expected))) <= 1e-12
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert is_hermitian(rho, tol=1e-12)
 
 
 class TestOperatorApproach:
