@@ -5,6 +5,11 @@ parameters only; none of them touches the numerical collision pipeline.
 They exist to cross-validate the `kdq` and `collision` modules and to
 generate figure curves cheaply.
 
+Each formula is written once, over parameter arrays: the private functions
+take N configs and N states (`model._ConfigArrays`, `model._StateArrays`,
+row k with row k) and return arrays over N, and the public functions are
+their N = 1 views on a `ModelConfig` and a `SystemStateParams`.
+
 Conventions: the pulse area is phi = g*tau, the coherence products are
 j1 = lambda*Re[rho12] and j2 = lambda*Im[rho12], and entry arrays are
 ordered by sigma_z index (initial index major, final index minor).
@@ -13,19 +18,19 @@ two orders agree only for positive frequencies.  Resonant formulas require
 omega_s == omega_a.
 Thermal weights enter in forms that cannot overflow (tanh, or a and b
 divided by c_beta), so every formula reaches the zero-temperature limit.
+The detuned forms divide their common factor sqrt(4 g^2 + delta^2) out,
+so they neither overflow for large g or |delta| nor divide by an
+underflowed 4 g^2 at resonance.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, SystemStateParams
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # largest argument of a finite math.exp
+from .model import ModelConfig, SystemStateParams, _ConfigArrays, _StateArrays
 
 
 @dataclass(frozen=True)
@@ -51,154 +56,142 @@ class AuxiliaryFunctions:
         return math.hypot(self.a, self.b)
 
 
-def auxiliary_functions(cfg: ModelConfig, state: SystemStateParams) -> AuxiliaryFunctions:
-    """Evaluate the auxiliary shorthands for a configuration and system state.
+def _ancilla_populations(cfgs: _ConfigArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Thermal ancilla populations (e^-x, e^x)/Z_A = (1 -+ tanh x)/2, x = beta*hbar*omega_a/2."""
+    t = np.tanh(0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a)
+    return 0.5 * (1.0 - t), 0.5 * (1.0 + t)
 
-    theta uses the two-argument arctangent of (b, a) so the phase stays on
-    the branch that makes amplitude*sin(theta) = b; when both a and b vanish
-    the oscillating term has zero amplitude and theta is set to 0.
+
+def _detuned(cfgs: _ConfigArrays, states: _StateArrays):
+    """(root, g/root, delta/root, a/root, b/root, theta) of the detuned closed forms, root = sqrt(4 g^2 + delta^2).
+
+    root is formed as 2*hypot(g, delta/2), which neither overflows nor
+    underflows to 0 for a positive g.  theta uses the two-argument
+    arctangent of (b, a) so the phase stays on the branch that makes
+    amplitude*sin(theta) = b; when both a and b vanish the oscillating term
+    has zero amplitude and theta is set to 0.
     """
-    delta = cfg.detuning
-    lam = cfg.lambda_eff
-    re12 = state.r * math.cos(state.phi_c)
-    im12 = state.r * math.sin(state.phi_c)
-    y = cfg.beta * cfg.hbar * cfg.omega_a
-    c_beta = 1.0 + math.exp(y) if y <= _LOG_FLOAT_MAX else math.inf
-    root = math.sqrt(4.0 * cfg.g**2 + delta**2)
-    a = lam * im12 * root
-    b = cfg.g * (state.rho11 - _ancilla_populations(cfg)[0]) - delta * lam * re12
-    theta = math.atan2(b, a) if (a != 0.0 or b != 0.0) else 0.0
+    delta, lam = cfgs.detuning, cfgs.lambda_eff
+    root = 2.0 * np.hypot(cfgs.g, 0.5 * delta)
+    ratio, delta_ratio = cfgs.g / root, delta / root
+    re12, im12 = states.r * np.cos(states.phi_c), states.r * np.sin(states.phi_c)
+    a = lam * im12
+    b = ratio * (states.rho11 - _ancilla_populations(cfgs)[0]) - delta_ratio * lam * re12
+    theta = np.where((a != 0.0) | (b != 0.0), np.arctan2(b, a), 0.0)
+    return root, ratio, delta_ratio, a, b, theta
+
+
+def auxiliary_functions(cfg: ModelConfig, state: SystemStateParams) -> AuxiliaryFunctions:
+    """Evaluate the auxiliary shorthands for a configuration and system state (the N = 1 view of `_detuned`)."""
+    cfgs, states = cfg._arrays, state._arrays
+    root, _, _, a, b, theta = _detuned(cfgs, states)
+    with np.errstate(over="ignore"):
+        c_beta = 1.0 + np.exp(cfg.beta * cfg.hbar * cfg.omega_a)
+    lam = cfgs.lambda_eff
     return AuxiliaryFunctions(
-        c_beta=c_beta,
-        tau_tilde=cfg.tau * root,
-        a=a,
-        b=b,
-        theta=theta,
-        j1=lam * re12,
-        j2=lam * im12,
+        c_beta=float(c_beta),
+        tau_tilde=float(cfg.tau * root[0]),
+        a=float(a[0] * root[0]),
+        b=float(b[0] * root[0]),
+        theta=float(theta[0]),
+        j1=float(lam[0] * state.r * math.cos(state.phi_c)),
+        j2=float(lam[0] * state.r * math.sin(state.phi_c)),
         z_a=cfg.z_a,
     )
 
 
-def _ancilla_populations(cfg: ModelConfig) -> tuple[float, float]:
-    """Thermal ancilla populations (e^-x, e^x)/Z_A = (1 -+ tanh x)/2, x = beta*hbar*omega_a/2."""
-    t = math.tanh(0.5 * cfg.beta * cfg.hbar * cfg.omega_a)
-    return 0.5 * (1.0 - t), 0.5 * (1.0 + t)
+def _delta_e_s_prefactor(cfgs: _ConfigArrays, ratio: np.ndarray) -> np.ndarray:
+    """2 hbar g (omega_a + delta) / root^2 times root, the factor that `_detuned` divides out of a and b.
+
+    omega_a + delta is formed as omega_s, which keeps the digits that the sum
+    would cancel.
+    """
+    return 2.0 * cfgs.hbar * cfgs.omega_s * ratio
 
 
-def _resonant_pieces(cfg: ModelConfig, state: SystemStateParams):
-    if not cfg.is_resonant:
-        raise ValueError(f"resonant closed form evaluated at detuning {cfg.detuning:.6g}")
-    w_up, w_dn = _ancilla_populations(cfg)
-    phi = cfg.g * cfg.tau
-    j1 = cfg.lambda_eff * state.r * math.cos(state.phi_c)
-    j2 = cfg.lambda_eff * state.r * math.sin(state.phi_c)
-    return w_up, w_dn, phi, j1, j2
+def _delta_e_s(cfgs: _ConfigArrays, states: _StateArrays) -> np.ndarray:
+    """Average internal-energy change of the system over one collision."""
+    root, ratio, _, a, b, theta = _detuned(cfgs, states)
+    return _delta_e_s_prefactor(cfgs, ratio) * (-b - np.hypot(a, b) * np.sin(cfgs.tau * root - theta))
 
 
-def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
-    """The four internal-energy quasiprobabilities of the system at resonance.
+def _delta_e_s_envelopes(cfgs: _ConfigArrays, states: _StateArrays) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) envelope of `delta_e_s`, dropping the oscillating term."""
+    _, ratio, _, a, b, _ = _detuned(cfgs, states)
+    pre, amplitude = _delta_e_s_prefactor(cfgs, ratio), np.hypot(a, b)
+    branch_1, branch_2 = pre * (-b - amplitude), pre * (-b + amplitude)
+    return np.minimum(branch_1, branch_2), np.maximum(branch_1, branch_2)
+
+
+def _delta_e_sa(cfgs: _ConfigArrays, states: _StateArrays) -> np.ndarray:
+    """Average non-energy-preserving work over one collision."""
+    root, _, delta_ratio, a, b, theta = _detuned(cfgs, states)
+    # -4 hbar g delta / root^2 times the amplitude root*hypot(a, b).
+    half = 0.5 * cfgs.tau * root
+    return -4.0 * cfgs.hbar * cfgs.g * delta_ratio * np.hypot(a, b) * np.sin(half) * np.cos(half - theta)
+
+
+def _delta_e_sa_limit(cfgs: _ConfigArrays, states: _StateArrays) -> np.ndarray:
+    """Extreme out-of-resonance form of `delta_e_sa`; valid for |detuning| >> g
+    with either sign."""
+    half = 0.5 * cfgs.detuning * cfgs.tau
+    return 4.0 * cfgs.hbar * cfgs.g * cfgs.lambda_eff * states.r * np.sin(half) * np.sin(half - states.phi_c)
+
+
+def _resonant_pieces(cfgs: _ConfigArrays, states: _StateArrays):
+    resonant = cfgs.is_resonant
+    if not resonant.all():
+        detuning = cfgs.detuning[np.argmin(resonant)]
+        raise ValueError(f"resonant closed form evaluated at detuning {detuning:.6g}")
+    w_up, w_dn = _ancilla_populations(cfgs)
+    lam_r = cfgs.lambda_eff * states.r
+    return w_up, w_dn, cfgs.g * cfgs.tau, lam_r * np.cos(states.phi_c), lam_r * np.sin(states.phi_c)
+
+
+def _work_coherences(cfgs: _ConfigArrays, states: _StateArrays) -> tuple[np.ndarray, np.ndarray]:
+    """(j1, j2) with the quasiprobability prefactor (lambda, or lambda-tilde in the weakly coherent mode)."""
+    pref_r = cfgs.kdq_coherence_prefactor * states.r
+    return pref_r * np.cos(states.phi_c), pref_r * np.sin(states.phi_c)
+
+
+def _resonant_kdq_us(cfgs: _ConfigArrays, states: _StateArrays) -> np.ndarray:
+    """(N, 4) internal-energy quasiprobabilities of the system at resonance.
 
     Order: transitions (0->0, 0->1, 1->0, 1->1) with level 0 the upper
     sigma_z eigenstate; the corresponding stochastic values are
     (0, -hbar*omega, +hbar*omega, 0).
     """
-    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfg, state)
-    s2 = math.sin(2.0 * phi)
-    sin_sq = math.sin(phi) ** 2
-    cos_sq = math.cos(phi) ** 2
-    p0, p1 = state.rho11, 1.0 - state.rho11
-    return np.array(
-        [
-            p0 * (w_dn * cos_sq + w_up) - 0.5 * j2 * s2 + 0.5j * j1 * s2,
-            p0 * w_dn * sin_sq + 0.5 * j2 * s2 - 0.5j * j1 * s2,
-            p1 * w_up * sin_sq - 0.5 * j2 * s2 - 0.5j * j1 * s2,
-            p1 * (w_up * cos_sq + w_dn) + 0.5 * j2 * s2 + 0.5j * j1 * s2,
-        ],
-        dtype=complex,
-    )
+    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfgs, states)
+    return _thermal_entries(states, w_up, w_dn, phi) + _coherent_entries(j1, j2, phi)
 
 
-def resonant_kdq_q(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
-    """Incoherent-heat quasiprobabilities (system side): the thermal parts of
+def _resonant_kdq_q(cfgs: _ConfigArrays, states: _StateArrays) -> np.ndarray:
+    """(N, 4) incoherent-heat quasiprobabilities (system side): the thermal parts of
     `resonant_kdq_us`, real and non-negative."""
-    w_up, w_dn, phi, _, _ = _resonant_pieces(cfg, state)
-    sin_sq = math.sin(phi) ** 2
-    cos_sq = math.cos(phi) ** 2
-    p0, p1 = state.rho11, 1.0 - state.rho11
-    return np.array(
-        [
-            p0 * (w_dn * cos_sq + w_up),
-            p0 * w_dn * sin_sq,
-            p1 * w_up * sin_sq,
-            p1 * (w_up * cos_sq + w_dn),
-        ],
-        dtype=float,
+    w_up, w_dn, phi, _, _ = _resonant_pieces(cfgs, states)
+    return _thermal_entries(states, w_up, w_dn, phi)
+
+
+def _thermal_entries(states: _StateArrays, w_up: np.ndarray, w_dn: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(N, 4) thermal parts of the resonant entries, in transition order."""
+    sin_sq, cos_sq = np.sin(phi) ** 2, np.cos(phi) ** 2
+    p0, p1 = states.rho11, 1.0 - states.rho11
+    return np.stack(
+        [p0 * (w_dn * cos_sq + w_up), p0 * w_dn * sin_sq, p1 * w_up * sin_sq, p1 * (w_up * cos_sq + w_dn)], axis=-1
     )
 
 
-def resonant_kdq_w(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
-    """Coherent-work quasiprobabilities (system side); they sum to zero.
-
-    The coherence products use the quasiprobability prefactor (lambda, or
-    lambda-tilde in the weakly coherent mode).
-    """
-    _, _, phi, _, _ = _resonant_pieces(cfg, state)
-    pref = cfg.kdq_coherence_prefactor
-    j1 = pref * state.r * math.cos(state.phi_c)
-    j2 = pref * state.r * math.sin(state.phi_c)
-    s2 = math.sin(2.0 * phi)
-    return np.array(
-        [
-            -0.5 * j2 * s2 + 0.5j * j1 * s2,
-            +0.5 * j2 * s2 - 0.5j * j1 * s2,
-            -0.5 * j2 * s2 - 0.5j * j1 * s2,
-            +0.5 * j2 * s2 + 0.5j * j1 * s2,
-        ],
-        dtype=complex,
-    )
+def _coherent_entries(j1: np.ndarray, j2: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(N, 4) coherent parts of the resonant entries: (-+ j2 + i j1, ...) sin(2 phi)/2 in transition order."""
+    s2 = np.sin(2.0 * phi)
+    re, im = 0.5 * j2 * s2, 0.5 * j1 * s2
+    return np.stack([-re + 1j * im, re - 1j * im, -re - 1j * im, re + 1j * im], axis=-1)
 
 
-def delta_e_s(cfg: ModelConfig, state: SystemStateParams) -> float:
-    """Average internal-energy change of the system over one collision."""
-    aux = auxiliary_functions(cfg, state)
-    delta = cfg.detuning
-    pre = 2.0 * cfg.hbar * cfg.g * (cfg.omega_a + delta) / (4.0 * cfg.g**2 + delta**2)
-    return pre * (-aux.b - aux.amplitude * math.sin(aux.tau_tilde - aux.theta))
-
-
-def delta_e_s_envelopes(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, float]:
-    """(lower, upper) envelope of `delta_e_s`, dropping the oscillating term."""
-    aux = auxiliary_functions(cfg, state)
-    delta = cfg.detuning
-    pre = 2.0 * cfg.hbar * cfg.g * (cfg.omega_a + delta) / (4.0 * cfg.g**2 + delta**2)
-    branch_1 = pre * (-aux.b - aux.amplitude)
-    branch_2 = pre * (-aux.b + aux.amplitude)
-    return min(branch_1, branch_2), max(branch_1, branch_2)
-
-
-def delta_e_sa(cfg: ModelConfig, state: SystemStateParams) -> float:
-    """Average non-energy-preserving work over one collision."""
-    aux = auxiliary_functions(cfg, state)
-    delta = cfg.detuning
-    pre = -4.0 * cfg.hbar * cfg.g * delta / (4.0 * cfg.g**2 + delta**2)
-    half = 0.5 * aux.tau_tilde
-    return pre * aux.amplitude * math.sin(half) * math.cos(half - aux.theta)
-
-
-def delta_e_sa_limit(cfg: ModelConfig, state: SystemStateParams) -> float:
-    """Extreme out-of-resonance form of `delta_e_sa`; valid for |detuning| >> g
-    with either sign."""
-    half = 0.5 * cfg.detuning * cfg.tau
-    return (
-        4.0
-        * cfg.hbar
-        * cfg.g
-        * cfg.lambda_eff
-        * state.r
-        * math.sin(half)
-        * math.sin(half - state.phi_c)
-    )
+def _resonant_kdq_w(cfgs: _ConfigArrays, states: _StateArrays) -> np.ndarray:
+    """(N, 4) coherent-work quasiprobabilities (system side); they sum to zero."""
+    _, _, phi, _, _ = _resonant_pieces(cfgs, states)
+    return _coherent_entries(*_work_coherences(cfgs, states), phi)
 
 
 @dataclass(frozen=True)
@@ -209,57 +202,119 @@ class ResonantWorkHeatStats:
     q_variance: float
 
 
-def resonant_w_q_stats(cfg: ModelConfig, state: SystemStateParams) -> ResonantWorkHeatStats:
-    """Mean and variance of coherent work and incoherent heat at resonance.
+def _resonant_w_q_stats(cfgs: _ConfigArrays, states: _StateArrays) -> ResonantWorkHeatStats:
+    """Mean and variance of coherent work and incoherent heat at resonance, each an array over N.
 
     The work moments carry the quasiprobability prefactor; the heat moments
     are coherence-independent.
     """
-    w_up, w_dn, phi, _, _ = _resonant_pieces(cfg, state)
-    pref = cfg.kdq_coherence_prefactor
-    j1 = pref * state.r * math.cos(state.phi_c)
-    j2 = pref * state.r * math.sin(state.phi_c)
-    e = cfg.hbar * cfg.omega_a
-    s2 = math.sin(2.0 * phi)
-    sin_sq = math.sin(phi) ** 2
+    w_up, w_dn, phi, _, _ = _resonant_pieces(cfgs, states)
+    j1, j2 = _work_coherences(cfgs, states)
+    e = cfgs.hbar * cfgs.omega_a
+    s2, sin_sq = np.sin(2.0 * phi), np.sin(phi) ** 2
     w_mean = -e * j2 * s2
     w_variance = -(e**2) * s2 * (j2**2 * s2 + 1j * j1)
-    q_mean = e * sin_sq * (w_up - state.rho11)
-    q_second = e**2 * sin_sq * (w_up + state.rho11 * (w_dn - w_up))
+    q_mean = e * sin_sq * (w_up - states.rho11)
+    q_second = e**2 * sin_sq * (w_up + states.rho11 * (w_dn - w_up))
     return ResonantWorkHeatStats(w_mean, w_variance, q_mean, q_second - q_mean**2)
 
 
-def resonant_energy_stats(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, complex]:
+def _resonant_energy_stats(cfgs: _ConfigArrays, states: _StateArrays) -> tuple[np.ndarray, np.ndarray]:
     """(mean, variance) of the system internal-energy change at resonance.
 
     The variance keeps its imaginary part -i (hbar*omega)^2 j1 sin(2 phi);
     truncating it would hide the non-classical signature.
     """
-    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfg, state)
-    e = cfg.hbar * cfg.omega_a
-    s2 = math.sin(2.0 * phi)
-    sin_sq = math.sin(phi) ** 2
-    mean = -e * (state.rho11 - w_up) * sin_sq - e * j2 * s2
-    second = e**2 * sin_sq * (w_up + state.rho11 * (w_dn - w_up))
-    variance = second - 1j * e**2 * j1 * s2 - mean**2
-    return mean, variance
+    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfgs, states)
+    e = cfgs.hbar * cfgs.omega_a
+    s2, sin_sq = np.sin(2.0 * phi), np.sin(phi) ** 2
+    mean = -e * (states.rho11 - w_up) * sin_sq - e * j2 * s2
+    second = e**2 * sin_sq * (w_up + states.rho11 * (w_dn - w_up))
+    return mean, second - 1j * e**2 * j1 * s2 - mean**2
 
 
-def resonant_nonpositivity(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, float]:
+def _resonant_nonpositivity(cfgs: _ConfigArrays, states: _StateArrays) -> tuple[np.ndarray, np.ndarray]:
     """(n_re, n_im) witnesses of the resonant internal-energy distribution.
 
     n_re depends on the coherence only through j2 = lambda*Im[rho12] and
     n_im only through j1 = lambda*Re[rho12].
     """
-    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfg, state)
-    s1 = math.sin(phi)
-    s2 = math.sin(2.0 * phi)
-    c2 = math.cos(2.0 * phi)
+    w_up, w_dn, phi, j1, j2 = _resonant_pieces(cfgs, states)
+    s1, s2, c2, c1 = np.sin(phi), np.sin(2.0 * phi), np.cos(2.0 * phi), np.cos(phi)
     n_re = -1.0
     # (k, rho_k, e^(k x)/Z_A, e^(-k x)/Z_A)
-    branches = ((1.0, state.rho11, w_dn, w_up), (-1.0, 1.0 - state.rho11, w_up, w_dn))
+    branches = ((1.0, states.rho11, w_dn, w_up), (-1.0, 1.0 - states.rho11, w_up, w_dn))
     for k, rho_k, w_k, w_other in branches:
-        n_re += abs(s1) * abs(rho_k * w_k * s1 + k * j2 * math.cos(phi))
-        n_re += abs(0.5 * rho_k * (1.0 + w_other + w_k * c2) - 0.5 * k * j2 * s2)
-    n_im = 2.0 * abs(j1 * s2)
-    return n_re, n_im
+        n_re = n_re + np.abs(s1) * np.abs(rho_k * w_k * s1 + k * j2 * c1)
+        n_re = n_re + np.abs(0.5 * rho_k * (1.0 + w_other + w_k * c2) - 0.5 * k * j2 * s2)
+    return n_re, 2.0 * np.abs(j1 * s2)
+
+
+# --------------------------------------------------------------------------
+# N = 1 views
+
+
+def _view(oracle, cfg: ModelConfig, state: SystemStateParams):
+    """``oracle`` of one config and state: its arrays over N = 1 at their one row."""
+    return oracle(cfg._arrays, state._arrays)
+
+
+def delta_e_s(cfg: ModelConfig, state: SystemStateParams) -> float:
+    """Average internal-energy change of the system over one collision."""
+    return float(_view(_delta_e_s, cfg, state)[0])
+
+
+def delta_e_s_envelopes(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, float]:
+    """(lower, upper) envelope of `delta_e_s`, dropping the oscillating term."""
+    lower, upper = _view(_delta_e_s_envelopes, cfg, state)
+    return float(lower[0]), float(upper[0])
+
+
+def delta_e_sa(cfg: ModelConfig, state: SystemStateParams) -> float:
+    """Average non-energy-preserving work over one collision."""
+    return float(_view(_delta_e_sa, cfg, state)[0])
+
+
+def delta_e_sa_limit(cfg: ModelConfig, state: SystemStateParams) -> float:
+    """Extreme out-of-resonance form of `delta_e_sa`; valid for |detuning| >> g
+    with either sign."""
+    return float(_view(_delta_e_sa_limit, cfg, state)[0])
+
+
+def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
+    """The four internal-energy quasiprobabilities of the system at resonance (see `_resonant_kdq_us`)."""
+    return _view(_resonant_kdq_us, cfg, state)[0]
+
+
+def resonant_kdq_q(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
+    """Incoherent-heat quasiprobabilities (system side), real and non-negative."""
+    return _view(_resonant_kdq_q, cfg, state)[0]
+
+
+def resonant_kdq_w(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
+    """Coherent-work quasiprobabilities (system side); they sum to zero.
+
+    The coherence products use the quasiprobability prefactor (lambda, or
+    lambda-tilde in the weakly coherent mode).
+    """
+    return _view(_resonant_kdq_w, cfg, state)[0]
+
+
+def resonant_w_q_stats(cfg: ModelConfig, state: SystemStateParams) -> ResonantWorkHeatStats:
+    """Mean and variance of coherent work and incoherent heat at resonance."""
+    stats = _view(_resonant_w_q_stats, cfg, state)
+    return ResonantWorkHeatStats(
+        float(stats.w_mean[0]), complex(stats.w_variance[0]), float(stats.q_mean[0]), float(stats.q_variance[0])
+    )
+
+
+def resonant_energy_stats(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, complex]:
+    """(mean, variance) of the system internal-energy change at resonance."""
+    mean, variance = _view(_resonant_energy_stats, cfg, state)
+    return float(mean[0]), complex(variance[0])
+
+
+def resonant_nonpositivity(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, float]:
+    """(n_re, n_im) witnesses of the resonant internal-energy distribution."""
+    n_re, n_im = _view(_resonant_nonpositivity, cfg, state)
+    return float(n_re[0]), float(n_im[0])

@@ -29,12 +29,14 @@ Config files are flat ``key = value`` lines grouped in sections:
     quantities = delta_e_s, n_q_us, var_us
 
 Unknown sections or keys, a key given twice in a section and a quantity
-listed twice are errors.  A custom run builds each distinct model config of
-its sweep grid once and evaluates the rows of every config whose quantities
-are all defined in one call over the stack of configs (`_evaluate`, shared
-with fig1 to fig4).  A row that cannot be evaluated is skipped, with
-the reason of its model config, else of its state, else of the first
-quantity undefined for its config.
+listed twice are errors.  A custom run builds its sweep grid as parameter
+arrays: one row per distinct model config (`model._ConfigArrays`) and one
+per grid point (`model._StateArrays`), whose checks are masks.  It evaluates
+the rows of every config whose quantities are all defined in one call over
+the stack of configs (`_evaluate`, shared with fig1 to fig4, which computes
+each analytic output as one call of the array oracle).  A row that cannot be
+evaluated is skipped, with the reason of its model config, else of its
+state, else of the first quantity undefined for its config.
 
 Output is a deterministic CSV (17 significant digits, no timestamps) plus a
 ``<path>.meta.json`` sidecar with the run parameters; for custom runs it also
@@ -45,7 +47,6 @@ numbers in the message masked as ``<x>``).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -58,7 +59,17 @@ import numpy as np
 
 from . import __version__, analytic, kdq
 from .collision import evolve
-from .model import MODE_EXACT, MODE_WEAK, ModelConfig, SystemStateParams, _operator_stacks, build_system_state
+from .model import (
+    MODE_EXACT,
+    MODE_WEAK,
+    ModelConfig,
+    SystemStateParams,
+    _ConfigArrays,
+    _operator_stacks,
+    _StateArrays,
+    _system_states,
+    build_system_state,
+)
 
 HBAR_SI = 1.054571817e-34
 
@@ -313,19 +324,30 @@ def _kdq_quantity(name: str) -> str | None:
 
 
 def _evaluate(
-    cfgs: list[ModelConfig], states: list[SystemStateParams], rho_s: np.ndarray, outputs: tuple[str, ...]
+    cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...], which: np.ndarray | None = None
 ) -> np.ndarray:
-    """The `QUANTITY_COLUMNS` of ``outputs`` for a stack of states, state k under ``cfgs[k]``.
+    """The `QUANTITY_COLUMNS` of ``outputs`` for a stack of states, state k under config ``which[k]`` of ``cfgs``.
 
-    ``rho_s`` holds the density matrices of ``states``; row k of the result
-    is state k.  When an output reads the KDQ kernel, the configs are stacked
-    in parts by `model._operator_stacks` and each quantity takes one kernel
-    call per part; the analytic outputs alone need no operators.  Raises
-    ValueError when a quantity is undefined for a config.
+    ``which`` defaults to state k under config k; row k of the result is
+    state k.  The outputs that read the KDQ kernel stack the configs in
+    parts by `model._operator_stacks`, and each quantity takes one kernel
+    call per part; each analytic output is one oracle call over every row,
+    with no operators.  Raises ValueError when a quantity is undefined for a
+    config.
     """
-    table = np.empty((len(states), sum(len(QUANTITY_COLUMNS[name]) for name in outputs)))
-    kernel = any(_kdq_quantity(name) for name in outputs)
-    for rows, ops in _operator_stacks(cfgs) if kernel else [(np.arange(len(states)), None)]:
+    bounds = np.cumsum([0] + [len(QUANTITY_COLUMNS[name]) for name in outputs]).tolist()
+    columns = {name: slice(lo, hi) for name, lo, hi in zip(outputs, bounds[:-1], bounds[1:])}
+    table = np.empty((len(states), bounds[-1]))
+    for name in outputs:
+        if name in _ANALYTIC:
+            # Looked up on the module at each call, so that wrappers installed there see the calls.
+            oracle = getattr(analytic, "_" + name.removeprefix("analytic_"))
+            table[:, columns[name]] = np.array(oracle(cfgs if which is None else cfgs.take(which), states), ndmin=2).T
+    kernel_outputs = [name for name in outputs if name not in _ANALYTIC]
+    if not kernel_outputs:
+        return table
+    rho_s = _system_states(states)
+    for rows, ops in _operator_stacks(cfgs, which):
         kernels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         reduced: dict[tuple[str, str], tuple[np.ndarray, ...] | np.ndarray] = {}
 
@@ -339,8 +361,7 @@ def _evaluate(
                 reduced[reducer, quantity] = stack
             return reduced[reducer, quantity]
 
-        columns = []
-        for name in outputs:
+        for name in kernel_outputs:
             if name in _MEAN_QUANTITIES:
                 mean = reduce("moments", _MEAN_QUANTITIES[name])[0]
                 # Physical averages are real; a visible imaginary part means the
@@ -348,19 +369,14 @@ def _evaluate(
                 complex_rows = np.abs(mean.imag) > 1e-12 * np.maximum(1.0, np.abs(mean.real))
                 if complex_rows.any():
                     raise RuntimeError(f"expected a real average, got {complex(mean[complex_rows][0])}")
-                columns.append(mean.real)
+                values = [mean.real]
             elif name.startswith("var_"):
                 variance = reduce("moments", _kdq_quantity(name))[2]
-                columns.extend([variance.real, variance.imag])
-            elif name in _ANALYTIC:
-                # Looked up on the module at each call, so that wrappers installed there see the calls.
-                oracle = getattr(analytic, name.removeprefix("analytic_"))
-                values = np.array([oracle(cfgs[k], states[k]) for k in rows], dtype=float)
-                columns.extend(values.reshape(len(rows), -1).T)
+                values = [variance.real, variance.imag]
             else:
                 kind = name.rpartition("_")[0]
-                columns.append(reduce("witnesses", _kdq_quantity(name))[..., _WITNESSES.index(kind)])
-        table[rows] = np.array(columns).T
+                values = [reduce("witnesses", _kdq_quantity(name))[..., _WITNESSES.index(kind)]]
+            table[rows, columns[name]] = np.array(values).T
     return table
 
 
@@ -378,58 +394,48 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
         header.extend(QUANTITY_COLUMNS[name])
     n_output_cols = len(header) - len(spec.sweep) - 1
 
-    def changes(section: str, point: tuple[int, ...]) -> dict[str, float]:
-        # The swept values of one section at a grid point, under their field names.
-        fields = _FIELDS[section]
-        return {fields[name]: grid[k] for (name, grid), k in zip(spec.sweep, point) if name in fields}
-
+    # The grid position of each row on each axis, rows in row-major order.
+    sizes = [len(grid) for _, grid in spec.sweep]
+    position = np.indices(sizes, dtype=np.intp).reshape(len(sizes), math.prod(sizes))
+    axes = {section: [k for k, (name, _) in enumerate(spec.sweep) if name in _FIELDS[section]] for section in _FIELDS}
     # Rows at the same grid position on every model axis share one config (positions,
-    # not values, so that -0.0 and 0.0 stay apart).
-    points = list(itertools.product(*(range(len(grid)) for _, grid in spec.sweep)))
-    configs: dict[tuple[int, ...], list[int]] = {}
-    for i, point in enumerate(points):
-        model_point = tuple(k for (name, _), k in zip(spec.sweep, point) if name in _FIELDS["model"])
-        configs.setdefault(model_point, []).append(i)
-    reasons: dict[int, str] = {}
-    # The rows to evaluate, with their configs and states, in one stacked call.
-    kept: dict[int, tuple[ModelConfig, SystemStateParams]] = {}
-    work_heat = any(_kdq_quantity(name) in kdq._WORK_HEAT for name in spec.outputs)
-    for rows in configs.values():
-        try:
-            cfg = replace(spec.cfg, **changes("model", points[rows[0]]))
-        except ValueError as exc:
-            reasons.update(dict.fromkeys(rows, str(exc)))
-            continue
-        states: dict[int, SystemStateParams] = {}
-        for i in rows:
-            try:
-                states[i] = replace(spec.state, **changes("state", points[i]))
-            except ValueError as exc:
-                reasons[i] = str(exc)
-        if work_heat:
-            try:
-                kdq._require_work_heat_regime(cfg)
-            except ValueError as exc:
-                reasons.update(dict.fromkeys(states, str(exc)))
-                continue
-        kept.update((i, (cfg, state)) for i, state in states.items())
-    evaluated: dict[int, list[float]] = {}
-    if kept:
-        cfgs, states = zip(*kept.values())
-        rho_s = np.array([build_system_state(state) for state in states])
-        evaluated = dict(zip(kept, _evaluate(list(cfgs), list(states), rho_s, spec.outputs).tolist()))
+    # not values, so that -0.0 and 0.0 stay apart), numbered in order of first row.
+    model_sizes = [sizes[k] for k in axes["model"]]
+    which = np.zeros(position.shape[1], int)
+    if model_sizes:
+        which = np.ravel_multi_index(position[axes["model"]], model_sizes)
+    model_position = np.indices(model_sizes, dtype=np.intp).reshape(len(model_sizes), math.prod(model_sizes))
 
-    table = ResultTable(header=header)
+    def swept(section: str, positions: np.ndarray) -> dict[str, np.ndarray]:
+        # The swept values of one section at each of the positions, under their field names.
+        return {
+            _FIELDS[section][spec.sweep[k][0]]: np.array(spec.sweep[k][1])[positions[i]]
+            for i, k in enumerate(axes[section])
+        }
+
+    cfgs = spec.cfg._arrays.replace(**swept("model", model_position))
+    states = spec.state._arrays.take(np.zeros(len(which), int)).replace(**swept("state", position[axes["state"]]))
+    work_heat = any(_kdq_quantity(name) in kdq._WORK_HEAT for name in spec.outputs)
+    cfg_errors, state_errors = cfgs.errors(), states.errors()
+    regime_errors = kdq._work_heat_errors(cfgs) if work_heat else {}
+
+    def failing(errors: dict[int, str], size: int) -> np.ndarray:
+        mask = np.zeros(size, bool)
+        mask[list(errors)] = True
+        return mask
+
+    skipped = failing({**cfg_errors, **regime_errors}, len(cfgs))[which] | failing(state_errors, len(which))
+    kept = np.flatnonzero(~skipped)
+    data = np.full((len(which), n_output_cols), math.nan)
+    if len(kept):
+        data[kept] = _evaluate(cfgs, states.take(kept), spec.outputs, which[kept])
     skip_reasons: dict[str, int] = {}
-    for i, point in enumerate(points):
-        row = [grid[k] for (_, grid), k in zip(spec.sweep, point)]
-        if i in evaluated:
-            row += [0.0, *evaluated[i]]
-        else:
-            reason = _ROW_NUMBER.sub("<x>", reasons[i])
-            skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
-            row += [1.0] + [math.nan] * n_output_cols
-        table.rows.append(row)
+    for row in np.flatnonzero(skipped).tolist():
+        config = which[row]
+        reason = _ROW_NUMBER.sub("<x>", cfg_errors.get(config) or state_errors.get(row) or regime_errors[config])
+        skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
+    grid_columns = [np.array(grid)[position[k]] for k, (_, grid) in enumerate(spec.sweep)]
+    table = ResultTable(header=header, rows=np.column_stack([*grid_columns, skipped, data]).tolist())
     table.meta = {
         "preset": "custom",
         **_params_meta(spec.cfg, spec.state),
@@ -461,17 +467,18 @@ def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
     quantity = {"fig1": kdq.US, "fig2": kdq.USA}[spec.preset]
     taus = [math.pi / 36, math.pi / 18, math.pi / 12, math.pi / 9, 5 * math.pi / 36, math.pi / 6]
     betas = [5.0, 1.0, 0.2]
-    phis = np.linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False).tolist()
-    states = [SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=phi_c) for phi_c in phis]
-    rho_s = np.array([build_system_state(state) for state in states])
-    outputs = tuple(f"{kind}_{quantity}" for kind in _WITNESSES)
-    table = ResultTable(header=["beta", "tau", "phi_c", "n_q", "n_re", "n_im"])
-    for beta in betas:
-        for tau in taus:
-            cfg = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=tau, beta=beta)
-            cfg = replace(cfg, lam=cfg.lambda_max)
-            witnesses = _evaluate([cfg] * len(states), states, rho_s, outputs).tolist()
-            table.rows.extend([beta, tau, phi_c, *w] for phi_c, w in zip(phis, witnesses))
+    phis = np.linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False)
+    beta, tau = _grid(betas, np.array(taus))
+    cfgs = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=betas[0])._arrays.replace(beta=beta, tau=tau)
+    cfgs = cfgs.replace(lam=cfgs.lambda_max).checked()
+    # Row k: phase k % points under config k // points.
+    which, phase = np.divmod(np.arange(len(cfgs) * len(phis)), len(phis))
+    states = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER)._arrays.replace(phi_c=phis[phase]).checked()
+    witnesses = _evaluate(cfgs, states, tuple(f"{kind}_{quantity}" for kind in _WITNESSES), which)
+    table = ResultTable(
+        header=["beta", "tau", "phi_c", "n_q", "n_re", "n_im"],
+        rows=np.column_stack([beta[which], tau[which], phis[phase], witnesses]).tolist(),
+    )
     table.meta = {
         "preset": spec.preset,
         "quantity": quantity,
@@ -494,10 +501,14 @@ def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
-def _evaluate_state(cfgs: list[ModelConfig], state: SystemStateParams, outputs: tuple[str, ...]) -> np.ndarray:
+def _evaluate_state(cfgs: _ConfigArrays, state: SystemStateParams, outputs: tuple[str, ...]) -> np.ndarray:
     """`_evaluate` of one state under each of ``cfgs``."""
-    rho_s = np.repeat(build_system_state(state)[None], len(cfgs), axis=0)
-    return _evaluate(cfgs, [state] * len(cfgs), rho_s, outputs)
+    return _evaluate(cfgs.checked(), state._arrays.take(np.zeros(len(cfgs), int)), outputs)
+
+
+def _grid(outer: list[float], inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the product grid of two axes, the inner one varying fastest, as two columns."""
+    return np.repeat(outer, len(inner)), np.tile(inner, len(outer))
 
 
 def _preset_fig3a(spec: ExperimentSpec) -> ResultTable:
@@ -505,11 +516,11 @@ def _preset_fig3a(spec: ExperimentSpec) -> ResultTable:
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
     lam_max = base.lambda_max
     lams = [0.0, lam_max / 2.0, lam_max]
-    grid = list(itertools.product(lams, np.linspace(-20.0, 20.0, spec.points).tolist()))
-    cfgs = [replace(base, omega_s=1.0 + delta, lam=lam) for lam, delta in grid]
-    values = _evaluate_state(cfgs, state, ("analytic_delta_e_s", "analytic_delta_e_s_envelopes")).tolist()
+    lam, delta = _grid(lams, np.linspace(-20.0, 20.0, spec.points))
+    cfgs = base._arrays.replace(omega_s=1.0 + delta, lam=lam)
+    values = _evaluate_state(cfgs, state, ("analytic_delta_e_s", "analytic_delta_e_s_envelopes"))
     header = ["lambda", "delta", "delta_e_s", "envelope_lower", "envelope_upper"]
-    table = ResultTable(header, [[*point, *row] for point, row in zip(grid, values)])
+    table = ResultTable(header, np.column_stack([lam, delta, values]).tolist())
     table.meta = {
         "preset": "fig3a",
         **_params_meta(base, state),
@@ -525,11 +536,11 @@ def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
     base = ModelConfig(omega_s=21.0, omega_a=1.0, g=1.0, tau=1e-6, beta=1.0)
     lam_max = base.lambda_max
     lams = [-lam_max, -lam_max / 2.0, lam_max / 2.0, lam_max]
-    grid = list(itertools.product(lams, np.linspace(0.0, math.pi / 2.0, spec.points).tolist()))
-    cfgs = [replace(base, tau=tau, lam=lam) for lam, tau in grid]
-    values = _evaluate_state(cfgs, state, ("analytic_delta_e_sa", "analytic_delta_e_sa_limit")).tolist()
+    lam, tau = _grid(lams, np.linspace(0.0, math.pi / 2.0, spec.points))
+    cfgs = base._arrays.replace(tau=tau, lam=lam)
+    values = _evaluate_state(cfgs, state, ("analytic_delta_e_sa", "analytic_delta_e_sa_limit"))
     header = ["lambda", "tau", "delta_e_sa", "delta_e_sa_limit"]
-    table = ResultTable(header, [[*point, *row] for point, row in zip(grid, values)])
+    table = ResultTable(header, np.column_stack([lam, tau, values]).tolist())
     table.meta = {
         "preset": "fig3b",
         **_params_meta(base, state),
@@ -548,12 +559,12 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
 
-    def variances_re(cfgs: list[ModelConfig]) -> tuple[list[float], list[float]]:
+    def variances_re(cfgs: _ConfigArrays) -> tuple[list[float], list[float]]:
         var_us, var_usa = _evaluate_state(cfgs, state, ("var_us", "var_usa"))[:, ::2].T.tolist()
         return var_us, var_usa
 
     deltas = np.linspace(0.0, 20.0, spec.points)
-    var_us0, var_usa0 = variances_re([replace(base, omega_s=1.0 + float(delta)) for delta in deltas])
+    var_us0, var_usa0 = variances_re(base._arrays.replace(omega_s=1.0 + deltas))
 
     table = ResultTable(
         header=[
@@ -573,7 +584,8 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     lam_max = base.lambda_max
     lams = np.linspace(-lam_max, lam_max, spec.points)
     grid = [(delta, ref_us, ref_usa, float(lam)) for delta, ref_us, ref_usa in peaks for lam in lams]
-    var_us1, var_usa1 = variances_re([replace(base, omega_s=1.0 + delta, lam=lam) for delta, _, _, lam in grid])
+    peak_delta, lam = np.array([(delta, lam) for delta, _, _, lam in grid]).reshape(-1, 2).T
+    var_us1, var_usa1 = variances_re(base._arrays.replace(omega_s=1.0 + peak_delta, lam=lam))
     for (delta, ref_us, ref_usa, lam), v_us, v_usa in zip(grid, var_us1, var_usa1):
         table.rows.append([1.0, delta, lam, v_us, v_usa, v_us / ref_us, v_usa / ref_usa])
     table.meta = {
@@ -606,7 +618,7 @@ def _preset_fig5(spec: ExperimentSpec) -> ResultTable:
     with warnings.catch_warnings():
         # The sweep intentionally crosses the g*tau = pi/6 validity border.
         warnings.simplefilter("ignore", kdq.ValidityWarning)
-        for rows, ops in _operator_stacks([_fig56_config(float(tau)) for tau in taus]):
+        for rows, ops in _operator_stacks(_fig56_config(0.0)._arrays.replace(tau=taus).checked()):
             q[rows] = kdq._kernel(kdq.W, rho_s, ops)[0]
     # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
     w0, w_plus, w_minus = np.trace(q, axis1=-2, axis2=-1), q[:, 0, 1], q[:, 1, 0]

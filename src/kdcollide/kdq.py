@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dag, group_levels, tensor
-from .model import IDENTITY_2, ModelConfig, Operators
+from .model import IDENTITY_2, ModelConfig, Operators, _ConfigArrays
 
 US = "us"
 UA = "ua"
@@ -143,24 +143,32 @@ def measurement_unitary(cfg: ModelConfig) -> np.ndarray:
     return cfg.operators.u_bare
 
 
-def _require_work_heat_regime(cfg: ModelConfig) -> None:
-    """Raise ValueError when the coherent-work/heat split is undefined for ``cfg``."""
-    if not (cfg.is_resonant or cfg.is_weak):
-        raise ValueError(
-            "coherent-work/heat quasiprobabilities require a resonant "
-            f"interaction in exact mode (detuning {cfg.detuning:.6g})"
-        )
+_UNDEFINED = "coherent-work/heat quasiprobabilities require a resonant interaction in exact mode (detuning {:.6g})"
 
 
-def _check_work_heat_regime(cfg: ModelConfig) -> None:
-    _require_work_heat_regime(cfg)
-    if not cfg.is_resonant:
-        _warn("coherent-work/heat split off resonance is not energy-preserving")
-    if cfg.g * cfg.tau > PULSE_AREA_VALIDITY + 1e-12:
-        _warn(
-            f"pulse area g*tau = {cfg.g * cfg.tau:.4g} exceeds pi/6: "
-            "coherent work / incoherent heat enter the strong-coupling regime"
-        )
+def _work_heat_errors(cfgs: _ConfigArrays) -> dict[int, str]:
+    """Config -> why the coherent-work/heat split is undefined for it (detuned in exact mode), in row order."""
+    undefined = np.flatnonzero(~(cfgs.is_resonant | cfgs.is_weak)).tolist()
+    return {k: _UNDEFINED.format(d) for k, d in zip(undefined, cfgs.detuning[undefined].tolist())}
+
+
+def _check_work_heat_regime(cfgs: _ConfigArrays) -> None:
+    """Raise ValueError when the coherent-work/heat split is undefined for a config; warn, per config, off
+    resonance and past the pulse-area border."""
+    errors = _work_heat_errors(cfgs)
+    if errors:
+        raise ValueError(next(iter(errors.values())))
+    detuned = ~cfgs.is_resonant
+    area = cfgs.g * cfgs.tau
+    strong = area > PULSE_AREA_VALIDITY + 1e-12
+    for k in np.flatnonzero(detuned | strong).tolist():
+        if detuned[k]:
+            _warn("coherent-work/heat split off resonance is not energy-preserving")
+        if strong[k]:
+            _warn(
+                f"pulse area g*tau = {area[k].item():.4g} exceeds pi/6: "
+                "coherent work / incoherent heat enter the strong-coupling regime"
+            )
 
 
 def _warn(message: str) -> None:
@@ -182,10 +190,9 @@ def _weight(
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    ops, cfgs = (cfg.operators, (cfg,)) if isinstance(cfg, ModelConfig) else (cfg, cfg.cfgs)
+    ops, cfgs = (cfg.operators, cfg._arrays) if isinstance(cfg, ModelConfig) else (cfg, cfg.cfgs)
     if quantity in _WORK_HEAT:
-        for c in cfgs:
-            _check_work_heat_regime(c)
+        _check_work_heat_regime(cfgs)
     u = ops.u_bare if unitary is None else np.asarray(unitary, dtype=complex)
     if quantity in (US, UA, USA):
         ancilla = ops.rho_a

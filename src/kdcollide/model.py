@@ -1,19 +1,27 @@
-"""Qubit-qubit model: Hamiltonians, ancilla and system states, closed-form propagators,
-and one builder of the operators of a config or of a stack of configs.
+"""Qubit-qubit model: Hamiltonians, ancilla and system states, parameter arrays,
+closed-form propagators, and one builder of the operators of a stack of configs.
 
 Basis convention: |0> = (1, 0)^T with sigma_z |0> = +|0>, so the level with
 index 0 has energy +hbar*omega/2.  The ancilla coherence operator chi_A is
 sigma_x.
+
+A grid of configs or states is evaluated as parameter arrays
+(`_ConfigArrays`, `_StateArrays`): each field a length-M array, whose checks
+are masks over the rows.  `ModelConfig` and `SystemStateParams` are their
+one-row case: the checks, derived quantities and operator builder are
+written once, over either one object's floats or the arrays, so each check
+exists once.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,22 +49,289 @@ def partition_function(beta: float, omega: float, hbar: float = 1.0) -> float:
     return 2.0 * math.cosh(x) if abs(x) < 710.0 else math.inf
 
 
-def _require_finite(params, exclude: tuple[str, ...] = ()) -> None:
-    # Every comparison with NaN is false, so a NaN would slip through the
-    # range checks below; reject NaN and +-inf up front.
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.name not in exclude and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+def _elementwise(f: Callable[..., float], *args: np.ndarray) -> np.ndarray:
+    """``f`` of scalars applied element by element to equal-length arrays."""
+    return np.fromiter(map(f, *(a.tolist() for a in args)), float, len(args[0]))
+
+
+# Every message with which a config or state parameter is rejected, by check.
+_MESSAGES = {
+    "finite": "{name} must be finite, got {value!r}",
+    "mode": "unknown mode {value!r}",
+    "g": "coupling g must be positive",
+    "hbar": "hbar must be positive",
+    # A level energy hbar*omega/2 below the smallest normal float loses its
+    # digits or underflows to 0, merging the qubit's two levels.
+    "small": "{name} = {value!r} is too small: hbar*{name}/2 is below the smallest normal float",
+    "large": "{name} = {value!r} is too large: hbar*{name} overflows",
+    "beta": "inverse temperature beta must be non-negative",
+    "weak_tau": "weakly coherent mode requires tau > 0",
+    "tau": "collision time tau must be non-negative",
+    # The propagators and the closed forms take cos, sin and exp of the
+    # collision phases; an infinite (or NaN) one has no value there.
+    "phase": "collision phase {name} = {value!r} is not finite at tau = {tau!r}",
+    "lambda": "ancilla coherence {value:.6g} exceeds the positivity bound 1/Z_A = {bound:.6g}",
+    "rho11": "rho11 must lie in [0, 1]",
+    "r": "coherence modulus r must be non-negative",
+    "positivity": "r={value:.6g} violates positivity: r^2 must not exceed rho11*(1-rho11) = {bound:.6g}",
+}
+
+
+def _first_failures(checks: list[tuple[np.ndarray, str, dict]]) -> dict[int, str]:
+    """Row -> the message of its first failing check, for the failing rows in row order.
+
+    ``checks`` are (mask, `_MESSAGES` key, format arguments) in check order;
+    an argument that is an array is read at the row.
+    """
+    masks = np.array([mask for mask, _, _ in checks])
+    failing = np.flatnonzero(masks.any(axis=0)).tolist()
+    first = masks.argmax(axis=0)
+    errors = {}
+    for row in failing:
+        _, key, args = checks[first[row]]
+        values = {name: v[row].item() if isinstance(v, np.ndarray) else v for name, v in args.items()}
+        errors[row] = _MESSAGES[key].format(**values)
+    return errors
+
+
+def _raise_first_failure(checks) -> None:
+    """Raise ValueError with the message of the first failing check of one config's or state's floats."""
+    for failed, key, args in checks:
+        if failed:
+            raise ValueError(_MESSAGES[key].format(**args))
+
+
+# The functions behind the checks, derived quantities and operators, written
+# once over either backend: `math` on one config's or state's floats, where
+# NumPy's call overhead would make building one `ModelConfig` several times
+# slower, and NumPy on parameter arrays.  NumPy's sqrt, sin and cos give
+# `math`'s bits; its exp, cosh and hypot differ in the last ulp on a few
+# percent of arguments, so the arrays take those from `math` element by element.
+_SCALAR = SimpleNamespace(
+    isfinite=math.isfinite, logical_not=operator.not_, sqrt=math.sqrt, sin=math.sin, cos=math.cos, exp=math.exp,
+    hypot=math.hypot, maximum=max, where=lambda condition, a, b: a if condition else b, any=bool,
+    shape=lambda x: (), partition_function=partition_function,
+)
+_ARRAY = SimpleNamespace(
+    isfinite=np.isfinite, logical_not=np.logical_not, sqrt=np.sqrt, sin=np.sin, cos=np.cos,
+    exp=lambda x: _elementwise(math.exp, x), hypot=lambda x, y: _elementwise(math.hypot, x, y), maximum=np.maximum,
+    where=np.where, any=np.any, shape=np.shape,
+    partition_function=lambda *args: _elementwise(partition_function, *args),
+)
+
+
+class _ConfigQuantities:
+    """The checks and derived quantities of one config (`ModelConfig`, floats, ``_xp`` = `_SCALAR`)
+    or of M configs (`_ConfigArrays`, length-M arrays, ``_xp`` = `_ARRAY`), written once."""
+
+    _xp = _SCALAR
+
+    @property
+    def detuning(self):
+        return self.omega_s - self.omega_a
+
+    @property
+    def is_resonant(self):
+        """|detuning| <= 1e-12 * max(1, |omega_s|, |omega_a|); the package's one resonance test."""
+        scale = self._xp.maximum(self._xp.maximum(abs(self.omega_s), abs(self.omega_a)), 1.0)
+        return abs(self.detuning) <= 1e-12 * scale
+
+    @property
+    def is_weak(self):
+        return self.mode == MODE_WEAK
+
+    @property
+    def z_a(self):
+        return self._xp.partition_function(self.beta, self.omega_a, self.hbar)
+
+    @property
+    def lambda_max(self):
+        """Largest coherence magnitude keeping the ancilla state PSD."""
+        return 1.0 / self.z_a
+
+    @property
+    def lambda_eff(self):
+        """Coherence magnitude actually entering the ancilla state."""
+        return self._xp.where(self.is_weak, self.lam_tilde * self._xp.sqrt(self.tau), self.lam)
+
+    @property
+    def kdq_coherence_prefactor(self):
+        """Prefactor of the coherent-work quasiprobabilities (lam or lam_tilde)."""
+        return self._xp.where(self.is_weak, self.lam_tilde, self.lam)
+
+    def _checks(self):
+        """(failed, `_MESSAGES` key, format arguments) of each check of `ModelConfig`, in order.
+
+        Lazy, so that one config's checks stop at the first failure: a later
+        check may assume that the earlier ones passed.
+        """
+        xp = self._xp
+        for name in _ConfigArrays.FIELDS:
+            value = getattr(self, name)
+            yield xp.logical_not(xp.isfinite(value)), "finite", {"name": name, "value": value}
+        weak, tau = self.is_weak, self.tau
+        yield (self.mode != MODE_EXACT) & xp.logical_not(weak), "mode", {"value": self.mode}
+        yield self.g <= 0.0, "g", {}
+        yield self.hbar <= 0.0, "hbar", {}
+        for name in ("omega_s", "omega_a"):
+            omega = getattr(self, name)
+            args = {"name": name, "value": omega}
+            yield (omega != 0.0) & (abs(0.5 * self.hbar * omega) < sys.float_info.min), "small", args
+            yield xp.logical_not(xp.isfinite(self.hbar * omega)), "large", args
+        yield self.beta < 0.0, "beta", {}
+        yield weak & (tau <= 0.0), "weak_tau", {}
+        yield xp.logical_not(weak) & (tau < 0.0), "tau", {}
+        delta = self.detuning
+        phases = {
+            "(omega_s + omega_a)*tau/2": 0.5 * (self.omega_s + self.omega_a) * tau,
+            "tau*sqrt(4*g^2 + delta^2)": tau * xp.sqrt(4.0 * self.g * self.g + delta * delta),
+        }
+        for name, phase in phases.items():
+            yield xp.logical_not(xp.isfinite(phase)), "phase", {"name": name, "value": phase, "tau": tau}
+        # The weak propagator's phase; an exact config's tau may be 0, so it divides by 1 there.
+        phase = tau * xp.hypot(0.5 * delta, self.g / xp.sqrt(xp.where(weak, tau, 1.0)))
+        args = {"name": "tau*hypot(delta/2, g/sqrt(tau))", "value": phase, "tau": tau}
+        yield weak & xp.logical_not(xp.isfinite(phase)), "phase", args
+        lam, bound = self.lambda_eff, self.lambda_max
+        yield abs(lam) > bound + _BOUNDARY_SLACK, "lambda", {"value": lam, "bound": bound}
+
+
+class _StateQuantities:
+    """The checks of one system state (`SystemStateParams`) or of M states (`_StateArrays`), written once."""
+
+    _xp = _SCALAR
+
+    def _checks(self):
+        """(failed, `_MESSAGES` key, format arguments) of each check of `SystemStateParams`, in order; lazy."""
+        xp = self._xp
+        for name in _StateArrays.FIELDS:
+            value = getattr(self, name)
+            yield xp.logical_not(xp.isfinite(value)), "finite", {"name": name, "value": value}
+        yield xp.logical_not((0.0 <= self.rho11) & (self.rho11 <= 1.0)), "rho11", {}
+        yield self.r < 0.0, "r", {}
+        # r*r, not r**2: a float's power raises OverflowError past r ~ 1.3e154.
+        bound = self.rho11 * (1.0 - self.rho11)
+        yield self.r * self.r > bound + _BOUNDARY_SLACK, "positivity", {"value": self.r, "bound": bound}
+
+
+class _Arrays:
+    """M parameter sets, each float field a length-M array: a row of ``values``."""
+
+    FIELDS: tuple[str, ...] = ()
+    _xp = _ARRAY
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        for name, row in zip(self.FIELDS, values):
+            setattr(self, name, row)
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    @classmethod
+    def _field_values(cls, objects: Sequence) -> np.ndarray:
+        """The fields of ``objects`` as read-only rows."""
+        values = np.array([[getattr(o, name) for name in cls.FIELDS] for o in objects], dtype=float).T
+        values.setflags(write=False)
+        return values
+
+    @classmethod
+    def of(cls, objects: Sequence):
+        """The parameter arrays of one-object parameter sets, one row each."""
+        return cls(cls._field_values(objects))
+
+    def take(self, rows):
+        return type(self)(self.values[:, rows])
+
+    def replace(self, **changes):
+        """These rows with the given fields replaced, every field broadcast to one length; unchecked."""
+        return type(self)(self._replaced_values(changes))
+
+    @classmethod
+    def build(cls, **fields):
+        """Arrays of every field, each broadcast to one length; unchecked."""
+        columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(fields.pop(name), float)) for name in cls.FIELDS))
+        return cls(np.array(columns), **fields)
+
+    def _replaced_values(self, changes: dict) -> np.ndarray:
+        size = np.broadcast_shapes((len(self),), *(np.shape(v) for v in changes.values()))[0]
+        values = np.empty((len(self.FIELDS), size))
+        values[:] = self.values
+        for name, value in changes.items():
+            values[self.FIELDS.index(name)] = value
+        return values
+
+    def errors(self) -> dict[int, str]:
+        """Row -> the message with which the one-object type rejects it, for the rejected rows in row order."""
+        with np.errstate(all="ignore"):
+            return _first_failures(list(self._checks()))
+
+    def checked(self):
+        """These rows; raises the first rejected row's ValueError."""
+        if errors := self.errors():
+            raise ValueError(next(iter(errors.values())))
+        return self
+
+
+class _ConfigArrays(_Arrays, _ConfigQuantities):
+    """M model configs: each `ModelConfig` field a length-M array (``mode`` of strings).
+
+    Built unchecked: `errors` gives the rows that `ModelConfig` rejects, with
+    its message.  The checks and derived quantities are those of
+    `ModelConfig`, per row.
+    """
+
+    FIELDS = ("omega_s", "omega_a", "g", "tau", "beta", "lam", "lam_tilde", "hbar")
+
+    def __init__(self, values: np.ndarray, mode) -> None:
+        super().__init__(values)
+        self.mode = np.broadcast_to(mode, values.shape[1:])
+
+    @classmethod
+    def of(cls, cfgs: Sequence[ModelConfig]) -> _ConfigArrays:
+        return cls(cls._field_values(cfgs), np.array([cfg.mode for cfg in cfgs]))
+
+    def take(self, rows) -> _ConfigArrays:
+        return _ConfigArrays(self.values[:, rows], self.mode[rows])
+
+    def replace(self, **changes) -> _ConfigArrays:
+        mode = changes.pop("mode", self.mode)
+        return _ConfigArrays(self._replaced_values(changes), mode)
+
+
+class _StateArrays(_Arrays, _StateQuantities):
+    """M system states: each `SystemStateParams` field a length-M array.
+
+    Built unchecked: `errors` gives the rows that `SystemStateParams` rejects,
+    with its message.
+    """
+
+    FIELDS = ("rho11", "r", "phi_c")
+
+
+def _system_states(states: SystemStateParams | _StateArrays) -> np.ndarray:
+    """The density matrix of one state, or the (M, 2, 2) stack of M states.
+
+    rho12 = r * complex(cos, sin) as Python forms it: (r*cos - 0*sin) + (r*sin + 0*cos)i.
+    """
+    xp = states._xp
+    cos, sin = xp.cos(states.phi_c), xp.sin(states.phi_c)
+    re, im = states.r * cos - 0.0 * sin, states.r * sin + 0.0 * cos
+    rho = np.zeros(xp.shape(re) + (2, 2), dtype=complex)
+    rho[..., 0, 0], rho[..., 1, 1] = states.rho11, 1.0 - states.rho11
+    rho[..., 0, 1].real, rho[..., 0, 1].imag = re, im
+    rho[..., 1, 0].real, rho[..., 1, 0].imag = re, -im
+    return rho
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_ConfigQuantities):
     """Physical parameters of a single collision.
 
     ``lam`` is the ancilla coherence magnitude used in exact mode; in the
     weakly coherent mode the coherence is ``lam_tilde * sqrt(tau)`` with
-    ``lam_tilde`` carrying units of time**-1/2.
+    ``lam_tilde`` carrying units of time**-1/2.  Its checks and derived
+    quantities are those of `_ConfigArrays` (`_ConfigQuantities`), on floats.
     """
 
     omega_s: float
@@ -70,84 +345,12 @@ class ModelConfig:
     mode: str = MODE_EXACT
 
     def __post_init__(self) -> None:
-        _require_finite(self, exclude=("mode",))
-        if self.mode not in (MODE_EXACT, MODE_WEAK):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
-        for name in ("omega_s", "omega_a"):
-            # A level energy hbar*omega/2 below the smallest normal float loses
-            # its digits or underflows to 0, merging the qubit's two levels.
-            omega = getattr(self, name)
-            if omega != 0.0 and abs(0.5 * self.hbar * omega) < sys.float_info.min:
-                raise ValueError(
-                    f"{name} = {omega!r} is too small: hbar*{name}/2 is below the smallest normal float"
-                )
-            if not math.isfinite(self.hbar * omega):
-                raise ValueError(f"{name} = {omega!r} is too large: hbar*{name} overflows")
-        if self.beta < 0:
-            raise ValueError("inverse temperature beta must be non-negative")
-        if self.mode == MODE_WEAK:
-            if self.tau <= 0:
-                raise ValueError("weakly coherent mode requires tau > 0")
-        elif self.tau < 0:
-            raise ValueError("collision time tau must be non-negative")
-        # The propagators and the closed forms take cos, sin and exp of these
-        # phases; an infinite (or NaN) one has no value there.
-        phases = {
-            "(omega_s + omega_a)*tau/2": 0.5 * (self.omega_s + self.omega_a) * self.tau,
-            "tau*sqrt(4*g^2 + delta^2)": self.tau * math.sqrt(4.0 * self.g * self.g + self.detuning * self.detuning),
-        }
-        if self.mode == MODE_WEAK:
-            phases["tau*hypot(delta/2, g/sqrt(tau))"] = self.tau * math.hypot(
-                0.5 * self.detuning, self.g / math.sqrt(self.tau)
-            )
-        for name, phase in phases.items():
-            if not math.isfinite(phase):
-                raise ValueError(f"collision phase {name} = {phase!r} is not finite at tau = {self.tau!r}")
-        bound = self.lambda_max
-        if abs(self.lambda_eff) > bound + _BOUNDARY_SLACK:
-            raise ValueError(
-                f"ancilla coherence {self.lambda_eff:.6g} exceeds the "
-                f"positivity bound 1/Z_A = {bound:.6g}"
-            )
+        _raise_first_failure(self._checks())
 
-    @property
-    def detuning(self) -> float:
-        return self.omega_s - self.omega_a
-
-    @property
-    def is_resonant(self) -> bool:
-        """|detuning| <= 1e-12 * max(1, |omega_s|, |omega_a|); the package's one resonance test."""
-        scale = max(1.0, abs(self.omega_s), abs(self.omega_a))
-        return abs(self.detuning) <= 1e-12 * scale
-
-    @property
-    def is_weak(self) -> bool:
-        return self.mode == MODE_WEAK
-
-    @property
-    def z_a(self) -> float:
-        return partition_function(self.beta, self.omega_a, self.hbar)
-
-    @property
-    def lambda_max(self) -> float:
-        """Largest coherence magnitude keeping the ancilla state PSD."""
-        return 1.0 / self.z_a
-
-    @property
-    def lambda_eff(self) -> float:
-        """Coherence magnitude actually entering the ancilla state."""
-        if self.is_weak:
-            return self.lam_tilde * math.sqrt(self.tau)
-        return self.lam
-
-    @property
-    def kdq_coherence_prefactor(self) -> float:
-        """Prefactor of the coherent-work quasiprobabilities (lam or lam_tilde)."""
-        return self.lam_tilde if self.is_weak else self.lam
+    @cached_property
+    def _arrays(self) -> _ConfigArrays:
+        """This config as `_ConfigArrays` with M = 1; equality, hash and `replace` ignore it."""
+        return _ConfigArrays.of([self])
 
     @cached_property
     def operators(self) -> Operators:
@@ -155,19 +358,18 @@ class ModelConfig:
 
         Built on first use; equality, hash and `replace` ignore it.
         """
-        stack = _stack([self])
-        ops = Operators((), *(a[0] for a in stack[1:]))
+        ops = _stack(self)._replace(cfgs=())
         for a in ops[1:]:
             a.setflags(write=False)
         return ops
 
 
 @dataclass(frozen=True)
-class SystemStateParams:
+class SystemStateParams(_StateQuantities):
     """Parametrization of the system qubit state.
 
     ``rho11`` is the population of |0>, ``r * exp(i*phi_c)`` the upper-right
-    coherence.
+    coherence.  Its checks are those of `_StateArrays` (`_StateQuantities`), on floats.
     """
 
     rho11: float
@@ -175,16 +377,12 @@ class SystemStateParams:
     phi_c: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if not 0.0 <= self.rho11 <= 1.0:
-            raise ValueError("rho11 must lie in [0, 1]")
-        if self.r < 0:
-            raise ValueError("coherence modulus r must be non-negative")
-        if self.r**2 > self.rho11 * (1.0 - self.rho11) + _BOUNDARY_SLACK:
-            raise ValueError(
-                f"r={self.r:.6g} violates positivity: r^2 must not exceed "
-                f"rho11*(1-rho11) = {self.rho11 * (1.0 - self.rho11):.6g}"
-            )
+        _raise_first_failure(self._checks())
+
+    @cached_property
+    def _arrays(self) -> _StateArrays:
+        """This state as `_StateArrays` with M = 1; equality, hash and `replace` ignore it."""
+        return _StateArrays.of([self])
 
     @property
     def rho12(self) -> complex:
@@ -193,10 +391,7 @@ class SystemStateParams:
 
 def build_system_state(params: SystemStateParams) -> np.ndarray:
     """2x2 density matrix from the population/coherence parametrization."""
-    rho12 = params.rho12
-    return np.array(
-        [[params.rho11, rho12], [np.conj(rho12), 1.0 - params.rho11]], dtype=complex
-    )
+    return _system_states(params)
 
 
 def build_hamiltonians(
@@ -233,13 +428,14 @@ def build_ancilla(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return rho_a, rho_a_th, chi_a
 
 
-def _thermal_populations(cfg: ModelConfig) -> tuple[float, float]:
-    """Populations (e^-x, e^x)/Z_A of the thermal ancilla, x = beta*hbar*omega_a/2,
+def _thermal_populations(cfgs: ModelConfig | _ConfigArrays):
+    """Populations (e^-x, e^x)/Z_A of the thermal ancilla of each config, x = beta*hbar*omega_a/2,
     as logistic functions of 2x, which cannot overflow."""
-    x = 0.5 * cfg.beta * cfg.hbar * cfg.omega_a
-    t = math.exp(-2.0 * abs(x))
+    xp = cfgs._xp
+    x = 0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a
+    t = xp.exp(-2.0 * abs(x))
     low, high = t / (1.0 + t), 1.0 / (1.0 + t)
-    return (low, high) if x >= 0.0 else (high, low)
+    return xp.where(x >= 0.0, low, high), xp.where(x >= 0.0, high, low)
 
 
 # Rows per stacked part: bounds the size of the kernel's arrays (and so the
@@ -254,23 +450,23 @@ class Operators(NamedTuple):
     """The operators of one config (`ModelConfig.operators`) or of a stack of configs (`_operator_stacks`).
 
     A stack's arrays carry a leading axis aligned with the leading axis of a
-    state stack (row k under config k); one config's arrays have none,
-    broadcast over any state stack and are read-only, because every caller
-    shares them.  ``cfgs`` are the distinct configs; a config's own
-    operators list none, because a reference back to the config that caches
-    them would keep both alive until the garbage collector runs.  ``u`` is
-    the collision propagator exp(-i H_SA tau / hbar) (`collision_unitary`),
-    ``u_bare`` the unscaled `measurement_unitary` (equal to ``u`` in exact
-    mode), ``rho_a`` = ``rho_a_th`` + lambda_eff ``chi_a`` the ancilla
-    state, ``prefactor`` the coherence prefactor (shape (1, 1) per config),
-    ``h_s``/``h_a`` the local Hamiltonians, ``h_int`` the coupling
-    hbar*g*(s+ s- + s- s+), ``g`` the drive correction
-    Tr_A[H_int (I (x) chi_A)], ``levels_*`` the local levels in descending
-    order and ``index_*`` the level of each local basis state (the
-    `linalg.group_levels` of diag(H_S), diag(H_A)).
+    state stack (row k under config k); one config's arrays have none and
+    broadcast over any state stack.  ``cfgs`` are the `_ConfigArrays` of the
+    distinct configs; a config's own operators (read-only, because every
+    caller shares them) list none, because a reference back to the config
+    that caches them would keep both alive until the garbage collector runs.
+    ``u`` is the collision propagator exp(-i H_SA tau / hbar)
+    (`collision_unitary`), ``u_bare`` the unscaled `measurement_unitary`
+    (equal to ``u`` in exact mode), ``rho_a`` = ``rho_a_th`` + lambda_eff
+    ``chi_a`` the ancilla state, ``prefactor`` the coherence prefactor
+    (shape (1, 1) per config), ``h_s``/``h_a`` the local Hamiltonians,
+    ``h_int`` the coupling hbar*g*(s+ s- + s- s+), ``g`` the drive
+    correction Tr_A[H_int (I (x) chi_A)], ``levels_*`` the local levels in
+    descending order and ``index_*`` the level of each local basis state
+    (the `linalg.group_levels` of diag(H_S), diag(H_A)).
     """
 
-    cfgs: tuple[ModelConfig, ...]
+    cfgs: _ConfigArrays | tuple[()]
     u: np.ndarray
     u_bare: np.ndarray
     rho_a: np.ndarray
@@ -287,105 +483,120 @@ class Operators(NamedTuple):
     index_a: np.ndarray
 
 
-def _swap_entries(cfg: ModelConfig, coupling: float) -> tuple[complex, complex, complex]:
-    """(phase, diag, off) of exp(-i H tau / hbar) for H = H_S (x) I + I (x) H_A + hbar*coupling*(s+ s- + s- s+).
+# Where `_swap_propagators` writes each of its parts in the float view of a flat 4x4 complex matrix.
+_SWAP_PARTS = np.array([2 * (4 * i + j) + part for i, j, part in [
+    (0, 0, 0), (0, 0, 1), (3, 3, 0), (3, 3, 1), (1, 1, 0), (1, 1, 1), (2, 2, 0), (2, 2, 1), (1, 2, 1), (2, 1, 1),
+]])
 
-    The swap coupling conserves excitations: |00> and |11> pick up the phase
-    and its conjugate, and {|01>, |10>} rotates under delta/2 sigma_z +
-    coupling sigma_x at Omega = sqrt(delta^2/4 + coupling^2) > 0, giving the
-    block [[diag, off], [off, conj(diag)]].  hbar cancels.
+
+def _swap_propagators(cfgs: ModelConfig | _ConfigArrays, coupling) -> np.ndarray:
+    """exp(-i H tau / hbar) of each config, H = H_S (x) I + I (x) H_A + hbar*coupling*(s+ s- + s- s+).
+
+    4x4 for one config, (M, 4, 4) for M.  The swap coupling conserves
+    excitations: |00> and |11> pick up a phase and its conjugate, and
+    {|01>, |10>} rotates under delta/2 sigma_z + coupling sigma_x at
+    Omega = sqrt(delta^2/4 + coupling^2) > 0, giving the block
+    [[diag, off], [off, conj(diag)]].  hbar cancels.
     """
-    half_delta = 0.5 * cfg.detuning
-    omega = math.hypot(half_delta, coupling)
-    cos, sin_by_omega = math.cos(omega * cfg.tau), math.sin(omega * cfg.tau) / omega
-    phase = cmath.exp(-0.5j * (cfg.omega_s + cfg.omega_a) * cfg.tau)
-    return phase, complex(cos, -sin_by_omega * half_delta), complex(0.0, -sin_by_omega * coupling)
+    xp = cfgs._xp
+    half_delta, tau = 0.5 * cfgs.detuning, cfgs.tau
+    omega = xp.hypot(half_delta, coupling)
+    # sin(Omega tau)/Omega -> tau where Omega = 0: at resonance, once a weak coupling g/sqrt(tau) underflows.
+    rotates = omega > 0.0
+    sin_by_omega = xp.where(rotates, xp.sin(omega * tau) / xp.where(rotates, omega, 1.0), tau)
+    diag_im, off_im = -sin_by_omega * half_delta, -sin_by_omega * coupling
+    # cmath.exp(-0.5j * (omega_s + omega_a) * tau): its complex products turn a -0.0 angle into 0.0.
+    angle = -0.5 * (cfgs.omega_s + cfgs.omega_a) * tau + 0.0
+    phase_re, phase_im, diag_re = xp.cos(angle), xp.sin(angle), xp.cos(omega * tau)
+    shape = xp.shape(tau)
+    u = np.zeros(shape + (32,))
+    parts = [phase_re, phase_im, phase_re, -phase_im, diag_re, diag_im, diag_re, -diag_im, off_im, off_im]
+    u[..., _SWAP_PARTS] = np.array(parts).T
+    return u.view(complex).reshape(shape + (4, 4))
 
 
-def _swap_matrices(entries: Sequence[tuple[complex, complex, complex]]) -> np.ndarray:
-    """(M, 4, 4) propagators from M `_swap_entries`."""
-    phase, diag, off = np.array(entries, dtype=complex).reshape(-1, 3).T
-    u = np.zeros((len(phase), 4, 4), dtype=complex)
-    u[:, 0, 0], u[:, 3, 3] = phase, phase.conj()
-    u[:, 1, 1], u[:, 2, 2] = diag, diag.conj()
-    u[:, 1, 2] = u[:, 2, 1] = off
-    return u
+_SIGNS = np.array([1.0, -1.0])
+_LEVEL_ORDERS = np.array([[0, 1], [1, 0]])
 
 
-def _local_levels(x: float) -> tuple[tuple[float, ...], np.ndarray]:
-    """`linalg.group_levels` of a qubit's level energies (x, -x), x = hbar*omega/2, in closed form.
+def _local_levels(x, xp) -> tuple[np.ndarray, np.ndarray]:
+    """`linalg.group_levels` of each qubit's level energies (x, -x), x = hbar*omega/2, in closed form.
 
-    `ModelConfig` keeps 2|x| finite, so the two levels merge only at x = 0.
+    ``x`` is one value or an array that is all zeros (one merged level) or
+    has none: `ModelConfig` keeps 2|x| finite, so the two levels merge only
+    at x = 0.
     """
-    if x == 0.0:
-        return (0.0,), np.array([0, 0])
-    return (abs(x), -abs(x)), np.array([0, 1] if x > 0.0 else [1, 0])
+    if xp.any(x == 0.0):
+        return np.zeros(xp.shape(x) + (1,)), np.zeros(xp.shape(x) + (2,), dtype=int)
+    return np.multiply.outer(abs(x), _SIGNS), _LEVEL_ORDERS[xp.where(x < 0.0, 1, 0)]
 
 
-def _stack(cfgs: list[ModelConfig]) -> Operators:
-    """The operators of M configs with one local level count each, on a leading axis.
+def _matrices(x) -> np.ndarray:
+    """One value or an array of them, broadcastable against 2x2 or 4x4 matrices."""
+    return np.asarray(x)[..., None, None]
 
-    The one operator builder: `ModelConfig.operators` is its M = 1 case.
-    Filled per config from `_swap_entries`, `_thermal_populations` and
-    `_local_levels`, with the arithmetic of `build_hamiltonians` and
-    `build_ancilla`, which it does not call.
+
+def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
+    """The operators of one config, or of M configs with one local level count each on a leading axis.
+
+    The one operator builder: `ModelConfig.operators` is its one-config
+    case, computed with `math` on the config's floats.  Filled with the
+    arithmetic of `build_hamiltonians` and `build_ancilla`, which it does
+    not call.
     """
-    bare = [_swap_entries(cfg, cfg.g) for cfg in cfgs]
-    u = u_bare = _swap_matrices(bare)
-    if any(cfg.is_weak for cfg in cfgs):
-        u = _swap_matrices([_swap_entries(c, c.g / math.sqrt(c.tau)) if c.is_weak else e for c, e in zip(cfgs, bare)])
-    hbar, omega_s, omega_a, coupling, lam, prefactor = np.array(
-        [(cfg.hbar, cfg.omega_s, cfg.omega_a, cfg.g, cfg.lambda_eff, cfg.kdq_coherence_prefactor) for cfg in cfgs]
-    ).T
-    chi_a = np.repeat(SIGMA_X[None], len(cfgs), axis=0)
-    rho_a_th = np.zeros((len(cfgs), 2, 2), dtype=complex)
-    rho_a_th[:, 0, 0], rho_a_th[:, 1, 1] = np.array([_thermal_populations(cfg) for cfg in cfgs]).T
-    x_s, x_a, hbar_g = 0.5 * hbar * omega_s, 0.5 * hbar * omega_a, (hbar * coupling)[:, None, None]
-    (levels_s, index_s), (levels_a, index_a) = (
-        (np.array([levels for levels, _ in local]), np.array([index for _, index in local]))
-        for local in ([_local_levels(x) for x in xs.tolist()] for xs in (x_s, x_a))
-    )
+    xp, weak = cfgs._xp, cfgs.is_weak
+    u = u_bare = _swap_propagators(cfgs, cfgs.g)
+    if xp.any(weak):
+        scaled = _swap_propagators(cfgs, cfgs.g / xp.sqrt(xp.where(weak, cfgs.tau, 1.0)))
+        u = np.where(_matrices(weak), scaled, u_bare)
+    shape = xp.shape(cfgs.tau)
+    chi_a = np.tile(SIGMA_X, shape + (1, 1))
+    rho_a_th = np.zeros(shape + (4,), dtype=complex)
+    rho_a_th[..., 0], rho_a_th[..., 3] = _thermal_populations(cfgs)
+    rho_a_th = rho_a_th.reshape(shape + (2, 2))
+    x_s, x_a = 0.5 * cfgs.hbar * cfgs.omega_s, 0.5 * cfgs.hbar * cfgs.omega_a
+    hbar_g = _matrices(cfgs.hbar * cfgs.g)
     return Operators(
-        tuple(cfgs), u, u_bare, rho_a_th + lam[:, None, None] * chi_a, rho_a_th, chi_a, prefactor[:, None, None],
-        x_s[:, None, None] * SIGMA_Z, x_a[:, None, None] * SIGMA_Z, hbar_g * _SWAP, hbar_g * chi_a,
-        levels_s, index_s, levels_a, index_a,
+        cfgs, u, u_bare, rho_a_th + _matrices(cfgs.lambda_eff) * chi_a, rho_a_th, chi_a,
+        _matrices(cfgs.kdq_coherence_prefactor), _matrices(x_s) * SIGMA_Z, _matrices(x_a) * SIGMA_Z,
+        hbar_g * _SWAP, hbar_g * chi_a, *_local_levels(x_s, xp), *_local_levels(x_a, xp),
     )
 
 
-def _operator_stacks(cfgs: Sequence[ModelConfig]) -> list[tuple[np.ndarray, Operators]]:
-    """The kernel's operators for a state stack whose row k is under ``cfgs[k]``.
+def _one_config(cfgs: _ConfigArrays) -> Operators:
+    """The operators of a one-row `_ConfigArrays` without the config axis, listing it.
 
-    Returns ``(rows, operators)`` parts in order of first row.  Rows under a
-    single config make one part, that config's cached `ModelConfig.operators`
-    listing the config.
-    Otherwise a stack needs one level structure, and a zero frequency merges
-    a qubit's two levels, so the rows are split by which frequencies are
-    zero, and then into blocks of at most `_STACK_ROWS` rows; each block is
-    a `_stack` of its configs gathered to its rows (the config's own
-    operators, listing it, if it has one config).
+    Built on the config's floats, as `ModelConfig.operators`: for one row,
+    NumPy's call overhead makes the array path several times slower.
     """
-    ids = list(map(id, cfgs))
-    distinct = dict(zip(ids, cfgs))
-    if len(distinct) == 1:
-        return [(np.arange(len(ids)), cfgs[0].operators._replace(cfgs=(cfgs[0],)))]
-    shape_of = {key: (cfg.omega_s == 0.0, cfg.omega_a == 0.0) for key, cfg in distinct.items()}
-    by_shape: dict[tuple[bool, bool], list[int]] = {}
-    for row, key in enumerate(ids):
-        by_shape.setdefault(shape_of[key], []).append(row)
-    parts = []
-    for shape_rows in by_shape.values():
+    return ModelConfig(*cfgs.values[:, 0].tolist(), mode=cfgs.mode[0].item()).operators._replace(cfgs=cfgs)
+
+
+def _operator_stacks(cfgs: _ConfigArrays, which: np.ndarray | None = None) -> list[tuple[np.ndarray, Operators]]:
+    """The kernel's operators for a state stack whose row k is under config ``which[k]`` of ``cfgs``.
+
+    ``which`` defaults to row k under config k.  Returns ``(rows, operators)``
+    parts in order of first row.  A config with at least `_STACK_ROWS` rows
+    makes one part, its operators without the config axis.  The other rows
+    need one level structure per stack, and a zero frequency merges a
+    qubit's two levels, so they are split by which frequencies are zero, and
+    then into blocks of at most `_STACK_ROWS` rows; each block is a `_stack`
+    of its configs gathered to its rows (the config's operators if it has one).
+    """
+    which = np.arange(len(cfgs)) if which is None else np.asarray(which)
+    counts = np.bincount(which, minlength=len(cfgs))
+    parts = [(np.flatnonzero(which == c), _one_config(cfgs.take([c]))) for c in np.flatnonzero(counts >= _STACK_ROWS)]
+    rest = np.flatnonzero(counts[which] < _STACK_ROWS)
+    shape = ((cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0))[which[rest]]
+    for key in dict.fromkeys(shape.tolist()):
+        shape_rows = rest[shape == key]
         for start in range(0, len(shape_rows), _STACK_ROWS):
             rows = shape_rows[start : start + _STACK_ROWS]
-            members = dict.fromkeys(ids[row] for row in rows)
+            members, slot = np.unique(which[rows], return_inverse=True)
             if len(members) == 1:
-                cfg = cfgs[rows[0]]
-                parts.append((np.array(rows), cfg.operators._replace(cfgs=(cfg,))))
-                continue
-            stack = _stack([distinct[key] for key in members])
-            if len(rows) > len(members):
-                # Some config has several rows: gather each row's config.
-                slot = dict(zip(members, range(len(members))))
-                take = [slot[ids[row]] for row in rows]
-                stack = Operators(stack.cfgs, *(a[take] for a in stack[1:]))
-            parts.append((np.array(rows), stack))
-    return parts
+                stack = _one_config(cfgs.take(members))
+            else:
+                stack = _stack(cfgs.take(members))
+                stack = Operators(stack.cfgs, *(a[slot] for a in stack[1:]))
+            parts.append((rows, stack))
+    return sorted(parts, key=lambda part: part[0][0])

@@ -7,21 +7,22 @@ from configuration problems.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from collections.abc import Iterable
-from dataclasses import replace
 
 import numpy as np
 
 from . import analytic, kdq
 from .collision import bch_collide_once, collide_once, evolve
 from .model import (
+    MODE_EXACT,
     MODE_WEAK,
     ModelConfig,
     SystemStateParams,
+    _ConfigArrays,
     _operator_stacks,
+    _StateArrays,
+    _system_states,
     build_system_state,
     partition_function,
 )
@@ -30,30 +31,42 @@ from .model import (
 # Random draws evaluated together; bounds the memory a check holds at once.
 _DRAWS_HELD = 100
 
+# The parameters of one random draw in the order it takes them from the rng,
+# with their bounds; delta is drawn for detuned draws only, and lambda and r
+# are bounded by lambda_max and r_max of the draw.
+_DRAWN = ("omega_a", "delta", "g", "tau", "beta", "lam", "rho11", "r", "phi_c")
 
-def random_parameters(rng: np.random.Generator, resonant: bool, weak: bool = False):
-    """One random constraint-respecting (config, state) pair."""
-    omega_a = rng.uniform(0.3, 2.0)
-    delta = 0.0 if resonant else rng.uniform(-20.0, 20.0)
-    g = rng.uniform(0.3, 2.0)
-    tau = rng.uniform(0.02, 1.5)
-    beta = rng.uniform(0.05, 4.0)
-    cfg = ModelConfig(
-        omega_s=omega_a + delta, omega_a=omega_a, g=g, tau=tau, beta=beta,
-        mode=MODE_WEAK if weak else "exact",
+
+def random_parameters(rng: np.random.Generator, resonant: np.ndarray) -> tuple[_ConfigArrays, _StateArrays]:
+    """Random constraint-respecting (configs, states), one draw per entry of ``resonant`` (detuned where false).
+
+    One `rng.uniform` call gives every draw's doubles, in the order in which
+    drawing the parameters one at a time would take them; a double u maps to
+    low + (high - low) * u, which is what `rng.uniform(low, high)` returns
+    for it.  (A draw with r_max = 0 would have skipped its r; rho11 = 0
+    exactly has probability 2^-53.)
+    """
+    resonant = np.asarray(resonant, bool)
+    counts = len(_DRAWN) - resonant
+    first = np.cumsum(counts) - counts
+    u = rng.uniform(size=int(counts.sum()))
+
+    def draw(name: str, low, high) -> np.ndarray:
+        k = _DRAWN.index(name)
+        return low + (high - low) * u[first + k - (resonant & (k > 1))]
+
+    omega_a = draw("omega_a", 0.3, 2.0)
+    delta = np.where(resonant, 0.0, draw("delta", -20.0, 20.0))
+    cfgs = _ConfigArrays.build(
+        omega_s=omega_a + delta, omega_a=omega_a, g=draw("g", 0.3, 2.0), tau=draw("tau", 0.02, 1.5),
+        beta=draw("beta", 0.05, 4.0), lam=0.0, lam_tilde=0.0, hbar=1.0, mode=MODE_EXACT,
     )
-    lam = rng.uniform(-cfg.lambda_max, cfg.lambda_max)
-    if weak:
-        cfg = replace(cfg, lam_tilde=lam / math.sqrt(tau))
-    else:
-        cfg = replace(cfg, lam=lam)
-    rho11 = rng.uniform(0.0, 1.0)
-    r_max = math.sqrt(rho11 * (1.0 - rho11))
-    state = SystemStateParams(
-        rho11=rho11, r=rng.uniform(0.0, r_max) if r_max > 0 else 0.0,
-        phi_c=rng.uniform(0.0, 2.0 * math.pi),
-    )
-    return cfg, state
+    lam_max = cfgs.lambda_max
+    cfgs = cfgs.replace(lam=draw("lam", -lam_max, lam_max)).checked()
+    rho11 = draw("rho11", 0.0, 1.0)
+    r_max = np.sqrt(rho11 * (1.0 - rho11))
+    states = _StateArrays.build(rho11=rho11, r=draw("r", 0.0, r_max), phi_c=draw("phi_c", 0.0, 2.0 * math.pi))
+    return cfgs, states.checked()
 
 
 def _check_lambda_max() -> float:
@@ -64,17 +77,19 @@ def _check_lambda_max() -> float:
     return worst
 
 
-def _stacks(pairs: Iterable[tuple[ModelConfig, SystemStateParams]]):
-    """(pairs, operator stack, state stack) per part of `model._operator_stacks` over (config, state) pairs.
+def _stacks(rng: np.random.Generator, resonant, draws: int, classical: bool = False):
+    """(configs, states, operator stack, state stack) per part of `model._operator_stacks` over random draws.
 
-    The pairs are taken `_DRAWS_HELD` at a time, so that lazily drawn pairs
-    never all sit in memory at once.
+    Draws `_DRAWS_HELD` at a time, draw k resonant where ``resonant(k)``;
+    ``classical`` removes the coherence of ancilla and system.
     """
-    pairs = iter(pairs)
-    while batch := list(itertools.islice(pairs, _DRAWS_HELD)):
-        rho_s = np.array([build_system_state(state) for _, state in batch])
-        for rows, ops in _operator_stacks([cfg for cfg, _ in batch]):
-            yield [batch[k] for k in rows], ops, rho_s[rows]
+    for start in range(0, draws, _DRAWS_HELD):
+        cfgs, states = random_parameters(rng, [resonant(k) for k in range(start, min(start + _DRAWS_HELD, draws))])
+        if classical:
+            cfgs, states = cfgs.replace(lam=0.0), _StateArrays.build(rho11=states.rho11, r=0.0, phi_c=0.0)
+        rho_s = _system_states(states)
+        for rows, ops in _operator_stacks(cfgs):
+            yield cfgs.take(rows), states.take(rows), ops, rho_s[rows]
 
 
 def _deviation(numeric: np.ndarray, expected) -> float:
@@ -84,62 +99,62 @@ def _deviation(numeric: np.ndarray, expected) -> float:
 
 def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
     worst = 0.0
-    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=(k % 2 == 0)) for k in range(draws)):
+    for cfgs, _, ops, rho_s in _stacks(rng, lambda k: k % 2 == 0, draws):
         for quantity in (kdq.US, kdq.UA, kdq.USA):
             worst = max(worst, _deviation(kdq._kernel(quantity, rho_s, ops)[0].sum(axis=(-2, -1)), 1.0))
         # Heat sums to 1 and work to 0 where the split is defined.
-        for _, resonant_ops, resonant_rho_s in _stacks([(cfg, state) for cfg, state in pairs if cfg.is_resonant]):
+        resonant = np.flatnonzero(cfgs.is_resonant)
+        for rows, resonant_ops in _operator_stacks(cfgs.take(resonant)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", kdq.ValidityWarning)
                 for quantity, total in ((kdq.Q, 1.0), (kdq.W, 0.0)):
-                    matrix = kdq._kernel(quantity, resonant_rho_s, resonant_ops)[0]
+                    matrix = kdq._kernel(quantity, rho_s[resonant[rows]], resonant_ops)[0]
                     worst = max(worst, _deviation(matrix.sum(axis=(-2, -1)), total))
     return worst
 
 
 def _check_oracle_resonant(rng: np.random.Generator, draws: int = 200) -> float:
     worst = 0.0
-    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=True) for _ in range(draws)):
+    for cfgs, states, ops, rho_s in _stacks(rng, lambda k: True, draws):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", kdq.ValidityWarning)
             kernels = {q: kdq._kernel(q, rho_s, ops)[:2] for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
         for quantity, oracle in (
-            (kdq.US, analytic.resonant_kdq_us), (kdq.QS, analytic.resonant_kdq_q), (kdq.WS, analytic.resonant_kdq_w),
+            (kdq.US, analytic._resonant_kdq_us), (kdq.QS, analytic._resonant_kdq_q), (kdq.WS, analytic._resonant_kdq_w),
         ):
-            quasiprobs = kernels[quantity][0].reshape(len(pairs), -1)
-            worst = max(worst, _deviation(quasiprobs, [oracle(cfg, state) for cfg, state in pairs]))
+            quasiprobs = kernels[quantity][0].reshape(len(states), -1)
+            worst = max(worst, _deviation(quasiprobs, oracle(cfgs, states)))
 
         mean, _, variance = kdq._moments(*kernels[kdq.US])
-        expected = [analytic.resonant_energy_stats(cfg, state) for cfg, state in pairs]
-        worst = max(worst, _deviation(mean, [m for m, _ in expected]), _deviation(variance, [v for _, v in expected]))
+        expected_mean, expected_variance = analytic._resonant_energy_stats(cfgs, states)
+        worst = max(worst, _deviation(mean, expected_mean), _deviation(variance, expected_variance))
 
-        stats = [analytic.resonant_w_q_stats(cfg, state) for cfg, state in pairs]
+        stats = analytic._resonant_w_q_stats(cfgs, states)
         for quantity in (kdq.W, kdq.Q):
             mean, _, variance = kdq._moments(*kernels[quantity])
             worst = max(
                 worst,
-                _deviation(mean, [getattr(s, f"{quantity}_mean") for s in stats]),
-                _deviation(variance, [getattr(s, f"{quantity}_variance") for s in stats]),
+                _deviation(mean, getattr(stats, f"{quantity}_mean")),
+                _deviation(variance, getattr(stats, f"{quantity}_variance")),
             )
 
         witnesses = kdq._witnesses(kernels[kdq.US][0])
-        expected = np.array([analytic.resonant_nonpositivity(cfg, state) for cfg, state in pairs])
-        worst = max(worst, _deviation(witnesses[:, 1:], expected))
+        worst = max(worst, _deviation(witnesses[:, 1:], np.array(analytic._resonant_nonpositivity(cfgs, states)).T))
     return worst
 
 
 def _check_oracle_detuned(rng: np.random.Generator, draws: int = 200) -> float:
     worst = 0.0
-    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=False) for _ in range(draws)):
-        for quantity, oracle in ((kdq.US, analytic.delta_e_s), (kdq.USA, analytic.delta_e_sa)):
+    for cfgs, states, ops, rho_s in _stacks(rng, lambda k: False, draws):
+        for quantity, oracle in ((kdq.US, analytic._delta_e_s), (kdq.USA, analytic._delta_e_sa)):
             average = kdq._trace_average(quantity, rho_s, ops).real
-            worst = max(worst, _deviation(average, [oracle(cfg, state) for cfg, state in pairs]))
+            worst = max(worst, _deviation(average, oracle(cfgs, states)))
     return worst
 
 
 def _check_marginalization(rng: np.random.Generator, draws: int = 50) -> float:
     worst = 0.0
-    for pairs, ops, rho_s in _stacks(random_parameters(rng, resonant=False) for _ in range(draws)):
+    for _, _, ops, rho_s in _stacks(rng, lambda k: False, draws):
         usa, _, (levels_s, levels_a) = kdq._kernel(kdq.USA, rho_s, ops)
         for quantity in (kdq.US, kdq.UA):
             marginal = kdq._block_sums(usa, levels_s.shape[-1], levels_a.shape[-1], quantity)
@@ -148,11 +163,8 @@ def _check_marginalization(rng: np.random.Generator, draws: int = 50) -> float:
 
 
 def _check_tpm_limit(rng: np.random.Generator, draws: int = 50) -> float:
-    def classical(cfg: ModelConfig, state: SystemStateParams) -> tuple[ModelConfig, SystemStateParams]:
-        return replace(cfg, lam=0.0), SystemStateParams(rho11=state.rho11, r=0.0)
-
     worst = 0.0
-    for _, ops, rho_s in _stacks(classical(*random_parameters(rng, resonant=False)) for _ in range(draws)):
+    for _, _, ops, rho_s in _stacks(rng, lambda k: False, draws, classical=True):
         for quantity in (kdq.US, kdq.UA, kdq.USA):
             worst = max(worst, _deviation(kdq._witnesses(kdq._kernel(quantity, rho_s, ops)[0]), 0.0))
     return worst
@@ -160,9 +172,12 @@ def _check_tpm_limit(rng: np.random.Generator, draws: int = 50) -> float:
 
 def _check_first_law(rng: np.random.Generator, draws: int = 25) -> float:
     worst = 0.0
-    for _ in range(draws):
-        cfg, state = random_parameters(rng, resonant=False)
-        trajectory = evolve(build_system_state(state), cfg, 4, thermo=True)
+    # `evolve` takes one config at a time.
+    cfgs, states = random_parameters(rng, np.zeros(draws, bool))
+    rho_s = _system_states(states)
+    for k in range(draws):
+        cfg = ModelConfig(*cfgs.values[:, k].tolist())
+        trajectory = evolve(rho_s[k], cfg, 4, thermo=True)
         for record in trajectory.per_step:
             worst = max(worst, abs(record.delta_e_s + record.delta_e_a - record.delta_e_sa))
     return worst

@@ -1,15 +1,18 @@
 import math
 import warnings
 from dataclasses import astuple
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, random_case
-from kdcollide import analytic, kdq
-from kdcollide.model import ModelConfig, SystemStateParams, build_system_state
+from kdcollide import analytic, kdq, model
+from kdcollide.model import MODE_WEAK, ModelConfig, SystemStateParams, build_system_state
 
 
 def resonant_cfg(**kwargs):
@@ -380,3 +383,189 @@ def test_resonant_closed_forms_match_kdq(case):
             (kdq.WS, analytic.resonant_kdq_w),
         ):
             assert np.max(np.abs(dist[quantity].quasiprobs() - oracle(cfg, state))) <= 1e-10
+
+
+# --------------------------------------------------------------------------
+# the array oracle against 50-digit references
+
+
+def reference(cfg, state):
+    """Name -> (value, error scale) of each closed form at 50 digits, from the exact floats of ``cfg`` and ``state``.
+
+    ``cfg`` is a `ModelConfig` or any object with its fields.
+
+    The formulas in the form they are stated in, with sqrt(4 g^2 + delta^2)
+    and the thermal weights (1 -+ tanh x)/2.  An error scale is the size of
+    the terms whose rounding reaches the value, so that a value near zero
+    from cancellation is judged by its terms.
+    """
+    mp = mpmath
+    with mp.workdps(50):
+        ws, wa, g, tau, beta, lam_exact, lam_tilde, hbar = (
+            mp.mpf(getattr(cfg, name)) for name in model._ConfigArrays.FIELDS
+        )
+        rho11, r, phi_c = mp.mpf(state.rho11), mp.mpf(state.r), mp.mpf(state.phi_c)
+        lam, pref = (lam_tilde * mp.sqrt(tau), lam_tilde) if cfg.mode == MODE_WEAK else (lam_exact, lam_exact)
+        delta = ws - wa
+        t = mp.tanh(beta * hbar * wa / 2)
+        w_up, w_dn = (1 - t) / 2, (1 + t) / 2
+        re12, im12 = r * mp.cos(phi_c), r * mp.sin(phi_c)
+        root = mp.sqrt(4 * g**2 + delta**2)
+        a, b = lam * im12 * root, g * (rho11 - w_up) - delta * lam * re12
+        theta = mp.atan2(b, a) if (a or b) else mp.mpf(0)
+        amp, phase = mp.hypot(a, b), tau * root
+        # The terms of a and b (w_up = (1 - tanh x)/2 rounds on the scale of 1)
+        # and the phase error of the oscillation.
+        terms = g * (rho11 + 1) + abs(delta * lam * re12) + abs(a) + amp * (1 + phase + abs(theta))
+        pre = 2 * hbar * g * ws / root**2  # omega_a + delta, which cancels digits even at 50
+        pre_sa = -4 * hbar * g * delta / root**2
+        branches = sorted([pre * (-b - amp), pre * (-b + amp)])
+        half = delta * tau / 2
+        values = {
+            "delta_e_s": (pre * (-b - amp * mp.sin(phase - theta)), abs(pre) * terms),
+            "delta_e_s_lower": (branches[0], abs(pre) * terms),
+            "delta_e_s_upper": (branches[1], abs(pre) * terms),
+            "delta_e_sa": (pre_sa * amp * mp.sin(phase / 2) * mp.cos(phase / 2 - theta), abs(pre_sa) * terms),
+            "delta_e_sa_limit": (
+                4 * hbar * g * lam * r * mp.sin(half) * mp.sin(half - phi_c),
+                4 * hbar * g * abs(lam) * r * (1 + abs(delta * tau) + abs(phi_c)),
+            ),
+        }
+        if model._ConfigArrays.of([cfg]).is_resonant[0]:
+            area = g * tau
+            s1, s2, c1, c2 = mp.sin(area), mp.sin(2 * area), mp.cos(area), mp.cos(2 * area)
+            j1, j2 = lam * r * mp.cos(phi_c), lam * r * mp.sin(phi_c)
+            k1, k2 = pref * r * mp.cos(phi_c), pref * r * mp.sin(phi_c)
+            p0, p1 = rho11, 1 - rho11
+            thermal = [p0 * (w_dn * c1**2 + w_up), p0 * w_dn * s1**2, p1 * w_up * s1**2, p1 * (w_up * c1**2 + w_dn)]
+            signs = [(-1, 1), (1, -1), (-1, -1), (1, 1)]
+            coherent = [mp.mpc(sr * x2 * s2 / 2, si * x1 * s2 / 2) for sr, si in signs for x1, x2 in [(j1, j2)]]
+            work = [mp.mpc(sr * x2 * s2 / 2, si * x1 * s2 / 2) for sr, si in signs for x1, x2 in [(k1, k2)]]
+            e = hbar * wa
+            scale, e_scale = 1 + area, abs(e) * (1 + area)
+            for k in range(4):
+                values[f"us_{k}"] = (thermal[k] + coherent[k], scale)
+                values[f"q_{k}"] = (thermal[k], scale)
+                values[f"w_{k}"] = (work[k], scale)
+            mean = -e * (rho11 - w_up) * s1**2 - e * j2 * s2
+            second = e**2 * s1**2 * (w_up + rho11 * (w_dn - w_up))
+            q_mean = e * s1**2 * (w_up - rho11)
+            values.update(
+                energy_mean=(mean, e_scale),
+                energy_variance=(second - mp.mpc(0, 1) * e**2 * j1 * s2 - mean**2, e_scale**2),
+                w_mean=(-e * k2 * s2, e_scale),
+                w_variance=(-(e**2) * s2 * (k2**2 * s2 + mp.mpc(0, 1) * k1), e_scale**2),
+                q_mean=(q_mean, e_scale),
+                q_variance=(second - q_mean**2, e_scale**2),
+            )
+            n_re = -1
+            for k, rho_k, w_k, w_other in ((1, rho11, w_dn, w_up), (-1, 1 - rho11, w_up, w_dn)):
+                n_re += abs(s1) * abs(rho_k * w_k * s1 + k * j2 * c1)
+                n_re += abs(rho_k * (1 + w_other + w_k * c2) / 2 - k * j2 * s2 / 2)
+            values.update(n_re=(n_re, scale), n_im=(2 * abs(j1 * s2), scale))
+        return {name: (complex(value), float(scale)) for name, (value, scale) in values.items()}
+
+
+def array_oracle(cases):
+    """Name -> values over the rows of ``cases`` of each private array oracle (resonant ones on resonant rows)."""
+    cfgs = model._ConfigArrays.of([cfg for cfg, _ in cases])
+    states = model._StateArrays.of([state for _, state in cases])
+    lower, upper = analytic._delta_e_s_envelopes(cfgs, states)
+    values = {
+        "delta_e_s": analytic._delta_e_s(cfgs, states),
+        "delta_e_s_lower": lower,
+        "delta_e_s_upper": upper,
+        "delta_e_sa": analytic._delta_e_sa(cfgs, states),
+        "delta_e_sa_limit": analytic._delta_e_sa_limit(cfgs, states),
+    }
+    resonant = np.flatnonzero(cfgs.is_resonant)
+    if len(resonant):
+        cfgs, states = cfgs.take(resonant), states.take(resonant)
+        rows = np.full(len(cases), -1)
+        rows[resonant] = np.arange(len(resonant))
+        stats = analytic._resonant_w_q_stats(cfgs, states)
+        on_resonant = {
+            "energy_mean": analytic._resonant_energy_stats(cfgs, states)[0],
+            "energy_variance": analytic._resonant_energy_stats(cfgs, states)[1],
+            "w_mean": stats.w_mean, "w_variance": stats.w_variance,
+            "q_mean": stats.q_mean, "q_variance": stats.q_variance,
+            "n_re": analytic._resonant_nonpositivity(cfgs, states)[0],
+            "n_im": analytic._resonant_nonpositivity(cfgs, states)[1],
+        }
+        entry_oracles = {"us": analytic._resonant_kdq_us, "q": analytic._resonant_kdq_q, "w": analytic._resonant_kdq_w}
+        for name, oracle in entry_oracles.items():
+            entries = oracle(cfgs, states)
+            on_resonant.update({f"{name}_{k}": entries[:, k] for k in range(4)})
+        for name, value in on_resonant.items():
+            values[name] = np.where(rows >= 0, np.asarray(value)[np.maximum(rows, 0)], np.nan)
+    return values
+
+
+# Below this error scale a value is subnormal, and its rounding is absolute.
+_SUBNORMAL_SCALE = 1e-290
+
+
+def worst_reference_error(cases) -> float:
+    """Largest |oracle - 50-digit reference| / error scale over the cases and closed forms of normal scale."""
+    oracle, worst = array_oracle(cases), 0.0
+    for k, (cfg, state) in enumerate(cases):
+        for name, (value, scale) in reference(cfg, state).items():
+            error = abs(complex(oracle[name][k]) - value)
+            assert error <= 1e-13 * scale + 1e-300, (name, cfg, state, oracle[name][k], value, scale)
+            if scale >= _SUBNORMAL_SCALE:
+                worst = max(worst, error / scale)
+    return worst
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(admissible_cases(), min_size=1, max_size=6))
+def test_array_oracle_matches_50_digit_reference(cases):
+    worst_reference_error(cases)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cases=st.lists(admissible_cases(), min_size=1, max_size=6))
+def test_scalar_oracle_is_the_one_row_view(cases):
+    # Row k of a stack equals the scalar function of case k, bit for bit.
+    oracle = array_oracle(cases)
+    for k, (cfg, state) in enumerate(cases):
+        assert analytic.delta_e_s(cfg, state) == oracle["delta_e_s"][k]
+        assert analytic.delta_e_s_envelopes(cfg, state) == (oracle["delta_e_s_lower"][k], oracle["delta_e_s_upper"][k])
+        assert analytic.delta_e_sa(cfg, state) == oracle["delta_e_sa"][k]
+        assert analytic.delta_e_sa_limit(cfg, state) == oracle["delta_e_sa_limit"][k]
+        if cfg.is_resonant:
+            entries = analytic.resonant_kdq_us(cfg, state)
+            assert entries.tolist() == [oracle[f"us_{j}"][k] for j in range(4)]
+            assert analytic.resonant_nonpositivity(cfg, state) == (oracle["n_re"][k], oracle["n_im"][k])
+
+
+@pytest.mark.parametrize("g", [1e-200, 1e-310, 5e-324])
+@pytest.mark.parametrize("mode", ["exact", "weakly_coherent"])
+def test_resonant_oracle_at_underflowing_coupling(g, mode):
+    # 4 g^2 underflows to 0; the detuned forms used to divide by it.
+    coherence = dict(lam=0.3) if mode == "exact" else dict(lam_tilde=0.3)
+    cfg = ModelConfig(omega_s=1.0, omega_a=1.0, g=g, tau=0.4, beta=1.0, mode=mode, **coherence)
+    rho_s = build_system_state(FIG_STATE)
+    lower, upper = analytic.delta_e_s_envelopes(cfg, FIG_STATE)
+    value = analytic.delta_e_s(cfg, FIG_STATE)
+    assert all(math.isfinite(v) for v in (lower, value, upper)) and lower <= value <= upper
+    assert abs(value - kdq.average_via_trace(kdq.US, rho_s, cfg).real) <= 1e-10
+    assert abs(analytic.delta_e_sa(cfg, FIG_STATE) - kdq.average_via_trace(kdq.USA, rho_s, cfg).real) <= 1e-10
+
+
+def test_array_oracle_finite_past_the_square_overflow():
+    # g or |delta| = 1e155: 4 g^2 + delta^2 overflows, 2*hypot(g, delta/2) does
+    # not.  `ModelConfig` rejects these configs (their collision phase
+    # overflows), so the oracle gets unchecked fields.
+    base = dict(omega_a=1.0, beta=1.0, lam=0.3, lam_tilde=0.0, hbar=1.0, mode="exact")
+    cases = [
+        (SimpleNamespace(**base, omega_s=omega_s, g=g, tau=tau), FIG_STATE)
+        for omega_s, g, tau in [
+            (1.0, 1e155, 0.5), (1e155, 1e155, 0.5), (1e155, 1.0, 0.5), (1.0, 1e155, 1e-160), (1e155, 1.0, 1e-160)
+        ]
+    ]
+    oracle = array_oracle(cases)
+    for name in ("delta_e_s", "delta_e_s_lower", "delta_e_s_upper", "delta_e_sa", "delta_e_sa_limit"):
+        assert np.isfinite(oracle[name]).all(), name
+    # At a small phase tau*root the values are well conditioned: check them at 50 digits.
+    worst_reference_error(cases[3:])

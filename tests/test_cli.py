@@ -396,6 +396,56 @@ class TestMain:
         assert all(math.isfinite(v) for v in values)
         assert values[0] == pytest.approx(values[2], abs=1e-12)
 
+    def test_overflowing_coherence_row_skipped(self, tmp_path):
+        # r*r overflows at r = 1e200; the row fails the positivity check with
+        # its message, not with an OverflowError, and the other row goes on.
+        out = tmp_path / "huge_r.csv"
+        config = tmp_path / "huge_r.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", "r = 0.1, 1e200").replace(
+                "[output]\nquantities", f"[output]\npath = {out}\nquantities"
+            )
+        )
+        assert main(["validate", str(config)]) == 0
+        assert main(["run", str(config)]) == 0
+        meta = json.loads((tmp_path / "huge_r.csv.meta.json").read_text())
+        assert meta["skip_reasons"] == {"r=<x> violates positivity: r^2 must not exceed rho11*(1-rho11) = <x>": 1}
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[0.1, 0.0], [1e200, 1.0]]
+        assert all(math.isfinite(v) for v in rows[0])
+
+    def test_overflowing_base_coherence_fails_run(self, tmp_path, capsys):
+        config = tmp_path / "huge_r.cfg"
+        config.write_text(CUSTOM_CONFIG.replace("r = 0.4330127018922193", "r = 1e200"))
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: r=1e+200 violates positivity: r^2 must not exceed rho11*(1-rho11) = 0.1875")
+
+    def test_resonant_sweep_at_underflowing_coupling(self, tmp_path):
+        # 4 g^2 underflows to 0 at these couplings; the closed forms stay finite
+        # and agree with the kernel, which gives 0 there.
+        out = tmp_path / "tiny_g.csv"
+        config = tmp_path / "tiny_g.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("omega_s = 4.0", "omega_s = 1.0")
+            .replace("phi_c = linspace(0.0, 6.0, 5)", "g = 1e-200, 1e-310, 5e-324")
+            .replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {out}\nquantities = delta_e_s, delta_e_sa, analytic_delta_e_s, "
+                "analytic_delta_e_s_envelopes, analytic_delta_e_sa",
+            )
+        )
+        assert main(["run", str(config)]) == 0
+        header, *lines = out.read_text().splitlines()
+        col = {name: k for k, name in enumerate(header.split(","))}
+        for line in lines:
+            row = [float(v) for v in line.split(",")]
+            assert row[col["skipped"]] == 0.0 and all(math.isfinite(v) for v in row)
+            assert abs(row[col["analytic_delta_e_s"]] - row[col["delta_e_s"]]) <= 1e-10
+            assert abs(row[col["analytic_delta_e_sa"]] - row[col["delta_e_sa"]]) <= 1e-10
+            assert row[col["analytic_delta_e_s_lower"]] <= row[col["analytic_delta_e_s"]] + 1e-12
+            assert row[col["analytic_delta_e_s"]] <= row[col["analytic_delta_e_s_upper"]] + 1e-12
+
     def test_zero_temperature_sweep(self, tmp_path):
         # beta*hbar*omega_a up to 2000 overflows exp and cosh; every row must
         # still be evaluated and agree with the closed form.

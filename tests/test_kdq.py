@@ -483,9 +483,16 @@ def test_stacked_kernel_matches_per_state(case, states):
                 assert witnesses[k] == [report.n_q, report.n_re, report.n_im]
 
 
+def config_rows(cfgs):
+    """(parameter arrays of the distinct configs, config of each row), configs told apart by identity."""
+    distinct = list({id(cfg): cfg for cfg in cfgs}.values())
+    slot = {id(cfg): k for k, cfg in enumerate(distinct)}
+    return model._ConfigArrays.of(distinct), np.array([slot[id(cfg)] for cfg in cfgs])
+
+
 def assert_stack_matches_per_config(cfgs, rho_s, quantities, group_degenerate=False):
     # Every slice of each config-stack part equals the one-config views bit for bit.
-    parts = _operator_stacks(cfgs)
+    parts = _operator_stacks(*config_rows(cfgs))
     assert sorted(np.concatenate([rows for rows, _ in parts]).tolist()) == list(range(len(cfgs)))
     for rows, ops in parts:
         assert len({(cfgs[k].omega_s == 0.0, cfgs[k].omega_a == 0.0) for k in rows}) == 1
@@ -550,7 +557,7 @@ def test_config_stack_mixes_modes_signs_and_zero_frequencies():
     rows = [(cfg, states[k % 3]) for cfg, count in _MIXED_STACK for k in range(count)]
     _assert_config_stack([rows[k] for k in rng.permutation(len(rows))])
     # Grouped usa: 3 joint levels at resonance, 4 off it.
-    (_, ops), = _operator_stacks([_MIXED_STACK[1][0], _MIXED_STACK[2][0]])
+    (_, ops), = _operator_stacks(model._ConfigArrays.of([_MIXED_STACK[1][0], _MIXED_STACK[2][0]]))
     with pytest.raises(ValueError, match="one joint level count"):
         kdq._kernel(kdq.USA, np.array([build_system_state(state) for state in states[:2]]), ops, group_degenerate=True)
 

@@ -2,7 +2,7 @@ import math
 import re
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +100,8 @@ class TestHamiltonians:
 @settings(max_examples=200, deadline=None)
 @given(case=admissible_cases())
 @example(case=(fig7_config(), SystemStateParams(0.5)))
+# The weak coupling g/sqrt(tau) underflows to 0 at resonance: the block does not rotate.
+@example(case=(cfg_with(g=5e-324, tau=4.0, mode=MODE_WEAK), SystemStateParams(0.5)))
 def test_closed_form_propagators_match_eigh(case):
     # The operator set's closed-form U against the eigh exponential of H_SA,
     # and u_bare against that of the unscaled H_S (x) I + I (x) H_A + H_int.
@@ -311,14 +313,167 @@ class TestConfigValidation:
         assert exact.kdq_coherence_prefactor == 0.2
 
 
+# Every message with which a config or a state is rejected, pinned to its text;
+# the base config is `cfg_with()`.
+CONFIG_MESSAGES = [
+    (dict(omega_s=math.nan), "omega_s must be finite, got nan"),
+    (dict(omega_a=math.inf), "omega_a must be finite, got inf"),
+    (dict(g=-math.inf), "g must be finite, got -inf"),
+    (dict(tau=math.nan), "tau must be finite, got nan"),
+    (dict(beta=math.inf), "beta must be finite, got inf"),
+    (dict(lam=math.nan), "lam must be finite, got nan"),
+    (dict(lam_tilde=-math.inf), "lam_tilde must be finite, got -inf"),
+    (dict(hbar=math.nan), "hbar must be finite, got nan"),
+    (dict(mode="bogus"), "unknown mode 'bogus'"),
+    (dict(g=0.0), "coupling g must be positive"),
+    (dict(hbar=-1.0), "hbar must be positive"),
+    (dict(omega_s=1e-310), "omega_s = 1e-310 is too small: hbar*omega_s/2 is below the smallest normal float"),
+    (dict(omega_a=-5e-324), "omega_a = -5e-324 is too small: hbar*omega_a/2 is below the smallest normal float"),
+    (dict(omega_s=1e300, hbar=1e10, tau=0.0), "omega_s = 1e+300 is too large: hbar*omega_s overflows"),
+    (dict(omega_a=1e300, hbar=1e10, tau=0.0), "omega_a = 1e+300 is too large: hbar*omega_a overflows"),
+    (dict(beta=-1.0), "inverse temperature beta must be non-negative"),
+    (dict(tau=0.0, mode=MODE_WEAK), "weakly coherent mode requires tau > 0"),
+    (dict(tau=-0.5), "collision time tau must be non-negative"),
+    (dict(omega_s=1e308, omega_a=1e308), "collision phase (omega_s + omega_a)*tau/2 = inf is not finite at tau = 0.5"),
+    (dict(tau=1e308), "collision phase tau*sqrt(4*g^2 + delta^2) = inf is not finite at tau = 1e+308"),
+    (dict(g=1e200), "collision phase tau*sqrt(4*g^2 + delta^2) = inf is not finite at tau = 0.5"),
+    (
+        dict(g=1e150, tau=1e-320, mode=MODE_WEAK),
+        "collision phase tau*hypot(delta/2, g/sqrt(tau)) = inf is not finite at tau = 1e-320",
+    ),
+    (dict(lam=0.5), "ancilla coherence 0.5 exceeds the positivity bound 1/Z_A = 0.443409"),
+    (dict(lam=-0.45), "ancilla coherence -0.45 exceeds the positivity bound 1/Z_A = 0.443409"),
+    (dict(lam_tilde=1.0, mode=MODE_WEAK), "ancilla coherence 0.707107 exceeds the positivity bound 1/Z_A = 0.443409"),
+]
+STATE_MESSAGES = [
+    (dict(rho11=math.nan), "rho11 must be finite, got nan"),
+    (dict(rho11=0.25, r=math.inf), "r must be finite, got inf"),
+    (dict(rho11=0.25, phi_c=-math.inf), "phi_c must be finite, got -inf"),
+    (dict(rho11=1.5), "rho11 must lie in [0, 1]"),
+    (dict(rho11=-0.1), "rho11 must lie in [0, 1]"),
+    (dict(rho11=0.25, r=-0.1), "coherence modulus r must be non-negative"),
+    (dict(rho11=0.25, r=0.5), "r=0.5 violates positivity: r^2 must not exceed rho11*(1-rho11) = 0.1875"),
+    (dict(rho11=0.0, r=2e-6), "r=2e-06 violates positivity: r^2 must not exceed rho11*(1-rho11) = 0"),
+    # r*r overflows; a float's r**2 would raise OverflowError instead.
+    (dict(rho11=0.25, r=1e200), "r=1e+200 violates positivity: r^2 must not exceed rho11*(1-rho11) = 0.1875"),
+]
+_CONFIG_BASE = dict(omega_s=1.0, omega_a=1.0, g=1.0, tau=0.5, beta=1.0, lam=0.0, lam_tilde=0.0, hbar=1.0, mode="exact")
+_STATE_BASE = dict(rho11=0.25, r=0.0, phi_c=0.0)
+
+
+def config_arrays(rows):
+    """`model._ConfigArrays` of field dicts, unchecked."""
+    return model._ConfigArrays.build(**{name: [row[name] for row in rows] for name in _CONFIG_BASE})
+
+
+def state_arrays(rows):
+    """`model._StateArrays` of field dicts, unchecked."""
+    return model._StateArrays.build(**{name: [row[name] for row in rows] for name in _STATE_BASE})
+
+
+def per_object_errors(cls, rows):
+    """Row -> message of ``cls(**row)`` for the rows it rejects."""
+    errors = {}
+    for k, row in enumerate(rows):
+        try:
+            cls(**row)
+        except ValueError as exc:
+            errors[k] = str(exc)
+    return errors
+
+
+class TestMessages:
+    @pytest.mark.parametrize("kwargs, message", CONFIG_MESSAGES)
+    def test_config_message(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            ModelConfig(**{**_CONFIG_BASE, **kwargs})
+        assert str(info.value) == message
+        assert config_arrays([_CONFIG_BASE, {**_CONFIG_BASE, **kwargs}]).errors() == {1: message}
+
+    @pytest.mark.parametrize("kwargs, message", STATE_MESSAGES)
+    def test_state_message(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            SystemStateParams(**{**_STATE_BASE, **kwargs})
+        assert str(info.value) == message
+        assert state_arrays([{**_STATE_BASE, **kwargs}, _STATE_BASE]).errors() == {0: message}
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def parameter_rows(draw):
+    """(config fields, state fields): an admissible pair, or one with a bad value in the config or the state."""
+    cfg, state = draw(admissible_cases())
+    config, system = asdict(cfg), asdict(state)
+    bad = draw(st.sampled_from(["none", "non-finite", "subnormal", "phase", "lambda", "mode", "state", "r", "huge r"]))
+    if bad == "non-finite":
+        config[draw(st.sampled_from(sorted(model._ConfigArrays.FIELDS)))] = draw(_NON_FINITE)
+    elif bad == "subnormal":
+        omega = draw(st.floats(5e-324, 4e-308)) * draw(st.sampled_from([1, -1]))
+        config[draw(st.sampled_from(["omega_s", "omega_a"]))] = omega
+    elif bad == "phase":
+        config["g"] = draw(st.floats(1e155, 1e300))
+    elif bad == "lambda":
+        lam = draw(st.floats(1.001, 5.0)) * cfg.lambda_max * draw(st.sampled_from([1.0, -1.0]))
+        config.update(lam_tilde=lam / math.sqrt(cfg.tau)) if cfg.is_weak else config.update(lam=lam)
+    elif bad == "mode":
+        config["mode"] = "bogus"
+    elif bad == "state":
+        system[draw(st.sampled_from(sorted(model._StateArrays.FIELDS)))] = draw(_NON_FINITE)
+    elif bad == "r":
+        bound = state.rho11 * (1.0 - state.rho11)
+        system["r"] = draw(st.floats(1.001, 1e3)) * math.sqrt(bound + 2e-12)
+    elif bad == "huge r":
+        system["r"] = 1e200
+    return config, system
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(parameter_rows(), min_size=1, max_size=10))
+def test_masks_match_per_object_checks(rows):
+    # Each row of a mixed stack (both modes, admissible and bad rows) fails
+    # the masks exactly when its own construction fails, with its message.
+    configs, states = [config for config, _ in rows], [state for _, state in rows]
+    assert config_arrays(configs).errors() == per_object_errors(ModelConfig, configs)
+    assert state_arrays(states).errors() == per_object_errors(SystemStateParams, states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(admissible_cases(), min_size=1, max_size=8))
+def test_stacked_operators_match_per_config(cases):
+    # The builder on parameter arrays against its one-config case on each
+    # config's floats, bit for bit, within each level structure.
+    by_shape = {}
+    for cfg, state in cases:
+        by_shape.setdefault((cfg.omega_s == 0.0, cfg.omega_a == 0.0), []).append((cfg, state))
+    for rows in by_shape.values():
+        ops = model._stack(model._ConfigArrays.of([cfg for cfg, _ in rows]))
+        for k, (cfg, _) in enumerate(rows):
+            for stacked, own in zip(ops[1:], cfg.operators[1:]):
+                assert_same_bits(stacked[k], own)
+        states = [state for _, state in rows]
+        assert_same_bits(
+            model._system_states(model._StateArrays.of(states)), np.array([build_system_state(s) for s in states])
+        )
+
+
 @pytest.fixture
 def builds(monkeypatch):
-    """The configs passed to `model._stack`, the one operator builder, in call order."""
+    """The configs passed to `model._stack`, the one operator builder, in call order.
+
+    `_stack` takes one `ModelConfig` or the parameter arrays of several
+    configs; each row of the arrays is recorded as its `ModelConfig`.
+    """
     configs = []
     stack = model._stack
 
     def counted(cfgs):
-        configs.extend(cfgs)
+        if isinstance(cfgs, ModelConfig):
+            configs.append(cfgs)
+        else:
+            rows = zip(cfgs.values.T.tolist(), cfgs.mode.tolist())
+            configs.extend(ModelConfig(*row, mode=mode) for row, mode in rows)
         return stack(cfgs)
 
     monkeypatch.setattr(model, "_stack", counted)
