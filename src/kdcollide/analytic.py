@@ -16,8 +16,10 @@ ordered by sigma_z index (initial index major, final index minor).
 `kdq.kdq_distribution` orders levels by descending energy instead, so the
 two orders agree only for positive frequencies.  Resonant formulas require
 omega_s == omega_a.
-Thermal weights enter in forms that cannot overflow (tanh, or a and b
-divided by c_beta), so every formula reaches the zero-temperature limit.
+Thermal weights enter in forms that cannot overflow (logistic functions of
+e^(-2|x|), x = beta*hbar*omega_a/2, or a and b divided by c_beta), so every
+formula reaches the zero-temperature limit; the logistic form also keeps the
+digits of the smaller weight, which (1 - tanh x)/2 would cancel.
 The detuned forms divide their common factor sqrt(4 g^2 + delta^2) out,
 so they neither overflow for large g or |delta| nor divide by an
 underflowed 4 g^2 at resonance.
@@ -57,9 +59,12 @@ class AuxiliaryFunctions:
 
 
 def _ancilla_populations(cfgs: _ConfigArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Thermal ancilla populations (e^-x, e^x)/Z_A = (1 -+ tanh x)/2, x = beta*hbar*omega_a/2."""
-    t = np.tanh(0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a)
-    return 0.5 * (1.0 - t), 0.5 * (1.0 + t)
+    """Thermal ancilla populations (e^-x, e^x)/Z_A, x = beta*hbar*omega_a/2, as t/(1 + t) and 1/(1 + t),
+    t = e^(-2|x|), swapped for x < 0: no subtraction cancels the smaller weight, and nothing overflows."""
+    x = 0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a
+    t = np.exp(-2.0 * np.abs(x))
+    low, high = t / (1.0 + t), 1.0 / (1.0 + t)
+    return np.where(x >= 0.0, low, high), np.where(x >= 0.0, high, low)
 
 
 def _detuned(cfgs: _ConfigArrays, states: _StateArrays):

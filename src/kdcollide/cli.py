@@ -29,14 +29,17 @@ Config files are flat ``key = value`` lines grouped in sections:
     quantities = delta_e_s, n_q_us, var_us
 
 Unknown sections or keys, a key given twice in a section and a quantity
-listed twice are errors.  A custom run builds its sweep grid as parameter
-arrays: one row per distinct model config (`model._ConfigArrays`) and one
-per grid point (`model._StateArrays`), whose checks are masks.  It evaluates
-the rows of every config whose quantities are all defined in one call over
-the stack of configs (`_evaluate`, shared with fig1 to fig4, which computes
-each analytic output as one call of the array oracle).  A row that cannot be
-evaluated is skipped, with the reason of its model config, else of its
-state, else of the first quantity undefined for its config.
+listed twice are errors.  The custom sweep and the presets fig1 to fig6
+build their grids with one builder (`_grid`) as parameter arrays: one row
+per distinct model config (`model._ConfigArrays`) and one per grid point
+(`model._StateArrays`), whose checks are masks.  A custom run skips a row
+with the reason of its model config, else of its state, else of the first
+quantity undefined for its config (`validate` fails when every row would be
+skipped), and evaluates the others in one call over the stack of configs
+(`_evaluate`, shared with fig1 to fig4, which computes each analytic output
+as one call of the array oracle).  fig5 and fig6 reduce one tau grid: the
+coherent-work KDQ per work value, and the spectrum of the operator
+approach's observable O2 (`smalltau`).
 
 Output is a deterministic CSV (17 significant digits, no timestamps) plus a
 ``<path>.meta.json`` sidecar with the run parameters; for custom runs it also
@@ -54,10 +57,11 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, analytic, kdq
+from . import __version__, analytic, kdq, smalltau
 from .collision import evolve
 from .model import (
     MODE_EXACT,
@@ -156,9 +160,7 @@ def write_csv(table: ResultTable, path: Path) -> None:
     meta["rows"] = len(table.rows)
     meta["tool"] = "kdcollide"
     meta["version"] = __version__
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -262,9 +264,7 @@ def parse_config(text: str) -> ExperimentSpec:
     if preset != "custom":
         for name in ("model", "state", "sweep"):
             if name in section_lines:
-                raise ConfigError(
-                    f"line {section_lines[name]}: preset {preset!r} takes no [{name}] overrides"
-                )
+                raise ConfigError(f"line {section_lines[name]}: preset {preset!r} takes no [{name}] overrides")
         if "quantities" in output_kv:
             raise ConfigError(f"preset {preset!r} defines its own output quantities")
         out_path = output_kv.get("path")
@@ -323,17 +323,14 @@ def _kdq_quantity(name: str) -> str | None:
     return name.removeprefix("var_").rpartition("_")[2]
 
 
-def _evaluate(
-    cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...], which: np.ndarray | None = None
-) -> np.ndarray:
+def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...], which: np.ndarray) -> np.ndarray:
     """The `QUANTITY_COLUMNS` of ``outputs`` for a stack of states, state k under config ``which[k]`` of ``cfgs``.
 
-    ``which`` defaults to state k under config k; row k of the result is
-    state k.  The outputs that read the KDQ kernel stack the configs in
-    parts by `model._operator_stacks`, and each quantity takes one kernel
-    call per part; each analytic output is one oracle call over every row,
-    with no operators.  Raises ValueError when a quantity is undefined for a
-    config.
+    Row k of the result is state k.  The outputs that read the KDQ kernel
+    stack the configs in parts by `model._operator_stacks`, and each
+    quantity takes one kernel call per part; each analytic output is one
+    oracle call over every row, with no operators.  Raises ValueError when a
+    quantity is undefined for a config.
     """
     bounds = np.cumsum([0] + [len(QUANTITY_COLUMNS[name]) for name in outputs]).tolist()
     columns = {name: slice(lo, hi) for name, lo, hi in zip(outputs, bounds[:-1], bounds[1:])}
@@ -342,7 +339,7 @@ def _evaluate(
         if name in _ANALYTIC:
             # Looked up on the module at each call, so that wrappers installed there see the calls.
             oracle = getattr(analytic, "_" + name.removeprefix("analytic_"))
-            table[:, columns[name]] = np.array(oracle(cfgs if which is None else cfgs.take(which), states), ndmin=2).T
+            table[:, columns[name]] = np.array(oracle(cfgs.take(which), states), ndmin=2).T
     kernel_outputs = [name for name in outputs if name not in _ANALYTIC]
     if not kernel_outputs:
         return table
@@ -380,70 +377,96 @@ def _evaluate(
     return table
 
 
+class _Grid(NamedTuple):
+    """The rows of a product grid of parameter axes (`_grid`)."""
+
+    position: np.ndarray  # (axes, rows): the position of each row on each axis, rows in row-major order
+    cfgs: _ConfigArrays  # the distinct points of the model axes, in order of first row
+    which: np.ndarray  # the config of each row
+    states: _StateArrays  # the state of each row
+
+    def at(self, axis: int, values) -> np.ndarray:
+        """``values`` at each row's position on the axis."""
+        return np.asarray(values)[self.position[axis]]
+
+    def evaluate(self, outputs: tuple[str, ...]) -> np.ndarray:
+        """`_evaluate` of every row; raises the ValueError of the first invalid config, else state."""
+        return _evaluate(self.cfgs.checked(), self.states.checked(), outputs, self.which)
+
+
+def _grid(cfg: ModelConfig, state: SystemStateParams, axes) -> _Grid:
+    """The product grid of ``axes``, (config key, values) pairs, the last axis varying fastest; unchecked.
+
+    Each model axis replaces a field of ``cfg``, each state axis one of
+    ``state``.  Rows at the same position on every model axis share one
+    config: positions, not values, so that -0.0 and 0.0 stay apart.
+    """
+    sizes = [len(values) for _, values in axes]
+    position = np.indices(sizes, dtype=np.intp).reshape(len(sizes), math.prod(sizes))
+    model = [k for k, (key, _) in enumerate(axes) if key in _FIELDS["model"]]
+    model_sizes = [sizes[k] for k in model]
+    model_position = np.indices(model_sizes, dtype=np.intp).reshape(len(model), math.prod(model_sizes))
+    which = np.ravel_multi_index(position[model], model_sizes) if model else np.zeros(position.shape[1], np.intp)
+    grids = [(key, np.asarray(values, float)) for key, values in axes]
+    cfgs = cfg._arrays.replace(**{_FIELDS["model"][grids[k][0]]: grids[k][1][p] for k, p in zip(model, model_position)})
+    states = state._arrays.take(np.zeros(len(which), np.intp)).replace(
+        **{_FIELDS["state"][key]: grid[position[k]] for k, (key, grid) in enumerate(grids) if k not in model}
+    )
+    return _Grid(position, cfgs, which, states)
+
+
 # A row's own numbers in an error message (not the 1 of "1/Z_A"), masked in skip reasons.
 _ROW_NUMBER = re.compile(r"(?<=[\s=])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?=[\s),:;]|$)")
 
 
-def _run_custom(spec: ExperimentSpec) -> ResultTable:
-    """Evaluate every point of the sweep grid; a row that cannot be evaluated is
-    skipped with the reason of its model config, else of its state, else of
-    the first quantity undefined for its config."""
+def _sweep(spec: ExperimentSpec) -> tuple[_Grid, np.ndarray, dict[str, int]]:
+    """A custom spec's `_grid`, the mask of its skipped rows and the count of skipped rows per reason.
+
+    A row's reason is that of its model config, else of its state, else of
+    the first quantity undefined for its config, with the row's numbers masked.
+    """
     assert spec.cfg is not None and spec.state is not None
+    grid = _grid(spec.cfg, spec.state, spec.sweep)
+    work_heat = any(_kdq_quantity(name) in kdq._WORK_HEAT for name in spec.outputs)
+    cfg_errors, state_errors = grid.cfgs.errors(), grid.states.errors()
+    regime_errors = kdq._work_heat_errors(grid.cfgs) if work_heat else {}
+    skipped = np.isin(grid.which, [*cfg_errors, *regime_errors])
+    skipped[list(state_errors)] = True
+    skip_reasons: dict[str, int] = {}
+    for row in np.flatnonzero(skipped).tolist():
+        config = grid.which[row]
+        reason = _ROW_NUMBER.sub("<x>", cfg_errors.get(config) or state_errors.get(row) or regime_errors[config])
+        skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
+    return grid, skipped, skip_reasons
+
+
+def _every_row_skipped(skip_reasons: dict[str, int], rows: int) -> bool:
+    """Whether the reasons account for every row; if so, says so on stderr with the first reason."""
+    if not skip_reasons or sum(skip_reasons.values()) != rows:
+        return False
+    print(f"error: every row skipped; first reason: {next(iter(skip_reasons))}", file=sys.stderr)
+    return True
+
+
+def _run_custom(spec: ExperimentSpec) -> ResultTable:
+    """Evaluate every point of the sweep grid that `_sweep` does not skip."""
+    grid, skipped, skip_reasons = _sweep(spec)
     header = [name for name, _ in spec.sweep] + ["skipped"]
     for name in spec.outputs:
         header.extend(QUANTITY_COLUMNS[name])
-    n_output_cols = len(header) - len(spec.sweep) - 1
-
-    # The grid position of each row on each axis, rows in row-major order.
-    sizes = [len(grid) for _, grid in spec.sweep]
-    position = np.indices(sizes, dtype=np.intp).reshape(len(sizes), math.prod(sizes))
-    axes = {section: [k for k, (name, _) in enumerate(spec.sweep) if name in _FIELDS[section]] for section in _FIELDS}
-    # Rows at the same grid position on every model axis share one config (positions,
-    # not values, so that -0.0 and 0.0 stay apart), numbered in order of first row.
-    model_sizes = [sizes[k] for k in axes["model"]]
-    which = np.zeros(position.shape[1], int)
-    if model_sizes:
-        which = np.ravel_multi_index(position[axes["model"]], model_sizes)
-    model_position = np.indices(model_sizes, dtype=np.intp).reshape(len(model_sizes), math.prod(model_sizes))
-
-    def swept(section: str, positions: np.ndarray) -> dict[str, np.ndarray]:
-        # The swept values of one section at each of the positions, under their field names.
-        return {
-            _FIELDS[section][spec.sweep[k][0]]: np.array(spec.sweep[k][1])[positions[i]]
-            for i, k in enumerate(axes[section])
-        }
-
-    cfgs = spec.cfg._arrays.replace(**swept("model", model_position))
-    states = spec.state._arrays.take(np.zeros(len(which), int)).replace(**swept("state", position[axes["state"]]))
-    work_heat = any(_kdq_quantity(name) in kdq._WORK_HEAT for name in spec.outputs)
-    cfg_errors, state_errors = cfgs.errors(), states.errors()
-    regime_errors = kdq._work_heat_errors(cfgs) if work_heat else {}
-
-    def failing(errors: dict[int, str], size: int) -> np.ndarray:
-        mask = np.zeros(size, bool)
-        mask[list(errors)] = True
-        return mask
-
-    skipped = failing({**cfg_errors, **regime_errors}, len(cfgs))[which] | failing(state_errors, len(which))
     kept = np.flatnonzero(~skipped)
-    data = np.full((len(which), n_output_cols), math.nan)
+    data = np.full((len(skipped), len(header) - len(spec.sweep) - 1), math.nan)
     if len(kept):
-        data[kept] = _evaluate(cfgs, states.take(kept), spec.outputs, which[kept])
-    skip_reasons: dict[str, int] = {}
-    for row in np.flatnonzero(skipped).tolist():
-        config = which[row]
-        reason = _ROW_NUMBER.sub("<x>", cfg_errors.get(config) or state_errors.get(row) or regime_errors[config])
-        skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
-    grid_columns = [np.array(grid)[position[k]] for k, (_, grid) in enumerate(spec.sweep)]
-    table = ResultTable(header=header, rows=np.column_stack([*grid_columns, skipped, data]).tolist())
-    table.meta = {
+        data[kept] = _evaluate(grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept])
+    grid_columns = [grid.at(k, values) for k, (_, values) in enumerate(spec.sweep)]
+    meta = {
         "preset": "custom",
         **_params_meta(spec.cfg, spec.state),
         "sweep": {name: list(grid) for name, grid in spec.sweep},
         "quantities": list(spec.outputs),
         "skip_reasons": skip_reasons,
     }
-    return table
+    return ResultTable(header, np.column_stack([*grid_columns, skipped, data]).tolist(), meta)
 
 
 def _params_meta(cfg: ModelConfig, state: SystemStateParams) -> dict:
@@ -467,19 +490,13 @@ def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
     quantity = {"fig1": kdq.US, "fig2": kdq.USA}[spec.preset]
     taus = [math.pi / 36, math.pi / 18, math.pi / 12, math.pi / 9, 5 * math.pi / 36, math.pi / 6]
     betas = [5.0, 1.0, 0.2]
-    phis = np.linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False)
-    beta, tau = _grid(betas, np.array(taus))
-    cfgs = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=betas[0])._arrays.replace(beta=beta, tau=tau)
-    cfgs = cfgs.replace(lam=cfgs.lambda_max).checked()
-    # Row k: phase k % points under config k // points.
-    which, phase = np.divmod(np.arange(len(cfgs) * len(phis)), len(phis))
-    states = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER)._arrays.replace(phi_c=phis[phase]).checked()
-    witnesses = _evaluate(cfgs, states, tuple(f"{kind}_{quantity}" for kind in _WITNESSES), which)
-    table = ResultTable(
-        header=["beta", "tau", "phi_c", "n_q", "n_re", "n_im"],
-        rows=np.column_stack([beta[which], tau[which], phis[phase], witnesses]).tolist(),
-    )
-    table.meta = {
+    axes = [("beta", betas), ("tau", taus), ("phi_c", np.linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False))]
+    base = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=betas[0])
+    grid = _grid(base, SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER), axes)
+    grid = grid._replace(cfgs=grid.cfgs.replace(lam=grid.cfgs.lambda_max))
+    witnesses = grid.evaluate(tuple(f"{kind}_{quantity}" for kind in _WITNESSES))
+    rows = np.column_stack([*(grid.at(k, values) for k, (_, values) in enumerate(axes)), witnesses]).tolist()
+    meta = {
         "preset": spec.preset,
         "quantity": quantity,
         "detuning": 3.0,
@@ -492,23 +509,10 @@ def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
         "betas": betas,
         "taus": taus,
         "lambda": "lambda_max per beta",
-        "lambda_max_values": [
-            ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=b).lambda_max
-            for b in betas
-        ],
+        "lambda_max_values": grid.cfgs.lam[:: len(taus)].tolist(),
         "phi_c_points": spec.points,
     }
-    return table
-
-
-def _evaluate_state(cfgs: _ConfigArrays, state: SystemStateParams, outputs: tuple[str, ...]) -> np.ndarray:
-    """`_evaluate` of one state under each of ``cfgs``."""
-    return _evaluate(cfgs.checked(), state._arrays.take(np.zeros(len(cfgs), int)), outputs)
-
-
-def _grid(outer: list[float], inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the product grid of two axes, the inner one varying fastest, as two columns."""
-    return np.repeat(outer, len(inner)), np.tile(inner, len(outer))
+    return ResultTable(["beta", "tau", "phi_c", "n_q", "n_re", "n_im"], rows, meta)
 
 
 def _preset_fig3a(spec: ExperimentSpec) -> ResultTable:
@@ -516,19 +520,18 @@ def _preset_fig3a(spec: ExperimentSpec) -> ResultTable:
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
     lam_max = base.lambda_max
     lams = [0.0, lam_max / 2.0, lam_max]
-    lam, delta = _grid(lams, np.linspace(-20.0, 20.0, spec.points))
-    cfgs = base._arrays.replace(omega_s=1.0 + delta, lam=lam)
-    values = _evaluate_state(cfgs, state, ("analytic_delta_e_s", "analytic_delta_e_s_envelopes"))
+    deltas = np.linspace(-20.0, 20.0, spec.points)
+    grid = _grid(base, state, [("lambda", lams), ("omega_s", 1.0 + deltas)])
+    values = grid.evaluate(("analytic_delta_e_s", "analytic_delta_e_s_envelopes"))
     header = ["lambda", "delta", "delta_e_s", "envelope_lower", "envelope_upper"]
-    table = ResultTable(header, np.column_stack([lam, delta, values]).tolist())
-    table.meta = {
+    meta = {
         "preset": "fig3a",
         **_params_meta(base, state),
         "lambdas": lams,
         "delta_range": [-20.0, 20.0],
         "delta_points": spec.points,
     }
-    return table
+    return ResultTable(header, np.column_stack([grid.at(0, lams), grid.at(1, deltas), values]).tolist(), meta)
 
 
 def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
@@ -536,12 +539,11 @@ def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
     base = ModelConfig(omega_s=21.0, omega_a=1.0, g=1.0, tau=1e-6, beta=1.0)
     lam_max = base.lambda_max
     lams = [-lam_max, -lam_max / 2.0, lam_max / 2.0, lam_max]
-    lam, tau = _grid(lams, np.linspace(0.0, math.pi / 2.0, spec.points))
-    cfgs = base._arrays.replace(tau=tau, lam=lam)
-    values = _evaluate_state(cfgs, state, ("analytic_delta_e_sa", "analytic_delta_e_sa_limit"))
+    taus = np.linspace(0.0, math.pi / 2.0, spec.points)
+    grid = _grid(base, state, [("lambda", lams), ("tau", taus)])
+    values = grid.evaluate(("analytic_delta_e_sa", "analytic_delta_e_sa_limit"))
     header = ["lambda", "tau", "delta_e_sa", "delta_e_sa_limit"]
-    table = ResultTable(header, np.column_stack([lam, tau, values]).tolist())
-    table.meta = {
+    meta = {
         "preset": "fig3b",
         **_params_meta(base, state),
         "detuning": 20.0,
@@ -549,7 +551,7 @@ def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
         "tau_range": [0.0, math.pi / 2.0],
         "tau_points": spec.points,
     }
-    return table
+    return ResultTable(header, np.column_stack([grid.at(0, lams), grid.at(1, taus), values]).tolist(), meta)
 
 
 def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
@@ -558,108 +560,75 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     maxima of the panel-a curve, normalized to their lambda=0 value."""
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
-
-    def variances_re(cfgs: _ConfigArrays) -> tuple[list[float], list[float]]:
-        var_us, var_usa = _evaluate_state(cfgs, state, ("var_us", "var_usa"))[:, ::2].T.tolist()
-        return var_us, var_usa
-
     deltas = np.linspace(0.0, 20.0, spec.points)
-    var_us0, var_usa0 = variances_re(base._arrays.replace(omega_s=1.0 + deltas))
-
-    table = ResultTable(
-        header=[
-            "panel", "delta", "lambda",
-            "var_us_re", "var_usa_re", "var_us_norm", "var_usa_norm",
-        ]
-    )
-    for delta, v_us, v_usa in zip(deltas, var_us0, var_usa0):
-        table.rows.append([0.0, float(delta), 0.0, v_us, v_usa, math.nan, math.nan])
-
-    # (delta, var_us, var_usa) at the local maxima of var_us, the lambda = 0 references.
-    peaks = [
-        (float(deltas[i]), var_us0[i], var_usa0[i])
-        for i in range(1, len(deltas) - 1)
-        if var_us0[i] > var_us0[i - 1] and var_us0[i] >= var_us0[i + 1]
-    ][:3]
+    var_us0, var_usa0 = _grid(base, state, [("omega_s", 1.0 + deltas)]).evaluate(("var_us", "var_usa"))[:, ::2].T
+    # The first three local maxima of var_us, the lambda = 0 references of panel 1.
+    peaks = (np.flatnonzero((var_us0[1:-1] > var_us0[:-2]) & (var_us0[1:-1] >= var_us0[2:])) + 1)[:3]
     lam_max = base.lambda_max
     lams = np.linspace(-lam_max, lam_max, spec.points)
-    grid = [(delta, ref_us, ref_usa, float(lam)) for delta, ref_us, ref_usa in peaks for lam in lams]
-    peak_delta, lam = np.array([(delta, lam) for delta, _, _, lam in grid]).reshape(-1, 2).T
-    var_us1, var_usa1 = variances_re(base._arrays.replace(omega_s=1.0 + peak_delta, lam=lam))
-    for (delta, ref_us, ref_usa, lam), v_us, v_usa in zip(grid, var_us1, var_usa1):
-        table.rows.append([1.0, delta, lam, v_us, v_usa, v_us / ref_us, v_usa / ref_usa])
-    table.meta = {
+    grid = _grid(base, state, [("omega_s", 1.0 + deltas[peaks]), ("lambda", lams)])
+    var_us1, var_usa1 = grid.evaluate(("var_us", "var_usa"))[:, ::2].T
+    peak = peaks[grid.position[0]]
+    zeros, nans = np.zeros(len(deltas)), np.full(len(deltas), math.nan)
+    panel_0 = [zeros, deltas, zeros, var_us0, var_usa0, nans, nans]
+    panel_1 = [
+        np.ones(len(peak)), deltas[peak], grid.at(1, lams),
+        var_us1, var_usa1, var_us1 / var_us0[peak], var_usa1 / var_usa0[peak],
+    ]
+    header = ["panel", "delta", "lambda", "var_us_re", "var_usa_re", "var_us_norm", "var_usa_norm"]
+    meta = {
         "preset": "fig4",
         **_params_meta(base, state),
         "delta_range": [0.0, 20.0],
         "lambda_range": [-lam_max, lam_max],
         "points": spec.points,
-        "peak_deltas": [delta for delta, _, _ in peaks],
+        "peak_deltas": deltas[peaks].tolist(),
         "panel": "0: delta sweep at lambda=0; 1: lambda sweep at each peak delta",
     }
-    return table
+    return ResultTable(header, np.vstack([np.column_stack(panel_0), np.column_stack(panel_1)]).tolist(), meta)
 
 
-def _fig56_config(tau: float) -> ModelConfig:
-    cfg = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=tau, beta=0.1)
-    return replace(cfg, lam=cfg.lambda_max)
-
-
-def _preset_fig5(spec: ExperimentSpec) -> ResultTable:
-    """Coherent-work quasiprobabilities vs. collision time at resonance,
-    grouped by the three stochastic work values (0, +hbar*omega, -hbar*omega)."""
-    state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 3)
-    rho_s = build_system_state(state)
-    taus = np.linspace(0.0, math.pi, spec.points)
-    table = ResultTable(
-        header=["tau", "w0_re", "w0_im", "wplus_re", "wplus_im", "wminus_re", "wminus_im"]
-    )
-    q = np.empty((len(taus), 2, 2), dtype=complex)
+def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+    """fig5's columns: the coherent-work KDQ of each row, its entries summed per stochastic work value."""
+    q = np.empty((len(cfgs), 2, 2), dtype=complex)
     with warnings.catch_warnings():
         # The sweep intentionally crosses the g*tau = pi/6 validity border.
         warnings.simplefilter("ignore", kdq.ValidityWarning)
-        for rows, ops in _operator_stacks(_fig56_config(0.0)._arrays.replace(tau=taus).checked()):
-            q[rows] = kdq._kernel(kdq.W, rho_s, ops)[0]
+        for rows, ops in _operator_stacks(cfgs):
+            q[rows] = kdq._kernel(kdq.W, rho_s[rows], ops)[0]
     # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
     w0, w_plus, w_minus = np.trace(q, axis1=-2, axis2=-1), q[:, 0, 1], q[:, 1, 0]
-    columns = [taus, w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
-    table.rows.extend(np.array(columns).T.tolist())
-    table.meta = {
-        "preset": "fig5",
-        **_params_meta(_fig56_config(0.0), state),
-        "lambda": _fig56_config(0.0).lam,
-        "tau_range": [0.0, math.pi],
-        "tau_points": spec.points,
-        "note": "ancilla-side coherent-work KDQ, entries summed per stochastic value",
-    }
-    return table
+    header = ["w0_re", "w0_im", "wplus_re", "wplus_im", "wminus_re", "wminus_im"]
+    return header, [w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
 
 
-def _preset_fig6(spec: ExperimentSpec) -> ResultTable:
-    """Operator-approach coherent work vs. collision time: the two work
-    eigenvalues (descending) with their fixed probabilities."""
-    from .smalltau import operator_approach
+def _operator_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+    """fig6's columns: the spectrum of O2 of each row, its two work values (descending) with their
+    probabilities; a merged level is listed twice, with probability 0 the second time."""
+    return ["w_hi", "p_hi", "w_lo", "p_lo"], list(smalltau._operator_spectra(rho_s, cfgs))
 
+
+def _coherent_work_sweep(spec: ExperimentSpec) -> ResultTable:
+    """Coherent work vs. collision time at resonance, by the KDQ (fig5: moving
+    quasiprobabilities at the fixed values 0, +hbar*omega, -hbar*omega) or by
+    the operator approach (fig6: moving values at fixed probabilities)."""
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 3)
-    rho_s = build_system_state(state)
+    base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=0.0, beta=0.1)
+    base = replace(base, lam=base.lambda_max)
     taus = np.linspace(0.0, math.pi, spec.points)
-    table = ResultTable(header=["tau", "w_hi", "p_hi", "w_lo", "p_lo"])
-    for tau in taus:
-        spectrum = operator_approach(rho_s, _fig56_config(float(tau)))
-        if len(spectrum.values) == 1:
-            table.rows.append([float(tau), spectrum.values[0], spectrum.probs[0], spectrum.values[0], 0.0])
-        else:
-            table.rows.append(
-                [float(tau), spectrum.values[0], spectrum.probs[0], spectrum.values[1], spectrum.probs[1]]
-            )
-    table.meta = {
-        "preset": "fig6",
-        **_params_meta(_fig56_config(0.0), state),
-        "lambda": _fig56_config(0.0).lam,
+    grid = _grid(base, state, [("tau", taus)])
+    reducer = {"fig5": _kdq_work_values, "fig6": _operator_work_values}[spec.preset]
+    header, columns = reducer(grid.cfgs.checked(), _system_states(grid.states))
+    meta = {
+        "preset": spec.preset,
+        **_params_meta(base, state),
+        "lambda": base.lam,
         "tau_range": [0.0, math.pi],
         "tau_points": spec.points,
     }
-    return table
+    if spec.preset == "fig5":
+        meta["note"] = "ancilla-side coherent-work KDQ, entries summed per stochastic value"
+    return ResultTable(["tau", *header], np.column_stack([taus, *columns]).tolist(), meta)
 
 
 def fig7_config() -> ModelConfig:
@@ -686,18 +655,11 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
     cfg = fig7_config()
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
     trajectory = evolve(build_system_state(state), cfg, spec.collisions, thermo=True)
-    table = ResultTable(
-        header=["step", "q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a"]
-    )
-    for step, record in enumerate(trajectory.per_step, start=1):
-        table.rows.append(
-            [
-                float(step),
-                record.q_s, record.q_a, record.w_s, record.w_a,
-                record.delta_e_s, record.delta_e_a,
-            ]
-        )
-    table.meta = {
+    rows = [
+        [float(step), record.q_s, record.q_a, record.w_s, record.w_a, record.delta_e_s, record.delta_e_a]
+        for step, record in enumerate(trajectory.per_step, start=1)
+    ]
+    meta = {
         "preset": "fig7",
         **_params_meta(cfg, state),
         "collisions": spec.collisions,
@@ -706,7 +668,7 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
         "lambda_max": cfg.lambda_max,
         "pulse_area": cfg.g * cfg.tau,
     }
-    return table
+    return ResultTable(["step", "q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a"], rows, meta)
 
 
 _PRESET_RUNNERS = {
@@ -715,8 +677,8 @@ _PRESET_RUNNERS = {
     "fig3a": _preset_fig3a,
     "fig3b": _preset_fig3b,
     "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
+    "fig5": _coherent_work_sweep,
+    "fig6": _coherent_work_sweep,
     "fig7": _preset_fig7,
 }
 
@@ -767,9 +729,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "preset":
-            spec = ExperimentSpec(
-                preset=args.name, cfg=None, state=None, points=args.points, collisions=args.collisions
-            )
+            spec = ExperimentSpec(args.name, None, None, points=args.points, collisions=args.collisions)
         else:
             spec = parse_config(args.config.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -780,6 +740,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.command == "validate":
+        if spec.preset == "custom":
+            _, skipped, skip_reasons = _sweep(spec)
+            if _every_row_skipped(skip_reasons, len(skipped)):
+                return 1
         print(f"ok: {args.config} is a valid {spec.preset} spec")
         return 0
 
@@ -793,11 +757,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{spec.preset}: wrote {len(table.rows)} rows to {spec.out_path}")
-    reasons = table.meta.get("skip_reasons")
-    if reasons and sum(reasons.values()) == len(table.rows):
-        print(f"error: every row skipped; first reason: {next(iter(reasons))}", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _every_row_skipped(table.meta.get("skip_reasons", {}), len(table.rows)) else 0
 
 
 if __name__ == "__main__":

@@ -28,21 +28,21 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
+    """Trace out one factor of a bipartite operator, or of each operator of a (..., n, n) stack.
 
     ``keep`` selects the surviving factor: "S" keeps the first (left) tensor
     factor, "A" the second.  ``dims`` gives the local dimensions (d_S, d_A).
     """
     d_s, d_a = dims
     m = np.asarray(m, dtype=complex)
-    if m.shape != (d_s * d_a, d_s * d_a):
+    if m.shape[-2:] != (d_s * d_a, d_s * d_a):
         raise ValueError(f"dimension mismatch: expected {(d_s * d_a,) * 2}, got {m.shape}")
-    m4 = m.reshape(d_s, d_a, d_s, d_a)
+    m4 = m.reshape(m.shape[:-2] + (d_s, d_a, d_s, d_a))
     key = keep.upper()
     if key == "S":
-        return np.einsum("ikjk->ij", m4)
+        return np.einsum("...ikjk->...ij", m4)
     if key == "A":
-        return np.einsum("ikil->kl", m4)
+        return np.einsum("...ikil->...kl", m4)
     raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
 
 

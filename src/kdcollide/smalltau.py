@@ -2,10 +2,10 @@
 
 Covers the coherent drive correction G, the per-collision coherent work and
 incoherent heat from the second-order collision expansion, the reduced
-master equation with its thermal dissipator, and the operator approach that
-reconstructs coherent-work statistics from a single system observable.
-`master_equation_rhs` is the one copy of the reduced dynamics: its RK4
-integration is one 4x4 step matrix built from it once per run.
+master equation with its thermal dissipator (RK4 as one 4x4 step matrix
+built once per run from `master_equation_rhs`, the one copy of the reduced
+dynamics), and the operator approach, which reads coherent-work statistics
+off the closed-form 2x2 spectrum of one system observable over a config stack.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kdq import measurement_unitary
-from .linalg import commutator, dag, eig_hermitian, partial_trace, tensor
-from .model import IDENTITY_2, ModelConfig
+from .linalg import commutator, dag, partial_trace, tensor
+from .model import IDENTITY_2, ModelConfig, _ConfigArrays, _operator_stacks
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,7 @@ def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
     checks that they agree; at resonance they are the same number.
     """
     _require_weak(cfg)
-    if not cfg.is_resonant:
-        raise ValueError(f"resonant interaction required (detuning {cfg.detuning:.6g})")
+    _require_resonant(cfg._arrays)
     ops = cfg.operators
     g_corr = coherent_correction_G(cfg)
     system_side = (
@@ -150,22 +148,61 @@ def integrate_master_equation(
     return dt * np.arange(steps + 1), states
 
 
+def _require_resonant(cfgs: _ConfigArrays) -> None:
+    """Raise ValueError naming the detuning of the first detuned config."""
+    if not cfgs.is_resonant.all():
+        raise ValueError(f"resonant interaction required (detuning {cfgs.detuning[np.argmin(cfgs.is_resonant)]:.6g})")
+
+
+def _work_observables(cfgs: _ConfigArrays) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, 2, 2) stacks of O1 and O2 of M configs, built in the parts of `model._operator_stacks`.
+
+    Raises the ValueError of the first detuned config, and RuntimeError if any O1 is not null.
+    """
+    _require_resonant(cfgs)
+    o1, o2 = np.empty((2, len(cfgs), 2, 2), dtype=complex)
+    for rows, ops in _operator_stacks(cfgs):
+        ha_full, chi_full = tensor(IDENTITY_2, ops.h_a), tensor(IDENTITY_2, ops.chi_a)
+        o1[rows] = -ops.prefactor * partial_trace(ha_full @ chi_full, keep="S")
+        o2[rows] = -ops.prefactor * partial_trace(dag(ops.u_bare) @ ha_full @ ops.u_bare @ chi_full, keep="S")
+    scale = np.maximum(1.0, cfgs.hbar * abs(cfgs.omega_s))
+    if np.any(np.linalg.norm(o1, axis=(-2, -1)) > 1e-12 * scale):
+        raise RuntimeError("O1 is not null; chi_A must be hollow in the H_A eigenbasis")
+    return o1, o2
+
+
 def work_observables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """System observables (O1, O2) whose expectation gap is the coherent work.
 
     O1 is identically zero because chi_A is traceless in the H_A eigenbasis;
     the sign convention makes Tr[O2 rho_S] coincide with the mean of the
-    coherent-work KDQ distribution.
+    coherent-work KDQ distribution.  The one-config view of `_work_observables`.
     """
-    if not cfg.is_resonant:
-        raise ValueError(f"resonant interaction required (detuning {cfg.detuning:.6g})")
-    u = measurement_unitary(cfg)
-    ha_full = tensor(IDENTITY_2, cfg.operators.h_a)
-    chi_full = tensor(IDENTITY_2, cfg.operators.chi_a)
-    prefactor = cfg.kdq_coherence_prefactor
-    o1 = -prefactor * partial_trace(ha_full @ chi_full, keep="S")
-    o2 = -prefactor * partial_trace(dag(u) @ ha_full @ u @ chi_full, keep="S")
-    return o1, o2
+    o1, o2 = _work_observables(cfg._arrays)
+    return o1[0], o2[0]
+
+
+def _operator_spectra(rho_s: np.ndarray, cfgs: _ConfigArrays) -> tuple[np.ndarray, ...]:
+    """(w_hi, p_hi, w_lo, p_lo) of the operator approach: each state of ``rho_s`` under its config.
+
+    The work values are the eigenvalues of O2 = [[a, b*], [b, d]] in closed
+    form, w = (a + d)/2 +- hypot((a - d)/2, |b|), and p_hi = Tr[(O2 - w_lo)/
+    (w_hi - w_lo) rho_S] is the population of the eigenprojector of w_hi.
+    The threshold of `linalg.group_levels` is relative to the spread, so two
+    levels merge exactly when w_hi == w_lo; a merged row lists its one level
+    twice, with p_hi = Tr rho_S and p_lo = 0.
+    """
+    o2 = _work_observables(cfgs)[1]
+    a, d, b = o2[..., 0, 0].real, o2[..., 1, 1].real, o2[..., 1, 0]
+    mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+    w_hi, w_lo = mean + radius, mean - radius
+    merged = w_hi == w_lo
+    # The eigenprojector of w_hi is formed before it meets rho_S, so that a subnormal O2 keeps p_hi's digits,
+    # and part by part, because complex division overflows for a subnormal gap.
+    shifted, gap = o2 - w_lo[..., None, None] * IDENTITY_2, np.where(merged, 1.0, w_hi - w_lo)[..., None, None]
+    projector = shifted.real / gap + 1j * (shifted.imag / gap)
+    p_hi = np.where(merged, np.trace(rho_s, axis1=-2, axis2=-1), np.trace(projector @ rho_s, axis1=-2, axis2=-1)).real
+    return w_hi, p_hi, np.where(merged, w_hi, w_lo), np.where(merged, 0.0, 1.0 - p_hi)
 
 
 def operator_approach(rho_s: np.ndarray, cfg: ModelConfig) -> OperatorWorkSpectrum:
@@ -174,12 +211,9 @@ def operator_approach(rho_s: np.ndarray, cfg: ModelConfig) -> OperatorWorkSpectr
     The eigenvalues of O2 are the stochastic work values; their genuine
     probabilities are the eigenprojector populations of rho_S.  Unlike the
     KDQ route, here the probabilities are fixed by the state and the values
-    move with the collision time.
+    move with the collision time.  The one-config view of `_operator_spectra`.
     """
-    o1, o2 = work_observables(cfg)
-    scale = max(1.0, cfg.hbar * abs(cfg.omega_s))
-    if float(np.linalg.norm(o1)) > 1e-12 * scale:
-        raise RuntimeError("O1 is not null; chi_A must be hollow in the H_A eigenbasis")
-    dec = eig_hermitian(o2)
-    probs = [float(np.trace(p @ rho_s).real) for p in dec.projectors]
-    return OperatorWorkSpectrum(tuple(dec.eigenvalues), tuple(probs))
+    w_hi, p_hi, w_lo, p_lo = (float(x[0]) for x in _operator_spectra(rho_s, cfg._arrays))
+    if w_hi == w_lo:
+        return OperatorWorkSpectrum((w_hi,), (p_hi,))
+    return OperatorWorkSpectrum((w_hi, w_lo), (p_hi, p_lo))

@@ -539,6 +539,19 @@ def test_scalar_oracle_is_the_one_row_view(cases):
             assert analytic.resonant_nonpositivity(cfg, state) == (oracle["n_re"][k], oracle["n_im"][k])
 
 
+@pytest.mark.parametrize("beta", [12.0, 14.0])
+def test_oracle_keeps_its_digits_at_low_temperature(beta):
+    # The upper ancilla level's weight is about e^(-beta*hbar*omega_a) = e^-36 or
+    # e^-42; formed as (1 - tanh x)/2 it cancelled to 4 % off at beta = 12 and to
+    # 0 at beta = 14.  The kernel's averages are at their rounding floor here.
+    cfg = ModelConfig(omega_s=3.0, omega_a=3.0, g=1.0, tau=1.0, beta=beta)
+    state = SystemStateParams(0.0)
+    expected = reference(cfg, state)
+    assert analytic.delta_e_s(cfg, state) == pytest.approx(expected["delta_e_s"][0].real, rel=1e-12)
+    assert analytic.resonant_energy_stats(cfg, state)[0] == pytest.approx(expected["energy_mean"][0].real, rel=1e-12)
+    assert analytic.resonant_w_q_stats(cfg, state).q_mean == pytest.approx(expected["q_mean"][0].real, rel=1e-12)
+
+
 @pytest.mark.parametrize("g", [1e-200, 1e-310, 5e-324])
 @pytest.mark.parametrize("mode", ["exact", "weakly_coherent"])
 def test_resonant_oracle_at_underflowing_coupling(g, mode):

@@ -345,6 +345,28 @@ class TestMain:
         meta = json.loads((tmp_path / "skipped.csv.meta.json").read_text())
         assert sum(meta["skip_reasons"].values()) == meta["rows"] == 5
 
+    @pytest.mark.parametrize(
+        "sweep, quantities",
+        [
+            ("", "w_mean"),  # detuned exact mode, one row: the coherent-work mean is undefined
+            ("lambda = 0.5, 0.6", "delta_e_s"),  # every lambda exceeds 1/Z_A = 0.4434 at beta = 1
+        ],
+    )
+    def test_validate_fails_when_every_row_is_skipped(self, tmp_path, capsys, sweep, quantities):
+        # `validate` runs the checks of `run` and fails with the same message.
+        config = tmp_path / "skipped.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", sweep).replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {tmp_path / 'skipped.csv'}\nquantities = {quantities}",
+            )
+        )
+        assert main(["validate", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: every row skipped; first reason: ")
+        assert main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == err
+
     def test_partly_skipped_run_succeeds(self, tmp_path):
         out = tmp_path / "partly.csv"
         config = tmp_path / "partly.cfg"

@@ -73,9 +73,17 @@ class TestPartialTrace:
         evolved = u @ tensor(rho_s, rho_a) @ dag(u)
         assert_allclose(partial_trace(evolved, "S"), rho_s, atol=1e-14)
 
+    def test_stack_traces_each_matrix(self, rng):
+        stack = np.array([random_hermitian(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        for keep in ("S", "A"):
+            expected = [partial_trace(m, keep) for m in stack.reshape(6, 4, 4)]
+            assert np.array_equal(partial_trace(stack, keep), np.reshape(expected, (2, 3, 2, 2)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(3), "S")
+        with pytest.raises(ValueError):
+            partial_trace(np.zeros((5, 3, 3)), "S")
 
     def test_bad_keep(self):
         with pytest.raises(ValueError):

@@ -491,15 +491,16 @@ class TestOperatorCache:
         integrate_master_equation(build_system_state(SystemStateParams(0.3)), cfg, 100 * 0.001, 0.001)
         assert builds == [cfg]
 
-    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3a", "fig3b", "custom"])
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3a", "fig3b", "fig5", "fig6", "custom"])
     def test_preset_builds_once_per_config(self, builds, preset, tmp_path):
         # fig1/fig2: 18 configs (three temperatures, six pulse durations), 16
         # phases each, one config at a time.  fig3a/fig3b ask the evaluator for
-        # analytic outputs only, which read no operators.  The golden custom
-        # sweep: 4 lambdas x 4 phases, of which 3 lambdas make a valid config;
-        # its rows are evaluated as one config stack.
+        # analytic outputs only, which read no operators.  fig5/fig6: one
+        # config per collision time, 16.  The golden custom sweep: 4 lambdas x
+        # 4 phases, of which 3 lambdas make a valid config; its rows are
+        # evaluated as one config stack.
         out = tmp_path / f"{preset}.csv"
-        configs = {"fig1": 18, "fig2": 18, "fig3a": 0, "fig3b": 0, "custom": 3}[preset]
+        configs = {"fig1": 18, "fig2": 18, "fig3a": 0, "fig3b": 0, "fig5": 16, "fig6": 16, "custom": 3}[preset]
         if preset == "custom":
             spec = parse_config((GOLDEN / "custom.cfg").read_text(encoding="utf-8"))
         else:

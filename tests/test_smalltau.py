@@ -5,17 +5,19 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, random_case, random_density_matrix, system_states
 from kdcollide import kdq, smalltau
-from kdcollide.linalg import is_hermitian, psd_floor, trace_distance
+from kdcollide.linalg import eig_hermitian, is_hermitian, psd_floor, trace_distance
 from kdcollide.model import (
     MODE_WEAK,
     SIGMA_X,
     SIGMA_Y,
     ModelConfig,
     SystemStateParams,
+    _ConfigArrays,
     build_ancilla,
     build_system_state,
 )
@@ -300,6 +302,40 @@ class TestOperatorApproach:
         cfg, state = random_case(rng, resonant=False)
         with pytest.raises(ValueError):
             operator_approach(build_system_state(state), cfg)
+
+
+# Resonant configs, with zero frequencies and ancilla coherences down to 0 and
+# the subnormals, so that O2 is sometimes zero (one merged level) or subnormal.
+_resonant_cases = admissible_cases().filter(lambda case: case[0].is_resonant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(_resonant_cases, min_size=1, max_size=6))
+def test_stacked_spectrum_matches_eig_hermitian(cases):
+    # The closed-form spectrum of a stack of configs against the grouped
+    # eigendecomposition of each config's O2.
+    rho_s = np.array([build_system_state(state) for _, state in cases])
+    w_hi, p_hi, w_lo, p_lo = smalltau._operator_spectra(rho_s, _ConfigArrays.of([cfg for cfg, _ in cases]))
+    for k, (cfg, _) in enumerate(cases):
+        o2 = work_observables(cfg)[1]
+        dec = eig_hermitian(o2)
+        probs = [float(np.trace(p @ rho_s[k]).real) for p in dec.projectors]
+        tol = 1e-13 * float(np.max(np.abs(o2))) + 1e-320
+        if len(dec.eigenvalues) == 1:
+            assert w_hi[k] == w_lo[k] and p_lo[k] == 0.0
+            assert w_hi[k] == pytest.approx(dec.eigenvalues[0], abs=tol)
+            assert p_hi[k] == pytest.approx(probs[0], abs=1e-12)
+        else:
+            assert w_hi[k] > w_lo[k]
+            assert [w_hi[k], w_lo[k]] == pytest.approx(list(dec.eigenvalues), abs=tol)
+            assert [p_hi[k], p_lo[k]] == pytest.approx(probs, abs=1e-12)
+
+
+def test_stacked_spectrum_rejects_a_detuned_row():
+    cfgs = [ModelConfig(omega_s=w, omega_a=1.0, g=1.0, tau=0.4, beta=0.1, lam=0.45) for w in (1.0, 1.5, 1.0)]
+    rho_s = build_system_state(SystemStateParams(0.3, 0.4, 1.0))
+    with pytest.raises(ValueError, match=r"resonant interaction required \(detuning 0.5\)"):
+        smalltau._operator_spectra(rho_s, _ConfigArrays.of(cfgs))
 
 
 class TestBchAgainstKdq:
