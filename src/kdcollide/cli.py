@@ -399,10 +399,14 @@ def _grid(cfg: ModelConfig, state: SystemStateParams, axes) -> _Grid:
 
     Each model axis replaces a field of ``cfg``, each state axis one of
     ``state``.  Rows at the same position on every model axis share one
-    config: positions, not values, so that -0.0 and 0.0 stay apart.
+    config: positions, not values, so that -0.0 and 0.0 stay apart.  Raises
+    ConfigError with the row count if NumPy cannot hold the grid's positions.
     """
     sizes = [len(values) for _, values in axes]
-    position = np.indices(sizes, dtype=np.intp).reshape(len(sizes), math.prod(sizes))
+    try:
+        position = np.indices(sizes, dtype=np.intp).reshape(len(sizes), math.prod(sizes))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"the sweep grid has {math.prod(sizes)} rows, too many to evaluate") from exc
     model = [k for k, (key, _) in enumerate(axes) if key in _FIELDS["model"]]
     model_sizes = [sizes[k] for k in model]
     model_position = np.indices(model_sizes, dtype=np.intp).reshape(len(model), math.prod(model_sizes))
@@ -739,21 +743,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        if spec.preset == "custom":
-            _, skipped, skip_reasons = _sweep(spec)
-            if _every_row_skipped(skip_reasons, len(skipped)):
-                return 1
-        print(f"ok: {args.config} is a valid {spec.preset} spec")
-        return 0
-
-    if args.out is not None:
-        spec = replace(spec, out_path=str(args.out))
-    if spec.out_path is None:
-        spec = replace(spec, out_path=f"{spec.preset}.csv")
     try:
+        if args.command == "validate":
+            if spec.preset == "custom":
+                _, skipped, skip_reasons = _sweep(spec)
+                if _every_row_skipped(skip_reasons, len(skipped)):
+                    return 1
+            print(f"ok: {args.config} is a valid {spec.preset} spec")
+            return 0
+        if args.out is not None:
+            spec = replace(spec, out_path=str(args.out))
+        if spec.out_path is None:
+            spec = replace(spec, out_path=f"{spec.preset}.csv")
         table = run(spec)
-    except OSError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{spec.preset}: wrote {len(table.rows)} rows to {spec.out_path}")

@@ -153,22 +153,22 @@ def _work_heat_errors(cfgs: _ConfigArrays) -> dict[int, str]:
 
 
 def _check_work_heat_regime(cfgs: _ConfigArrays) -> None:
-    """Raise ValueError when the coherent-work/heat split is undefined for a config; warn, per config, off
-    resonance and past the pulse-area border."""
+    """Raise ValueError when the coherent-work/heat split is undefined for a config; warn once per kind off
+    resonance and past the pulse-area border, with the count of such configs and the largest value."""
     errors = _work_heat_errors(cfgs)
     if errors:
         raise ValueError(next(iter(errors.values())))
     detuned = ~cfgs.is_resonant
+    if count := np.count_nonzero(detuned):
+        largest = abs(cfgs.detuning[detuned]).max()
+        scope = "" if count == 1 else f" in {count} configs (largest |detuning| {largest:.4g})"
+        _warn(f"coherent-work/heat split off resonance is not energy-preserving{scope}")
     area = cfgs.g * cfgs.tau
     strong = area > PULSE_AREA_VALIDITY + 1e-12
-    for k in np.flatnonzero(detuned | strong).tolist():
-        if detuned[k]:
-            _warn("coherent-work/heat split off resonance is not energy-preserving")
-        if strong[k]:
-            _warn(
-                f"pulse area g*tau = {area[k].item():.4g} exceeds pi/6: "
-                "coherent work / incoherent heat enter the strong-coupling regime"
-            )
+    if count := np.count_nonzero(strong):
+        largest = f"{area[strong].max():.4g}"
+        scope = f"= {largest} exceeds pi/6" if count == 1 else f"exceeds pi/6 in {count} configs (largest {largest})"
+        _warn(f"pulse area g*tau {scope}: coherent work / incoherent heat enter the strong-coupling regime")
 
 
 def _warn(message: str) -> None:

@@ -27,17 +27,16 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
-    """Trace out one factor of a bipartite operator, or of each operator of a (..., n, n) stack.
+def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
+    """Trace out one qubit of a two-qubit operator, or of each operator of a (..., 4, 4) stack.
 
     ``keep`` selects the surviving factor: "S" keeps the first (left) tensor
-    factor, "A" the second.  ``dims`` gives the local dimensions (d_S, d_A).
+    factor, "A" the second.
     """
-    d_s, d_a = dims
     m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (d_s * d_a, d_s * d_a):
-        raise ValueError(f"dimension mismatch: expected {(d_s * d_a,) * 2}, got {m.shape}")
-    m4 = m.reshape(m.shape[:-2] + (d_s, d_a, d_s, d_a))
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"dimension mismatch: expected (4, 4), got {m.shape}")
+    m4 = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
     key = keep.upper()
     if key == "S":
         return np.einsum("...ikjk->...ij", m4)
@@ -98,20 +97,18 @@ class SpectralDecomposition:
         return out
 
 
-def group_levels(
-    energies: np.ndarray, degeneracy_tol: float = 1e-9
-) -> tuple[tuple[float, ...], np.ndarray]:
+def group_levels(energies: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
     """Group real energies into levels sorted in descending order.
 
-    A new level starts when an energy lies more than ``degeneracy_tol`` times
-    the spread below the first energy of the current level; a level's energy
-    is the mean of its members.  Returns ``(levels, index)`` with
-    ``index[k]`` the level of ``energies[k]``.
+    A new level starts when an energy lies more than 1e-9 times the spread
+    below the first energy of the current level; a level's energy is the
+    mean of its members.  Returns ``(levels, index)`` with ``index[k]`` the
+    level of ``energies[k]``.
     """
     energies = np.asarray(energies, dtype=float)
     order = np.argsort(-energies, kind="stable")
     ordered = energies[order]
-    threshold = degeneracy_tol * float(ordered[0] - ordered[-1])
+    threshold = 1e-9 * float(ordered[0] - ordered[-1])
     index = np.empty(len(ordered), dtype=int)
     levels: list[float] = []
     start = 0
@@ -123,10 +120,10 @@ def group_levels(
     return tuple(levels), index
 
 
-def eig_hermitian(m: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralDecomposition:
+def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition with degenerate eigenvalues grouped.
 
-    ``degeneracy_tol`` is relative to the spectral range, so resonantly
+    The grouping threshold is relative to the spectral range, so resonantly
     degenerate levels are grouped regardless of the overall energy scale;
     see `group_levels`.
     """
@@ -135,7 +132,7 @@ def eig_hermitian(m: np.ndarray, degeneracy_tol: float = 1e-9) -> SpectralDecomp
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     evals, evecs = np.linalg.eigh(m)
     evecs = evecs[:, ::-1]
-    levels, index = group_levels(evals[::-1], degeneracy_tol)
+    levels, index = group_levels(evals[::-1])
     blocks = (evecs[:, index == level] for level in range(len(levels)))
     return SpectralDecomposition(levels, tuple(b @ b.conj().T for b in blocks))
 

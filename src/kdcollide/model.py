@@ -450,9 +450,9 @@ class Operators(NamedTuple):
     """The operators of one config (`ModelConfig.operators`) or of a stack of configs (`_operator_stacks`).
 
     A stack's arrays carry a leading axis aligned with the leading axis of a
-    state stack (row k under config k); one config's arrays have none and
-    broadcast over any state stack.  ``cfgs`` are the `_ConfigArrays` of the
-    distinct configs; a config's own operators (read-only, because every
+    state stack (row k under config k), or of length 1 and broadcast over it;
+    one config's own arrays have none.  ``cfgs`` are the `_ConfigArrays` of
+    the distinct configs; a config's own operators (read-only, because every
     caller shares them) list none, because a reference back to the config
     that caches them would keep both alive until the garbage collector runs.
     ``u`` is the collision propagator exp(-i H_SA tau / hbar)
@@ -563,40 +563,38 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
     )
 
 
-def _one_config(cfgs: _ConfigArrays) -> Operators:
-    """The operators of a one-row `_ConfigArrays` without the config axis, listing it.
-
-    Built on the config's floats, as `ModelConfig.operators`: for one row,
-    NumPy's call overhead makes the array path several times slower.
-    """
-    return ModelConfig(*cfgs.values[:, 0].tolist(), mode=cfgs.mode[0].item()).operators._replace(cfgs=cfgs)
+def _blocks(rows: np.ndarray) -> list[np.ndarray]:
+    """``rows`` in consecutive blocks of at most `_STACK_ROWS`."""
+    return [rows[start : start + _STACK_ROWS] for start in range(0, len(rows), _STACK_ROWS)]
 
 
 def _operator_stacks(cfgs: _ConfigArrays, which: np.ndarray | None = None) -> list[tuple[np.ndarray, Operators]]:
     """The kernel's operators for a state stack whose row k is under config ``which[k]`` of ``cfgs``.
 
     ``which`` defaults to row k under config k.  Returns ``(rows, operators)``
-    parts in order of first row.  A config with at least `_STACK_ROWS` rows
-    makes one part, its operators without the config axis.  The other rows
-    need one level structure per stack, and a zero frequency merges a
-    qubit's two levels, so they are split by which frequencies are zero, and
-    then into blocks of at most `_STACK_ROWS` rows; each block is a `_stack`
-    of its configs gathered to its rows (the config's operators if it has one).
+    parts in order of first row, each of at most `_STACK_ROWS` rows and with
+    a config axis.  A stack needs one level structure, and a zero frequency
+    merges a qubit's two levels, so the rows are split by which frequencies
+    are zero.  In each split, the configs with `_STACK_ROWS` rows or more are
+    one `_stack`, each config's parts sharing its slice of length 1; the
+    other rows go in blocks, each a `_stack` of its configs gathered to it.
     """
     which = np.arange(len(cfgs)) if which is None else np.asarray(which)
     counts = np.bincount(which, minlength=len(cfgs))
-    parts = [(np.flatnonzero(which == c), _one_config(cfgs.take([c]))) for c in np.flatnonzero(counts >= _STACK_ROWS)]
-    rest = np.flatnonzero(counts[which] < _STACK_ROWS)
-    shape = ((cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0))[which[rest]]
-    for key in dict.fromkeys(shape.tolist()):
-        shape_rows = rest[shape == key]
-        for start in range(0, len(shape_rows), _STACK_ROWS):
-            rows = shape_rows[start : start + _STACK_ROWS]
+    shape = (cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0)
+    parts = []
+    for key in dict.fromkeys(shape[which].tolist()):
+        large = (shape == key) & (counts >= _STACK_ROWS)
+        if large.any():
+            stack = _stack(cfgs.take(np.flatnonzero(large)))
+            # The rows of each of these configs in turn, each in row order.
+            rows = np.flatnonzero(large[which])
+            rows = rows[np.argsort(which[rows], kind="stable")]
+            for j, own in enumerate(np.split(rows, np.cumsum(counts[large])[:-1])):
+                ops = Operators(stack.cfgs.take([j]), *(a[j : j + 1] for a in stack[1:]))
+                parts += [(block, ops) for block in _blocks(own)]
+        for rows in _blocks(np.flatnonzero(((shape == key) & ~large)[which])):
             members, slot = np.unique(which[rows], return_inverse=True)
-            if len(members) == 1:
-                stack = _one_config(cfgs.take(members))
-            else:
-                stack = _stack(cfgs.take(members))
-                stack = Operators(stack.cfgs, *(a[slot] for a in stack[1:]))
-            parts.append((rows, stack))
+            stack = _stack(cfgs.take(members))
+            parts.append((rows, Operators(stack.cfgs, *(a[slot] for a in stack[1:]))))
     return sorted(parts, key=lambda part: part[0][0])

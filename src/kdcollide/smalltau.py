@@ -154,14 +154,14 @@ def _require_resonant(cfgs: _ConfigArrays) -> None:
         raise ValueError(f"resonant interaction required (detuning {cfgs.detuning[np.argmin(cfgs.is_resonant)]:.6g})")
 
 
-def _work_observables(cfgs: _ConfigArrays) -> tuple[np.ndarray, np.ndarray]:
-    """The (M, 2, 2) stacks of O1 and O2 of M configs, built in the parts of `model._operator_stacks`.
+def _work_observables(cfgs: _ConfigArrays, parts=None) -> tuple[np.ndarray, np.ndarray]:
+    """O1 and O2 of M configs as (M, 2, 2) stacks, built in ``parts``: by default `model._operator_stacks`.
 
     Raises the ValueError of the first detuned config, and RuntimeError if any O1 is not null.
     """
     _require_resonant(cfgs)
     o1, o2 = np.empty((2, len(cfgs), 2, 2), dtype=complex)
-    for rows, ops in _operator_stacks(cfgs):
+    for rows, ops in _operator_stacks(cfgs) if parts is None else parts:
         ha_full, chi_full = tensor(IDENTITY_2, ops.h_a), tensor(IDENTITY_2, ops.chi_a)
         o1[rows] = -ops.prefactor * partial_trace(ha_full @ chi_full, keep="S")
         o2[rows] = -ops.prefactor * partial_trace(dag(ops.u_bare) @ ha_full @ ops.u_bare @ chi_full, keep="S")
@@ -178,11 +178,11 @@ def work_observables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     the sign convention makes Tr[O2 rho_S] coincide with the mean of the
     coherent-work KDQ distribution.  The one-config view of `_work_observables`.
     """
-    o1, o2 = _work_observables(cfg._arrays)
+    o1, o2 = _work_observables(cfg._arrays, [(0, cfg.operators)])
     return o1[0], o2[0]
 
 
-def _operator_spectra(rho_s: np.ndarray, cfgs: _ConfigArrays) -> tuple[np.ndarray, ...]:
+def _operator_spectra(rho_s: np.ndarray, cfgs: _ConfigArrays, parts=None) -> tuple[np.ndarray, ...]:
     """(w_hi, p_hi, w_lo, p_lo) of the operator approach: each state of ``rho_s`` under its config.
 
     The work values are the eigenvalues of O2 = [[a, b*], [b, d]] in closed
@@ -190,9 +190,9 @@ def _operator_spectra(rho_s: np.ndarray, cfgs: _ConfigArrays) -> tuple[np.ndarra
     (w_hi - w_lo) rho_S] is the population of the eigenprojector of w_hi.
     The threshold of `linalg.group_levels` is relative to the spread, so two
     levels merge exactly when w_hi == w_lo; a merged row lists its one level
-    twice, with p_hi = Tr rho_S and p_lo = 0.
+    twice, with p_hi = Tr rho_S and p_lo = 0.  ``parts`` as in `_work_observables`.
     """
-    o2 = _work_observables(cfgs)[1]
+    o2 = _work_observables(cfgs, parts)[1]
     a, d, b = o2[..., 0, 0].real, o2[..., 1, 1].real, o2[..., 1, 0]
     mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
     w_hi, w_lo = mean + radius, mean - radius
@@ -213,7 +213,7 @@ def operator_approach(rho_s: np.ndarray, cfg: ModelConfig) -> OperatorWorkSpectr
     KDQ route, here the probabilities are fixed by the state and the values
     move with the collision time.  The one-config view of `_operator_spectra`.
     """
-    w_hi, p_hi, w_lo, p_lo = (float(x[0]) for x in _operator_spectra(rho_s, cfg._arrays))
+    w_hi, p_hi, w_lo, p_lo = (float(x[0]) for x in _operator_spectra(rho_s, cfg._arrays, [(0, cfg.operators)]))
     if w_hi == w_lo:
         return OperatorWorkSpectrum((w_hi,), (p_hi,))
     return OperatorWorkSpectrum((w_hi, w_lo), (p_hi, p_lo))

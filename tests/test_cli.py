@@ -443,6 +443,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: r=1e+200 violates positivity: r^2 must not exceed rho11*(1-rho11) = 0.1875")
 
+    def test_oversized_grid_fails_with_row_count(self, tmp_path, capsys):
+        # Four axes of 10^5 points: NumPy rejects the 10^20 rows' positions
+        # without allocating them.
+        config = tmp_path / "huge.cfg"
+        axes = "\n".join(f"{key} = linspace(0.1, 0.2, 100000)" for key in ("phi_c", "r", "g", "tau"))
+        config.write_text(
+            CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", axes).replace(
+                "[output]\nquantities", f"[output]\npath = {tmp_path / 'huge.csv'}\nquantities"
+            )
+        )
+        for command in ("validate", "run"):
+            assert main([command, str(config)]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: the sweep grid has 100000000000000000000 rows, too many to evaluate\n"
+        assert not (tmp_path / "huge.csv").exists()
+
     def test_resonant_sweep_at_underflowing_coupling(self, tmp_path):
         # 4 g^2 underflows to 0 at these couplings; the closed forms stay finite
         # and agree with the kernel, which gives 0 there.

@@ -370,6 +370,28 @@ class TestValidityGuards:
             assert [w.filename for w in caught] == [__file__], public.__name__
 
 
+def test_stack_warns_once_per_kind():
+    # One kernel call over ten strong-pulse configs and three detuned weak ones
+    # warns once per kind, with the count and the largest value.
+    strong = [resonant_cfg(tau=1.0 + 0.2 * k, lam=0.2) for k in range(10)]
+    detuned = [
+        ModelConfig(omega_s=1.0 + d, omega_a=1.0, g=1.0, tau=0.1, beta=1.0, lam_tilde=0.1, mode=MODE_WEAK)
+        for d in (0.5, -1.5, 1.0)
+    ]
+    cfgs = strong + detuned
+    (_, ops), = _operator_stacks(*config_rows(cfgs))
+    rho_s = np.repeat(build_system_state(SystemStateParams(0.5))[None], len(cfgs), axis=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ValidityWarning)
+        kdq._kernel(kdq.W, rho_s, ops)
+    assert [str(w.message) for w in caught] == [
+        "coherent-work/heat split off resonance is not energy-preserving in 3 configs (largest |detuning| 1.5)",
+        "pulse area g*tau exceeds pi/6 in 10 configs (largest 2.8): "
+        "coherent work / incoherent heat enter the strong-coupling regime",
+    ]
+    assert {w.filename for w in caught} == {__file__}
+
+
 class TestSystemSideSplit:
     def test_ws_plus_qs_equals_us_entrywise(self, rng):
         cfg, state = random_case(rng, resonant=True)
@@ -496,9 +518,8 @@ def assert_stack_matches_per_config(cfgs, rho_s, quantities, group_degenerate=Fa
     assert sorted(np.concatenate([rows for rows, _ in parts]).tolist()) == list(range(len(cfgs)))
     for rows, ops in parts:
         assert len({(cfgs[k].omega_s == 0.0, cfgs[k].omega_a == 0.0) for k in rows}) == 1
-        assert len(rows) <= model._STACK_ROWS or len({id(cfgs[k]) for k in rows}) == 1
-        stack_u = ops.u if len(ops.cfgs) > 1 else np.repeat(ops.u[None], len(rows), axis=0)
-        for quantity, unitary in itertools.product(quantities, (None, stack_u)):
+        assert len(rows) <= model._STACK_ROWS and ops.u.ndim == 3
+        for quantity, unitary in itertools.product(quantities, (None, ops.u)):
             matrix, levels, local = kdq._kernel(quantity, rho_s[rows], ops, unitary, group_degenerate)
             moment_stack = kdq._moments(matrix, levels)
             witnesses = kdq._witnesses(matrix).tolist()
@@ -560,6 +581,18 @@ def test_config_stack_mixes_modes_signs_and_zero_frequencies():
     (_, ops), = _operator_stacks(model._ConfigArrays.of([_MIXED_STACK[1][0], _MIXED_STACK[2][0]]))
     with pytest.raises(ValueError, match="one joint level count"):
         kdq._kernel(kdq.USA, np.array([build_system_state(state) for state in states[:2]]), ops, group_degenerate=True)
+
+
+def test_config_rows_in_bounded_parts():
+    # The rows of a config with more than 2 * `_STACK_ROWS` of them go in parts
+    # of at most `_STACK_ROWS` rows that share its operators.
+    cfg = _MIXED_STACK[3][0]
+    phases = np.linspace(0.0, 2.0 * math.pi, 2 * model._STACK_ROWS + 3)
+    rows = [(cfg, SystemStateParams(0.25, 0.4, phi)) for phi in phases]
+    parts = _operator_stacks(*config_rows([cfg for cfg, _ in rows]))
+    assert [len(part_rows) for part_rows, _ in parts] == [model._STACK_ROWS, model._STACK_ROWS, 3]
+    assert len({id(ops) for _, ops in parts}) == 1
+    _assert_config_stack(rows)
 
 
 def _assert_config_stack(rows):

@@ -36,7 +36,7 @@ from kdcollide.model import (
     build_system_state,
     partition_function,
 )
-from kdcollide.smalltau import integrate_master_equation
+from kdcollide.smalltau import integrate_master_equation, operator_approach, work_observables
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -490,6 +490,24 @@ class TestOperatorCache:
         cfg = cfg_with(tau=0.02, lam_tilde=0.25, mode=MODE_WEAK)
         integrate_master_equation(build_system_state(SystemStateParams(0.3)), cfg, 100 * 0.001, 0.001)
         assert builds == [cfg]
+
+    def test_operator_approach_builds_once(self, builds):
+        # The one-config views read the config's own operators.
+        cfg = cfg_with(tau=0.3, lam_tilde=0.25, mode=MODE_WEAK)
+        rho_s = build_system_state(SystemStateParams(0.25, 0.4, 1.0))
+        operator_approach(rho_s, cfg)
+        operator_approach(rho_s, cfg)
+        work_observables(cfg)
+        assert builds == [cfg]
+
+    def test_large_configs_build_in_one_call(self, monkeypatch):
+        # fig1 at 128 points: 18 configs of 128 phases each, with one level
+        # structure, so one `_stack` call builds all 18.
+        calls = []
+        stack = model._stack
+        monkeypatch.setattr(model, "_stack", lambda cfgs: calls.append(cfgs) or stack(cfgs))
+        run(ExperimentSpec(preset="fig1", cfg=None, state=None, points=128, collisions=8))
+        assert len(calls) == 1 and len(calls[0]) == 18
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3a", "fig3b", "fig5", "fig6", "custom"])
     def test_preset_builds_once_per_config(self, builds, preset, tmp_path):
