@@ -37,9 +37,12 @@ with the reason of its model config, else of its state, else of the first
 quantity undefined for its config (`validate` fails when every row would be
 skipped), and evaluates the others in one call over the stack of configs
 (`_evaluate`, shared with fig1 to fig4, which computes each analytic output
-as one call of the array oracle).  fig5 and fig6 reduce one tau grid: the
-coherent-work KDQ per work value, and the spectrum of the operator
-approach's observable O2 (`smalltau`).
+as one call of the array oracle, and checks the work/heat regime once, so
+a sweep warns at most once per kind).  One table, `_OUTPUTS`, gives what
+each output quantity reads and the columns it emits.  fig5 and fig6 reduce
+one tau grid: the coherent-work KDQ per work value (across g*tau = pi/6 on
+purpose, so unchecked), and the spectrum of the operator approach's
+observable O2 (`smalltau`).  A grid or chain too large to hold is an error.
 
 Output is a deterministic CSV (17 significant digits, no timestamps) plus a
 ``<path>.meta.json`` sidecar with the run parameters; for custom runs it also
@@ -54,7 +57,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -89,35 +91,33 @@ _FIELDS = {
 }
 _SWEEPABLE = (set(_FIELDS["model"]) | set(_FIELDS["state"])) - {"mode"}
 
-# Output quantities for custom runs -> emitted columns.
-QUANTITY_COLUMNS: dict[str, tuple[str, ...]] = {
-    "delta_e_s": ("delta_e_s",),
-    "delta_e_a": ("delta_e_a",),
-    "delta_e_sa": ("delta_e_sa",),
-    "w_mean": ("w_mean",),
-    "q_mean": ("q_mean",),
-    "var_us": ("var_us_re", "var_us_im"),
-    "var_ua": ("var_ua_re", "var_ua_im"),
-    "var_usa": ("var_usa_re", "var_usa_im"),
-    "var_w": ("var_w_re", "var_w_im"),
-    "var_q": ("var_q_re", "var_q_im"),
-    "n_q_us": ("n_q_us",),
-    "n_re_us": ("n_re_us",),
-    "n_im_us": ("n_im_us",),
-    "n_q_ua": ("n_q_ua",),
-    "n_re_ua": ("n_re_ua",),
-    "n_im_ua": ("n_im_ua",),
-    "n_q_usa": ("n_q_usa",),
-    "n_re_usa": ("n_re_usa",),
-    "n_im_usa": ("n_im_usa",),
-    "n_q_q": ("n_q_q",),
-    "n_re_q": ("n_re_q",),
-    "n_im_q": ("n_im_q",),
-    "analytic_delta_e_s": ("analytic_delta_e_s",),
-    "analytic_delta_e_s_envelopes": ("analytic_delta_e_s_lower", "analytic_delta_e_s_upper"),
-    "analytic_delta_e_sa": ("analytic_delta_e_sa",),
-    "analytic_delta_e_sa_limit": ("analytic_delta_e_sa_limit",),
+
+class _Output(NamedTuple):
+    """What an output quantity reads, of which KDQ quantity or `analytic` array formula, and its columns."""
+
+    reads: str  # "mean", "var", a witness ("n_q", "n_re", "n_im") or "analytic"
+    source: str
+    columns: tuple[str, ...]
+
+
+_WITNESSES = ("n_q", "n_re", "n_im")
+_MEANS = {"delta_e_s": kdq.US, "delta_e_a": kdq.UA, "delta_e_sa": kdq.USA, "w_mean": kdq.W, "q_mean": kdq.Q}
+# The output quantities of custom runs, also read by fig1, fig2 and fig4.
+_OUTPUTS: dict[str, _Output] = {
+    **{name: _Output("mean", q, (name,)) for name, q in _MEANS.items()},
+    **{f"var_{q}": _Output("var", q, (f"var_{q}_re", f"var_{q}_im")) for q in _MEANS.values()},
+    **{f"{k}_{q}": _Output(k, q, (f"{k}_{q}",)) for q in _MEANS.values() if q not in kdq.ZERO_SUM for k in _WITNESSES},
+    **{f"analytic_{f}": _Output("analytic", f"_{f}", (f"analytic_{f}",)) for f in ("delta_e_s", "delta_e_sa")},
+    "analytic_delta_e_s_envelopes": _Output(
+        "analytic", "_delta_e_s_envelopes", ("analytic_delta_e_s_lower", "analytic_delta_e_s_upper")
+    ),
+    "analytic_delta_e_sa_limit": _Output("analytic", "_delta_e_sa_limit", ("analytic_delta_e_sa_limit",)),
 }
+
+
+def _reads_split(outputs: tuple[str, ...]) -> bool:
+    """Whether any of ``outputs`` reads the coherent-work/heat split."""
+    return any(_OUTPUTS[name].source in kdq._WORK_HEAT for name in outputs)
 
 
 class ConfigError(ValueError):
@@ -278,10 +278,8 @@ def parse_config(text: str) -> ExperimentSpec:
     if not quantities:
         raise ConfigError("custom run needs [output] quantities")
     for i, q in enumerate(quantities):
-        if q not in QUANTITY_COLUMNS:
-            raise ConfigError(
-                f"unknown output quantity {q!r}; known: {', '.join(sorted(QUANTITY_COLUMNS))}"
-            )
+        if q not in _OUTPUTS:
+            raise ConfigError(f"unknown output quantity {q!r}; known: {', '.join(sorted(_OUTPUTS))}")
         if q in quantities[:i]:
             raise ConfigError(f"line {key_lines['output', 'quantities']}: duplicate quantity {q!r} in [output]")
     for key in ("omega_s", "omega_a", "g", "tau", "beta"):
@@ -306,43 +304,29 @@ def parse_config(text: str) -> ExperimentSpec:
 # evaluation and custom sweep execution
 
 
-_MEAN_QUANTITIES = {
-    "delta_e_s": kdq.US, "delta_e_a": kdq.UA, "delta_e_sa": kdq.USA, "w_mean": kdq.W, "q_mean": kdq.Q,
-}
-_WITNESSES = ("n_q", "n_re", "n_im")
-# Output quantities that are `analytic.<name without the prefix>` of each row.
-_ANALYTIC = ("analytic_delta_e_s", "analytic_delta_e_s_envelopes", "analytic_delta_e_sa", "analytic_delta_e_sa_limit")
-
-
-def _kdq_quantity(name: str) -> str | None:
-    """The KDQ quantity behind an output quantity; None for the analytic ones."""
-    if name in _ANALYTIC:
-        return None
-    if name in _MEAN_QUANTITIES:
-        return _MEAN_QUANTITIES[name]
-    return name.removeprefix("var_").rpartition("_")[2]
-
-
 def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...], which: np.ndarray) -> np.ndarray:
-    """The `QUANTITY_COLUMNS` of ``outputs`` for a stack of states, state k under config ``which[k]`` of ``cfgs``.
+    """The `_OUTPUTS` columns of ``outputs`` for a stack of states, state k under config ``which[k]`` of ``cfgs``.
 
     Row k of the result is state k.  The outputs that read the KDQ kernel
     stack the configs in parts by `model._operator_stacks`, and each
     quantity takes one kernel call per part; each analytic output is one
-    oracle call over every row, with no operators.  Raises ValueError when a
-    quantity is undefined for a config.
+    oracle call over every row, with no operators.  The work/heat regime of
+    the configs is checked once: raises ValueError when the split is
+    undefined for a config, and warns once per kind.
     """
-    bounds = np.cumsum([0] + [len(QUANTITY_COLUMNS[name]) for name in outputs]).tolist()
+    bounds = np.cumsum([0] + [len(_OUTPUTS[name].columns) for name in outputs]).tolist()
     columns = {name: slice(lo, hi) for name, lo, hi in zip(outputs, bounds[:-1], bounds[1:])}
     table = np.empty((len(states), bounds[-1]))
     for name in outputs:
-        if name in _ANALYTIC:
+        if _OUTPUTS[name].reads == "analytic":
             # Looked up on the module at each call, so that wrappers installed there see the calls.
-            oracle = getattr(analytic, "_" + name.removeprefix("analytic_"))
+            oracle = getattr(analytic, _OUTPUTS[name].source)
             table[:, columns[name]] = np.array(oracle(cfgs.take(which), states), ndmin=2).T
-    kernel_outputs = [name for name in outputs if name not in _ANALYTIC]
+    kernel_outputs = [name for name in outputs if _OUTPUTS[name].reads != "analytic"]
     if not kernel_outputs:
         return table
+    if _reads_split(outputs):
+        kdq._check_work_heat_regime(cfgs.take(np.unique(which)))
     rho_s = _system_states(states)
     for rows, ops in _operator_stacks(cfgs, which):
         kernels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -359,20 +343,20 @@ def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...
             return reduced[reducer, quantity]
 
         for name in kernel_outputs:
-            if name in _MEAN_QUANTITIES:
-                mean = reduce("moments", _MEAN_QUANTITIES[name])[0]
+            reads, quantity, _ = _OUTPUTS[name]
+            if reads == "mean":
+                mean = reduce("moments", quantity)[0]
                 # Physical averages are real; a visible imaginary part means the
                 # pipeline is broken, not that truncation is in order.
                 complex_rows = np.abs(mean.imag) > 1e-12 * np.maximum(1.0, np.abs(mean.real))
                 if complex_rows.any():
                     raise RuntimeError(f"expected a real average, got {complex(mean[complex_rows][0])}")
                 values = [mean.real]
-            elif name.startswith("var_"):
-                variance = reduce("moments", _kdq_quantity(name))[2]
+            elif reads == "var":
+                variance = reduce("moments", quantity)[2]
                 values = [variance.real, variance.imag]
             else:
-                kind = name.rpartition("_")[0]
-                values = [reduce("witnesses", _kdq_quantity(name))[..., _WITNESSES.index(kind)]]
+                values = [reduce("witnesses", quantity)[..., _WITNESSES.index(reads)]]
             table[rows, columns[name]] = np.array(values).T
     return table
 
@@ -431,9 +415,8 @@ def _sweep(spec: ExperimentSpec) -> tuple[_Grid, np.ndarray, dict[str, int]]:
     """
     assert spec.cfg is not None and spec.state is not None
     grid = _grid(spec.cfg, spec.state, spec.sweep)
-    work_heat = any(_kdq_quantity(name) in kdq._WORK_HEAT for name in spec.outputs)
     cfg_errors, state_errors = grid.cfgs.errors(), grid.states.errors()
-    regime_errors = kdq._work_heat_errors(grid.cfgs) if work_heat else {}
+    regime_errors = kdq._work_heat_errors(grid.cfgs) if _reads_split(spec.outputs) else {}
     skipped = np.isin(grid.which, [*cfg_errors, *regime_errors])
     skipped[list(state_errors)] = True
     skip_reasons: dict[str, int] = {}
@@ -457,7 +440,7 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     grid, skipped, skip_reasons = _sweep(spec)
     header = [name for name, _ in spec.sweep] + ["skipped"]
     for name in spec.outputs:
-        header.extend(QUANTITY_COLUMNS[name])
+        header.extend(_OUTPUTS[name].columns)
     kept = np.flatnonzero(~skipped)
     data = np.full((len(skipped), len(header) - len(spec.sweep) - 1), math.nan)
     if len(kept):
@@ -487,6 +470,14 @@ def _params_meta(cfg: ModelConfig, state: SystemStateParams) -> dict:
 _R_MAX_QUARTER = math.sqrt(3.0) / 4.0  # r_max for rho11 = 1/4
 
 
+def _linspace(start: float, stop: float, points: int, endpoint: bool = True) -> np.ndarray:
+    """A preset's grid of ``points`` values; raises ConfigError with the count if NumPy cannot hold it."""
+    try:
+        return np.linspace(start, stop, points, endpoint=endpoint)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{points} points are too many to evaluate") from exc
+
+
 def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
     """Non-positivity witnesses of ``us`` (fig1) or ``usa`` (fig2) vs. coherence
     phase, for the detuned single collision at three temperatures and six
@@ -494,7 +485,7 @@ def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
     quantity = {"fig1": kdq.US, "fig2": kdq.USA}[spec.preset]
     taus = [math.pi / 36, math.pi / 18, math.pi / 12, math.pi / 9, 5 * math.pi / 36, math.pi / 6]
     betas = [5.0, 1.0, 0.2]
-    axes = [("beta", betas), ("tau", taus), ("phi_c", np.linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False))]
+    axes = [("beta", betas), ("tau", taus), ("phi_c", _linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False))]
     base = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=betas[0])
     grid = _grid(base, SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER), axes)
     grid = grid._replace(cfgs=grid.cfgs.replace(lam=grid.cfgs.lambda_max))
@@ -524,7 +515,7 @@ def _preset_fig3a(spec: ExperimentSpec) -> ResultTable:
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
     lam_max = base.lambda_max
     lams = [0.0, lam_max / 2.0, lam_max]
-    deltas = np.linspace(-20.0, 20.0, spec.points)
+    deltas = _linspace(-20.0, 20.0, spec.points)
     grid = _grid(base, state, [("lambda", lams), ("omega_s", 1.0 + deltas)])
     values = grid.evaluate(("analytic_delta_e_s", "analytic_delta_e_s_envelopes"))
     header = ["lambda", "delta", "delta_e_s", "envelope_lower", "envelope_upper"]
@@ -543,7 +534,7 @@ def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
     base = ModelConfig(omega_s=21.0, omega_a=1.0, g=1.0, tau=1e-6, beta=1.0)
     lam_max = base.lambda_max
     lams = [-lam_max, -lam_max / 2.0, lam_max / 2.0, lam_max]
-    taus = np.linspace(0.0, math.pi / 2.0, spec.points)
+    taus = _linspace(0.0, math.pi / 2.0, spec.points)
     grid = _grid(base, state, [("lambda", lams), ("tau", taus)])
     values = grid.evaluate(("analytic_delta_e_sa", "analytic_delta_e_sa_limit"))
     header = ["lambda", "tau", "delta_e_sa", "delta_e_sa_limit"]
@@ -564,7 +555,7 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     maxima of the panel-a curve, normalized to their lambda=0 value."""
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
-    deltas = np.linspace(0.0, 20.0, spec.points)
+    deltas = _linspace(0.0, 20.0, spec.points)
     var_us0, var_usa0 = _grid(base, state, [("omega_s", 1.0 + deltas)]).evaluate(("var_us", "var_usa"))[:, ::2].T
     # The first three local maxima of var_us, the lambda = 0 references of panel 1.
     peaks = (np.flatnonzero((var_us0[1:-1] > var_us0[:-2]) & (var_us0[1:-1] >= var_us0[2:])) + 1)[:3]
@@ -593,13 +584,13 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
 
 
 def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
-    """fig5's columns: the coherent-work KDQ of each row, its entries summed per stochastic work value."""
+    """fig5's columns: the coherent-work KDQ of each row, its entries summed per stochastic work value.
+
+    The sweep deliberately crosses the g*tau = pi/6 validity border, so it checks no regime.
+    """
     q = np.empty((len(cfgs), 2, 2), dtype=complex)
-    with warnings.catch_warnings():
-        # The sweep intentionally crosses the g*tau = pi/6 validity border.
-        warnings.simplefilter("ignore", kdq.ValidityWarning)
-        for rows, ops in _operator_stacks(cfgs):
-            q[rows] = kdq._kernel(kdq.W, rho_s[rows], ops)[0]
+    for rows, ops in _operator_stacks(cfgs):
+        q[rows] = kdq._kernel(kdq.W, rho_s[rows], ops)[0]
     # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
     w0, w_plus, w_minus = np.trace(q, axis1=-2, axis2=-1), q[:, 0, 1], q[:, 1, 0]
     header = ["w0_re", "w0_im", "wplus_re", "wplus_im", "wminus_re", "wminus_im"]
@@ -619,7 +610,7 @@ def _coherent_work_sweep(spec: ExperimentSpec) -> ResultTable:
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 3)
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=0.0, beta=0.1)
     base = replace(base, lam=base.lambda_max)
-    taus = np.linspace(0.0, math.pi, spec.points)
+    taus = _linspace(0.0, math.pi, spec.points)
     grid = _grid(base, state, [("tau", taus)])
     reducer = {"fig5": _kdq_work_values, "fig6": _operator_work_values}[spec.preset]
     header, columns = reducer(grid.cfgs.checked(), _system_states(grid.states))
@@ -658,7 +649,10 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
     superconducting-circuit collision chain, from both sides."""
     cfg = fig7_config()
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
-    trajectory = evolve(build_system_state(state), cfg, spec.collisions, thermo=True)
+    try:
+        trajectory = evolve(build_system_state(state), cfg, spec.collisions, thermo=True)
+    except (ValueError, MemoryError) as exc:  # NumPy refuses to hold the states
+        raise ConfigError(f"{spec.collisions} collisions are too many to evaluate") from exc
     rows = [
         [float(step), record.q_s, record.q_a, record.w_s, record.w_a, record.delta_e_s, record.delta_e_a]
         for step, record in enumerate(trajectory.per_step, start=1)

@@ -107,26 +107,29 @@ def evolve(
 ) -> CollisionTrajectory:
     """Run n collisions against identically prepared ancillas.
 
-    The states are advanced with the one-collision matrix S (`_channel`).
-    With ``thermo=True`` every step records the energy changes, their
-    coherent/thermal split when available, and the KDQ moments and
-    non-positivity witnesses, all evaluated with the trajectory's own
-    propagator: one kernel call per quantity over the states before each
-    collision.
+    The states are advanced with the one-collision matrix S (`_channel`),
+    held as one (n + 1, 2, 2) array.  With ``thermo=True`` every step
+    records the energy changes, their coherent/thermal split when available
+    (its regime checked once), and the KDQ moments and non-positivity
+    witnesses, all evaluated with the trajectory's own propagator: one
+    kernel call per quantity over the states before each collision.
     """
     if n < 1:
         raise ValueError("need at least one collision")
     s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
-    states = [np.asarray(rho_s0, dtype=complex)]
-    for _ in range(n):
-        states.append((s @ states[-1].ravel()).reshape(2, 2))
+    states = np.empty((n + 1, 2, 2), dtype=complex)
+    states[0] = rho_s0
+    for k in range(n):
+        states[k + 1] = (s @ states[k].ravel()).reshape(2, 2)
     if not thermo:
         return CollisionTrajectory(tuple(states), ())
     split = cfg.is_weak or cfg.is_resonant
+    if split:
+        kdq._check_work_heat_regime(cfg._arrays)
     quantities = [kdq.US, kdq.UA, kdq.USA] + ([kdq.W, kdq.Q, kdq.WS, kdq.QS] if split else [])
     moment_sets, reports = {}, {}
     for q in quantities:
-        matrix, levels, _ = kdq._kernel(q, np.array(states[:-1]), cfg, unitary=cfg.operators.u)
+        matrix, levels, _ = kdq._kernel(q, states[:-1], cfg.operators, unitary=cfg.operators.u)
         moment_sets[q] = [kdq.MomentSet(*m) for m in zip(*(a.tolist() for a in kdq._moments(matrix, levels)))]
         if q in (kdq.US, kdq.UA, kdq.USA, kdq.Q):
             reports[q] = [kdq.NonPositivityReport(*w) for w in kdq._witnesses(matrix).tolist()]

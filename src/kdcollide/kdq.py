@@ -24,6 +24,10 @@ array: Q[i, f] = (W U^dag)[i, f] U[f, i] and quasiprobabilities G^T Q G,
 where the 0/1 matrix G marks the level of each basis state (system level,
 ancilla level, (system, ancilla) pair, or joint level of H_S + H_A), with
 levels from ``linalg.group_levels``.
+
+The kernel is arithmetic on `model.Operators`.  The work/heat regime
+(`_check_work_heat_regime`) is checked by the one-config views for their
+config, and by stack callers once per evaluation.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ Q = "q"
 WS = "ws"
 QS = "qs"
 QUANTITIES = (US, UA, USA, W, Q, WS, QS)
-UNIT_SUM = (US, UA, USA, Q, QS)
 ZERO_SUM = (W, WS)
 _WORK_HEAT = (W, Q, WS, QS)
 
@@ -179,20 +182,24 @@ def _warn(message: str) -> None:
     warnings.warn(message, ValidityWarning, stacklevel=stacklevel)
 
 
+def _operators(quantity: str, cfg: ModelConfig) -> Operators:
+    """The config's operators, once the work/heat regime is checked if ``quantity`` reads the split."""
+    if quantity in _WORK_HEAT:
+        _check_work_heat_regime(cfg._arrays)
+    return cfg.operators
+
+
 def _weight(
-    quantity: str, rho_s: np.ndarray, cfg: ModelConfig | Operators, unitary: np.ndarray | None
-) -> tuple[Operators, np.ndarray, np.ndarray]:
-    """Validate the request; return (operators, propagator U, weighted initial operators W).
+    quantity: str, rho_s: np.ndarray, ops: Operators, unitary: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the quantity; return (propagator U, weighted initial operators W).
 
     ``rho_s`` is a (..., 2, 2) stack of system states and W the matching
-    (..., 4, 4) stack.  ``cfg`` is one config or a stack of `model.Operators`
-    aligned with the leading axis of ``rho_s``.
+    (..., 4, 4) stack.  ``ops`` are one config's operators or a stack of
+    them aligned with the leading axis of ``rho_s``.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    ops, cfgs = (cfg.operators, cfg._arrays) if isinstance(cfg, ModelConfig) else (cfg, cfg.cfgs)
-    if quantity in _WORK_HEAT:
-        _check_work_heat_regime(cfgs)
     u = ops.u_bare if unitary is None else np.asarray(unitary, dtype=complex)
     if quantity in (US, UA, USA):
         ancilla = ops.rho_a
@@ -203,26 +210,26 @@ def _weight(
     weight = tensor(rho_s, ancilla)
     if quantity in (W, WS):
         weight = ops.prefactor * weight
-    return ops, u, weight
+    return u, weight
 
 
 def _kernel(
     quantity: str,
     rho_s: np.ndarray,
-    cfg: ModelConfig | Operators,
+    ops: Operators,
     unitary: np.ndarray | None = None,
     group_degenerate: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """KDQ matrices of a (..., 2, 2) stack of system states.
+    """KDQ matrices of a (..., 2, 2) stack of system states; arithmetic only, no regime check.
 
-    ``cfg`` is one config for every state, or a stack of `model.Operators`
+    ``ops`` are one config's operators for every state, or a stack of them
     aligned with the leading axis of ``rho_s`` (one level structure per
     stack; grouped ``usa`` also needs one joint level count).  Returns
     ``(matrix, levels, local_energies)`` with ``matrix[..., i_in, i_fin]``
     the quasiprobabilities of each state and ``levels[..., k]`` those of its
     config.  `kdq_distribution` is the view of one state.
     """
-    ops, u, weight = _weight(quantity, rho_s, cfg, unitary)
+    u, weight = _weight(quantity, rho_s, ops, unitary)
     if u.shape[-2:] != (4, 4):
         raise ValueError("unitary must act on the 4-dimensional joint space")
     local_energies = None
@@ -270,7 +277,7 @@ def kdq_distribution(
     are merged into joint eigenspace projectors instead.
     """
     quantity = quantity.lower()
-    matrix, levels, local_energies = _kernel(quantity, rho_s, cfg, unitary, group_degenerate)
+    matrix, levels, local_energies = _kernel(quantity, rho_s, _operators(quantity, cfg), unitary, group_degenerate)
     if local_energies is not None:
         local_energies = tuple(tuple(e.tolist()) for e in local_energies)
     return KdqDistribution(quantity, matrix, levels, local_energies)
@@ -337,21 +344,16 @@ def average_via_trace(
     Equals ``moments(kdq_distribution(...)).mean`` identically; the two paths
     differ only in floating-point grouping.
     """
-    return complex(_trace_average(quantity.lower(), rho_s, cfg, unitary))
+    quantity = quantity.lower()
+    return complex(_trace_average(quantity, rho_s, _operators(quantity, cfg), unitary))
 
 
-def _trace_average(
-    quantity: str,
-    rho_s: np.ndarray,
-    cfg: ModelConfig | Operators,
-    unitary: np.ndarray | None = None,
-) -> np.ndarray:
+def _trace_average(quantity: str, rho_s: np.ndarray, ops: Operators, unitary: np.ndarray | None = None) -> np.ndarray:
     """Tr[O (U W U^dag - W)] of a (..., 2, 2) stack of system states, O the quantity's signed energy.
 
-    ``cfg`` is one config or a stack of `model.Operators` aligned with the
-    leading axis of ``rho_s``; `average_via_trace` is the view of one state.
+    ``ops`` as in `_kernel`; `average_via_trace` is the view of one state.
     """
-    ops, u, weight = _weight(quantity, rho_s, cfg, unitary)
+    u, weight = _weight(quantity, rho_s, ops, unitary)
     if quantity in (US, WS, QS):
         observable = tensor(ops.h_s, IDENTITY_2)
     elif quantity == USA:

@@ -64,6 +64,8 @@ _MESSAGES = {
     # digits or underflows to 0, merging the qubit's two levels.
     "small": "{name} = {value!r} is too small: hbar*{name}/2 is below the smallest normal float",
     "large": "{name} = {value!r} is too large: hbar*{name} overflows",
+    # The variances square level differences of up to 2*hbar*|omega|.
+    "square": "hbar*{name} = {value!r} is too large: (2*hbar*{name})^2 overflows",
     "beta": "inverse temperature beta must be non-negative",
     "weak_tau": "weakly coherent mode requires tau > 0",
     "tau": "collision time tau must be non-negative",
@@ -192,6 +194,10 @@ class _ConfigQuantities:
         phase = tau * xp.hypot(0.5 * delta, self.g / xp.sqrt(xp.where(weak, tau, 1.0)))
         args = {"name": "tau*hypot(delta/2, g/sqrt(tau))", "value": phase, "tau": tau}
         yield weak & xp.logical_not(xp.isfinite(phase)), "phase", args
+        for name in ("omega_s", "omega_a"):
+            energy = self.hbar * getattr(self, name)
+            square = (2.0 * energy) * (2.0 * energy)
+            yield xp.logical_not(xp.isfinite(square)), "square", {"name": name, "value": energy}
         lam, bound = self.lambda_eff, self.lambda_max
         yield abs(lam) > bound + _BOUNDARY_SLACK, "lambda", {"value": lam, "bound": bound}
 
@@ -358,8 +364,8 @@ class ModelConfig(_ConfigQuantities):
 
         Built on first use; equality, hash and `replace` ignore it.
         """
-        ops = _stack(self)._replace(cfgs=())
-        for a in ops[1:]:
+        ops = _stack(self)
+        for a in ops:
             a.setflags(write=False)
         return ops
 
@@ -451,12 +457,9 @@ class Operators(NamedTuple):
 
     A stack's arrays carry a leading axis aligned with the leading axis of a
     state stack (row k under config k), or of length 1 and broadcast over it;
-    one config's own arrays have none.  ``cfgs`` are the `_ConfigArrays` of
-    the distinct configs; a config's own operators (read-only, because every
-    caller shares them) list none, because a reference back to the config
-    that caches them would keep both alive until the garbage collector runs.
-    ``u`` is the collision propagator exp(-i H_SA tau / hbar)
-    (`collision_unitary`), ``u_bare`` the unscaled `measurement_unitary`
+    one config's own arrays have none and are read-only, because every
+    caller shares them.  ``u`` is the collision propagator exp(-i H_SA tau /
+    hbar) (`collision_unitary`), ``u_bare`` the unscaled `measurement_unitary`
     (equal to ``u`` in exact mode), ``rho_a`` = ``rho_a_th`` + lambda_eff
     ``chi_a`` the ancilla state, ``prefactor`` the coherence prefactor
     (shape (1, 1) per config), ``h_s``/``h_a`` the local Hamiltonians,
@@ -466,7 +469,6 @@ class Operators(NamedTuple):
     (the `linalg.group_levels` of diag(H_S), diag(H_A)).
     """
 
-    cfgs: _ConfigArrays | tuple[()]
     u: np.ndarray
     u_bare: np.ndarray
     rho_a: np.ndarray
@@ -557,7 +559,7 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
     x_s, x_a = 0.5 * cfgs.hbar * cfgs.omega_s, 0.5 * cfgs.hbar * cfgs.omega_a
     hbar_g = _matrices(cfgs.hbar * cfgs.g)
     return Operators(
-        cfgs, u, u_bare, rho_a_th + _matrices(cfgs.lambda_eff) * chi_a, rho_a_th, chi_a,
+        u, u_bare, rho_a_th + _matrices(cfgs.lambda_eff) * chi_a, rho_a_th, chi_a,
         _matrices(cfgs.kdq_coherence_prefactor), _matrices(x_s) * SIGMA_Z, _matrices(x_a) * SIGMA_Z,
         hbar_g * _SWAP, hbar_g * chi_a, *_local_levels(x_s, xp), *_local_levels(x_a, xp),
     )
@@ -591,10 +593,10 @@ def _operator_stacks(cfgs: _ConfigArrays, which: np.ndarray | None = None) -> li
             rows = np.flatnonzero(large[which])
             rows = rows[np.argsort(which[rows], kind="stable")]
             for j, own in enumerate(np.split(rows, np.cumsum(counts[large])[:-1])):
-                ops = Operators(stack.cfgs.take([j]), *(a[j : j + 1] for a in stack[1:]))
+                ops = Operators(*(a[j : j + 1] for a in stack))
                 parts += [(block, ops) for block in _blocks(own)]
         for rows in _blocks(np.flatnonzero(((shape == key) & ~large)[which])):
             members, slot = np.unique(which[rows], return_inverse=True)
             stack = _stack(cfgs.take(members))
-            parts.append((rows, Operators(stack.cfgs, *(a[slot] for a in stack[1:]))))
+            parts.append((rows, Operators(*(a[slot] for a in stack))))
     return sorted(parts, key=lambda part: part[0][0])

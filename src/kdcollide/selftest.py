@@ -8,7 +8,6 @@ from configuration problems.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -102,23 +101,17 @@ def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
     for cfgs, _, ops, rho_s in _stacks(rng, lambda k: k % 2 == 0, draws):
         for quantity in (kdq.US, kdq.UA, kdq.USA):
             worst = max(worst, _deviation(kdq._kernel(quantity, rho_s, ops)[0].sum(axis=(-2, -1)), 1.0))
-        # Heat sums to 1 and work to 0 where the split is defined.
-        resonant = np.flatnonzero(cfgs.is_resonant)
-        for rows, resonant_ops in _operator_stacks(cfgs.take(resonant)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", kdq.ValidityWarning)
-                for quantity, total in ((kdq.Q, 1.0), (kdq.W, 0.0)):
-                    matrix = kdq._kernel(quantity, rho_s[resonant[rows]], resonant_ops)[0]
-                    worst = max(worst, _deviation(matrix.sum(axis=(-2, -1)), total))
+        # Heat sums to 1 and work to 0 where the split is defined: at the resonant draws.
+        for quantity, total in ((kdq.Q, 1.0), (kdq.W, 0.0)):
+            totals = kdq._kernel(quantity, rho_s, ops)[0].sum(axis=(-2, -1))
+            worst = max(worst, _deviation(totals[cfgs.is_resonant], total))
     return worst
 
 
 def _check_oracle_resonant(rng: np.random.Generator, draws: int = 200) -> float:
     worst = 0.0
     for cfgs, states, ops, rho_s in _stacks(rng, lambda k: True, draws):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", kdq.ValidityWarning)
-            kernels = {q: kdq._kernel(q, rho_s, ops)[:2] for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
+        kernels = {q: kdq._kernel(q, rho_s, ops)[:2] for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
         for quantity, oracle in (
             (kdq.US, analytic._resonant_kdq_us), (kdq.QS, analytic._resonant_kdq_q), (kdq.WS, analytic._resonant_kdq_w),
         ):

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +20,7 @@ from kdcollide.cli import (
     run,
     write_csv,
 )
-from kdcollide.kdq import kdq_distribution, nonpositivity
+from kdcollide.kdq import ValidityWarning, kdq_distribution, nonpositivity
 from kdcollide.model import ModelConfig, SystemStateParams, build_system_state
 
 CUSTOM_CONFIG = """
@@ -459,6 +464,51 @@ class TestMain:
             assert err == "error: the sweep grid has 100000000000000000000 rows, too many to evaluate\n"
         assert not (tmp_path / "huge.csv").exists()
 
+    def test_sweep_warns_once_per_evaluation(self, tmp_path):
+        # 300 strong-pulse configs fill three parts of the evaluator; the
+        # pulse-area warning is given once, for the whole sweep.
+        config = tmp_path / "strong.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("omega_s = 4.0", "omega_s = 1.0")
+            .replace("tau = 0.5235987755982988", "tau = 0.5")
+            .replace("phi_c = linspace(0.0, 6.0, 5)", "g = linspace(1.1, 3.0, 300)")
+            .replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {tmp_path / 'strong.csv'}\nquantities = w_mean, var_w, q_mean",
+            )
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ValidityWarning)
+            assert main(["run", str(config)]) == 0
+        assert [str(w.message) for w in caught] == [
+            "pulse area g*tau exceeds pi/6 in 300 configs (largest 1.5): "
+            "coherent work / incoherent heat enter the strong-coupling regime"
+        ]
+
+    def test_overflowing_variance_rows_skipped(self, tmp_path):
+        # The variances square level differences of up to 2*hbar*omega, which
+        # overflow once hbar*omega passes about 6.7e153: those rows are skipped
+        # with their reason instead of holding NaN, and the others are finite.
+        out = tmp_path / "huge_hbar.csv"
+        config = tmp_path / "huge_hbar.cfg"
+        config.write_text(
+            CUSTOM_CONFIG.replace("omega_s = 4.0", "omega_s = 1.0")
+            .replace("beta = 1.0", "beta = 0.0")
+            .replace("lambda = 0.2", "lambda = 0.0")
+            .replace("phi_c = linspace(0.0, 6.0, 5)", "hbar = 1.0, 1e100, 1e160, 1e200")
+            .replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {out}\nquantities = delta_e_s, var_us, var_usa, q_mean",
+            )
+        )
+        assert main(["run", str(config)]) == 0
+        meta = json.loads((tmp_path / "huge_hbar.csv.meta.json").read_text())
+        assert meta["skip_reasons"] == {"hbar*omega_s = <x> is too large: (2*hbar*omega_s)^2 overflows": 2}
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[1.0, 0.0], [1e100, 0.0], [1e160, 1.0], [1e200, 1.0]]
+        for row in rows:
+            assert all(math.isfinite(v) for v in row[2:]) if row[1] == 0.0 else all(math.isnan(v) for v in row[2:])
+
     def test_resonant_sweep_at_underflowing_coupling(self, tmp_path):
         # 4 g^2 underflows to 0 at these couplings; the closed forms stay finite
         # and agree with the kernel, which gives 0 there.
@@ -517,6 +567,28 @@ class TestMain:
             assert main(["preset", argv[0], "--out", str(out), *argv[1:]]) == 1
             assert "points and collisions must be positive" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6"])
+    def test_oversized_preset_fails_with_size(self, preset, tmp_path, capsys):
+        # NumPy rejects a grid of 2**62 points without allocating it.
+        out = tmp_path / f"{preset}.csv"
+        assert main(["preset", preset, "--out", str(out), "--points", str(2**62)]) == 1
+        assert capsys.readouterr().err == f"error: {2**62} points are too many to evaluate\n"
+        assert not out.exists()
+
+    def test_oversized_chain_fails_with_size(self, tmp_path):
+        # NumPy rejects the states of 2**62 collisions without allocating them.
+        # Run in a child with bounded memory and time, so that a chain that
+        # grows one state at a time fails instead of filling the machine.
+        out = tmp_path / "fig7.csv"
+        argv = [sys.executable, "-m", "kdcollide.cli", "preset", "fig7", "--out", str(out), "--collisions", str(2**62)]
+        limit = 512 << 20
+        child = subprocess.run(
+            argv, capture_output=True, text=True, timeout=60, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (child.returncode, child.stderr) == (1, f"error: {2**62} collisions are too many to evaluate\n")
+        assert not out.exists()
 
     def test_selftest_exit_code(self, capsys):
         assert main(["selftest"]) == 0

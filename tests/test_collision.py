@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,16 @@ class TestBch:
 
 
 class TestEvolve:
+    def test_regime_checked_once_per_call(self):
+        # g*tau = 1 > pi/6: one warning for the four work/heat quantities.
+        cfg = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=1.0, beta=1.0, lam=0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", kdq.ValidityWarning)
+            evolve(build_system_state(SystemStateParams(0.5)), cfg, 3, thermo=True)
+        assert [str(w.message) for w in caught] == [
+            "pulse area g*tau = 1 exceeds pi/6: coherent work / incoherent heat enter the strong-coupling regime"
+        ]
+
     def test_single_step_matches_collide_once(self, rng):
         cfg, state = random_case(rng)
         rho0 = build_system_state(state)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, assert_same_bits, random_case, system_states
-from kdcollide import kdq, model
+from kdcollide import cli, kdq, model
 from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import collision_unitary, evolve
 from kdcollide.kdq import (
@@ -371,25 +371,27 @@ class TestValidityGuards:
 
 
 def test_stack_warns_once_per_kind():
-    # One kernel call over ten strong-pulse configs and three detuned weak ones
-    # warns once per kind, with the count and the largest value.
+    # One evaluation over ten strong-pulse configs and three detuned weak ones
+    # warns once per kind, with the count and the largest value, from the
+    # evaluator, which checks the regime; the kernel itself checks none.
     strong = [resonant_cfg(tau=1.0 + 0.2 * k, lam=0.2) for k in range(10)]
     detuned = [
         ModelConfig(omega_s=1.0 + d, omega_a=1.0, g=1.0, tau=0.1, beta=1.0, lam_tilde=0.1, mode=MODE_WEAK)
         for d in (0.5, -1.5, 1.0)
     ]
-    cfgs = strong + detuned
-    (_, ops), = _operator_stacks(*config_rows(cfgs))
-    rho_s = np.repeat(build_system_state(SystemStateParams(0.5))[None], len(cfgs), axis=0)
+    distinct, which = config_rows(strong + detuned)
+    states = model._StateArrays.of([SystemStateParams(0.5)] * len(which))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidityWarning)
-        kdq._kernel(kdq.W, rho_s, ops)
+        cli._evaluate(distinct, states, ("var_w",), which)
+        (_, ops), = _operator_stacks(distinct, which)
+        kdq._kernel(kdq.W, model._system_states(states), ops)
     assert [str(w.message) for w in caught] == [
         "coherent-work/heat split off resonance is not energy-preserving in 3 configs (largest |detuning| 1.5)",
         "pulse area g*tau exceeds pi/6 in 10 configs (largest 2.8): "
         "coherent work / incoherent heat enter the strong-coupling regime",
     ]
-    assert {w.filename for w in caught} == {__file__}
+    assert {w.filename for w in caught} == {cli.__file__}
 
 
 class TestSystemSideSplit:
@@ -492,7 +494,7 @@ def test_stacked_kernel_matches_per_state(case, states):
     quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
     requests = [(quantity, False) for quantity in quantities] + [(kdq.USA, True)]
     for (quantity, grouped), unitary in itertools.product(requests, (None, collision_unitary(cfg))):
-        matrix, levels, _ = kdq._kernel(quantity, rho_s, cfg, unitary, grouped)
+        matrix, levels, _ = kdq._kernel(quantity, rho_s, cfg.operators, unitary, grouped)
         assert matrix.shape == (len(states), len(levels), len(levels))
         witnesses = kdq._witnesses(matrix).tolist()
         moment_stack = kdq._moments(matrix, levels)

@@ -138,8 +138,8 @@ def test_cached_operators_match_reference_builders(case, si):
         expected_levels, expected_index = group_levels(np.diagonal(h).real)
         assert_same_bits(levels, np.array(expected_levels))
         assert_same_bits(index, expected_index)
-    assert ops.cfgs == () and ops.prefactor == cfg.kdq_coherence_prefactor
-    assert not any(a.flags.writeable for a in ops[1:])
+    assert ops.prefactor == cfg.kdq_coherence_prefactor
+    assert not any(a.flags.writeable for a in ops)
 
 
 class TestAncilla:
@@ -344,6 +344,8 @@ CONFIG_MESSAGES = [
     (dict(lam=0.5), "ancilla coherence 0.5 exceeds the positivity bound 1/Z_A = 0.443409"),
     (dict(lam=-0.45), "ancilla coherence -0.45 exceeds the positivity bound 1/Z_A = 0.443409"),
     (dict(lam_tilde=1.0, mode=MODE_WEAK), "ancilla coherence 0.707107 exceeds the positivity bound 1/Z_A = 0.443409"),
+    (dict(hbar=1e160), "hbar*omega_s = 1e+160 is too large: (2*hbar*omega_s)^2 overflows"),
+    (dict(omega_a=7e153), "hbar*omega_a = 7e+153 is too large: (2*hbar*omega_a)^2 overflows"),
 ]
 STATE_MESSAGES = [
     (dict(rho11=math.nan), "rho11 must be finite, got nan"),
@@ -406,7 +408,9 @@ def parameter_rows(draw):
     """(config fields, state fields): an admissible pair, or one with a bad value in the config or the state."""
     cfg, state = draw(admissible_cases())
     config, system = asdict(cfg), asdict(state)
-    bad = draw(st.sampled_from(["none", "non-finite", "subnormal", "phase", "lambda", "mode", "state", "r", "huge r"]))
+    bad = draw(
+        st.sampled_from(["none", "non-finite", "subnormal", "phase", "square", "lambda", "mode", "state", "r", "huge r"])
+    )
     if bad == "non-finite":
         config[draw(st.sampled_from(sorted(model._ConfigArrays.FIELDS)))] = draw(_NON_FINITE)
     elif bad == "subnormal":
@@ -414,6 +418,8 @@ def parameter_rows(draw):
         config[draw(st.sampled_from(["omega_s", "omega_a"]))] = omega
     elif bad == "phase":
         config["g"] = draw(st.floats(1e155, 1e300))
+    elif bad == "square":
+        config["hbar"] = draw(st.floats(1e154, 1e300))
     elif bad == "lambda":
         lam = draw(st.floats(1.001, 5.0)) * cfg.lambda_max * draw(st.sampled_from([1.0, -1.0]))
         config.update(lam_tilde=lam / math.sqrt(cfg.tau)) if cfg.is_weak else config.update(lam=lam)
@@ -450,7 +456,7 @@ def test_stacked_operators_match_per_config(cases):
     for rows in by_shape.values():
         ops = model._stack(model._ConfigArrays.of([cfg for cfg, _ in rows]))
         for k, (cfg, _) in enumerate(rows):
-            for stacked, own in zip(ops[1:], cfg.operators[1:]):
+            for stacked, own in zip(ops, cfg.operators):
                 assert_same_bits(stacked[k], own)
         states = [state for _, state in rows]
         assert_same_bits(
@@ -546,4 +552,4 @@ class TestOperatorCache:
         ops = cfg.operators
         alive = weakref.ref(cfg)
         del cfg
-        assert alive() is None and not ops.cfgs
+        assert alive() is None
