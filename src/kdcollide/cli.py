@@ -63,8 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, analytic, kdq, smalltau
-from .collision import evolve
+from . import __version__, analytic, collision, kdq, smalltau
 from .model import (
     MODE_EXACT,
     MODE_WEAK,
@@ -650,13 +649,11 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
     cfg = fig7_config()
     state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
     try:
-        trajectory = evolve(build_system_state(state), cfg, spec.collisions, thermo=True)
+        chains = collision._evolve(cfg, build_system_state(state)[None], spec.collisions, thermo=True)
     except (ValueError, MemoryError) as exc:  # NumPy refuses to hold the states
         raise ConfigError(f"{spec.collisions} collisions are too many to evaluate") from exc
-    rows = [
-        [float(step), record.q_s, record.q_a, record.w_s, record.w_a, record.delta_e_s, record.delta_e_a]
-        for step, record in enumerate(trajectory.per_step, start=1)
-    ]
+    columns = [chains.columns[name][0] for name in ("q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a")]
+    rows = np.column_stack([np.arange(1.0, spec.collisions + 1), *columns]).tolist()
     meta = {
         "preset": "fig7",
         **_params_meta(cfg, state),

@@ -1,7 +1,13 @@
 """Single collisions, repeated-collision trajectories and the steady state.
 
 Each collision applies Phi(rho_S) = Tr_A[U (rho_S (x) rho_A) U^dag], the 4x4
-matrix S of `_channel`; `collide_once` alone forms the joint state.
+matrix S of `_channel`; `collide_once` alone forms the joint state.  A
+trajectory's states are S^k rho_S, computed by repeated squaring (`_powers`).
+`_evolve` runs a stack of chains, one per config, as array operations: its
+step records are columns of KDQ means, moments and witnesses, from one
+kernel call per quantity over every state of up to 128 chains of one level
+structure.  `evolve` is its one-chain view, which builds the `StepRecord`
+objects.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import numpy as np
 
 from . import kdq
 from .linalg import commutator, dag, partial_trace, tensor, trace_distance
-from .model import IDENTITY_2, ModelConfig, build_hamiltonians
+from .model import IDENTITY_2, ModelConfig, Operators, _ConfigArrays, _operator_stacks, build_hamiltonians
 
 # The fixed point is unique when S - I has a second-smallest singular value above this.
 _UNIQUENESS_BOUND = 1e-12
@@ -36,9 +42,12 @@ def collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.nd
 
 
 def _channel(u: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
-    """4x4 matrix S with (S @ rho_s.ravel()).reshape(2, 2) = Tr_A[u (rho_s (x) rho_a) u^dag]."""
-    u4 = u.reshape(2, 2, 2, 2)
-    return np.einsum("ikmn,nq,jkpq->ijmp", u4, rho_a, u4.conj()).reshape(4, 4)
+    """4x4 matrix S with (S @ rho_s.ravel()).reshape(2, 2) = Tr_A[u (rho_s (x) rho_a) u^dag].
+
+    ``u`` and ``rho_a`` may be stacks (..., 4, 4) and (..., 2, 2); S is then (..., 4, 4).
+    """
+    u4 = u.reshape(u.shape[:-2] + (2, 2, 2, 2))
+    return np.einsum("...ikmn,...nq,...jkpq->...ijmp", u4, rho_a, u4.conj()).reshape(u.shape)
 
 
 def bch_collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -84,6 +93,10 @@ class StepRecord:
     nonpositivity: dict[str, kdq.NonPositivityReport] = field(default_factory=dict)
 
 
+# The float fields of `StepRecord`, in order: the `_Chains` columns.
+_RECORD_FIELDS = ("delta_e_s", "delta_e_a", "delta_e_sa", "w_s", "w_a", "q_s", "q_a")
+
+
 @dataclass(frozen=True)
 class CollisionTrajectory:
     """States rho_S after 0..n collisions plus per-collision records."""
@@ -102,51 +115,130 @@ class SteadyStateResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class _Chains:
+    """M collision chains of n collisions each (`_evolve`), chain m under config m.
+
+    ``states[m, k]`` is chain m's state after k collisions.  With thermo
+    records, ``columns`` maps each float field of `StepRecord` to an (M, n)
+    array, NaN for the work/heat split of a chain that has none (neither
+    weak nor resonant); ``moments`` maps us, ua, usa (and w, q when a chain has the
+    split) to (mean, second moment, variance) arrays of shape (M, n), and
+    ``witnesses`` maps us, ua, usa (and q) to (M, n, 3) arrays of (n_q, n_re,
+    n_im).
+    """
+
+    states: np.ndarray
+    columns: dict[str, np.ndarray]
+    moments: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    witnesses: dict[str, np.ndarray]
+
+
+def _powers(s: np.ndarray, rho_s0: np.ndarray, n: int) -> np.ndarray:
+    """(M, n + 1, 2, 2) states S^k rho_s0 of M chains, k = 0..n, for (M, 4, 4) maps S and (M, 2, 2) states.
+
+    Repeated squaring: states 2^j..2^(j+1)-1 are S^(2^j) applied to states
+    0..2^j-1, one batched product per power of two.
+    """
+    m = len(s)
+    states = np.empty((m, n + 1, 4), dtype=complex)
+    states[:, 0] = rho_s0.reshape(m, 4)
+    power, done = s, 1
+    while done <= n:
+        count = min(done, n + 1 - done)
+        # Row k of the product is S^done applied to state k.
+        np.matmul(states[:, :count], power.swapaxes(-1, -2), out=states[:, done : done + count])
+        done += count
+        if done <= n:
+            power = power @ power
+    return states.reshape(m, n + 1, 2, 2)
+
+
+def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, thermo: bool) -> _Chains:
+    """n collisions of M chains, chain m from state ``rho_s0[m]`` under config m, as array operations.
+
+    ``cfgs`` is one config (M = 1) or M configs as parameter arrays.  The
+    states come from `_powers` of each config's one-collision matrix S
+    (`_channel`).  With ``thermo``, the records are KDQ means, moments and
+    witnesses evaluated with each chain's own propagator, one kernel call
+    per quantity over the states before each collision of every chain of a
+    part of `model._operator_stacks` (one level structure, at most 128
+    configs); the work/heat regime of the chains with the split (weak
+    or resonant configs) is checked once.
+    """
+    if n < 1:
+        raise ValueError("need at least one collision")
+    m, one = len(rho_s0), isinstance(cfgs, ModelConfig)
+    # Chains and their operators with a config axis, in parts of one level structure.
+    parts = [(np.zeros(1, np.intp), Operators(*(a[None] for a in cfgs.operators)))] if one else _operator_stacks(cfgs)
+    states = np.empty((m, n + 1, 2, 2), dtype=complex)
+    for chains, ops in parts:
+        states[chains] = _powers(_channel(ops.u, ops.rho_a), rho_s0[chains], n)
+    if not thermo:
+        return _Chains(states, {}, {}, {})
+    split = np.atleast_1d(cfgs.is_weak | cfgs.is_resonant)
+    quantities = [kdq.US, kdq.UA, kdq.USA]
+    if split.any():
+        kdq._check_work_heat_regime(cfgs._arrays if one else cfgs.take(split))
+        quantities += kdq._WORK_HEAT
+    moments = {q: tuple(np.empty((m, n), dtype=complex) for _ in range(3)) for q in quantities}
+    witnesses = {q: np.empty((m, n, 3)) for q in quantities if q in (kdq.US, kdq.UA, kdq.USA, kdq.Q)}
+    for chains, ops in parts:
+        ops = Operators(*(a[:, None] for a in ops))
+        for q in quantities:
+            matrix, levels, _ = kdq._kernel(q, states[chains, :n], ops, unitary=ops.u)
+            for stack, values in zip(moments[q], kdq._moments(matrix, levels)):
+                stack[chains] = values
+            if q in witnesses:
+                witnesses[q][chains] = kdq._witnesses(matrix)
+    # The split's quantities mean nothing for a chain without it.
+    for q in quantities[3:]:
+        for stack in moments[q]:
+            stack[~split] = np.nan
+    if kdq.Q in witnesses:
+        witnesses[kdq.Q][~split] = np.nan
+    mean = {q: stack[0].real for q, stack in moments.items()}
+    columns = {"delta_e_s": mean[kdq.US], "delta_e_a": mean[kdq.UA], "delta_e_sa": mean[kdq.USA]}
+    if split.any():
+        # lambda_eff / kdq_coherence_prefactor, without dividing 0 by 0 at zero coherence.
+        c = np.reshape(np.where(cfgs.is_weak, np.sqrt(cfgs.tau), 1.0), (m, 1))
+        columns.update(w_s=c * mean[kdq.WS], w_a=-c * mean[kdq.W], q_s=mean[kdq.QS], q_a=-mean[kdq.Q])
+    moments = {q: stack for q, stack in moments.items() if q not in (kdq.WS, kdq.QS)}
+    return _Chains(states, columns, moments, witnesses)
+
+
 def evolve(
     rho_s0: np.ndarray, cfg: ModelConfig, n: int, thermo: bool = False
 ) -> CollisionTrajectory:
     """Run n collisions against identically prepared ancillas.
 
-    The states are advanced with the one-collision matrix S (`_channel`),
-    held as one (n + 1, 2, 2) array.  With ``thermo=True`` every step
-    records the energy changes, their coherent/thermal split when available
-    (its regime checked once), and the KDQ moments and non-positivity
-    witnesses, all evaluated with the trajectory's own propagator: one
-    kernel call per quantity over the states before each collision.
+    The one-chain view of `_evolve`: the states are S^k rho_s0 for the
+    one-collision matrix S (`_channel`), applied by repeated squaring.  With
+    ``thermo=True`` every step records the energy changes, their
+    coherent/thermal split when available (its regime checked once), and the
+    KDQ moments and non-positivity witnesses, all evaluated with the
+    trajectory's own propagator: one kernel call per quantity over the
+    states before each collision.
     """
-    if n < 1:
-        raise ValueError("need at least one collision")
-    s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
-    states = np.empty((n + 1, 2, 2), dtype=complex)
-    states[0] = rho_s0
-    for k in range(n):
-        states[k + 1] = (s @ states[k].ravel()).reshape(2, 2)
+    chains = _evolve(cfg, np.asarray(rho_s0, dtype=complex)[None], n, thermo)
+    states = tuple(chains.states[0])
     if not thermo:
-        return CollisionTrajectory(tuple(states), ())
-    split = cfg.is_weak or cfg.is_resonant
-    if split:
-        kdq._check_work_heat_regime(cfg._arrays)
-    quantities = [kdq.US, kdq.UA, kdq.USA] + ([kdq.W, kdq.Q, kdq.WS, kdq.QS] if split else [])
-    moment_sets, reports = {}, {}
-    for q in quantities:
-        matrix, levels, _ = kdq._kernel(q, states[:-1], cfg.operators, unitary=cfg.operators.u)
-        moment_sets[q] = [kdq.MomentSet(*m) for m in zip(*(a.tolist() for a in kdq._moments(matrix, levels)))]
-        if q in (kdq.US, kdq.UA, kdq.USA, kdq.Q):
-            reports[q] = [kdq.NonPositivityReport(*w) for w in kdq._witnesses(matrix).tolist()]
-    mean = {q: [m.mean.real for m in sets] for q, sets in moment_sets.items()}
-    # lambda_eff / kdq_coherence_prefactor, without dividing 0 by 0 at zero coherence.
-    c = math.sqrt(cfg.tau) if cfg.is_weak else 1.0
-    records = []
-    for k in range(n):
-        w_s = w_a = q_s = q_a = None
-        if split:
-            w_s, w_a, q_s, q_a = c * mean[kdq.WS][k], -c * mean[kdq.W][k], mean[kdq.QS][k], -mean[kdq.Q][k]
-        records.append(StepRecord(
-            mean[kdq.US][k], mean[kdq.UA][k], mean[kdq.USA][k], w_s, w_a, q_s, q_a,
-            {q: moment_sets[q][k] for q in quantities if q not in (kdq.WS, kdq.QS)},
-            {q: report[k] for q, report in reports.items()},
-        ))
-    return CollisionTrajectory(tuple(states), tuple(records))
+        return CollisionTrajectory(states, ())
+    columns = [
+        chains.columns[name][0].tolist() if name in chains.columns else [None] * n for name in _RECORD_FIELDS
+    ]
+    moments = {
+        q: [kdq.MomentSet(*values) for values in zip(*(a[0].tolist() for a in stack))]
+        for q, stack in chains.moments.items()
+    }
+    reports = {q: [kdq.NonPositivityReport(*w) for w in stack[0].tolist()] for q, stack in chains.witnesses.items()}
+    records = [
+        StepRecord(
+            *values, {q: sets[k] for q, sets in moments.items()}, {q: report[k] for q, report in reports.items()}
+        )
+        for k, values in enumerate(zip(*columns))
+    ]
+    return CollisionTrajectory(states, tuple(records))
 
 
 def find_steady_state(cfg: ModelConfig, tol: float = 1e-12) -> SteadyStateResult:

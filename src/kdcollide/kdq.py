@@ -175,9 +175,9 @@ def _check_work_heat_regime(cfgs: _ConfigArrays) -> None:
 
 
 def _warn(message: str) -> None:
-    """Issue a `ValidityWarning` attributed to the first caller outside this module."""
+    """Issue a `ValidityWarning` attributed to the first caller outside this package."""
     frame, stacklevel = sys._getframe(1), 2
-    while frame.f_globals is globals():
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
         frame, stacklevel = frame.f_back, stacklevel + 1
     warnings.warn(message, ValidityWarning, stacklevel=stacklevel)
 

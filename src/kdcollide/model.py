@@ -64,6 +64,9 @@ _MESSAGES = {
     # digits or underflows to 0, merging the qubit's two levels.
     "small": "{name} = {value!r} is too small: hbar*{name}/2 is below the smallest normal float",
     "large": "{name} = {value!r} is too large: hbar*{name} overflows",
+    # The coupling energy hbar*g fills H_int and the drive correction, and the
+    # closed forms scale it by 4.
+    "coupling": "g = {value!r} is too large: 4*hbar*g overflows",
     # The variances square level differences of up to 2*hbar*|omega|.
     "square": "hbar*{name} = {value!r} is too large: (2*hbar*{name})^2 overflows",
     "beta": "inverse temperature beta must be non-negative",
@@ -180,6 +183,7 @@ class _ConfigQuantities:
             args = {"name": name, "value": omega}
             yield (omega != 0.0) & (abs(0.5 * self.hbar * omega) < sys.float_info.min), "small", args
             yield xp.logical_not(xp.isfinite(self.hbar * omega)), "large", args
+        yield xp.logical_not(xp.isfinite(4.0 * self.hbar * self.g)), "coupling", {"value": self.g}
         yield self.beta < 0.0, "beta", {}
         yield weak & (tau <= 0.0), "weak_tau", {}
         yield xp.logical_not(weak) & (tau < 0.0), "tau", {}

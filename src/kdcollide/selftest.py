@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import analytic, kdq
-from .collision import bch_collide_once, collide_once, evolve
+from .collision import _evolve, bch_collide_once, collide_once
 from .model import (
     MODE_EXACT,
     MODE_WEAK,
@@ -164,16 +164,9 @@ def _check_tpm_limit(rng: np.random.Generator, draws: int = 50) -> float:
 
 
 def _check_first_law(rng: np.random.Generator, draws: int = 25) -> float:
-    worst = 0.0
-    # `evolve` takes one config at a time.
     cfgs, states = random_parameters(rng, np.zeros(draws, bool))
-    rho_s = _system_states(states)
-    for k in range(draws):
-        cfg = ModelConfig(*cfgs.values[:, k].tolist())
-        trajectory = evolve(rho_s[k], cfg, 4, thermo=True)
-        for record in trajectory.per_step:
-            worst = max(worst, abs(record.delta_e_s + record.delta_e_a - record.delta_e_sa))
-    return worst
+    columns = _evolve(cfgs, _system_states(states), 4, thermo=True).columns
+    return _deviation(columns["delta_e_s"] + columns["delta_e_a"], columns["delta_e_sa"])
 
 
 def _check_bch_order() -> tuple[float, float]:

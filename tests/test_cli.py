@@ -509,6 +509,34 @@ class TestMain:
         for row in rows:
             assert all(math.isfinite(v) for v in row[2:]) if row[1] == 0.0 else all(math.isnan(v) for v in row[2:])
 
+    def test_overflowing_coupling_energy_rejected(self, tmp_path, capsys):
+        # hbar*g = 1e310 overflows: the config is rejected with its reason, as
+        # a base config or as a swept row, and NumPy never sees the inf.
+        overflowing = (
+            CUSTOM_CONFIG.replace("omega_s = 4.0\nomega_a = 1.0", "omega_s = 1e-150\nomega_a = 1e-150\nhbar = 1e160")
+            .replace("beta = 1.0", "beta = 0.0")
+            .replace("lambda = 0.2", "lambda = 0.0")
+            .replace(
+                "[output]\nquantities = delta_e_s, n_q_us, var_us",
+                f"[output]\npath = {tmp_path / 'hg.csv'}\nquantities = analytic_delta_e_sa, analytic_delta_e_sa_limit",
+            )
+        )
+        base = tmp_path / "base.cfg"
+        base.write_text(overflowing.replace("g = 1.0", "g = 1e150"))
+        swept = tmp_path / "swept.cfg"
+        swept.write_text(overflowing.replace("phi_c = linspace(0.0, 6.0, 5)", "g = 1.0, 1e150"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(base)]) == 1
+            assert capsys.readouterr().err == "error: g = 1e+150 is too large: 4*hbar*g overflows\n"
+            assert main(["run", str(swept)]) == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        meta = json.loads((tmp_path / "hg.csv.meta.json").read_text())
+        assert meta["skip_reasons"] == {"g = <x> is too large: 4*hbar*g overflows": 1}
+        rows = [[float(v) for v in line.split(",")] for line in (tmp_path / "hg.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[1.0, 0.0], [1e150, 1.0]]
+        assert all(math.isfinite(v) for v in rows[0])
+
     def test_resonant_sweep_at_underflowing_coupling(self, tmp_path):
         # 4 g^2 underflows to 0 at these couplings; the closed forms stay finite
         # and agree with the kernel, which gives 0 there.

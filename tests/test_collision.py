@@ -4,11 +4,15 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, random_case, random_density_matrix
-from kdcollide import analytic, kdq, smalltau
+from kdcollide import analytic, kdq, model, smalltau
+from kdcollide.cli import ExperimentSpec, fig7_config, run
 from kdcollide.collision import (
+    _channel,
+    _evolve,
     bch_collide_once,
     collide_once,
     collision_unitary,
@@ -250,10 +254,81 @@ class TestEvolve:
                 with pytest.raises(ValueError, match="detuning"):
                     check()
 
+    def test_warning_points_at_caller(self):
+        # The pulse-area warning names the line that called into the package.
+        cfg = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=1.0, beta=1.0, lam=0.2)
+        rho_s = build_system_state(SystemStateParams(0.5))
+        for call in (lambda: evolve(rho_s, cfg, 3, thermo=True), lambda: kdq.kdq_distribution(kdq.Q, rho_s, cfg)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", kdq.ValidityWarning)
+                call()
+            assert [w.filename for w in caught] == [__file__]
+
     def test_rejects_zero_collisions(self, rng):
         cfg, state = random_case(rng)
         with pytest.raises(ValueError):
             evolve(build_system_state(state), cfg, 0)
+
+
+def sequential_states(rho_s0, cfg, n):
+    """S^k rho_s0 for k = 0..n, one application of the collision matrix S at a time."""
+    s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
+    states = [np.asarray(rho_s0, dtype=complex)]
+    for _ in range(n):
+        states.append((s @ states[-1].ravel()).reshape(2, 2))
+    return np.array(states)
+
+
+def test_doubled_states_match_sequential_loop(rng):
+    # The states by repeated squaring against n single steps, resonant and
+    # detuned, exact and weakly coherent; both drift by a few ulps per step.
+    cases = [(fig7_config(), SystemStateParams(0.25, math.sqrt(3.0) / 4.0, math.pi / 4))]
+    cases += [random_case(rng, resonant=k % 3 == 0, weak=k % 2 == 1) for k in range(40)]
+    for cfg, state in cases:
+        rho_s0 = build_system_state(state)
+        states = np.array(evolve(rho_s0, cfg, 400).states)
+        assert np.max(np.abs(states - sequential_states(rho_s0, cfg, 400))) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::kdcollide.kdq.ValidityWarning")
+@settings(max_examples=40, deadline=None)
+@given(cases=st.lists(admissible_cases(), min_size=2, max_size=6), n=st.integers(1, 9))
+def test_stacked_chains_match_one_chain_records(cases, n):
+    # A stack of resonant and detuned chains (both modes, any level structure)
+    # gives each chain the states and records of its own `evolve`, bit for bit.
+    cfgs = [cfg for cfg, _ in cases]
+    rho_s0 = np.array([build_system_state(state) for _, state in cases])
+    chains = _evolve(model._ConfigArrays.of(cfgs), rho_s0, n, thermo=True)
+    for m, cfg in enumerate(cfgs):
+        trajectory = evolve(rho_s0[m], cfg, n, thermo=True)
+        assert np.array_equal(chains.states[m], np.array(trajectory.states))
+        split = cfg.is_weak or cfg.is_resonant
+        for name, column in chains.columns.items():
+            values = [getattr(record, name) for record in trajectory.per_step]
+            if split or name.startswith("delta_e"):
+                assert column[m].tolist() == values, name
+            else:
+                assert np.isnan(column[m]).all() and values == [None] * n, name
+        for q, stack in chains.moments.items():
+            if q in trajectory.per_step[0].moments:
+                sets = [kdq.MomentSet(*moments) for moments in zip(*(a[m].tolist() for a in stack))]
+                assert sets == [record.moments[q] for record in trajectory.per_step], q
+        for q, stack in chains.witnesses.items():
+            if q in trajectory.per_step[0].nonpositivity:
+                reports = [kdq.NonPositivityReport(*w) for w in stack[m].tolist()]
+                assert reports == [record.nonpositivity[q] for record in trajectory.per_step], q
+
+
+def test_fig7_columns_are_the_step_records():
+    # fig7 reads the chain's columns; they are the fields of `evolve`'s records.
+    table = run(ExperimentSpec("fig7", None, None, collisions=12))
+    state = SystemStateParams(rho11=0.25, r=math.sqrt(3.0) / 4.0, phi_c=math.pi / 4)
+    records = evolve(build_system_state(state), fig7_config(), 12, thermo=True).per_step
+    expected = [
+        [float(step), r.q_s, r.q_a, r.w_s, r.w_a, r.delta_e_s, r.delta_e_a] for step, r in enumerate(records, start=1)
+    ]
+    assert table.header == ["step", "q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a"]
+    assert table.rows == expected
 
 
 class TestSteadyState:

@@ -373,7 +373,8 @@ class TestValidityGuards:
 def test_stack_warns_once_per_kind():
     # One evaluation over ten strong-pulse configs and three detuned weak ones
     # warns once per kind, with the count and the largest value, from the
-    # evaluator, which checks the regime; the kernel itself checks none.
+    # evaluator, which checks the regime; the kernel itself checks none.  The
+    # warnings name the line outside the package that called the evaluator.
     strong = [resonant_cfg(tau=1.0 + 0.2 * k, lam=0.2) for k in range(10)]
     detuned = [
         ModelConfig(omega_s=1.0 + d, omega_a=1.0, g=1.0, tau=0.1, beta=1.0, lam_tilde=0.1, mode=MODE_WEAK)
@@ -391,7 +392,7 @@ def test_stack_warns_once_per_kind():
         "pulse area g*tau exceeds pi/6 in 10 configs (largest 2.8): "
         "coherent work / incoherent heat enter the strong-coupling regime",
     ]
-    assert {w.filename for w in caught} == {cli.__file__}
+    assert {w.filename for w in caught} == {__file__}
 
 
 class TestSystemSideSplit:

@@ -346,6 +346,7 @@ CONFIG_MESSAGES = [
     (dict(lam_tilde=1.0, mode=MODE_WEAK), "ancilla coherence 0.707107 exceeds the positivity bound 1/Z_A = 0.443409"),
     (dict(hbar=1e160), "hbar*omega_s = 1e+160 is too large: (2*hbar*omega_s)^2 overflows"),
     (dict(omega_a=7e153), "hbar*omega_a = 7e+153 is too large: (2*hbar*omega_a)^2 overflows"),
+    (dict(hbar=1e160, g=1e150, omega_s=1e-150, omega_a=1e-150), "g = 1e+150 is too large: 4*hbar*g overflows"),
 ]
 STATE_MESSAGES = [
     (dict(rho11=math.nan), "rho11 must be finite, got nan"),
