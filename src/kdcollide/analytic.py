@@ -60,8 +60,9 @@ class AuxiliaryFunctions:
 
 def _ancilla_populations(cfgs: _ConfigArrays) -> tuple[np.ndarray, np.ndarray]:
     """Thermal ancilla populations (e^-x, e^x)/Z_A, x = beta*hbar*omega_a/2, as t/(1 + t) and 1/(1 + t),
-    t = e^(-2|x|), swapped for x < 0: no subtraction cancels the smaller weight, and nothing overflows."""
-    x = 0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a
+    t = e^(-2|x|), swapped for x < 0: no subtraction cancels the smaller weight, and an overflowing x is inf."""
+    with np.errstate(over="ignore"):
+        x = 0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a
     t = np.exp(-2.0 * np.abs(x))
     low, high = t / (1.0 + t), 1.0 / (1.0 + t)
     return np.where(x >= 0.0, low, high), np.where(x >= 0.0, high, low)

@@ -43,6 +43,10 @@ each output quantity reads and the columns it emits.  fig5 and fig6 reduce
 one tau grid: the coherent-work KDQ per work value (across g*tau = pi/6 on
 purpose, so unchecked), and the spectrum of the operator approach's
 observable O2 (`smalltau`).  A grid or chain too large to hold is an error.
+One dict, `_RUNNERS`, names the runner of each preset and of ``custom``
+(`PRESETS` are its keys), and every grid run but fig4's two panels
+assembles its table with one builder (`_table`): each row's value on every
+axis, then its value columns.
 
 Output is a deterministic CSV (17 significant digits, no timestamps) plus a
 ``<path>.meta.json`` sidecar with the run parameters; for custom runs it also
@@ -77,8 +81,6 @@ from .model import (
 )
 
 HBAR_SI = 1.054571817e-34
-
-PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7", "custom")
 
 # Config key -> field of ModelConfig ([model]) or SystemStateParams ([state]).
 _FIELDS = {
@@ -434,25 +436,29 @@ def _every_row_skipped(skip_reasons: dict[str, int], rows: int) -> bool:
     return True
 
 
+def _table(spec: ExperimentSpec, grid: _Grid, shown, values, header: list[str], meta: dict) -> ResultTable:
+    """A grid run's table: each row's value on every axis, shown as (name, values) pairs in grid order,
+    then its ``values`` columns, named by ``header``; the sidecar holds ``meta`` and the preset."""
+    columns = [grid.at(k, axis) for k, (_, axis) in enumerate(shown)]
+    rows = np.column_stack([*columns, *values]).tolist()
+    return ResultTable([name for name, _ in shown] + header, rows, {"preset": spec.preset, **meta})
+
+
 def _run_custom(spec: ExperimentSpec) -> ResultTable:
     """Evaluate every point of the sweep grid that `_sweep` does not skip."""
     grid, skipped, skip_reasons = _sweep(spec)
-    header = [name for name, _ in spec.sweep] + ["skipped"]
-    for name in spec.outputs:
-        header.extend(_OUTPUTS[name].columns)
+    header = [column for name in spec.outputs for column in _OUTPUTS[name].columns]
     kept = np.flatnonzero(~skipped)
-    data = np.full((len(skipped), len(header) - len(spec.sweep) - 1), math.nan)
+    data = np.full((len(skipped), len(header)), math.nan)
     if len(kept):
         data[kept] = _evaluate(grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept])
-    grid_columns = [grid.at(k, values) for k, (_, values) in enumerate(spec.sweep)]
     meta = {
-        "preset": "custom",
         **_params_meta(spec.cfg, spec.state),
         "sweep": {name: list(grid) for name, grid in spec.sweep},
         "quantities": list(spec.outputs),
         "skip_reasons": skip_reasons,
     }
-    return ResultTable(header, np.column_stack([*grid_columns, skipped, data]).tolist(), meta)
+    return _table(spec, grid, spec.sweep, [skipped, data], ["skipped", *header], meta)
 
 
 def _params_meta(cfg: ModelConfig, state: SystemStateParams) -> dict:
@@ -466,7 +472,10 @@ def _params_meta(cfg: ModelConfig, state: SystemStateParams) -> dict:
 # --------------------------------------------------------------------------
 # figure presets
 
-_R_MAX_QUARTER = math.sqrt(3.0) / 4.0  # r_max for rho11 = 1/4
+# The presets' system state, r = r_max for rho11 = 1/4; fig1 and fig2 sweep its phi_c, fig5 and fig6 take pi/3.
+_STATE = SystemStateParams(rho11=0.25, r=math.sqrt(3.0) / 4.0, phi_c=math.pi / 4)
+# The resonant collision of fig3a and fig4.
+_RESONANT = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
 
 
 def _linspace(start: float, stop: float, points: int, endpoint: bool = True) -> np.ndarray:
@@ -485,82 +494,69 @@ def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:
     taus = [math.pi / 36, math.pi / 18, math.pi / 12, math.pi / 9, 5 * math.pi / 36, math.pi / 6]
     betas = [5.0, 1.0, 0.2]
     axes = [("beta", betas), ("tau", taus), ("phi_c", _linspace(0.0, 2.0 * math.pi, spec.points, endpoint=False))]
-    base = ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=betas[0])
-    grid = _grid(base, SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER), axes)
+    grid = _grid(ModelConfig(omega_s=4.0, omega_a=1.0, g=1.0, tau=taus[0], beta=betas[0]), _STATE, axes)
     grid = grid._replace(cfgs=grid.cfgs.replace(lam=grid.cfgs.lambda_max))
     witnesses = grid.evaluate(tuple(f"{kind}_{quantity}" for kind in _WITNESSES))
-    rows = np.column_stack([*(grid.at(k, values) for k, (_, values) in enumerate(axes)), witnesses]).tolist()
     meta = {
-        "preset": spec.preset,
         "quantity": quantity,
         "detuning": 3.0,
         "omega_a": 1.0,
         "omega_s": 4.0,
         "g": 1.0,
         "hbar": 1.0,
-        "rho11": 0.25,
-        "r": _R_MAX_QUARTER,
+        "rho11": _STATE.rho11,
+        "r": _STATE.r,
         "betas": betas,
         "taus": taus,
         "lambda": "lambda_max per beta",
         "lambda_max_values": grid.cfgs.lam[:: len(taus)].tolist(),
         "phi_c_points": spec.points,
     }
-    return ResultTable(["beta", "tau", "phi_c", "n_q", "n_re", "n_im"], rows, meta)
+    return _table(spec, grid, axes, [witnesses], ["n_q", "n_re", "n_im"], meta)
 
 
 def _preset_fig3a(spec: ExperimentSpec) -> ResultTable:
-    state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
-    base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
-    lam_max = base.lambda_max
-    lams = [0.0, lam_max / 2.0, lam_max]
+    lams = [0.0, _RESONANT.lambda_max / 2.0, _RESONANT.lambda_max]
     deltas = _linspace(-20.0, 20.0, spec.points)
-    grid = _grid(base, state, [("lambda", lams), ("omega_s", 1.0 + deltas)])
+    grid = _grid(_RESONANT, _STATE, [("lambda", lams), ("omega_s", 1.0 + deltas)])
     values = grid.evaluate(("analytic_delta_e_s", "analytic_delta_e_s_envelopes"))
-    header = ["lambda", "delta", "delta_e_s", "envelope_lower", "envelope_upper"]
     meta = {
-        "preset": "fig3a",
-        **_params_meta(base, state),
+        **_params_meta(_RESONANT, _STATE),
         "lambdas": lams,
         "delta_range": [-20.0, 20.0],
         "delta_points": spec.points,
     }
-    return ResultTable(header, np.column_stack([grid.at(0, lams), grid.at(1, deltas), values]).tolist(), meta)
+    header = ["delta_e_s", "envelope_lower", "envelope_upper"]
+    return _table(spec, grid, [("lambda", lams), ("delta", deltas)], [values], header, meta)
 
 
 def _preset_fig3b(spec: ExperimentSpec) -> ResultTable:
-    state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
     base = ModelConfig(omega_s=21.0, omega_a=1.0, g=1.0, tau=1e-6, beta=1.0)
-    lam_max = base.lambda_max
-    lams = [-lam_max, -lam_max / 2.0, lam_max / 2.0, lam_max]
-    taus = _linspace(0.0, math.pi / 2.0, spec.points)
-    grid = _grid(base, state, [("lambda", lams), ("tau", taus)])
+    lams = [-base.lambda_max, -base.lambda_max / 2.0, base.lambda_max / 2.0, base.lambda_max]
+    axes = [("lambda", lams), ("tau", _linspace(0.0, math.pi / 2.0, spec.points))]
+    grid = _grid(base, _STATE, axes)
     values = grid.evaluate(("analytic_delta_e_sa", "analytic_delta_e_sa_limit"))
-    header = ["lambda", "tau", "delta_e_sa", "delta_e_sa_limit"]
     meta = {
-        "preset": "fig3b",
-        **_params_meta(base, state),
+        **_params_meta(base, _STATE),
         "detuning": 20.0,
         "lambdas": lams,
         "tau_range": [0.0, math.pi / 2.0],
         "tau_points": spec.points,
     }
-    return ResultTable(header, np.column_stack([grid.at(0, lams), grid.at(1, taus), values]).tolist(), meta)
+    return _table(spec, grid, axes, [values], ["delta_e_sa", "delta_e_sa_limit"], meta)
 
 
 def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     """Variance of the system energy change and of the non-energy-preserving
     work: vs. detuning at lambda=0 (panel a), then vs. lambda at the local
     maxima of the panel-a curve, normalized to their lambda=0 value."""
-    state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
-    base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
     deltas = _linspace(0.0, 20.0, spec.points)
-    var_us0, var_usa0 = _grid(base, state, [("omega_s", 1.0 + deltas)]).evaluate(("var_us", "var_usa"))[:, ::2].T
+    var_us0, var_usa0 = _grid(_RESONANT, _STATE, [("omega_s", 1.0 + deltas)]).evaluate(("var_us", "var_usa"))[:, ::2].T
     # The first three local maxima of var_us, the lambda = 0 references of panel 1.
     peaks = (np.flatnonzero((var_us0[1:-1] > var_us0[:-2]) & (var_us0[1:-1] >= var_us0[2:])) + 1)[:3]
-    lam_max = base.lambda_max
+    lam_max = _RESONANT.lambda_max
     lams = np.linspace(-lam_max, lam_max, spec.points)
-    grid = _grid(base, state, [("omega_s", 1.0 + deltas[peaks]), ("lambda", lams)])
+    grid = _grid(_RESONANT, _STATE, [("omega_s", 1.0 + deltas[peaks]), ("lambda", lams)])
     var_us1, var_usa1 = grid.evaluate(("var_us", "var_usa"))[:, ::2].T
     peak = peaks[grid.position[0]]
     zeros, nans = np.zeros(len(deltas)), np.full(len(deltas), math.nan)
@@ -572,7 +568,7 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     header = ["panel", "delta", "lambda", "var_us_re", "var_usa_re", "var_us_norm", "var_usa_norm"]
     meta = {
         "preset": "fig4",
-        **_params_meta(base, state),
+        **_params_meta(_RESONANT, _STATE),
         "delta_range": [0.0, 20.0],
         "lambda_range": [-lam_max, lam_max],
         "points": spec.points,
@@ -582,7 +578,7 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
     return ResultTable(header, np.vstack([np.column_stack(panel_0), np.column_stack(panel_1)]).tolist(), meta)
 
 
-def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> list[np.ndarray]:
     """fig5's columns: the coherent-work KDQ of each row, its entries summed per stochastic work value.
 
     The sweep deliberately crosses the g*tau = pi/6 validity border, so it checks no regime.
@@ -592,37 +588,32 @@ def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> tuple[list[str],
         q[rows] = kdq._kernel(kdq.W, rho_s[rows], ops)[0]
     # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
     w0, w_plus, w_minus = np.trace(q, axis1=-2, axis2=-1), q[:, 0, 1], q[:, 1, 0]
-    header = ["w0_re", "w0_im", "wplus_re", "wplus_im", "wminus_re", "wminus_im"]
-    return header, [w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
-
-
-def _operator_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
-    """fig6's columns: the spectrum of O2 of each row, its two work values (descending) with their
-    probabilities; a merged level is listed twice, with probability 0 the second time."""
-    return ["w_hi", "p_hi", "w_lo", "p_lo"], list(smalltau._operator_spectra(rho_s, cfgs))
+    return [w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
 
 
 def _coherent_work_sweep(spec: ExperimentSpec) -> ResultTable:
     """Coherent work vs. collision time at resonance, by the KDQ (fig5: moving
     quasiprobabilities at the fixed values 0, +hbar*omega, -hbar*omega) or by
     the operator approach (fig6: moving values at fixed probabilities)."""
-    state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 3)
+    state = replace(_STATE, phi_c=math.pi / 3)
     base = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=0.0, beta=0.1)
     base = replace(base, lam=base.lambda_max)
-    taus = _linspace(0.0, math.pi, spec.points)
-    grid = _grid(base, state, [("tau", taus)])
-    reducer = {"fig5": _kdq_work_values, "fig6": _operator_work_values}[spec.preset]
-    header, columns = reducer(grid.cfgs.checked(), _system_states(grid.states))
+    axes = [("tau", _linspace(0.0, math.pi, spec.points))]
+    grid = _grid(base, state, axes)
+    cfgs, rho_s = grid.cfgs.checked(), _system_states(grid.states)
     meta = {
-        "preset": spec.preset,
         **_params_meta(base, state),
         "lambda": base.lam,
         "tau_range": [0.0, math.pi],
         "tau_points": spec.points,
     }
-    if spec.preset == "fig5":
-        meta["note"] = "ancilla-side coherent-work KDQ, entries summed per stochastic value"
-    return ResultTable(["tau", *header], np.column_stack([taus, *columns]).tolist(), meta)
+    if spec.preset == "fig6":
+        # The spectrum of O2 of each row: its two work values (descending) with their probabilities;
+        # a merged level is listed twice, with probability 0 the second time.
+        return _table(spec, grid, axes, smalltau._operator_spectra(rho_s, cfgs), ["w_hi", "p_hi", "w_lo", "p_lo"], meta)
+    meta["note"] = "ancilla-side coherent-work KDQ, entries summed per stochastic value"
+    header = ["w0_re", "w0_im", "wplus_re", "wplus_im", "wminus_re", "wminus_im"]
+    return _table(spec, grid, axes, _kdq_work_values(cfgs, rho_s), header, meta)
 
 
 def fig7_config() -> ModelConfig:
@@ -647,16 +638,15 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
     """Per-collision incoherent heat and coherent work of a resonant
     superconducting-circuit collision chain, from both sides."""
     cfg = fig7_config()
-    state = SystemStateParams(rho11=0.25, r=_R_MAX_QUARTER, phi_c=math.pi / 4)
     try:
-        chains = collision._evolve(cfg, build_system_state(state)[None], spec.collisions, thermo=True)
+        chains = collision._evolve(cfg, build_system_state(_STATE)[None], spec.collisions, thermo=True)
     except (ValueError, MemoryError) as exc:  # NumPy refuses to hold the states
         raise ConfigError(f"{spec.collisions} collisions are too many to evaluate") from exc
     columns = [chains.columns[name][0] for name in ("q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a")]
     rows = np.column_stack([np.arange(1.0, spec.collisions + 1), *columns]).tolist()
     meta = {
         "preset": "fig7",
-        **_params_meta(cfg, state),
+        **_params_meta(cfg, _STATE),
         "collisions": spec.collisions,
         "beta_hbar_omega": cfg.beta * cfg.hbar * cfg.omega_a,
         "lambda": cfg.lam,
@@ -666,7 +656,8 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
     return ResultTable(["step", "q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a"], rows, meta)
 
 
-_PRESET_RUNNERS = {
+# The runner of each preset; "custom" runs a config file's sweep.
+_RUNNERS = {
     "fig1": _nonpositivity_sweep,
     "fig2": _nonpositivity_sweep,
     "fig3a": _preset_fig3a,
@@ -675,15 +666,14 @@ _PRESET_RUNNERS = {
     "fig5": _coherent_work_sweep,
     "fig6": _coherent_work_sweep,
     "fig7": _preset_fig7,
+    "custom": _run_custom,
 }
+PRESETS = tuple(_RUNNERS)
 
 
 def run(spec: ExperimentSpec) -> ResultTable:
     """Execute a spec and write its CSV (plus metadata sidecar) if requested."""
-    if spec.preset == "custom":
-        table = _run_custom(spec)
-    else:
-        table = _PRESET_RUNNERS[spec.preset](spec)
+    table = _RUNNERS[spec.preset](spec)
     if spec.out_path:
         write_csv(table, Path(spec.out_path))
     return table

@@ -99,9 +99,9 @@ _RECORD_FIELDS = ("delta_e_s", "delta_e_a", "delta_e_sa", "w_s", "w_a", "q_s", "
 
 @dataclass(frozen=True)
 class CollisionTrajectory:
-    """States rho_S after 0..n collisions plus per-collision records."""
+    """States rho_S after 0..n collisions, an (n + 1, 2, 2) array, plus per-collision records."""
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     per_step: tuple[StepRecord, ...]
 
 
@@ -221,7 +221,7 @@ def evolve(
     states before each collision.
     """
     chains = _evolve(cfg, np.asarray(rho_s0, dtype=complex)[None], n, thermo)
-    states = tuple(chains.states[0])
+    states = chains.states[0]
     if not thermo:
         return CollisionTrajectory(states, ())
     columns = [

@@ -15,6 +15,7 @@ exists once.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import sys
@@ -112,16 +113,19 @@ def _raise_first_failure(checks) -> None:
 # slower, and NumPy on parameter arrays.  NumPy's sqrt, sin and cos give
 # `math`'s bits; its exp, cosh and hypot differ in the last ulp on a few
 # percent of arguments, so the arrays take those from `math` element by element.
+# Under ``overflow_to_inf`` an overflowing array product is inf without a
+# NumPy warning, as a float product is.
 _SCALAR = SimpleNamespace(
     isfinite=math.isfinite, logical_not=operator.not_, sqrt=math.sqrt, sin=math.sin, cos=math.cos, exp=math.exp,
     hypot=math.hypot, maximum=max, where=lambda condition, a, b: a if condition else b, any=bool,
-    shape=lambda x: (), partition_function=partition_function,
+    shape=lambda x: (), partition_function=partition_function, overflow_to_inf=contextlib.nullcontext,
 )
 _ARRAY = SimpleNamespace(
     isfinite=np.isfinite, logical_not=np.logical_not, sqrt=np.sqrt, sin=np.sin, cos=np.cos,
     exp=lambda x: _elementwise(math.exp, x), hypot=lambda x, y: _elementwise(math.hypot, x, y), maximum=np.maximum,
     where=np.where, any=np.any, shape=np.shape,
     partition_function=lambda *args: _elementwise(partition_function, *args),
+    overflow_to_inf=lambda: np.errstate(over="ignore"),
 )
 
 
@@ -157,7 +161,9 @@ class _ConfigQuantities:
     @property
     def lambda_eff(self):
         """Coherence magnitude actually entering the ancilla state."""
-        return self._xp.where(self.is_weak, self.lam_tilde * self._xp.sqrt(self.tau), self.lam)
+        # Exact rows take sqrt(0): their tau is unbounded, and lam_tilde*sqrt(tau) could overflow.
+        xp = self._xp
+        return xp.where(self.is_weak, self.lam_tilde * xp.sqrt(xp.where(self.is_weak, self.tau, 0.0)), self.lam)
 
     @property
     def kdq_coherence_prefactor(self):
@@ -439,10 +445,11 @@ def build_ancilla(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _thermal_populations(cfgs: ModelConfig | _ConfigArrays):
-    """Populations (e^-x, e^x)/Z_A of the thermal ancilla of each config, x = beta*hbar*omega_a/2,
-    as logistic functions of 2x, which cannot overflow."""
+    """Populations (e^-x, e^x)/Z_A of the thermal ancilla of each config, x = beta*hbar*omega_a/2
+    (inf once it overflows), as logistic functions of 2x, which cannot overflow."""
     xp = cfgs._xp
-    x = 0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a
+    with xp.overflow_to_inf():
+        x = 0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a
     t = xp.exp(-2.0 * abs(x))
     low, high = t / (1.0 + t), 1.0 / (1.0 + t)
     return xp.where(x >= 0.0, low, high), xp.where(x >= 0.0, high, low)

@@ -27,9 +27,6 @@ from .model import (
 )
 
 
-# Random draws evaluated together; bounds the memory a check holds at once.
-_DRAWS_HELD = 100
-
 # The parameters of one random draw in the order it takes them from the rng,
 # with their bounds; delta is drawn for detuned draws only, and lambda and r
 # are bounded by lambda_max and r_max of the draw.
@@ -79,16 +76,15 @@ def _check_lambda_max() -> float:
 def _stacks(rng: np.random.Generator, resonant, draws: int, classical: bool = False):
     """(configs, states, operator stack, state stack) per part of `model._operator_stacks` over random draws.
 
-    Draws `_DRAWS_HELD` at a time, draw k resonant where ``resonant(k)``;
-    ``classical`` removes the coherence of ancilla and system.
+    One `random_parameters` call makes every draw, draw k resonant where
+    ``resonant(k)``; ``classical`` removes the coherence of ancilla and system.
     """
-    for start in range(0, draws, _DRAWS_HELD):
-        cfgs, states = random_parameters(rng, [resonant(k) for k in range(start, min(start + _DRAWS_HELD, draws))])
-        if classical:
-            cfgs, states = cfgs.replace(lam=0.0), _StateArrays.build(rho11=states.rho11, r=0.0, phi_c=0.0)
-        rho_s = _system_states(states)
-        for rows, ops in _operator_stacks(cfgs):
-            yield cfgs.take(rows), states.take(rows), ops, rho_s[rows]
+    cfgs, states = random_parameters(rng, [resonant(k) for k in range(draws)])
+    if classical:
+        cfgs, states = cfgs.replace(lam=0.0), _StateArrays.build(rho11=states.rho11, r=0.0, phi_c=0.0)
+    rho_s = _system_states(states)
+    for rows, ops in _operator_stacks(cfgs):
+        yield cfgs.take(rows), states.take(rows), ops, rho_s[rows]
 
 
 def _deviation(numeric: np.ndarray, expected) -> float:
