@@ -181,7 +181,7 @@ def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
             raise ConfigError(f"line {lineno}: bad linspace arguments: {exc}") from exc
         if count < 1:
             raise ConfigError(f"line {lineno}: linspace count must be >= 1")
-        grid = tuple(float(v) for v in np.linspace(start, stop, count))
+        grid = tuple(float(v) for v in _linspace(start, stop, count, where=f"line {lineno}: "))
     else:
         try:
             grid = tuple(float(p) for p in raw.split(","))
@@ -478,12 +478,12 @@ _STATE = SystemStateParams(rho11=0.25, r=math.sqrt(3.0) / 4.0, phi_c=math.pi / 4
 _RESONANT = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=math.pi / 6, beta=1.0)
 
 
-def _linspace(start: float, stop: float, points: int, endpoint: bool = True) -> np.ndarray:
-    """A preset's grid of ``points`` values; raises ConfigError with the count if NumPy cannot hold it."""
+def _linspace(start: float, stop: float, points: int, endpoint: bool = True, where: str = "") -> np.ndarray:
+    """A grid of ``points`` values; raises ConfigError with ``where`` and the count if NumPy cannot hold it."""
     try:
         return np.linspace(start, stop, points, endpoint=endpoint)
     except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"{points} points are too many to evaluate") from exc
+        raise ConfigError(f"{where}{points} points are too many to evaluate") from exc
 
 
 def _nonpositivity_sweep(spec: ExperimentSpec) -> ResultTable:

@@ -2,7 +2,8 @@
 
 Each collision applies Phi(rho_S) = Tr_A[U (rho_S (x) rho_A) U^dag], the 4x4
 matrix S of `_channel`; `collide_once` alone forms the joint state.  A
-trajectory's states are S^k rho_S, computed by repeated squaring (`_powers`).
+trajectory's states are S^k rho_S, computed by repeated squaring
+(`linalg._powers`, which also steps the master equation of `smalltau`).
 `_evolve` runs a stack of chains, one per config, as array operations: its
 step records are columns of KDQ means, moments and witnesses, from one
 kernel call per quantity over every state of up to 128 chains of one level
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kdq
-from .linalg import commutator, dag, partial_trace, tensor, trace_distance
+from .linalg import _powers, commutator, dag, partial_trace, tensor, trace_distance
 from .model import IDENTITY_2, ModelConfig, Operators, _ConfigArrays, _operator_stacks, build_hamiltonians
 
 # The fixed point is unique when S - I has a second-smallest singular value above this.
@@ -132,26 +133,6 @@ class _Chains:
     columns: dict[str, np.ndarray]
     moments: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
     witnesses: dict[str, np.ndarray]
-
-
-def _powers(s: np.ndarray, rho_s0: np.ndarray, n: int) -> np.ndarray:
-    """(M, n + 1, 2, 2) states S^k rho_s0 of M chains, k = 0..n, for (M, 4, 4) maps S and (M, 2, 2) states.
-
-    Repeated squaring: states 2^j..2^(j+1)-1 are S^(2^j) applied to states
-    0..2^j-1, one batched product per power of two.
-    """
-    m = len(s)
-    states = np.empty((m, n + 1, 4), dtype=complex)
-    states[:, 0] = rho_s0.reshape(m, 4)
-    power, done = s, 1
-    while done <= n:
-        count = min(done, n + 1 - done)
-        # Row k of the product is S^done applied to state k.
-        np.matmul(states[:, :count], power.swapaxes(-1, -2), out=states[:, done : done + count])
-        done += count
-        if done <= n:
-            power = power @ power
-    return states.reshape(m, n + 1, 2, 2)
 
 
 def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, thermo: bool) -> _Chains:

@@ -1,4 +1,5 @@
-"""Dense complex matrix algebra sized for few-qubit problems (2x2 and 4x4)."""
+"""Dense complex matrix algebra sized for few-qubit problems (2x2 and 4x4), and
+`_powers`, the one iterator of the collision chains and the master equation."""
 
 from __future__ import annotations
 
@@ -43,6 +44,26 @@ def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
     if key == "A":
         return np.einsum("...ikil->...kl", m4)
     raise ValueError(f"keep must be 'S' or 'A', got {keep!r}")
+
+
+def _powers(s: np.ndarray, rho_s0: np.ndarray, n: int) -> np.ndarray:
+    """(M, n + 1, 2, 2) states S^k rho_s0 of M chains, k = 0..n, for (M, 4, 4) maps S and (M, 2, 2) states.
+
+    Repeated squaring: states 2^j..2^(j+1)-1 are S^(2^j) applied to states
+    0..2^j-1, one batched product per power of two.
+    """
+    m = len(s)
+    states = np.empty((m, n + 1, 4), dtype=complex)
+    states[:, 0] = rho_s0.reshape(m, 4)
+    power, done = s, 1
+    while done <= n:
+        count = min(done, n + 1 - done)
+        # Row k of the product is S^done applied to state k.
+        np.matmul(states[:, :count], power.swapaxes(-1, -2), out=states[:, done : done + count])
+        done += count
+        if done <= n:
+            power = power @ power
+    return states.reshape(m, n + 1, 2, 2)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

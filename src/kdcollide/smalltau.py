@@ -2,9 +2,9 @@
 
 Covers the coherent drive correction G, the per-collision coherent work and
 incoherent heat from the second-order collision expansion, the reduced
-master equation with its thermal dissipator (RK4 as one 4x4 step matrix
-built once per run from `master_equation_rhs`, the one copy of the reduced
-dynamics), and the operator approach, which reads coherent-work statistics
+master equation with its thermal dissipator (one RK4 step matrix built from
+one `master_equation_rhs` call, applied by the collision chains' repeated
+squaring), and the operator approach, which reads coherent-work statistics
 off the closed-form 2x2 spectrum of one system observable over a config stack.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import commutator, dag, partial_trace, tensor
+from .linalg import _powers, commutator, dag, partial_trace, tensor
 from .model import IDENTITY_2, ModelConfig, _ConfigArrays, _operator_stacks
 
 
@@ -110,14 +110,16 @@ def integrate_master_equation(
     cfg: ModelConfig,
     t_final: float,
     dt: float | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step 4th-order integration of the master equation.
 
-    Returns (times, states) on the uniform grid k*dt up to t_final.  The
-    default step is tau/20; steps longer than one collision are rejected.
-    The generator is linear and fixed, so it is built once as the 4x4 matrix
-    L on ``rho.ravel()`` from `master_equation_rhs` on the basis matrices, and
-    each RK4 step applies P = I + hL(I + hL/2(I + hL/3(I + hL/4))), h = dt.
+    Returns (times, states) on the uniform grid k*dt up to t_final, the states
+    as one (steps + 1, 2, 2) array.  The default step is tau/20; steps longer
+    than one collision are rejected.  The generator is linear and fixed, so it
+    is built once as the 4x4 matrix L on ``rho.ravel()`` from one
+    `master_equation_rhs` call on the basis matrices, and the states are
+    P^k rho_s0 for the RK4 step P = I + hL(I + hL/2(I + hL/3(I + hL/4))),
+    h = dt, applied by repeated squaring (`linalg._powers`).
     """
     _require_weak(cfg)
     if dt is None:
@@ -138,13 +140,9 @@ def integrate_master_equation(
     if steps * dt - t_final > 1e-9 * dt:
         steps -= 1
     identity = np.eye(4)
-    h_l = dt * np.column_stack([master_equation_rhs(e, cfg).ravel() for e in identity.reshape(4, 2, 2)])
+    h_l = dt * master_equation_rhs(identity.reshape(4, 2, 2), cfg).reshape(4, 4).T
     step = identity + h_l @ (identity + (h_l / 2.0) @ (identity + (h_l / 3.0) @ (identity + h_l / 4.0)))
-    rho = np.asarray(rho_s0, dtype=complex)
-    states = [rho]
-    for _ in range(steps):
-        rho = (step @ rho.ravel()).reshape(2, 2)
-        states.append(rho)
+    states = _powers(step[None], np.asarray(rho_s0, dtype=complex)[None], steps)[0]
     return dt * np.arange(steps + 1), states
 
 

@@ -618,6 +618,24 @@ class TestMain:
         assert (child.returncode, child.stderr) == (1, f"error: {2**62} collisions are too many to evaluate\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("count", [10**14, 2**62])
+    def test_oversized_sweep_linspace_fails_with_line(self, command, count, tmp_path):
+        # NumPy cannot allocate 10**14 values under the limit and refuses 2**62 outright.
+        sweep = f"phi_c = linspace(0.0, 1.0, {count})"
+        text = CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", sweep)
+        lineno = text.splitlines().index(sweep) + 1
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text + f"path = {tmp_path / 'big.csv'}\n")
+        limit = 512 << 20
+        child = subprocess.run(
+            [sys.executable, "-m", "kdcollide.cli", command, str(cfg)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (child.returncode, child.stderr) == (1, f"error: line {lineno}: {count} points are too many to evaluate\n")
+        assert not (tmp_path / "big.csv").exists()
+
     def test_selftest_exit_code(self, capsys):
         assert main(["selftest"]) == 0
         assert "all checks passed" in capsys.readouterr().out

@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -209,7 +213,50 @@ class TestMasterEquation:
         monkeypatch.setattr(smalltau, "master_equation_rhs", counted)
         _, states = integrate_master_equation(build_system_state(SystemStateParams(0.3)), weak_cfg(), 100 * 0.001, 0.001)
         assert len(states) == 101
-        assert len(calls) <= 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tau, t_final", [(0.5, 400.0), (0.02, 40.0)])
+    def test_long_run_matches_single_steps(self, tau, t_final):
+        # 16 000 and 40 000 steps by repeated squaring against one step at a
+        # time of the same P; both drift by a few ulps per step.
+        cfg, dt = weak_cfg(tau=tau), tau / 20.0
+        rho = build_system_state(SystemStateParams(0.3, 0.35, 1.1)).astype(complex).ravel()
+        h_l = dt * np.column_stack([master_equation_rhs(e, cfg).ravel() for e in np.eye(4).reshape(4, 2, 2)])
+        identity = np.eye(4)
+        step = identity + h_l @ (identity + (h_l / 2.0) @ (identity + (h_l / 3.0) @ (identity + h_l / 4.0)))
+        _, states = integrate_master_equation(rho.reshape(2, 2), cfg, t_final)
+        assert states.shape == (round(t_final / dt) + 1, 2, 2)
+        reference = [rho]
+        for _ in range(len(states) - 1):
+            reference.append(step @ reference[-1])
+        assert float(np.max(np.abs(states.reshape(-1, 4) - reference))) <= 1e-12
+
+    def test_run_too_long_to_hold_fails_at_once(self):
+        # 10**18 steps: the states array is refused before any step runs.  In
+        # a child with bounded memory and time, so that a run that grows one
+        # state at a time fails instead of filling the machine; its peak
+        # resident size shows whether the states were grown.
+        code = f"""
+import resource
+from kdcollide.model import ModelConfig, SystemStateParams, build_system_state
+from kdcollide.smalltau import integrate_master_equation
+cfg, rho0 = {weak_cfg()!r}, build_system_state(SystemStateParams(0.5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    integrate_master_equation(rho0, cfg, 1e15)
+except (ValueError, MemoryError) as exc:
+    print(type(exc).__name__, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        limit = 512 << 20
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert child.returncode == 0, child.stderr
+        kind, grown_kib = child.stdout.split()
+        assert kind in ("ValueError", "MemoryError")
+        assert int(grown_kib) < 16 << 10
 
     @pytest.mark.parametrize(
         "t_final, dt, name",
