@@ -337,7 +337,7 @@ def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...
             # The stacked "moments" or "witnesses" of a quantity, each computed once.
             if (reducer, quantity) not in reduced:
                 if quantity not in kernels:
-                    kernels[quantity] = kdq._kernel(quantity, rho_s[rows], ops)[:2]
+                    kernels[quantity] = kdq._kernel(quantity, rho_s[rows], ops)
                 matrix, levels = kernels[quantity]
                 stack = kdq._moments(matrix, levels) if reducer == "moments" else kdq._witnesses(matrix)
                 reduced[reducer, quantity] = stack
@@ -720,8 +720,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
     try:
@@ -737,8 +737,8 @@ def main(argv: list[str] | None = None) -> int:
         if spec.out_path is None:
             spec = replace(spec, out_path=f"{spec.preset}.csv")
         table = run(spec)
-    except (OSError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ConfigError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     print(f"{spec.preset}: wrote {len(table.rows)} rows to {spec.out_path}")
     return 1 if _every_row_skipped(table.meta.get("skip_reasons", {}), len(table.rows)) else 0

@@ -167,7 +167,7 @@ def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, therm
     for chains, ops in parts:
         ops = Operators(*(a[:, None] for a in ops))
         for q in quantities:
-            matrix, levels, _ = kdq._kernel(q, states[chains, :n], ops, unitary=ops.u)
+            matrix, levels = kdq._kernel(q, states[chains, :n], ops, unitary=ops.u)
             for stack, values in zip(moments[q], kdq._moments(matrix, levels)):
                 stack[chains] = values
             if q in witnesses:

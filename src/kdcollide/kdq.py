@@ -20,14 +20,16 @@ Distributions over unit-trace states sum to 1, the coherent-work ones to 0.
 
 H_S and H_A are diagonal in the product basis |s a>, so every projector is a
 sum of basis projectors and every distribution is a block sum of one 4x4
-array: Q[i, f] = (W U^dag)[i, f] U[f, i] and quasiprobabilities G^T Q G,
-where the 0/1 matrix G marks the level of each basis state (system level,
-ancilla level, (system, ancilla) pair, or joint level of H_S + H_A), with
-levels from ``linalg.group_levels``.
+array: Q[i, f] = (W U^dag)[i, f] U[f, i] (`_transitions`) and
+quasiprobabilities G^T Q G (`_level_sums`), where the 0/1 matrix G marks the
+level of each basis state: system level, ancilla level, or (system, ancilla)
+pair in the kernel (`_kernel`), and joint level of H_S + H_A
+(``linalg.group_levels`` of the pair levels) for grouped ``usa``, which only
+the one-state `kdq_distribution` computes.
 
-The kernel is arithmetic on `model.Operators`.  The work/heat regime
-(`_check_work_heat_regime`) is checked by the one-config views for their
-config, and by stack callers once per evaluation.
+The kernel is arithmetic on `model.Operators`.  The one-state views check
+their inputs' shapes and the work/heat regime (`_check_work_heat_regime`) of
+their config; stack callers check the regime once per evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dag, group_levels, tensor
-from .model import IDENTITY_2, ModelConfig, Operators, _ConfigArrays
+from .model import IDENTITY_2, SIGMA_X, ModelConfig, Operators, _ConfigArrays
 
 US = "us"
 UA = "ua"
@@ -182,8 +184,13 @@ def _warn(message: str) -> None:
     warnings.warn(message, ValidityWarning, stacklevel=stacklevel)
 
 
-def _operators(quantity: str, cfg: ModelConfig) -> Operators:
-    """The config's operators, once the work/heat regime is checked if ``quantity`` reads the split."""
+def _operators(quantity: str, rho_s: np.ndarray, cfg: ModelConfig, unitary: np.ndarray | None) -> Operators:
+    """The config's operators for a one-state view, once its inputs are checked: one 2x2 state, at most one 4x4
+    ``unitary``, and the work/heat regime if ``quantity`` reads the split."""
+    if np.shape(rho_s) != (2, 2):
+        raise ValueError(f"rho_s must be one 2x2 system state, got shape {np.shape(rho_s)}")
+    if unitary is not None and np.shape(unitary) != (4, 4):
+        raise ValueError("unitary must act on the 4-dimensional joint space")
     if quantity in _WORK_HEAT:
         _check_work_heat_regime(cfg._arrays)
     return cfg.operators
@@ -206,59 +213,47 @@ def _weight(
     elif quantity in (Q, QS):
         ancilla = ops.rho_a_th
     else:
-        ancilla = ops.chi_a
+        ancilla = SIGMA_X
     weight = tensor(rho_s, ancilla)
     if quantity in (W, WS):
         weight = ops.prefactor * weight
     return u, weight
 
 
-def _kernel(
-    quantity: str,
-    rho_s: np.ndarray,
-    ops: Operators,
-    unitary: np.ndarray | None = None,
-    group_degenerate: bool = False,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """KDQ matrices of a (..., 2, 2) stack of system states; arithmetic only, no regime check.
+def _level_sums(q: np.ndarray, level: np.ndarray, count: int) -> np.ndarray:
+    """G^T Q G: each (..., n, n) matrix Q summed over the levels ``level[..., b]`` (of ``count``) of its indices b."""
+    g = (level[..., :, None] == np.arange(count)).astype(float)
+    return g.swapaxes(-1, -2) @ q @ g
 
-    ``ops`` are one config's operators for every state, or a stack of them
-    aligned with the leading axis of ``rho_s`` (one level structure per
-    stack; grouped ``usa`` also needs one joint level count).  Returns
-    ``(matrix, levels, local_energies)`` with ``matrix[..., i_in, i_fin]``
-    the quasiprobabilities of each state and ``levels[..., k]`` those of its
-    config.  `kdq_distribution` is the view of one state.
-    """
+
+def _transitions(quantity: str, rho_s: np.ndarray, ops: Operators, unitary=None) -> tuple[np.ndarray, ...]:
+    """``(Q, level, levels)`` of a (..., 2, 2) stack of system states, which `_kernel` sums: Q[..., i, f] =
+    Tr[U^dag |f><f| U |i><i| W] over the product basis, ``level[..., b]`` the level of basis state b = 2 * (system
+    index) + (ancilla index), and ``levels`` the quantity's signed levels, (system, ancilla) pairs for ``usa``."""
     u, weight = _weight(quantity, rho_s, ops, unitary)
-    if u.shape[-2:] != (4, 4):
-        raise ValueError("unitary must act on the 4-dimensional joint space")
-    local_energies = None
-    # level[..., b]: level of product-basis state b = 2 * (system index) + (ancilla index).
     if quantity in (US, WS, QS):
         energies, level = ops.levels_s, np.repeat(ops.index_s, 2, axis=-1)
     elif quantity in (UA, W, Q):
         energies, level = ops.levels_a, np.tile(ops.index_a, 2)
-    elif group_degenerate:
-        diagonals = [np.diagonal(h, axis1=-2, axis2=-1) for h in (ops.h_s, ops.h_a)]
-        joint = (diagonals[0][..., :, None] + diagonals[1][..., None, :]).real
-        grouped = [group_levels(e) for e in joint.reshape(-1, 4)]
-        if len({len(levels) for levels, _ in grouped}) > 1:
-            raise ValueError("grouped usa needs one joint level count across the stack")
-        energies = np.array([levels for levels, _ in grouped]).reshape(joint.shape[:-2] + (-1,))
-        level = np.array([index for _, index in grouped]).reshape(joint.shape[:-2] + (4,))
     else:
         energies = (ops.levels_s[..., :, None] + ops.levels_a[..., None, :]).reshape(ops.levels_s.shape[:-1] + (-1,))
-        level = (ops.index_s[..., :, None] * ops.levels_a.shape[-1] + ops.index_a[..., None, :]).reshape(
-            ops.index_s.shape[:-1] + (4,)
-        )
-        local_energies = (ops.levels_s, ops.levels_a)
+        level = ops.index_s[..., :, None] * ops.levels_a.shape[-1] + ops.index_a[..., None, :]
+        level = level.reshape(level.shape[:-2] + (4,))
     # w and q take the ancilla's values with the opposite sign: -(e_f - e_i).
     levels = (-1.0 if quantity in (W, Q) else 1.0) * energies
-    # G[..., b, level] = 1 where basis state b belongs to the level.
-    g = (level[..., :, None] == np.arange(levels.shape[-1])).astype(float)
-    # Q[..., i, f] = Tr[U^dag |f><f| U |i><i| W] = (W U^dag)[..., i, f] U[..., f, i].
-    q = (weight @ dag(u)) * u.swapaxes(-1, -2)
-    return g.swapaxes(-1, -2) @ q @ g, levels, local_energies
+    return (weight @ dag(u)) * u.swapaxes(-1, -2), level, levels
+
+
+def _kernel(quantity: str, rho_s: np.ndarray, ops: Operators, unitary=None) -> tuple[np.ndarray, np.ndarray]:
+    """KDQ matrices of a (..., 2, 2) stack of system states; arithmetic only, no check.
+
+    ``ops`` are one config's operators for every state, or a stack of them aligned with the leading axis of
+    ``rho_s`` (one level structure per stack).  Returns ``(matrix, levels)``: ``matrix[..., i_in, i_fin]`` the
+    quasiprobabilities of each state and ``levels[..., k]`` those of its config.  `kdq_distribution` is the view
+    of one state.
+    """
+    q, level, levels = _transitions(quantity, rho_s, ops, unitary)
+    return _level_sums(q, level, levels.shape[-1]), levels
 
 
 def kdq_distribution(
@@ -268,18 +263,24 @@ def kdq_distribution(
     unitary: np.ndarray | None = None,
     group_degenerate: bool = False,
 ) -> KdqDistribution:
-    """KDQ distribution of one stochastic quantity for a single collision.
+    """KDQ distribution of one stochastic quantity for one 2x2 system state and a single collision.
 
     The matrix is indexed [initial level, final level], levels in the order
     of ``linalg.group_levels`` (descending energy).  ``usa`` uses the product
     projectors labelled by (system, ancilla) index pairs; with
-    ``group_degenerate=True`` levels of H_S + H_A that coincide (resonance)
-    are merged into joint eigenspace projectors instead.
+    ``group_degenerate=True`` the pair levels of H_S + H_A that coincide
+    (resonance) are merged into joint eigenspace projectors instead.
+    ``unitary``, if given, is one 4x4 propagator.
     """
     quantity = quantity.lower()
-    matrix, levels, local_energies = _kernel(quantity, rho_s, _operators(quantity, cfg), unitary, group_degenerate)
-    if local_energies is not None:
-        local_energies = tuple(tuple(e.tolist()) for e in local_energies)
+    ops = _operators(quantity, rho_s, cfg, unitary)
+    if quantity == USA and group_degenerate:
+        # One level-map sum over the joint level of each basis state; summing the pair matrix flips some zeros' signs.
+        q, level, pairs = _transitions(quantity, rho_s, ops, unitary)
+        joint, index = group_levels(pairs)
+        return KdqDistribution(quantity, _level_sums(q, index[level], len(joint)), np.array(joint))
+    matrix, levels = _kernel(quantity, rho_s, ops, unitary)
+    local_energies = (tuple(ops.levels_s.tolist()), tuple(ops.levels_a.tolist())) if quantity == USA else None
     return KdqDistribution(quantity, matrix, levels, local_energies)
 
 
@@ -339,13 +340,13 @@ def average_via_trace(
     cfg: ModelConfig,
     unitary: np.ndarray | None = None,
 ) -> complex:
-    """Single-trace average, bypassing the distribution.
+    """Single-trace average of one 2x2 system state, bypassing the distribution.
 
     Equals ``moments(kdq_distribution(...)).mean`` identically; the two paths
     differ only in floating-point grouping.
     """
     quantity = quantity.lower()
-    return complex(_trace_average(quantity, rho_s, _operators(quantity, cfg), unitary))
+    return complex(_trace_average(quantity, rho_s, _operators(quantity, rho_s, cfg, unitary), unitary))
 
 
 def _trace_average(quantity: str, rho_s: np.ndarray, ops: Operators, unitary: np.ndarray | None = None) -> np.ndarray:

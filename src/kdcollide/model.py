@@ -459,9 +459,6 @@ def _thermal_populations(cfgs: ModelConfig | _ConfigArrays):
 # peak memory of long sweeps) at a small cost per part.
 _STACK_ROWS = 128
 
-# The swap coupling s+ s- + s- s+ on the joint space.
-_SWAP = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)
-
 
 class Operators(NamedTuple):
     """The operators of one config (`ModelConfig.operators`) or of a stack of configs (`_operator_stacks`).
@@ -472,24 +469,21 @@ class Operators(NamedTuple):
     caller shares them.  ``u`` is the collision propagator exp(-i H_SA tau /
     hbar) (`collision_unitary`), ``u_bare`` the unscaled `measurement_unitary`
     (equal to ``u`` in exact mode), ``rho_a`` = ``rho_a_th`` + lambda_eff
-    ``chi_a`` the ancilla state, ``prefactor`` the coherence prefactor
-    (shape (1, 1) per config), ``h_s``/``h_a`` the local Hamiltonians,
-    ``h_int`` the coupling hbar*g*(s+ s- + s- s+), ``g`` the drive
-    correction Tr_A[H_int (I (x) chi_A)], ``levels_*`` the local levels in
-    descending order and ``index_*`` the level of each local basis state
-    (the `linalg.group_levels` of diag(H_S), diag(H_A)).
+    chi_A the ancilla state, ``prefactor`` the coherence prefactor (shape
+    (1, 1) per config), ``h_s``/``h_a`` the local Hamiltonians, ``levels_*``
+    the local levels in descending order and ``index_*`` the level of each
+    local basis state (the `linalg.group_levels` of diag(H_S), diag(H_A)).
+    chi_A is `SIGMA_X` for every config; `smalltau`, the one reader of the
+    coupling hbar*g*(s+ s- + s- s+) and of hbar*g*chi_A, forms them itself.
     """
 
     u: np.ndarray
     u_bare: np.ndarray
     rho_a: np.ndarray
     rho_a_th: np.ndarray
-    chi_a: np.ndarray
     prefactor: np.ndarray
     h_s: np.ndarray
     h_a: np.ndarray
-    h_int: np.ndarray
-    g: np.ndarray
     levels_s: np.ndarray
     index_s: np.ndarray
     levels_a: np.ndarray
@@ -563,16 +557,13 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
         scaled = _swap_propagators(cfgs, cfgs.g / xp.sqrt(xp.where(weak, cfgs.tau, 1.0)))
         u = np.where(_matrices(weak), scaled, u_bare)
     shape = xp.shape(cfgs.tau)
-    chi_a = np.tile(SIGMA_X, shape + (1, 1))
     rho_a_th = np.zeros(shape + (4,), dtype=complex)
     rho_a_th[..., 0], rho_a_th[..., 3] = _thermal_populations(cfgs)
     rho_a_th = rho_a_th.reshape(shape + (2, 2))
     x_s, x_a = 0.5 * cfgs.hbar * cfgs.omega_s, 0.5 * cfgs.hbar * cfgs.omega_a
-    hbar_g = _matrices(cfgs.hbar * cfgs.g)
     return Operators(
-        u, u_bare, rho_a_th + _matrices(cfgs.lambda_eff) * chi_a, rho_a_th, chi_a,
-        _matrices(cfgs.kdq_coherence_prefactor), _matrices(x_s) * SIGMA_Z, _matrices(x_a) * SIGMA_Z,
-        hbar_g * _SWAP, hbar_g * chi_a, *_local_levels(x_s, xp), *_local_levels(x_a, xp),
+        u, u_bare, rho_a_th + _matrices(cfgs.lambda_eff) * SIGMA_X, rho_a_th, _matrices(cfgs.kdq_coherence_prefactor),
+        _matrices(x_s) * SIGMA_Z, _matrices(x_a) * SIGMA_Z, *_local_levels(x_s, xp), *_local_levels(x_a, xp),
     )
 
 

@@ -107,7 +107,7 @@ def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
 def _check_oracle_resonant(rng: np.random.Generator, draws: int = 200) -> float:
     worst = 0.0
     for cfgs, states, ops, rho_s in _stacks(rng, lambda k: True, draws):
-        kernels = {q: kdq._kernel(q, rho_s, ops)[:2] for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
+        kernels = {q: kdq._kernel(q, rho_s, ops) for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
         for quantity, oracle in (
             (kdq.US, analytic._resonant_kdq_us), (kdq.QS, analytic._resonant_kdq_q), (kdq.WS, analytic._resonant_kdq_w),
         ):
@@ -144,9 +144,9 @@ def _check_oracle_detuned(rng: np.random.Generator, draws: int = 200) -> float:
 def _check_marginalization(rng: np.random.Generator, draws: int = 50) -> float:
     worst = 0.0
     for _, _, ops, rho_s in _stacks(rng, lambda k: False, draws):
-        usa, _, (levels_s, levels_a) = kdq._kernel(kdq.USA, rho_s, ops)
+        usa = kdq._kernel(kdq.USA, rho_s, ops)[0]
         for quantity in (kdq.US, kdq.UA):
-            marginal = kdq._block_sums(usa, levels_s.shape[-1], levels_a.shape[-1], quantity)
+            marginal = kdq._block_sums(usa, ops.levels_s.shape[-1], ops.levels_a.shape[-1], quantity)
             worst = max(worst, _deviation(marginal, kdq._kernel(quantity, rho_s, ops)[0]))
     return worst
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _powers, commutator, dag, partial_trace, tensor
-from .model import IDENTITY_2, ModelConfig, _ConfigArrays, _operator_stacks
+from .model import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, ModelConfig, _ConfigArrays, _operator_stacks
+
+_SWAP = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)  # s+ s- + s- s+ on the joint space
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,14 @@ def _require_weak(cfg: ModelConfig) -> None:
         raise ValueError("this operation requires the weakly coherent mode")
 
 
+def _coupling(cfg: ModelConfig) -> np.ndarray:
+    """H_int = hbar*g*(s+ s- + s- s+), with the arithmetic of `model.build_hamiltonians`."""
+    return (cfg.hbar * cfg.g) * _SWAP
+
+
 def coherent_correction_G(cfg: ModelConfig) -> np.ndarray:
-    """Drive correction G = Tr_A[H_int (I (x) chi_A)] on the system qubit."""
-    return cfg.operators.g
+    """Drive correction G = Tr_A[H_int (I (x) chi_A)] = hbar*g*chi_A on the system qubit."""
+    return (cfg.hbar * cfg.g) * SIGMA_X
 
 
 def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
@@ -64,7 +71,7 @@ def coherent_work_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
         * cfg.tau
         * np.trace((g_corr @ ops.h_s - ops.h_s @ g_corr) @ rho_s)
     )
-    g_a = partial_trace(ops.h_int @ tensor(rho_s, IDENTITY_2), keep="A")
+    g_a = partial_trace(_coupling(cfg) @ tensor(rho_s, IDENTITY_2), keep="A")
     ancilla_side = (
         (-1j / cfg.hbar)
         * math.sqrt(cfg.tau)
@@ -88,7 +95,7 @@ def incoherent_heat_bch(rho_s: np.ndarray, cfg: ModelConfig) -> float:
 
 def _thermal_double_commutator(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """[H_int, [H_int, rho_S (x) rho_A_th]] on the joint space."""
-    h_int = cfg.operators.h_int
+    h_int = _coupling(cfg)
     return commutator(h_int, commutator(h_int, tensor(rho_s, cfg.operators.rho_a_th)))
 
 
@@ -100,7 +107,7 @@ def dissipator(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 def master_equation_rhs(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """Reduced generator -(i/hbar)[H_S + lt*G, rho] + D[rho]."""
     _require_weak(cfg)
-    drive = cfg.operators.h_s + cfg.lam_tilde * cfg.operators.g
+    drive = cfg.operators.h_s + cfg.lam_tilde * coherent_correction_G(cfg)
     rho_s = np.asarray(rho_s, dtype=complex)
     return (-1j / cfg.hbar) * commutator(drive, rho_s) + dissipator(rho_s, cfg)
 
@@ -160,7 +167,7 @@ def _work_observables(cfgs: _ConfigArrays, parts=None) -> tuple[np.ndarray, np.n
     _require_resonant(cfgs)
     o1, o2 = np.empty((2, len(cfgs), 2, 2), dtype=complex)
     for rows, ops in _operator_stacks(cfgs) if parts is None else parts:
-        ha_full, chi_full = tensor(IDENTITY_2, ops.h_a), tensor(IDENTITY_2, ops.chi_a)
+        ha_full, chi_full = tensor(IDENTITY_2, ops.h_a), tensor(IDENTITY_2, SIGMA_X)
         o1[rows] = -ops.prefactor * partial_trace(ha_full @ chi_full, keep="S")
         o2[rows] = -ops.prefactor * partial_trace(dag(ops.u_bare) @ ha_full @ ops.u_bare @ chi_full, keep="S")
     scale = np.maximum(1.0, cfgs.hbar * abs(cfgs.omega_s))

@@ -636,6 +636,28 @@ class TestMain:
         assert (child.returncode, child.stderr) == (1, f"error: line {lineno}: {count} points are too many to evaluate\n")
         assert not (tmp_path / "big.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, count",
+        # 3e7 values pass the linspace guard but not the parse under the limit;
+        # 3e6 parse and validate, and the run runs out of memory.
+        [("validate", 30_000_000), ("run", 30_000_000), ("run", 3_000_000)],
+    )
+    def test_sweep_out_of_memory_fails_with_line(self, command, count, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        sweep = CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", f"phi_c = linspace(0.0, 1.0, {count})")
+        cfg.write_text(sweep + f"path = {tmp_path / 'big.csv'}\n")
+        limit = 512 << 20
+        child = subprocess.run(
+            [sys.executable, "-m", "kdcollide.cli", command, str(cfg)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        # Python's MemoryError has no message; NumPy's names the array it could not allocate.
+        expected = "error: out of memory\n" if count > 10**7 else "error: Unable to allocate "
+        assert child.returncode == 1 and child.stderr.startswith(expected), child.stderr
+        assert child.stderr.count("\n") == 1
+        assert not (tmp_path / "big.csv").exists()
+
     def test_selftest_exit_code(self, capsys):
         assert main(["selftest"]) == 0
         assert "all checks passed" in capsys.readouterr().out

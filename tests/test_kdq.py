@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -395,6 +396,22 @@ def test_stack_warns_once_per_kind():
     assert {w.filename for w in caught} == {__file__}
 
 
+@pytest.mark.parametrize("view", [kdq_distribution, average_via_trace])
+@pytest.mark.parametrize("quantity", [kdq.US, kdq.USA, kdq.W])
+def test_one_state_views_reject_stacks_and_foreign_shapes(view, quantity):
+    # The views take one 2x2 state and at most one 4x4 propagator; a stack or
+    # another size fails at the call, not later in `moments` or a matmul.
+    cfg = resonant_cfg(lam=0.2)
+    rho_s = build_system_state(SystemStateParams(0.25, 0.4, 0.7))
+    u = measurement_unitary(cfg)
+    with pytest.raises(ValueError, match=re.escape("rho_s must be one 2x2 system state, got shape (3, 2, 2)")):
+        view(quantity, np.array([rho_s] * 3), cfg)
+    for unitary in (np.array([u] * 3), np.eye(2), np.eye(8)):
+        with pytest.raises(ValueError, match="unitary must act on the 4-dimensional joint space"):
+            view(quantity, rho_s, cfg, unitary=unitary)
+    view(quantity, rho_s.tolist(), cfg, unitary=u.tolist())
+
+
 class TestSystemSideSplit:
     def test_ws_plus_qs_equals_us_entrywise(self, rng):
         cfg, state = random_case(rng, resonant=True)
@@ -472,8 +489,8 @@ def test_kernel_matches_projector_traces(case):
     quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
     for quantity in quantities:
         assert_matches_reference(quantity, rho_s, cfg, unitary)
-    if cfg.is_resonant:
-        assert_matches_reference(kdq.USA, rho_s, cfg, unitary, group_degenerate=True)
+    # Grouped usa against the joint eigenspaces of H_S + H_A, which merge levels at resonance only.
+    assert_matches_reference(kdq.USA, rho_s, cfg, unitary, group_degenerate=True)
 
 
 def test_kernel_matches_projector_traces_in_si_units():
@@ -493,14 +510,13 @@ def test_stacked_kernel_matches_per_state(case, states):
     cfg, _ = case
     rho_s = np.array([build_system_state(state) for state in states])
     quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
-    requests = [(quantity, False) for quantity in quantities] + [(kdq.USA, True)]
-    for (quantity, grouped), unitary in itertools.product(requests, (None, collision_unitary(cfg))):
-        matrix, levels, _ = kdq._kernel(quantity, rho_s, cfg.operators, unitary, grouped)
+    for quantity, unitary in itertools.product(quantities, (None, collision_unitary(cfg))):
+        matrix, levels = kdq._kernel(quantity, rho_s, cfg.operators, unitary)
         assert matrix.shape == (len(states), len(levels), len(levels))
         witnesses = kdq._witnesses(matrix).tolist()
         moment_stack = kdq._moments(matrix, levels)
         for k, rho in enumerate(rho_s):
-            dist = kdq_distribution(quantity, rho, cfg, unitary, grouped)
+            dist = kdq_distribution(quantity, rho, cfg, unitary)
             assert np.array_equal(matrix[k], dist.matrix)
             assert kdq.MomentSet(*(complex(m[k]) for m in moment_stack)) == moments(dist)
             if quantity not in kdq.ZERO_SUM:
@@ -515,7 +531,7 @@ def config_rows(cfgs):
     return model._ConfigArrays.of(distinct), np.array([slot[id(cfg)] for cfg in cfgs])
 
 
-def assert_stack_matches_per_config(cfgs, rho_s, quantities, group_degenerate=False):
+def assert_stack_matches_per_config(cfgs, rho_s, quantities):
     # Every slice of each config-stack part equals the one-config views bit for bit.
     parts = _operator_stacks(*config_rows(cfgs))
     assert sorted(np.concatenate([rows for rows, _ in parts]).tolist()) == list(range(len(cfgs)))
@@ -523,24 +539,23 @@ def assert_stack_matches_per_config(cfgs, rho_s, quantities, group_degenerate=Fa
         assert len({(cfgs[k].omega_s == 0.0, cfgs[k].omega_a == 0.0) for k in rows}) == 1
         assert len(rows) <= model._STACK_ROWS and ops.u.ndim == 3
         for quantity, unitary in itertools.product(quantities, (None, ops.u)):
-            matrix, levels, local = kdq._kernel(quantity, rho_s[rows], ops, unitary, group_degenerate)
+            matrix, levels = kdq._kernel(quantity, rho_s[rows], ops, unitary)
             moment_stack = kdq._moments(matrix, levels)
             witnesses = kdq._witnesses(matrix).tolist()
-            averages = None if group_degenerate else kdq._trace_average(quantity, rho_s[rows], ops, unitary)
+            averages = kdq._trace_average(quantity, rho_s[rows], ops, unitary)
             for j, k in enumerate(rows):
                 cfg, rho = cfgs[k], rho_s[k]
                 own_u = None if unitary is None else collision_unitary(cfg)
-                dist = kdq_distribution(quantity, rho, cfg, own_u, group_degenerate)
+                dist = kdq_distribution(quantity, rho, cfg, own_u)
                 assert_same_bits(matrix[j], dist.matrix)
                 assert_same_bits(np.broadcast_to(levels, matrix.shape[:-1])[j], dist.levels)
                 assert kdq.MomentSet(*(complex(m[j]) for m in moment_stack)) == moments(dist)
                 if quantity not in kdq.ZERO_SUM:
                     report = nonpositivity(dist)
                     assert witnesses[j] == [report.n_q, report.n_re, report.n_im]
-                if averages is not None:
-                    assert complex(averages[j]) == average_via_trace(quantity, rho, cfg, own_u)
-                if local is not None:
-                    n_s, n_a = local[0].shape[-1], local[1].shape[-1]
+                assert complex(averages[j]) == average_via_trace(quantity, rho, cfg, own_u)
+                if quantity == kdq.USA:
+                    n_s, n_a = ops.levels_s.shape[-1], ops.levels_a.shape[-1]
                     for target, marginalize in ((kdq.US, marginalize_usa_to_us), (kdq.UA, marginalize_usa_to_ua)):
                         assert_same_bits(kdq._block_sums(matrix, n_s, n_a, target)[j], marginalize(dist).matrix)
 
@@ -580,10 +595,6 @@ def test_config_stack_mixes_modes_signs_and_zero_frequencies():
     states = [SystemStateParams(0.25, 0.4, 0.7), SystemStateParams(0.9, 0.1, 2.0), SystemStateParams(0.5)]
     rows = [(cfg, states[k % 3]) for cfg, count in _MIXED_STACK for k in range(count)]
     _assert_config_stack([rows[k] for k in rng.permutation(len(rows))])
-    # Grouped usa: 3 joint levels at resonance, 4 off it.
-    (_, ops), = _operator_stacks(model._ConfigArrays.of([_MIXED_STACK[1][0], _MIXED_STACK[2][0]]))
-    with pytest.raises(ValueError, match="one joint level count"):
-        kdq._kernel(kdq.USA, np.array([build_system_state(state) for state in states[:2]]), ops, group_degenerate=True)
 
 
 def test_config_rows_in_bounded_parts():
@@ -608,12 +619,6 @@ def _assert_config_stack(rows):
         split = [k for k, cfg in enumerate(cfgs) if cfg.is_resonant or cfg.is_weak]
         if split:
             assert_stack_matches_per_config([cfgs[k] for k in split], rho_s[split], (kdq.W, kdq.Q, kdq.WS, kdq.QS))
-        # Grouped usa needs one joint level count per stack.
-        joint: dict[int, list[int]] = {}
-        for k, cfg in enumerate(cfgs):
-            joint.setdefault(len(kdq_distribution(kdq.USA, rho_s[k], cfg, group_degenerate=True).levels), []).append(k)
-        for ks in joint.values():
-            assert_stack_matches_per_config([cfgs[k] for k in ks], rho_s[ks], (kdq.USA,), group_degenerate=True)
 
 
 @settings(max_examples=100, deadline=None)

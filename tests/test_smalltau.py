@@ -5,15 +5,17 @@ import resource
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import admissible_cases, random_case, random_density_matrix, system_states
+from conftest import admissible_cases, assert_same_bits, random_case, random_density_matrix, system_states
 from kdcollide import kdq, smalltau
+from kdcollide.cli import HBAR_SI
 from kdcollide.linalg import eig_hermitian, is_hermitian, psd_floor, trace_distance
 from kdcollide.model import (
     MODE_WEAK,
@@ -23,6 +25,7 @@ from kdcollide.model import (
     SystemStateParams,
     _ConfigArrays,
     build_ancilla,
+    build_hamiltonians,
     build_system_state,
 )
 from kdcollide.smalltau import (
@@ -79,6 +82,24 @@ class TestCoherentCorrection:
         assert_allclose(g_corr, expected, atol=1e-14)
         # For the swap interaction with chi = sigma_x this is hbar*g*sigma_x.
         assert_allclose(g_corr, cfg.hbar * cfg.g * SIGMA_X, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=admissible_cases(), si=st.booleans())
+@example(case=(weak_cfg(omega_s=0.0, omega_a=-0.0), None), si=True)
+def test_coupling_and_correction_match_reference_builders(case, si):
+    # G and the coupling that the second-order collision map and the master
+    # equation read, bit for bit against the public reference builders.
+    cfg, _ = case
+    if si:
+        try:
+            cfg = replace(cfg, hbar=HBAR_SI)
+        except ValueError:  # hbar*omega/2 of a tiny frequency falls below the smallest normal float
+            assume(False)
+    _, _, h_int, _ = build_hamiltonians(cfg)
+    _, _, chi_a = build_ancilla(cfg)
+    assert_same_bits(smalltau._coupling(cfg), h_int)
+    assert_same_bits(coherent_correction_G(cfg), cfg.hbar * cfg.g * chi_a)
 
 
 class TestCoherentWorkAndHeat:
