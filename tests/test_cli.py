@@ -46,6 +46,11 @@ phi_c = linspace(0.0, 6.0, 5)
 [output]
 quantities = delta_e_s, n_q_us, var_us
 """
+# A custom run of ten lines, every required key given once.
+MINIMAL_CUSTOM = (
+    "[model]\nomega_s = 1.0\nomega_a = 1.0\ng = 1.0\ntau = 0.1\nbeta = 1.0\n"
+    "[state]\nrho11 = 0.5\n[output]\nquantities = delta_e_s\n"
+)
 
 
 class TestParseConfig:
@@ -128,6 +133,52 @@ class TestParseConfig:
         text = CUSTOM_CONFIG.replace("delta_e_s, n_q_us, var_us", "delta_e_s, var_us, delta_e_s")
         with pytest.raises(ConfigError, match="line 22: duplicate quantity 'delta_e_s'"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL_CUSTOM + "[sweep]\nphi_c = linspace(0, 1)\n", "line 12: linspace needs (start, stop, count)"),
+            (
+                MINIMAL_CUSTOM + "[sweep]\nphi_c = linspace(0, x, 3)\n",
+                "line 12: bad linspace arguments: could not convert string to float: 'x'",
+            ),
+            (MINIMAL_CUSTOM + "[sweep]\nphi_c = linspace(0, 1, 0)\n", "line 12: linspace count must be >= 1"),
+            (
+                MINIMAL_CUSTOM + "[sweep]\nphi_c = 0.1, x\n",
+                "line 12: bad grid value: could not convert string to float: ' x'",
+            ),
+            (MINIMAL_CUSTOM + "[sweep]\nphi_c = 0.1, inf\n", "line 12: sweep grid must be finite"),
+            ("# comment\ng = 1.0\n[model]\n", "line 2: key outside of any [section]"),
+            ("[model]\ng =\n", "line 2: empty value for 'g'"),
+            ("[run]\nfoo =\n", "line 2: empty value for 'foo'"),
+            ("[run]\npreset = fig5\nfoo = 1\n", "line 3: unknown key 'foo' in [run]"),
+            ("[model]\nmode = strong\n", "line 2: mode must be exact or weakly_coherent"),
+            ("[model]\ng = 1.0\ng = x\n", "line 3: duplicate key 'g' in [model] (first on line 2)"),
+            ("[state]\nrho11 = x\n", "line 2: bad number for 'rho11': 'x'"),
+            ("[state]\nrho = 0.5\n", "line 2: unknown key 'rho' in [state]"),
+            ("[output]\npath = a.csv\nfoo = 1\n", "line 3: unknown key 'foo' in [output]"),
+            (
+                "[run]\npreset = fig9\npoints = x\n",
+                "unknown preset 'fig9'; choose one of fig1, fig2, fig3a, fig3b, fig4, fig5, fig6, fig7, custom",
+            ),
+            ("[run]\npreset = fig5\npoints = x\n", "bad integer in [run]: invalid literal for int() with base 10: 'x'"),
+            (
+                "[run]\npreset = fig5\n[output]\nquantities = delta_e_s\n",
+                "preset 'fig5' defines its own output quantities",
+            ),
+            ("[run]\npreset = fig5\n[output]\n[state]\n", "line 4: preset 'fig5' takes no [state] overrides"),
+            ("[state]\nrho11 = 0.5\n[output]\nquantities = delta_e_s\n", "custom run needs a [model] section"),
+            ("[model]\ng = 1.0\n[output]\nquantities = delta_e_s\n", "custom run needs a [state] section"),
+            ("[model]\ng = 1.0\n[state]\nrho11 = 0.5\n[output]\npath = a.csv\n", "custom run needs [output] quantities"),
+            ("[model]\ng = 1.0\n[state]\n[output]\nquantities = delta_e_s\n", "[model] is missing required key 'omega_s'"),
+            (MINIMAL_CUSTOM.replace("tau = 0.1\n", ""), "[model] is missing required key 'tau'"),
+            (MINIMAL_CUSTOM.replace("rho11 = 0.5", "r = 0.0"), "[state] is missing required key 'rho11'"),
+        ],
+    )
+    def test_config_error_message(self, text, message):
+        with pytest.raises(ConfigError) as error:
+            parse_config(text)
+        assert str(error.value) == message
 
 
 class TestCustomRun:
@@ -588,6 +639,17 @@ class TestMain:
         out = tmp_path / "fig6.csv"
         assert main(["preset", "fig6", "--out", str(out), "--points", "8"]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("argv, name, rows", [(["preset", "fig6", "--points", "8"], "fig6", 8), (["run"], "custom", 5)])
+    def test_default_output_path_is_preset_name(self, argv, name, rows, tmp_path, monkeypatch, capsys):
+        # Neither --out nor [output] path: <preset>.csv in the working directory.
+        if argv == ["run"]:
+            (tmp_path / "sweep.cfg").write_text(CUSTOM_CONFIG)
+            argv = ["run", "sweep.cfg"]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{name}: wrote {rows} rows to {name}.csv\n"
+        assert sorted(p.name for p in tmp_path.glob(f"{name}.csv*")) == [f"{name}.csv", f"{name}.csv.meta.json"]
 
     def test_preset_rejects_non_positive_sizes(self, tmp_path, capsys):
         for argv in (["fig1", "--points", "0"], ["fig3a", "--points", "-3"], ["fig7", "--collisions", "0"]):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,10 @@ class TestTraceDistance:
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
         assert trace_distance(a, b) == trace_distance(b, a)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: (2, 2) vs (4, 4)")):
+            trace_distance(np.eye(2), np.eye(4))
 
 
 class TestPredicates:

@@ -206,6 +206,15 @@ class TestMasterEquation:
         with pytest.raises(ValueError):
             integrate_master_equation(rho0, cfg, 1.0, dt=0.05)
 
+    @pytest.mark.parametrize(
+        "t_final, dt, message",
+        [(1.0, 0.0, "dt must be positive"), (1.0, -0.001, "dt must be positive"), (-1.0, 0.001, "t_final must be non-negative")],
+    )
+    def test_rejects_non_positive_step_and_negative_time(self, t_final, dt, message):
+        rho0 = build_system_state(SystemStateParams(0.5))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_master_equation(rho0, weak_cfg(), t_final, dt)
+
     def test_grid_stops_at_t_final(self):
         # 1.0 / 0.35 rounds up to 3 steps, and a third step would end at 1.05.
         times, states = integrate_master_equation(
