@@ -91,6 +91,8 @@ _FIELDS = {
     "state": {"rho11": "rho11", "r": "r", "phi_c": "phi_c"},
 }
 _SWEEPABLE = (set(_FIELDS["model"]) | set(_FIELDS["state"])) - {"mode"}
+# The keys of each config-file section.
+_KEYS = {"run": ("preset", "points", "collisions"), **_FIELDS, "sweep": _SWEEPABLE, "output": ("path", "quantities")}
 
 
 class _Output(NamedTuple):
@@ -187,23 +189,22 @@ def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
             grid = tuple(float(p) for p in raw.split(","))
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad grid value: {exc}") from exc
-    if not grid:
-        raise ConfigError(f"line {lineno}: empty sweep grid")
     if not all(math.isfinite(v) for v in grid):
         raise ConfigError(f"line {lineno}: sweep grid must be finite")
     return grid
 
 
 def parse_config(text: str) -> ExperimentSpec:
-    """Parse and fully validate a config file into an ExperimentSpec."""
+    """Parse and fully validate a config file into an ExperimentSpec.
+
+    Each line is checked as it is read (syntax, empty value, duplicate key,
+    a key outside `_KEYS`, then its value), with its line number; then the
+    run as a whole.  ``values`` holds each section's values by config key,
+    ``lines`` the line of each section header and each (section, key).
+    """
     section = None
-    run_kv: dict[str, str] = {}
-    # [model] and [state] values under their ModelConfig / SystemStateParams field names.
-    params: dict[str, dict[str, float | str]] = {"model": {}, "state": {}}
-    sweep: list[tuple[str, tuple[float, ...]]] = []
-    output_kv: dict[str, str] = {}
-    section_lines: dict[str, int] = {}
-    key_lines: dict[tuple[str, str], int] = {}
+    values: dict[str, dict] = {name: {} for name in _KEYS}
+    lines: dict[str | tuple[str, str], int] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -211,9 +212,9 @@ def parse_config(text: str) -> ExperimentSpec:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("run", "model", "state", "sweep", "output"):
+            if section not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            section_lines[section] = lineno
+            lines[section] = lineno
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -224,65 +225,56 @@ def parse_config(text: str) -> ExperimentSpec:
         value = value.strip()
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        if (section, key) in key_lines:
-            first = key_lines[section, key]
+        if (section, key) in lines:
+            first = lines[section, key]
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{section}] (first on line {first})")
-        key_lines[section, key] = lineno
-        if section == "run":
-            if key not in ("preset", "points", "collisions"):
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [run]")
-            run_kv[key] = value
-        elif section in params:
-            if key not in _FIELDS[section]:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            if key == "mode":
-                if value not in (MODE_EXACT, MODE_WEAK):
-                    raise ConfigError(f"line {lineno}: mode must be {MODE_EXACT} or {MODE_WEAK}")
-                params[section]["mode"] = value
-            else:
-                try:
-                    params[section][_FIELDS[section][key]] = float(value)
-                except ValueError as exc:
-                    raise ConfigError(f"line {lineno}: bad number for {key!r}: {value!r}") from exc
-        elif section == "sweep":
-            if key not in _SWEEPABLE:
+        lines[section, key] = lineno
+        if key not in _KEYS[section]:
+            if section == "sweep":
                 raise ConfigError(f"line {lineno}: {key!r} is not a sweepable parameter")
-            sweep.append((key, _parse_grid(value, lineno)))
-        else:
-            if key not in ("path", "quantities"):
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [output]")
-            output_kv[key] = value
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if section == "sweep":
+            value = _parse_grid(value, lineno)
+        elif key == "mode":
+            if value not in (MODE_EXACT, MODE_WEAK):
+                raise ConfigError(f"line {lineno}: mode must be {MODE_EXACT} or {MODE_WEAK}")
+        elif section in _FIELDS:
+            try:
+                value = float(value)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: bad number for {key!r}: {value!r}") from exc
+        values[section][key] = value
 
-    preset = run_kv.get("preset", "custom")
+    preset = values["run"].get("preset", "custom")
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose one of {', '.join(PRESETS)}")
     try:
-        points = int(run_kv.get("points", "512"))
-        collisions = int(run_kv.get("collisions", "100"))
+        sizes = {key: int(values["run"][key]) for key in ("points", "collisions") if key in values["run"]}
     except ValueError as exc:
         raise ConfigError(f"bad integer in [run]: {exc}") from exc
+    output = values["output"]
 
     if preset != "custom":
         for name in ("model", "state", "sweep"):
-            if name in section_lines:
-                raise ConfigError(f"line {section_lines[name]}: preset {preset!r} takes no [{name}] overrides")
-        if "quantities" in output_kv:
+            if name in lines:
+                raise ConfigError(f"line {lines[name]}: preset {preset!r} takes no [{name}] overrides")
+        if "quantities" in output:
             raise ConfigError(f"preset {preset!r} defines its own output quantities")
-        out_path = output_kv.get("path")
-        return ExperimentSpec(preset, None, None, out_path=out_path, points=points, collisions=collisions)
+        return ExperimentSpec(preset, None, None, out_path=output.get("path"), **sizes)
 
-    if "model" not in section_lines:
+    if "model" not in lines:
         raise ConfigError("custom run needs a [model] section")
-    if "state" not in section_lines:
+    if "state" not in lines:
         raise ConfigError("custom run needs a [state] section")
-    quantities = tuple(q.strip() for q in output_kv.get("quantities", "").split(",") if q.strip())
+    quantities = tuple(q.strip() for q in output.get("quantities", "").split(",") if q.strip())
     if not quantities:
         raise ConfigError("custom run needs [output] quantities")
     for i, q in enumerate(quantities):
         if q not in _OUTPUTS:
             raise ConfigError(f"unknown output quantity {q!r}; known: {', '.join(sorted(_OUTPUTS))}")
         if q in quantities[:i]:
-            raise ConfigError(f"line {key_lines['output', 'quantities']}: duplicate quantity {q!r} in [output]")
+            raise ConfigError(f"line {lines['output', 'quantities']}: duplicate quantity {q!r} in [output]")
+    params = {name: {_FIELDS[name][key]: v for key, v in values[name].items()} for name in _FIELDS}
     for key in ("omega_s", "omega_a", "g", "tau", "beta"):
         if key not in params["model"]:
             raise ConfigError(f"[model] is missing required key {key!r}")
@@ -293,11 +285,10 @@ def parse_config(text: str) -> ExperimentSpec:
         preset="custom",
         cfg=cfg,
         state=SystemStateParams(**params["state"]),
-        sweep=tuple(sweep),
+        sweep=tuple(values["sweep"].items()),
         outputs=quantities,
-        out_path=output_kv.get("path"),
-        points=points,
-        collisions=collisions,
+        out_path=output.get("path"),
+        **sizes,
     )
 
 
@@ -697,8 +688,8 @@ def main(argv: list[str] | None = None) -> int:
     preset_parser = sub.add_parser("preset", help="run a named figure preset")
     preset_parser.add_argument("name", choices=[p for p in PRESETS if p != "custom"])
     preset_parser.add_argument("--out", type=Path, default=None)
-    preset_parser.add_argument("--points", type=int, default=512)
-    preset_parser.add_argument("--collisions", type=int, default=100)
+    preset_parser.add_argument("--points", type=int, default=ExperimentSpec.points)
+    preset_parser.add_argument("--collisions", type=int, default=ExperimentSpec.collisions)
 
     validate_parser = sub.add_parser("validate", help="check a config file")
     validate_parser.add_argument("config", type=Path)

@@ -231,9 +231,14 @@ class _StateQuantities:
 
 
 class _Arrays:
-    """M parameter sets, each float field a length-M array: a row of ``values``."""
+    """M parameter sets, each float field a length-M array: a row of ``values``.
+
+    ``LABELS`` name the non-float columns, which `build` passes to the
+    constructor and `replace` keeps.
+    """
 
     FIELDS: tuple[str, ...] = ()
+    LABELS: tuple[str, ...] = ()
     _xp = _ARRAY
 
     def __init__(self, values: np.ndarray) -> None:
@@ -260,22 +265,14 @@ class _Arrays:
         return type(self)(self.values[:, rows])
 
     def replace(self, **changes):
-        """These rows with the given fields replaced, every field broadcast to one length; unchecked."""
-        return type(self)(self._replaced_values(changes))
+        """These rows with the given fields replaced, each broadcast to one length by `build`; unchecked."""
+        return self.build(**{**{name: getattr(self, name) for name in self.FIELDS + self.LABELS}, **changes})
 
     @classmethod
     def build(cls, **fields):
         """Arrays of every field, each broadcast to one length; unchecked."""
         columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(fields.pop(name), float)) for name in cls.FIELDS))
         return cls(np.array(columns), **fields)
-
-    def _replaced_values(self, changes: dict) -> np.ndarray:
-        size = np.broadcast_shapes((len(self),), *(np.shape(v) for v in changes.values()))[0]
-        values = np.empty((len(self.FIELDS), size))
-        values[:] = self.values
-        for name, value in changes.items():
-            values[self.FIELDS.index(name)] = value
-        return values
 
     def errors(self) -> dict[int, str]:
         """Row -> the message with which the one-object type rejects it, for the rejected rows in row order."""
@@ -298,6 +295,7 @@ class _ConfigArrays(_Arrays, _ConfigQuantities):
     """
 
     FIELDS = ("omega_s", "omega_a", "g", "tau", "beta", "lam", "lam_tilde", "hbar")
+    LABELS = ("mode",)
 
     def __init__(self, values: np.ndarray, mode) -> None:
         super().__init__(values)
@@ -309,10 +307,6 @@ class _ConfigArrays(_Arrays, _ConfigQuantities):
 
     def take(self, rows) -> _ConfigArrays:
         return _ConfigArrays(self.values[:, rows], self.mode[rows])
-
-    def replace(self, **changes) -> _ConfigArrays:
-        mode = changes.pop("mode", self.mode)
-        return _ConfigArrays(self._replaced_values(changes), mode)
 
 
 class _StateArrays(_Arrays, _StateQuantities):
@@ -326,13 +320,9 @@ class _StateArrays(_Arrays, _StateQuantities):
 
 
 def _system_states(states: SystemStateParams | _StateArrays) -> np.ndarray:
-    """The density matrix of one state, or the (M, 2, 2) stack of M states.
-
-    rho12 = r * complex(cos, sin) as Python forms it: (r*cos - 0*sin) + (r*sin + 0*cos)i.
-    """
+    """The density matrix of one state, or the (M, 2, 2) stack of M states: rho12 = r exp(i phi_c)."""
     xp = states._xp
-    cos, sin = xp.cos(states.phi_c), xp.sin(states.phi_c)
-    re, im = states.r * cos - 0.0 * sin, states.r * sin + 0.0 * cos
+    re, im = states.r * xp.cos(states.phi_c), states.r * xp.sin(states.phi_c)
     rho = np.zeros(xp.shape(re) + (2, 2), dtype=complex)
     rho[..., 0, 0], rho[..., 1, 1] = states.rho11, 1.0 - states.rho11
     rho[..., 0, 1].real, rho[..., 0, 1].imag = re, im
@@ -399,10 +389,6 @@ class SystemStateParams(_StateQuantities):
     def _arrays(self) -> _StateArrays:
         """This state as `_StateArrays` with M = 1; equality, hash and `replace` ignore it."""
         return _StateArrays.of([self])
-
-    @property
-    def rho12(self) -> complex:
-        return self.r * complex(math.cos(self.phi_c), math.sin(self.phi_c))
 
 
 def build_system_state(params: SystemStateParams) -> np.ndarray:
@@ -512,8 +498,7 @@ def _swap_propagators(cfgs: ModelConfig | _ConfigArrays, coupling) -> np.ndarray
     rotates = omega > 0.0
     sin_by_omega = xp.where(rotates, xp.sin(omega * tau) / xp.where(rotates, omega, 1.0), tau)
     diag_im, off_im = -sin_by_omega * half_delta, -sin_by_omega * coupling
-    # cmath.exp(-0.5j * (omega_s + omega_a) * tau): its complex products turn a -0.0 angle into 0.0.
-    angle = -0.5 * (cfgs.omega_s + cfgs.omega_a) * tau + 0.0
+    angle = -0.5 * (cfgs.omega_s + cfgs.omega_a) * tau
     phase_re, phase_im, diag_re = xp.cos(angle), xp.sin(angle), xp.cos(omega * tau)
     shape = xp.shape(tau)
     u = np.zeros(shape + (32,))

@@ -27,41 +27,25 @@ from .model import (
 )
 
 
-# The parameters of one random draw in the order it takes them from the rng,
-# with their bounds; delta is drawn for detuned draws only, and lambda and r
-# are bounded by lambda_max and r_max of the draw.
-_DRAWN = ("omega_a", "delta", "g", "tau", "beta", "lam", "rho11", "r", "phi_c")
-
-
 def random_parameters(rng: np.random.Generator, resonant: np.ndarray) -> tuple[_ConfigArrays, _StateArrays]:
     """Random constraint-respecting (configs, states), one draw per entry of ``resonant`` (detuned where false).
 
-    One `rng.uniform` call gives every draw's doubles, in the order in which
-    drawing the parameters one at a time would take them; a double u maps to
-    low + (high - low) * u, which is what `rng.uniform(low, high)` returns
-    for it.  (A draw with r_max = 0 would have skipped its r; rho11 = 0
-    exactly has probability 2^-53.)
+    Each parameter takes one `rng.uniform` call over every draw; lambda and r
+    are bounded by each draw's lambda_max and r_max.
     """
     resonant = np.asarray(resonant, bool)
-    counts = len(_DRAWN) - resonant
-    first = np.cumsum(counts) - counts
-    u = rng.uniform(size=int(counts.sum()))
-
-    def draw(name: str, low, high) -> np.ndarray:
-        k = _DRAWN.index(name)
-        return low + (high - low) * u[first + k - (resonant & (k > 1))]
-
-    omega_a = draw("omega_a", 0.3, 2.0)
-    delta = np.where(resonant, 0.0, draw("delta", -20.0, 20.0))
+    draws = len(resonant)
+    omega_a = rng.uniform(0.3, 2.0, draws)
+    delta = np.where(resonant, 0.0, rng.uniform(-20.0, 20.0, draws))
     cfgs = _ConfigArrays.build(
-        omega_s=omega_a + delta, omega_a=omega_a, g=draw("g", 0.3, 2.0), tau=draw("tau", 0.02, 1.5),
-        beta=draw("beta", 0.05, 4.0), lam=0.0, lam_tilde=0.0, hbar=1.0, mode=MODE_EXACT,
+        omega_s=omega_a + delta, omega_a=omega_a, g=rng.uniform(0.3, 2.0, draws), tau=rng.uniform(0.02, 1.5, draws),
+        beta=rng.uniform(0.05, 4.0, draws), lam=0.0, lam_tilde=0.0, hbar=1.0, mode=MODE_EXACT,
     )
     lam_max = cfgs.lambda_max
-    cfgs = cfgs.replace(lam=draw("lam", -lam_max, lam_max)).checked()
-    rho11 = draw("rho11", 0.0, 1.0)
-    r_max = np.sqrt(rho11 * (1.0 - rho11))
-    states = _StateArrays.build(rho11=rho11, r=draw("r", 0.0, r_max), phi_c=draw("phi_c", 0.0, 2.0 * math.pi))
+    cfgs = cfgs.replace(lam=rng.uniform(-lam_max, lam_max)).checked()
+    rho11 = rng.uniform(0.0, 1.0, draws)
+    r = rng.uniform(0.0, np.sqrt(rho11 * (1.0 - rho11)))
+    states = _StateArrays.build(rho11=rho11, r=r, phi_c=rng.uniform(0.0, 2.0 * math.pi, draws))
     return cfgs, states.checked()
 
 

@@ -1,11 +1,9 @@
-import math
 import re
 
 import numpy as np
 import pytest
 
 from kdcollide import kdq
-from kdcollide.model import partition_function
 from kdcollide.selftest import random_parameters, run_selftest
 
 # (name, bound) of the seven deviation checks, in print order.
@@ -55,27 +53,16 @@ def test_printed_lines_and_failure(monkeypatch, capsys, scale, failing):
         assert code == 0 and lines[8] == "selftest: all checks passed"
 
 
-def scalar_draws(rng, resonant):
-    """One draw per entry of ``resonant`` with one `rng.uniform(low, high)` call per parameter, in draw order."""
-    draws = []
-    for is_resonant in resonant:
-        omega_a = rng.uniform(0.3, 2.0)
-        delta = 0.0 if is_resonant else rng.uniform(-20.0, 20.0)
-        g, tau, beta = rng.uniform(0.3, 2.0), rng.uniform(0.02, 1.5), rng.uniform(0.05, 4.0)
-        lam_max = 1.0 / partition_function(beta, omega_a)
-        lam = rng.uniform(-lam_max, lam_max)
-        rho11 = rng.uniform(0.0, 1.0)
-        r = rng.uniform(0.0, math.sqrt(rho11 * (1.0 - rho11)))
-        draws.append((omega_a + delta, omega_a, g, tau, beta, lam, rho11, r, rng.uniform(0.0, 2.0 * math.pi)))
-    return draws
-
-
-def test_batched_draws_match_scalar_calls():
-    # One rng.uniform call per batch gives the doubles, and so the draws and
-    # the rng state, of one scalar call per parameter.
+def test_random_parameters_are_admissible_and_seeded():
     resonant = np.random.default_rng(3).uniform(size=300) < 0.5
-    batched, scalar = np.random.default_rng(20240601), np.random.default_rng(20240601)
-    cfgs, states = random_parameters(batched, resonant)
-    columns = [cfgs.omega_s, cfgs.omega_a, cfgs.g, cfgs.tau, cfgs.beta, cfgs.lam, states.rho11, states.r, states.phi_c]
-    assert list(zip(*(c.tolist() for c in columns))) == scalar_draws(scalar, resonant)
-    assert batched.uniform() == scalar.uniform()
+    cfgs, states = random_parameters(np.random.default_rng(20240601), resonant)
+    assert len(cfgs) == len(states) == len(resonant)
+    assert cfgs.errors() == {} and states.errors() == {}
+    assert (cfgs.omega_s == cfgs.omega_a)[resonant].all()
+    assert (cfgs.omega_s != cfgs.omega_a)[~resonant].all()
+    assert (np.abs(cfgs.lam) <= cfgs.lambda_max).all()
+    assert (states.r <= np.sqrt(states.rho11 * (1.0 - states.rho11))).all()
+    # One seed, the same draws.
+    cfgs_again, states_again = random_parameters(np.random.default_rng(20240601), resonant)
+    assert np.array_equal(cfgs.values, cfgs_again.values) and np.array_equal(cfgs.mode, cfgs_again.mode)
+    assert np.array_equal(states.values, states_again.values)
