@@ -320,7 +320,7 @@ def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...
     if _reads_split(outputs):
         kdq._check_work_heat_regime(cfgs.take(np.unique(which)))
     rho_s = _system_states(states)
-    for rows, ops in _operator_stacks(cfgs, which):
+    for rows, slot, ops in _operator_stacks(cfgs, which):
         kernels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         reduced: dict[tuple[str, str], tuple[np.ndarray, ...] | np.ndarray] = {}
 
@@ -328,7 +328,7 @@ def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...
             # The stacked "moments" or "witnesses" of a quantity, each computed once.
             if (reducer, quantity) not in reduced:
                 if quantity not in kernels:
-                    kernels[quantity] = kdq._kernel(quantity, rho_s[rows], ops)
+                    kernels[quantity] = kdq._kernel(quantity, rho_s[rows], ops, slot=slot)
                 matrix, levels = kernels[quantity]
                 stack = kdq._moments(matrix, levels) if reducer == "moments" else kdq._witnesses(matrix)
                 reduced[reducer, quantity] = stack
@@ -439,10 +439,13 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     """Evaluate every point of the sweep grid that `_sweep` does not skip."""
     grid, skipped, skip_reasons = _sweep(spec)
     header = [column for name in spec.outputs for column in _OUTPUTS[name].columns]
-    kept = np.flatnonzero(~skipped)
-    data = np.full((len(skipped), len(header)), math.nan)
-    if len(kept):
-        data[kept] = _evaluate(grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept])
+    if not skipped.any():
+        data = _evaluate(grid.cfgs, grid.states, spec.outputs, grid.which)
+    else:
+        kept = np.flatnonzero(~skipped)
+        data = np.full((len(skipped), len(header)), math.nan)
+        if len(kept):
+            data[kept] = _evaluate(grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept])
     meta = {
         **_params_meta(spec.cfg, spec.state),
         "sweep": {name: list(grid) for name, grid in spec.sweep},
@@ -575,7 +578,7 @@ def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> list[np.ndarray]
     The sweep deliberately crosses the g*tau = pi/6 validity border, so it checks no regime.
     """
     q = np.empty((len(cfgs), 2, 2), dtype=complex)
-    for rows, ops in _operator_stacks(cfgs):
+    for rows, _, ops in _operator_stacks(cfgs):
         q[rows] = kdq._kernel(kdq.W, rho_s[rows], ops)[0]
     # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
     w0, w_plus, w_minus = np.trace(q, axis1=-2, axis2=-1), q[:, 0, 1], q[:, 1, 0]

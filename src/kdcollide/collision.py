@@ -6,9 +6,9 @@ trajectory's states are S^k rho_S, computed by repeated squaring
 (`linalg._powers`, which also steps the master equation of `smalltau`).
 `_evolve` runs a stack of chains, one per config, as array operations: its
 step records are columns of KDQ means, moments and witnesses, from one
-kernel call per quantity over every state of up to 128 chains of one level
-structure.  `evolve` is its one-chain view, which builds the `StepRecord`
-objects.
+kernel call per quantity over every state of each part of up to 4 096
+chains of one level structure.  `evolve` is its one-chain view, which
+builds the `StepRecord` objects.
 """
 
 from __future__ import annotations
@@ -143,17 +143,19 @@ def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, therm
     (`_channel`).  With ``thermo``, the records are KDQ means, moments and
     witnesses evaluated with each chain's own propagator, one kernel call
     per quantity over the states before each collision of every chain of a
-    part of `model._operator_stacks` (one level structure, at most 128
-    configs); the work/heat regime of the chains with the split (weak
-    or resonant configs) is checked once.
+    part of `model._operator_stacks` (one level structure, at most
+    `model._PART_ROWS` configs, each chain's config in its own slot); the
+    work/heat regime of the chains with the split (weak or resonant configs)
+    is checked once.
     """
     if n < 1:
         raise ValueError("need at least one collision")
     m, one = len(rho_s0), isinstance(cfgs, ModelConfig)
     # Chains and their operators with a config axis, in parts of one level structure.
-    parts = [(np.zeros(1, np.intp), Operators(*(a[None] for a in cfgs.operators)))] if one else _operator_stacks(cfgs)
+    first = np.zeros(1, np.intp)
+    parts = [(first, first, Operators(*(a[None] for a in cfgs.operators)))] if one else _operator_stacks(cfgs)
     states = np.empty((m, n + 1, 2, 2), dtype=complex)
-    for chains, ops in parts:
+    for chains, _, ops in parts:
         states[chains] = _powers(_channel(ops.u, ops.rho_a), rho_s0[chains], n)
     if not thermo:
         return _Chains(states, {}, {}, {})
@@ -164,10 +166,10 @@ def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, therm
         quantities += kdq._WORK_HEAT
     moments = {q: tuple(np.empty((m, n), dtype=complex) for _ in range(3)) for q in quantities}
     witnesses = {q: np.empty((m, n, 3)) for q in quantities if q in (kdq.US, kdq.UA, kdq.USA, kdq.Q)}
-    for chains, ops in parts:
-        ops = Operators(*(a[:, None] for a in ops))
+    for chains, slot, ops in parts:
         for q in quantities:
-            matrix, levels = kdq._kernel(q, states[chains, :n], ops, unitary=ops.u)
+            # Each chain's operators for all of its states.
+            matrix, levels = kdq._kernel(q, states[chains, :n], ops, unitary=ops.u, slot=slot[:, None])
             for stack, values in zip(moments[q], kdq._moments(matrix, levels)):
                 stack[chains] = values
             if q in witnesses:

@@ -20,12 +20,18 @@ Distributions over unit-trace states sum to 1, the coherent-work ones to 0.
 
 H_S and H_A are diagonal in the product basis |s a>, so every projector is a
 sum of basis projectors and every distribution is a block sum of one 4x4
-array: Q[i, f] = (W U^dag)[i, f] U[f, i] (`_transitions`) and
-quasiprobabilities G^T Q G (`_level_sums`), where the 0/1 matrix G marks the
-level of each basis state: system level, ancilla level, or (system, ancilla)
-pair in the kernel (`_kernel`), and joint level of H_S + H_A
-(``linalg.group_levels`` of the pair levels) for grouped ``usa``, which only
-the one-state `kdq_distribution` computes.
+array, Q[i, f] = (W U^dag)[i, f] U[f, i], over the level of each basis
+state: system level, ancilla level, or (system, ancilla) pair in the kernel
+(`_kernel`).  The swap coupling conserves excitations, so U is nonzero only
+at |00>, |11> and the {|01>, |10>} block, and Q only at the six (i, f)
+where U[f, i] is: each is a sum of one or two products of named entries of
+rho_S, the ancilla operator and U (`_transitions`), and each block sum is a
+sum of named Q entries.  The kernel is elementwise arithmetic on arrays of
+rows, with no Kronecker product and no matrix product; the one-state views
+refuse a ``unitary`` with weight outside those six entries.  Only grouped
+``usa``, which only the one-state `kdq_distribution` computes, sums the pair
+matrix as G^T Q G (`_level_sums`), where the 0/1 matrix G marks the joint
+level of H_S + H_A (``linalg.group_levels`` of the pair levels) of each pair.
 
 The kernel is arithmetic on `model.Operators`.  The one-state views check
 their inputs' shapes and the work/heat regime (`_check_work_heat_regime`) of
@@ -184,76 +190,137 @@ def _warn(message: str) -> None:
     warnings.warn(message, ValidityWarning, stacklevel=stacklevel)
 
 
-def _operators(quantity: str, rho_s: np.ndarray, cfg: ModelConfig, unitary: np.ndarray | None) -> Operators:
-    """The config's operators for a one-state view, once its inputs are checked: one 2x2 state, at most one 4x4
-    ``unitary``, and the work/heat regime if ``quantity`` reads the split."""
-    if np.shape(rho_s) != (2, 2):
-        raise ValueError(f"rho_s must be one 2x2 system state, got shape {np.shape(rho_s)}")
-    if unitary is not None and np.shape(unitary) != (4, 4):
-        raise ValueError("unitary must act on the 4-dimensional joint space")
-    if quantity in _WORK_HEAT:
-        _check_work_heat_regime(cfg._arrays)
-    return cfg.operators
+# The entries (row, column) of the swap propagator that can be nonzero: |00>, |11> and the {|01>, |10>} block.
+_SWAP = ((0, 3, 1, 1, 2, 2), (0, 3, 1, 2, 1, 2))
+_OUTSIDE_SWAP = np.ones((4, 4), bool)
+_OUTSIDE_SWAP[_SWAP] = False
+# The entries of a 2x2 operator, row major.
+_QUBIT = ((0, 0, 1, 1), (0, 1, 0, 1))
 
 
-def _weight(
-    quantity: str, rho_s: np.ndarray, ops: Operators, unitary: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the quantity; return (propagator U, weighted initial operators W).
-
-    ``rho_s`` is a (..., 2, 2) stack of system states and W the matching
-    (..., 4, 4) stack.  ``ops`` are one config's operators or a stack of
-    them aligned with the leading axis of ``rho_s``.
-    """
+def _operators(
+    quantity: str, rho_s: np.ndarray, cfg: ModelConfig, unitary: np.ndarray | None
+) -> tuple[Operators, np.ndarray]:
+    """The config's operators and the propagator for a one-state view, once its inputs are checked: a known
+    quantity, one 2x2 state, at most one 4x4 ``unitary`` that is zero outside the six entries the swap coupling
+    can fill, and the work/heat regime if ``quantity`` reads the split."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    u = ops.u_bare if unitary is None else np.asarray(unitary, dtype=complex)
-    if quantity in (US, UA, USA):
-        ancilla = ops.rho_a
-    elif quantity in (Q, QS):
-        ancilla = ops.rho_a_th
+    if np.shape(rho_s) != (2, 2):
+        raise ValueError(f"rho_s must be one 2x2 system state, got shape {np.shape(rho_s)}")
+    ops = cfg.operators
+    if unitary is None:
+        unitary = ops.u_bare
     else:
-        ancilla = SIGMA_X
-    weight = tensor(rho_s, ancilla)
+        if np.shape(unitary) != (4, 4):
+            raise ValueError("unitary must act on the 4-dimensional joint space")
+        unitary = np.asarray(unitary, dtype=complex)
+        outside = np.where(_OUTSIDE_SWAP, np.abs(unitary), 0.0)
+        i, j = np.unravel_index(np.argmax(outside), outside.shape)
+        if outside[i, j] != 0.0:
+            raise ValueError(
+                "unitary must vanish outside (0, 0), (3, 3) and the {|01>, |10>} block, where the excitation-"
+                f"conserving swap coupling acts; its largest entry outside is |U[{i}, {j}]| = {outside[i, j]:.6g}"
+            )
+    if quantity in _WORK_HEAT:
+        _check_work_heat_regime(cfg._arrays)
+    return ops, unitary
+
+
+def _entries(a: np.ndarray, index: tuple[tuple[int, ...], tuple[int, ...]], slot) -> np.ndarray:
+    """Row k: the entries ``a[..., index[0][k], index[1][k]]`` of a matrix or of a stack on one config axis,
+    gathered to the states by ``slot`` if given."""
+    entries = np.atleast_2d(a[..., index[0], index[1]]).T
+    return entries if slot is None else entries[:, slot]
+
+
+def _reverse(matrix: np.ndarray, flip: np.ndarray, axes: tuple[int, int], shape: tuple[int, ...]) -> None:
+    """Reverse ``axes`` of ``matrix`` in place where ``flip``, a mask that broadcasts to its leading ``shape``."""
+    if flip.any():
+        flip = np.broadcast_to(flip, shape)
+        matrix[flip] = np.flip(matrix[flip], axes)
+
+
+def _weights(quantity: str, rho_s: np.ndarray, ops: Operators, slot) -> list[np.ndarray]:
+    """W = rho_S (x) A, times the coherence prefactor for ``w``/``ws``, at the six basis pairs (i, k) that meet
+    U's entries in `_transitions`: (0, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)."""
     if quantity in (W, WS):
-        weight = ops.prefactor * weight
-    return u, weight
+        a00, a01, a10, a11 = _entries(SIGMA_X, _QUBIT, None)
+    else:
+        a00, a01, a10, a11 = _entries(ops.rho_a if quantity in (US, UA, USA) else ops.rho_a_th, _QUBIT, slot)
+    r00, r01, r10, r11 = (rho_s[..., i, j] for i, j in zip(*_QUBIT))
+    # Every product has a state factor, so that one state's arithmetic runs on arrays, as a stack's does.
+    w = [r00 * a00, r11 * a11, r00 * a11, r01 * a10, r10 * a01, r11 * a00]
+    if quantity in (W, WS):
+        (prefactor,) = _entries(ops.prefactor, ((0,), (0,)), slot)
+        w = [prefactor * x for x in w]
+    return w
+
+
+def _transitions(quantity: str, rho_s: np.ndarray, ops: Operators, unitary, slot) -> tuple[np.ndarray, ...]:
+    """The six Q[i, f] = (W U^dag)[i, f] U[f, i] that can be nonzero, at the (i, f) of `_SWAP`, as in `_kernel`."""
+    w00, w33, w11, w12, w21, w22 = _weights(quantity, rho_s, ops, slot)
+    u00, u33, u11, u12, u21, u22 = _entries(ops.u_bare if unitary is None else unitary, _SWAP, slot)
+    # U[f, i] is nonzero at these (i, f) only, and (W U^dag)[i, f] = sum_k W[i, k] conj(U[f, k]).
+    return (
+        w00 * u00.conj() * u00,
+        w33 * u33.conj() * u33,
+        (w11 * u11.conj() + w12 * u12.conj()) * u11,
+        (w11 * u21.conj() + w12 * u22.conj()) * u21,
+        (w21 * u11.conj() + w22 * u12.conj()) * u12,
+        (w21 * u21.conj() + w22 * u22.conj()) * u22,
+    )
+
+
+def _kernel(quantity: str, rho_s: np.ndarray, ops: Operators, unitary=None, slot=None) -> tuple[np.ndarray, np.ndarray]:
+    """KDQ matrices of a (..., 2, 2) stack of system states; elementwise arithmetic only, no check.
+
+    ``ops`` and ``unitary`` (the propagator, ``ops.u_bare`` by default) are one config's for every state, or
+    stacks on one config axis of one level structure: aligned with the rows of ``rho_s``, or row ``slot[...]``
+    of them for each state when ``slot`` is given.  Only the six entries of U that the swap coupling fills are
+    read (`_transitions`), and each level sum is a sum of named Q entries.  Returns ``(matrix, levels)``:
+    ``matrix[..., i_in, i_fin]`` the quasiprobabilities of each state and ``levels[..., k]`` those of its
+    config.  `kdq_distribution` is the view of one state.
+    """
+    q = _transitions(quantity, rho_s, ops, unitary, slot)
+    q00, q33, q11, q12, q21, q22 = q
+    levels_s, index_s, levels_a, index_a = ops[-4:]
+    if quantity == USA:
+        energies = (levels_s[..., :, None] + levels_a[..., None, :]).reshape(levels_s.shape[:-1] + (-1,))
+    else:
+        energies = levels_s if quantity in (US, WS, QS) else levels_a
+    # w and q take the ancilla's values with the opposite sign: -(e_f - e_i).
+    levels = (-1.0 if quantity in (W, Q) else 1.0) * energies
+    # flip is True where a qubit's basis state 0 is its lower level (negative frequency), and reverses its axes.
+    flip_s, flip_a = index_s[..., 0] == 1, index_a[..., 0] == 1
+    if slot is not None:
+        levels, flip_s, flip_a = levels[slot], flip_s[slot], flip_a[slot]
+    shape = q00.shape
+    merged_s, merged_a = levels_s.shape[-1] == 1, levels_a.shape[-1] == 1
+    # The level sums at their (row, column) of basis indices: over one qubit's index, or Q itself over the pair
+    # index 2 s + a, with axes (system in, ancilla in, system fin, ancilla fin).  A qubit whose two levels merge
+    # (zero frequency) drops out of the pair, and a merged level sums them all.
+    if quantity in (US, WS, QS) or (quantity == USA and merged_a):
+        cells, values, flips, merged = _QUBIT, (q00 + q11, q12, q21, q22 + q33), [(flip_s, (-2, -1))], merged_s
+    elif quantity in (UA, W, Q) or merged_s:
+        cells, values, flips, merged = _QUBIT, (q00 + q22, q21, q12, q11 + q33), [(flip_a, (-2, -1))], merged_a
+    else:
+        cells, values, flips, merged = _SWAP, q, [(flip_s, (-4, -2)), (flip_a, (-3, -1))], False
+    if merged:
+        matrix = ((values[0] + values[1]) + (values[2] + values[3]))[..., None, None]
+    else:
+        n = 2 * len(flips)
+        matrix = np.zeros(shape + (n, n), dtype=complex)
+        matrix[..., cells[0], cells[1]] = np.stack(values, axis=-1)
+        for flip, axes in flips:
+            _reverse(matrix.reshape(shape + (2,) * n), flip, axes, shape)
+    return matrix, levels
 
 
 def _level_sums(q: np.ndarray, level: np.ndarray, count: int) -> np.ndarray:
     """G^T Q G: each (..., n, n) matrix Q summed over the levels ``level[..., b]`` (of ``count``) of its indices b."""
     g = (level[..., :, None] == np.arange(count)).astype(float)
     return g.swapaxes(-1, -2) @ q @ g
-
-
-def _transitions(quantity: str, rho_s: np.ndarray, ops: Operators, unitary=None) -> tuple[np.ndarray, ...]:
-    """``(Q, level, levels)`` of a (..., 2, 2) stack of system states, which `_kernel` sums: Q[..., i, f] =
-    Tr[U^dag |f><f| U |i><i| W] over the product basis, ``level[..., b]`` the level of basis state b = 2 * (system
-    index) + (ancilla index), and ``levels`` the quantity's signed levels, (system, ancilla) pairs for ``usa``."""
-    u, weight = _weight(quantity, rho_s, ops, unitary)
-    if quantity in (US, WS, QS):
-        energies, level = ops.levels_s, np.repeat(ops.index_s, 2, axis=-1)
-    elif quantity in (UA, W, Q):
-        energies, level = ops.levels_a, np.tile(ops.index_a, 2)
-    else:
-        energies = (ops.levels_s[..., :, None] + ops.levels_a[..., None, :]).reshape(ops.levels_s.shape[:-1] + (-1,))
-        level = ops.index_s[..., :, None] * ops.levels_a.shape[-1] + ops.index_a[..., None, :]
-        level = level.reshape(level.shape[:-2] + (4,))
-    # w and q take the ancilla's values with the opposite sign: -(e_f - e_i).
-    levels = (-1.0 if quantity in (W, Q) else 1.0) * energies
-    return (weight @ dag(u)) * u.swapaxes(-1, -2), level, levels
-
-
-def _kernel(quantity: str, rho_s: np.ndarray, ops: Operators, unitary=None) -> tuple[np.ndarray, np.ndarray]:
-    """KDQ matrices of a (..., 2, 2) stack of system states; arithmetic only, no check.
-
-    ``ops`` are one config's operators for every state, or a stack of them aligned with the leading axis of
-    ``rho_s`` (one level structure per stack).  Returns ``(matrix, levels)``: ``matrix[..., i_in, i_fin]`` the
-    quasiprobabilities of each state and ``levels[..., k]`` those of its config.  `kdq_distribution` is the view
-    of one state.
-    """
-    q, level, levels = _transitions(quantity, rho_s, ops, unitary)
-    return _level_sums(q, level, levels.shape[-1]), levels
 
 
 def kdq_distribution(
@@ -270,18 +337,19 @@ def kdq_distribution(
     projectors labelled by (system, ancilla) index pairs; with
     ``group_degenerate=True`` the pair levels of H_S + H_A that coincide
     (resonance) are merged into joint eigenspace projectors instead.
-    ``unitary``, if given, is one 4x4 propagator.
+    ``unitary``, if given, is one 4x4 propagator, zero outside the entries
+    that the swap coupling fills.
     """
     quantity = quantity.lower()
-    ops = _operators(quantity, rho_s, cfg, unitary)
+    ops, unitary = _operators(quantity, rho_s, cfg, unitary)
+    # One state on a leading axis of length 1, so that it takes a stack's arithmetic.
+    matrix, levels = _kernel(quantity, np.asarray(rho_s, dtype=complex)[None], ops, unitary)
     if quantity == USA and group_degenerate:
-        # One level-map sum over the joint level of each basis state; summing the pair matrix flips some zeros' signs.
-        q, level, pairs = _transitions(quantity, rho_s, ops, unitary)
-        joint, index = group_levels(pairs)
-        return KdqDistribution(quantity, _level_sums(q, index[level], len(joint)), np.array(joint))
-    matrix, levels = _kernel(quantity, rho_s, ops, unitary)
+        # The pair matrix summed over the joint level of each pair.
+        joint, index = group_levels(levels)
+        return KdqDistribution(quantity, _level_sums(matrix[0], index, len(joint)), np.array(joint))
     local_energies = (tuple(ops.levels_s.tolist()), tuple(ops.levels_a.tolist())) if quantity == USA else None
-    return KdqDistribution(quantity, matrix, levels, local_energies)
+    return KdqDistribution(quantity, matrix[0], levels, local_energies)
 
 
 def marginalize_usa_to_us(dist: KdqDistribution) -> KdqDistribution:
@@ -346,15 +414,25 @@ def average_via_trace(
     differ only in floating-point grouping.
     """
     quantity = quantity.lower()
-    return complex(_trace_average(quantity, rho_s, _operators(quantity, rho_s, cfg, unitary), unitary))
+    ops, unitary = _operators(quantity, rho_s, cfg, unitary)
+    return complex(_trace_average(quantity, rho_s, ops, unitary))
 
 
 def _trace_average(quantity: str, rho_s: np.ndarray, ops: Operators, unitary: np.ndarray | None = None) -> np.ndarray:
     """Tr[O (U W U^dag - W)] of a (..., 2, 2) stack of system states, O the quantity's signed energy.
 
-    ``ops`` as in `_kernel`; `average_via_trace` is the view of one state.
+    The dense route, independent of `_kernel`: W is a Kronecker product and U
+    the whole 4x4 propagator.  ``ops`` and ``unitary`` are one config's, or
+    stacks aligned with the leading axes of ``rho_s``; `average_via_trace` is
+    the view of one state.
     """
-    u, weight = _weight(quantity, rho_s, ops, unitary)
+    u = ops.u_bare if unitary is None else unitary
+    if quantity in (US, UA, USA):
+        weight = tensor(rho_s, ops.rho_a)
+    elif quantity in (Q, QS):
+        weight = tensor(rho_s, ops.rho_a_th)
+    else:
+        weight = ops.prefactor * tensor(rho_s, SIGMA_X)
     if quantity in (US, WS, QS):
         observable = tensor(ops.h_s, IDENTITY_2)
     elif quantity == USA:

@@ -441,16 +441,16 @@ def _thermal_populations(cfgs: ModelConfig | _ConfigArrays):
     return xp.where(x >= 0.0, low, high), xp.where(x >= 0.0, high, low)
 
 
-# Rows per stacked part: bounds the size of the kernel's arrays (and so the
-# peak memory of long sweeps) at a small cost per part.
-_STACK_ROWS = 128
+# Rows per part of `_operator_stacks`: bounds the kernel's per-row arrays,
+# and so the peak memory of long sweeps.
+_PART_ROWS = 4096
 
 
 class Operators(NamedTuple):
     """The operators of one config (`ModelConfig.operators`) or of a stack of configs (`_operator_stacks`).
 
-    A stack's arrays carry a leading axis aligned with the leading axis of a
-    state stack (row k under config k), or of length 1 and broadcast over it;
+    A stack's arrays carry a leading config axis, which the kernel aligns
+    with a state stack's rows directly or through each row's slot on it;
     one config's own arrays have none and are read-only, because every
     caller shares them.  ``u`` is the collision propagator exp(-i H_SA tau /
     hbar) (`collision_unitary`), ``u_bare`` the unscaled `measurement_unitary`
@@ -552,38 +552,27 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
     )
 
 
-def _blocks(rows: np.ndarray) -> list[np.ndarray]:
-    """``rows`` in consecutive blocks of at most `_STACK_ROWS`."""
-    return [rows[start : start + _STACK_ROWS] for start in range(0, len(rows), _STACK_ROWS)]
-
-
-def _operator_stacks(cfgs: _ConfigArrays, which: np.ndarray | None = None) -> list[tuple[np.ndarray, Operators]]:
+def _operator_stacks(
+    cfgs: _ConfigArrays, which: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray, Operators]]:
     """The kernel's operators for a state stack whose row k is under config ``which[k]`` of ``cfgs``.
 
-    ``which`` defaults to row k under config k.  Returns ``(rows, operators)``
-    parts in order of first row, each of at most `_STACK_ROWS` rows and with
-    a config axis.  A stack needs one level structure, and a zero frequency
-    merges a qubit's two levels, so the rows are split by which frequencies
-    are zero.  In each split, the configs with `_STACK_ROWS` rows or more are
-    one `_stack`, each config's parts sharing its slice of length 1; the
-    other rows go in blocks, each a `_stack` of its configs gathered to it.
+    ``which`` defaults to row k under config k.  Returns ``(rows, slot,
+    operators)`` parts in order of first row, each a block of at most
+    `_PART_ROWS` rows: the `_stack` of the block's distinct configs, each
+    once on the config axis, and ``slot[j]`` the config of row ``rows[j]``
+    on that axis (``arange(len(rows))`` for the default ``which``).  A stack
+    needs one level structure, and a zero frequency merges a qubit's two
+    levels, so the rows are split by which frequencies are zero before they
+    are cut into blocks.
     """
     which = np.arange(len(cfgs)) if which is None else np.asarray(which)
-    counts = np.bincount(which, minlength=len(cfgs))
-    shape = (cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0)
+    structure = ((cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0))[which]
     parts = []
-    for key in dict.fromkeys(shape[which].tolist()):
-        large = (shape == key) & (counts >= _STACK_ROWS)
-        if large.any():
-            stack = _stack(cfgs.take(np.flatnonzero(large)))
-            # The rows of each of these configs in turn, each in row order.
-            rows = np.flatnonzero(large[which])
-            rows = rows[np.argsort(which[rows], kind="stable")]
-            for j, own in enumerate(np.split(rows, np.cumsum(counts[large])[:-1])):
-                ops = Operators(*(a[j : j + 1] for a in stack))
-                parts += [(block, ops) for block in _blocks(own)]
-        for rows in _blocks(np.flatnonzero(((shape == key) & ~large)[which])):
-            members, slot = np.unique(which[rows], return_inverse=True)
-            stack = _stack(cfgs.take(members))
-            parts.append((rows, Operators(*(a[slot] for a in stack))))
+    for key in np.unique(structure):
+        rows = np.flatnonzero(structure == key)
+        for start in range(0, len(rows), _PART_ROWS):
+            block = rows[start : start + _PART_ROWS]
+            members, slot = np.unique(which[block], return_inverse=True)
+            parts.append((block, slot, _stack(cfgs.take(members))))
     return sorted(parts, key=lambda part: part[0][0])

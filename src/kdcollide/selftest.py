@@ -67,7 +67,7 @@ def _stacks(rng: np.random.Generator, resonant, draws: int, classical: bool = Fa
     if classical:
         cfgs, states = cfgs.replace(lam=0.0), _StateArrays.build(rho11=states.rho11, r=0.0, phi_c=0.0)
     rho_s = _system_states(states)
-    for rows, ops in _operator_stacks(cfgs):
+    for rows, _, ops in _operator_stacks(cfgs):
         yield cfgs.take(rows), states.take(rows), ops, rho_s[rows]
 
 

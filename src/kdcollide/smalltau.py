@@ -166,7 +166,7 @@ def _work_observables(cfgs: _ConfigArrays, parts=None) -> tuple[np.ndarray, np.n
     """
     _require_resonant(cfgs)
     o1, o2 = np.empty((2, len(cfgs), 2, 2), dtype=complex)
-    for rows, ops in _operator_stacks(cfgs) if parts is None else parts:
+    for rows, _, ops in _operator_stacks(cfgs) if parts is None else parts:
         ha_full, chi_full = tensor(IDENTITY_2, ops.h_a), tensor(IDENTITY_2, SIGMA_X)
         o1[rows] = -ops.prefactor * partial_trace(ha_full @ chi_full, keep="S")
         o2[rows] = -ops.prefactor * partial_trace(dag(ops.u_bare) @ ha_full @ ops.u_bare @ chi_full, keep="S")
@@ -183,7 +183,7 @@ def work_observables(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     the sign convention makes Tr[O2 rho_S] coincide with the mean of the
     coherent-work KDQ distribution.  The one-config view of `_work_observables`.
     """
-    o1, o2 = _work_observables(cfg._arrays, [(0, cfg.operators)])
+    o1, o2 = _work_observables(cfg._arrays, [(0, None, cfg.operators)])
     return o1[0], o2[0]
 
 
@@ -218,7 +218,7 @@ def operator_approach(rho_s: np.ndarray, cfg: ModelConfig) -> OperatorWorkSpectr
     KDQ route, here the probabilities are fixed by the state and the values
     move with the collision time.  The one-config view of `_operator_spectra`.
     """
-    w_hi, p_hi, w_lo, p_lo = (float(x[0]) for x in _operator_spectra(rho_s, cfg._arrays, [(0, cfg.operators)]))
+    w_hi, p_hi, w_lo, p_lo = (float(x[0]) for x in _operator_spectra(rho_s, cfg._arrays, [(0, None, cfg.operators)]))
     if w_hi == w_lo:
         return OperatorWorkSpectrum((w_hi,), (p_hi,))
     return OperatorWorkSpectrum((w_hi, w_lo), (p_hi, p_lo))

@@ -6,10 +6,12 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kdcollide import cli
 from kdcollide.cli import (
     ConfigError,
     ExperimentSpec,
@@ -188,6 +190,30 @@ class TestCustomRun:
         assert table.header[:2] == ["phi_c", "skipped"]
         assert len(table.rows) == 5
         assert all(row[1] == 0.0 for row in table.rows)
+
+    def test_sweep_without_skipped_rows_evaluates_the_grid_itself(self, tmp_path):
+        # With no row skipped, the evaluator reads the grid's own state and
+        # config-index arrays, not copies of them, and the CSV has the bytes
+        # that evaluating copies of every row gives.
+        spec = replace(parse_config(CUSTOM_CONFIG), out_path=str(tmp_path / "run.csv"))
+        sweeps = []
+
+        def recorded(spec):
+            sweeps.append(sweep(spec))
+            return sweeps[-1]
+
+        sweep = cli._sweep
+        with mock.patch.object(cli, "_sweep", recorded):
+            with mock.patch.object(cli, "_evaluate", wraps=cli._evaluate) as evaluate:
+                table = run(spec)
+        (grid, skipped, _), = sweeps
+        assert not skipped.any()
+        assert evaluate.call_args.args[1] is grid.states and evaluate.call_args.args[3] is grid.which
+        kept = np.flatnonzero(~skipped)
+        copied = cli._evaluate(grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept])
+        copied_table = cli._table(spec, grid, spec.sweep, [skipped, copied], table.header[1:], table.meta)
+        write_csv(copied_table, tmp_path / "copied.csv")
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "copied.csv").read_bytes()
 
     def test_empty_sweep_single_row(self):
         text = CUSTOM_CONFIG.replace("[sweep]\nphi_c = linspace(0.0, 6.0, 5)\n", "")

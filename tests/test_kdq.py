@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import admissible_cases, assert_same_bits, random_case, system_states
+from conftest import admissible_cases, assert_same_bits, random_case, random_hermitian, system_states
+from references import dense_kernel
 from kdcollide import cli, kdq, model
 from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import collision_unitary, evolve
@@ -26,7 +27,7 @@ from kdcollide.kdq import (
     moments,
     nonpositivity,
 )
-from kdcollide.linalg import dag, eig_hermitian, tensor
+from kdcollide.linalg import dag, eig_hermitian, tensor, unitary_from_hamiltonian
 from kdcollide.model import (
     IDENTITY_2,
     MODE_WEAK,
@@ -386,8 +387,8 @@ def test_stack_warns_once_per_kind():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidityWarning)
         cli._evaluate(distinct, states, ("var_w",), which)
-        (_, ops), = _operator_stacks(distinct, which)
-        kdq._kernel(kdq.W, model._system_states(states), ops)
+        (_, slot, ops), = _operator_stacks(distinct, which)
+        kdq._kernel(kdq.W, model._system_states(states), ops, slot=slot)
     assert [str(w.message) for w in caught] == [
         "coherent-work/heat split off resonance is not energy-preserving in 3 configs (largest |detuning| 1.5)",
         "pulse area g*tau exceeds pi/6 in 10 configs (largest 2.8): "
@@ -410,6 +411,29 @@ def test_one_state_views_reject_stacks_and_foreign_shapes(view, quantity):
         with pytest.raises(ValueError, match="unitary must act on the 4-dimensional joint space"):
             view(quantity, rho_s, cfg, unitary=unitary)
     view(quantity, rho_s.tolist(), cfg, unitary=u.tolist())
+
+
+@pytest.mark.parametrize("view", [kdq_distribution, average_via_trace])
+def test_one_state_views_reject_unitary_outside_the_swap_entries(view, rng):
+    # The kernel reads only the six entries of U that the swap coupling fills,
+    # so a propagator with weight elsewhere is refused, naming its largest
+    # entry there, rather than given a wrong distribution.
+    rho_s = build_system_state(SystemStateParams(0.25, 0.4, 0.7))
+    outside = np.ones((4, 4), bool)
+    outside[[0, 3, 1, 1, 2, 2], [0, 3, 1, 2, 1, 2]] = False
+    for cfg in (resonant_cfg(lam=0.2), replace(resonant_cfg(omega_s=1.7), lam_tilde=0.3, mode=MODE_WEAK)):
+        for _ in range(5):
+            u = unitary_from_hamiltonian(random_hermitian(rng, 4), 0.7)
+            largest = np.where(outside, np.abs(u), 0.0)
+            i, j = np.unravel_index(np.argmax(largest), u.shape)
+            message = re.escape(f"its largest entry outside is |U[{i}, {j}]| = {largest[i, j]:.6g}")
+            for unitary in (u, u.tolist()):
+                with pytest.raises(ValueError, match=message):
+                    view(kdq.US, rho_s, cfg, unitary=unitary)
+        # The config's own propagators pass, as arrays or lists.
+        for own in (measurement_unitary(cfg), collision_unitary(cfg)):
+            expected, value = (view(kdq.US, rho_s, cfg, unitary=unitary) for unitary in (own, own.tolist()))
+            assert_same_bits(getattr(value, "matrix", value), getattr(expected, "matrix", expected))
 
 
 class TestSystemSideSplit:
@@ -534,15 +558,17 @@ def config_rows(cfgs):
 def assert_stack_matches_per_config(cfgs, rho_s, quantities):
     # Every slice of each config-stack part equals the one-config views bit for bit.
     parts = _operator_stacks(*config_rows(cfgs))
-    assert sorted(np.concatenate([rows for rows, _ in parts]).tolist()) == list(range(len(cfgs)))
-    for rows, ops in parts:
+    assert sorted(np.concatenate([rows for rows, _, _ in parts]).tolist()) == list(range(len(cfgs)))
+    for rows, slot, ops in parts:
         assert len({(cfgs[k].omega_s == 0.0, cfgs[k].omega_a == 0.0) for k in rows}) == 1
-        assert len(rows) <= model._STACK_ROWS and ops.u.ndim == 3
+        assert len(rows) <= model._PART_ROWS and ops.u.ndim == 3
+        # Each row's own operators, for the dense single-trace route.
+        own = model.Operators(*(a[slot] for a in ops))
         for quantity, unitary in itertools.product(quantities, (None, ops.u)):
-            matrix, levels = kdq._kernel(quantity, rho_s[rows], ops, unitary)
+            matrix, levels = kdq._kernel(quantity, rho_s[rows], ops, unitary, slot)
             moment_stack = kdq._moments(matrix, levels)
             witnesses = kdq._witnesses(matrix).tolist()
-            averages = kdq._trace_average(quantity, rho_s[rows], ops, unitary)
+            averages = kdq._trace_average(quantity, rho_s[rows], own, None if unitary is None else unitary[slot])
             for j, k in enumerate(rows):
                 cfg, rho = cfgs[k], rho_s[k]
                 own_u = None if unitary is None else collision_unitary(cfg)
@@ -573,6 +599,34 @@ _MIXED_STACK = [
 ]
 
 
+# Largest |kernel - dense reference| entry over max(1, |coherence prefactor|):
+# 2.2e-16 (one ulp of 1) over 4 000 drawn configs, each with up to four
+# states, every quantity and both propagators; the merged level of a zero
+# frequency, where the two sum in another order, comes nearest.
+_DENSE_KERNEL_BOUND = 4 * np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cfg=st.one_of(admissible_cases().map(lambda case: case[0]), st.sampled_from([cfg for cfg, _ in _MIXED_STACK])),
+    states=st.lists(system_states(), min_size=1, max_size=4),
+)
+def test_kernel_matches_dense_reference(cfg, states):
+    # The kernel on the six entries of U against the block sum over the
+    # whole 4x4 product basis, negative and zero frequencies, weak mode and
+    # the trajectory propagator included.
+    rho_s = np.array([build_system_state(state) for state in states])
+    ops = cfg.operators
+    quantities = kdq.QUANTITIES if (cfg.is_resonant or cfg.is_weak) else (kdq.US, kdq.UA, kdq.USA)
+    bound = _DENSE_KERNEL_BOUND * max(1.0, abs(cfg.kdq_coherence_prefactor))
+    for quantity, unitary in itertools.product(quantities, (None, ops.u)):
+        matrix, levels = kdq._kernel(quantity, rho_s, ops, unitary)
+        expected_matrix, expected_levels = dense_kernel(quantity, rho_s, ops, unitary)
+        assert_same_bits(levels, expected_levels)
+        assert matrix.shape == expected_matrix.shape
+        assert np.max(np.abs(matrix - expected_matrix)) <= bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cases=st.lists(
@@ -586,7 +640,7 @@ def test_config_stack_matches_per_config(cases, data):
     # blocks split a config's rows across parts.
     rows = [(cfg, state) for (cfg, _), states in cases for state in states]
     rows = [rows[k] for k in data.draw(st.permutations(range(len(rows))))]
-    with mock.patch.object(model, "_STACK_ROWS", data.draw(st.sampled_from([1, 2, 3, 5, model._STACK_ROWS]))):
+    with mock.patch.object(model, "_PART_ROWS", data.draw(st.sampled_from([1, 2, 3, 5, model._PART_ROWS]))):
         _assert_config_stack(rows)
 
 
@@ -598,15 +652,33 @@ def test_config_stack_mixes_modes_signs_and_zero_frequencies():
 
 
 def test_config_rows_in_bounded_parts():
-    # The rows of a config with more than 2 * `_STACK_ROWS` of them go in parts
-    # of at most `_STACK_ROWS` rows that share its operators.
-    cfg = _MIXED_STACK[3][0]
-    phases = np.linspace(0.0, 2.0 * math.pi, 2 * model._STACK_ROWS + 3)
-    rows = [(cfg, SystemStateParams(0.25, 0.4, phi)) for phi in phases]
-    parts = _operator_stacks(*config_rows([cfg for cfg, _ in rows]))
-    assert [len(part_rows) for part_rows, _ in parts] == [model._STACK_ROWS, model._STACK_ROWS, 3]
-    assert len({id(ops) for _, ops in parts}) == 1
-    _assert_config_stack(rows)
+    # Every row in exactly one part, parts in order of first row, each of at
+    # most `_PART_ROWS` rows of one level structure, with each of its distinct
+    # configs once on the config axis and each row's slot at its own config.
+    # The rows of one config past a part's worth go in several parts.
+    big = _MIXED_STACK[3][0]
+    cfgs = [big] * (2 * model._PART_ROWS + 3) + [cfg for cfg, count in _MIXED_STACK for _ in range(count)]
+    order = np.random.default_rng(7).permutation(len(cfgs))
+    cfgs = [cfgs[k] for k in order]
+    distinct, which = config_rows(cfgs)
+    phases = np.linspace(0.0, 2.0 * math.pi, len(cfgs))
+    rho_s = model._system_states(model._StateArrays.build(rho11=0.25, r=0.4, phi_c=phases))
+    parts = _operator_stacks(distinct, which)
+    assert sorted(np.concatenate([rows for rows, _, _ in parts]).tolist()) == list(range(len(cfgs)))
+    assert [rows[0] for rows, _, _ in parts] == sorted(rows[0] for rows, _, _ in parts)
+    structure = np.array([2 * (cfg.omega_s == 0.0) + (cfg.omega_a == 0.0) for cfg in cfgs])
+    sizes = {}
+    for rows, slot, ops in parts:
+        assert 0 < len(rows) <= model._PART_ROWS and len(np.unique(structure[rows])) == 1
+        sizes.setdefault(structure[rows[0]], []).append(len(rows))
+        members = which[rows]
+        pairs = set(zip(members.tolist(), slot.tolist()))
+        assert len(pairs) == len(set(members.tolist())) == len(set(slot.tolist())) == len(ops.u)
+        matrix, _ = kdq._kernel(kdq.USA, rho_s[rows], ops, slot=slot)
+        for k in np.unique(members):
+            own = rows[members == k]
+            assert_same_bits(matrix[members == k], kdq._kernel(kdq.USA, rho_s[own], cfgs[own[0]].operators)[0])
+    assert sizes[0] == [model._PART_ROWS, model._PART_ROWS, np.count_nonzero(structure == 0) - 2 * model._PART_ROWS]
 
 
 def _assert_config_stack(rows):

@@ -1,6 +1,7 @@
-"""Write the byte-identity set of outputs from one copy of the kdcollide sources.
+"""Write the byte-identity set of outputs from one copy of the kdcollide sources, or compare two such sets.
 
     python3 tools/outputs.py SRC OUT
+    python3 tools/outputs.py --compare OUT_A OUT_B
 
 SRC is the directory that holds the ``kdcollide`` package (a checkout's
 ``src``); OUT is created.  Each run is a fresh ``python -m kdcollide.cli``
@@ -17,22 +18,82 @@ Every CSV lands in OUT with its ``.meta.json``.  Two copies of the sources
 give the same outputs when ``diff -r`` finds no difference between their
 OUT directories.  The goldens and the benchmark inputs are read from the
 checkout that holds this script.
+
+``--compare`` prints, for each file of two OUT directories, how many of its
+cells moved and the worst absolute and relative move.  The cells of a CSV
+are its fields; those of any other file are its tokens between whitespace
+and JSON punctuation.  A cell moves when its text changes; a change that is
+not between two numbers, or not finite, counts as an infinite move.  The exit
+status is 1 when a file is in one directory only or has another number of
+cells.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+USAGE = "usage: python3 tools/outputs.py SRC OUT\n       python3 tools/outputs.py --compare OUT_A OUT_B"
+
+
+def _cells(path: Path) -> list[str]:
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        return [cell for row in csv.reader(io.StringIO(text)) for cell in row]
+    return [token for token in re.split(r'[\s,:\[\]{}"]+', text) if token]
+
+
+def _move(a: str, b: str) -> tuple[float, float]:
+    """(absolute, relative) move between two cells whose text differs."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf, math.inf
+    move = abs(x - y) if math.isfinite(x - y) else math.inf
+    scale = max(abs(x), abs(y))
+    return move, move / scale if scale else 0.0
+
+
+def _moved(count: int, total: int, worst: tuple[float, float]) -> str:
+    return f"{count} of {total} cells moved, worst absolute {worst[0]:.3g}, relative {worst[1]:.3g}"
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Print the moved cells of each file of two OUT directories, then their total; 1 if the files differ in layout."""
+    names = sorted({path.relative_to(root) for root in (out_a, out_b) for path in root.rglob("*") if path.is_file()})
+    status, total, moved, worst = 0, 0, 0, (0.0, 0.0)
+    for name in names:
+        missing = [str(root) for root in (out_a, out_b) if not (root / name).is_file()]
+        if missing:
+            print(f"{name}: missing from {missing[0]}")
+            status = 1
+            continue
+        a, b = _cells(out_a / name), _cells(out_b / name)
+        if len(a) != len(b):
+            print(f"{name}: {len(a)} against {len(b)} cells")
+            status = 1
+            continue
+        moves = [_move(x, y) for x, y in zip(a, b) if x != y]
+        largest = tuple(max((move[k] for move in moves), default=0.0) for k in (0, 1))
+        print(f"{name}: {_moved(len(moves), len(a), largest)}")
+        total, moved, worst = total + len(a), moved + len(moves), (max(worst[0], largest[0]), max(worst[1], largest[1]))
+    print(f"total: {_moved(moved, total, worst)}")
+    return status
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python3 tools/outputs.py SRC OUT", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 2 or argv[0] == "--compare":
+        print(USAGE, file=sys.stderr)
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     if not (src / "kdcollide" / "__init__.py").is_file():
