@@ -439,13 +439,13 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     """Evaluate every point of the sweep grid that `_sweep` does not skip."""
     grid, skipped, skip_reasons = _sweep(spec)
     header = [column for name in spec.outputs for column in _OUTPUTS[name].columns]
-    if not skipped.any():
-        data = _evaluate(grid.cfgs, grid.states, spec.outputs, grid.which)
-    else:
-        kept = np.flatnonzero(~skipped)
-        data = np.full((len(skipped), len(header)), math.nan)
-        if len(kept):
-            data[kept] = _evaluate(grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept])
+    kept = np.flatnonzero(~skipped)
+    data = np.full((len(skipped), len(header)), math.nan)
+    if len(kept):
+        # Every row kept: the grid's own arrays, not a copy of them.
+        whole = len(kept) == len(skipped)
+        states, which = (grid.states, grid.which) if whole else (grid.states.take(kept), grid.which[kept])
+        data[kept] = _evaluate(grid.cfgs, states, spec.outputs, which)
     meta = {
         **_params_meta(spec.cfg, spec.state),
         "sweep": {name: list(grid) for name, grid in spec.sweep},

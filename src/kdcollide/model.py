@@ -569,7 +569,8 @@ def _operator_stacks(
     which = np.arange(len(cfgs)) if which is None else np.asarray(which)
     structure = ((cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0))[which]
     parts = []
-    for key in np.unique(structure):
+    # The distinct keys without `np.unique`, which imports `numpy.ma` (about 1 MB) to check for a mask.
+    for key in dict.fromkeys(structure.tolist()):
         rows = np.flatnonzero(structure == key)
         for start in range(0, len(rows), _PART_ROWS):
             block = rows[start : start + _PART_ROWS]
