@@ -48,10 +48,12 @@ One dict, `_RUNNERS`, names the runner of each preset and of ``custom``
 assembles its table with one builder (`_table`): each row's value on every
 axis, then its value columns.
 
-Output is a deterministic CSV (17 significant digits, no timestamps) plus a
-``<path>.meta.json`` sidecar with the run parameters; for custom runs it also
-counts the skipped rows per reason in row order (``skip_reasons``, the row's
-numbers in the message masked as ``<x>``).
+A run's table holds its rows as one float array (`ResultTable`), which
+`write_csv` writes in blocks of rows.  Output is a deterministic CSV (17
+significant digits, no timestamps) plus a ``<path>.meta.json`` sidecar with
+the run parameters; for custom runs it also counts the skipped rows per
+reason in row order (``skip_reasons``, the row's numbers in the message
+masked as ``<x>``).
 """
 
 from __future__ import annotations
@@ -145,22 +147,51 @@ class ExperimentSpec:
 
 @dataclass
 class ResultTable:
+    """A run's table: ``rows`` is one (rows, columns) float array, its columns named by ``header``,
+    and ``meta`` the run parameters that `write_csv` puts in the sidecar."""
+
     header: list[str]
-    rows: list[list[float]] = field(default_factory=list)
+    rows: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
-def write_csv(table: ResultTable, path: Path) -> None:
-    """Write the table and its metadata sidecar; output is byte-deterministic."""
+# Rows per block of `write_csv`: bounds the text it holds at once.
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(table: ResultTable, path: str | Path) -> None:
+    """Write the table and its metadata sidecar; output is byte-deterministic.
+
+    Every cell is ``"%.17g" % value``.  The rows go to the open file in
+    blocks of `_CSV_BLOCK_ROWS`.  In a block, a column that repeats a value
+    formats each of its distinct 64-bit patterns once (so -0.0 and 0.0 stay
+    apart) and enters the row format as strings; a column without a repeat
+    stays floats under ``%.17g``.  ``table.rows`` may also be any sequence of
+    rows that NumPy turns into such an array.
+    """
     path = Path(path)
-    # "%.17g" % v is format(float(v), ".17g") for every float and int, nan and inf included.
-    row_format = ",".join(["%.17g"] * len(table.header))
-    lines = [",".join(table.header)]
-    lines.extend(row_format % tuple(row) for row in table.rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.asarray(table.rows, dtype=float)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(table.header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            cells, formats = [], []
+            for column in rows[start : start + _CSV_BLOCK_ROWS].T:
+                # Bit patterns, not values; as int64, the index sort of `model._operator_stacks`, so that no
+                # more of NumPy's sort code is paged in.  With an inverse, `np.unique` leaves `numpy.ma` unimported.
+                distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+                if len(distinct) == len(column):
+                    cells.append(column.tolist())
+                    formats.append("%.17g")
+                else:
+                    text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
+                    cells.append(text[index].tolist())
+                    formats.append("%s")
+            # "%.17g" % v is format(float(v), ".17g") for every float, nan and inf included.
+            row_format = ",".join(formats) + "\n"
+            out.write("".join([row_format % row for row in zip(*cells)]))
     meta = dict(table.meta)
     meta["columns"] = table.header
-    meta["rows"] = len(table.rows)
+    meta["rows"] = len(rows)
     meta["tool"] = "kdcollide"
     meta["version"] = __version__
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -431,7 +462,7 @@ def _table(spec: ExperimentSpec, grid: _Grid, shown, values, header: list[str], 
     """A grid run's table: each row's value on every axis, shown as (name, values) pairs in grid order,
     then its ``values`` columns, named by ``header``; the sidecar holds ``meta`` and the preset."""
     columns = [grid.at(k, axis) for k, (_, axis) in enumerate(shown)]
-    rows = np.column_stack([*columns, *values]).tolist()
+    rows = np.column_stack([*columns, *values])
     return ResultTable([name for name, _ in shown] + header, rows, {"preset": spec.preset, **meta})
 
 
@@ -569,7 +600,7 @@ def _preset_fig4(spec: ExperimentSpec) -> ResultTable:
         "peak_deltas": deltas[peaks].tolist(),
         "panel": "0: delta sweep at lambda=0; 1: lambda sweep at each peak delta",
     }
-    return ResultTable(header, np.vstack([np.column_stack(panel_0), np.column_stack(panel_1)]).tolist(), meta)
+    return ResultTable(header, np.vstack([np.column_stack(panel_0), np.column_stack(panel_1)]), meta)
 
 
 def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> list[np.ndarray]:
@@ -637,7 +668,7 @@ def _preset_fig7(spec: ExperimentSpec) -> ResultTable:
     except (ValueError, MemoryError) as exc:  # NumPy refuses to hold the states
         raise ConfigError(f"{spec.collisions} collisions are too many to evaluate") from exc
     columns = [chains.columns[name][0] for name in ("q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a")]
-    rows = np.column_stack([np.arange(1.0, spec.collisions + 1), *columns]).tolist()
+    rows = np.column_stack([np.arange(1.0, spec.collisions + 1), *columns])
     meta = {
         "preset": "fig7",
         **_params_meta(cfg, _STATE),

@@ -153,7 +153,7 @@ def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, therm
     m, one = len(rho_s0), isinstance(cfgs, ModelConfig)
     # Chains and their operators with a config axis, in parts of one level structure.
     first = np.zeros(1, np.intp)
-    parts = [(first, first, Operators(*(a[None] for a in cfgs.operators)))] if one else _operator_stacks(cfgs)
+    parts = [(first, first, Operators(*(a[None] for a in cfgs.operators)))] if one else list(_operator_stacks(cfgs))
     states = np.empty((m, n + 1, 2, 2), dtype=complex)
     for chains, _, ops in parts:
         states[chains] = _powers(_channel(ops.u, ops.rho_a), rho_s0[chains], n)

@@ -19,7 +19,7 @@ import contextlib
 import math
 import operator
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -554,26 +554,27 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
 
 def _operator_stacks(
     cfgs: _ConfigArrays, which: np.ndarray | None = None
-) -> list[tuple[np.ndarray, np.ndarray, Operators]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, Operators]]:
     """The kernel's operators for a state stack whose row k is under config ``which[k]`` of ``cfgs``.
 
-    ``which`` defaults to row k under config k.  Returns ``(rows, slot,
+    ``which`` defaults to row k under config k.  Yields ``(rows, slot,
     operators)`` parts in order of first row, each a block of at most
     `_PART_ROWS` rows: the `_stack` of the block's distinct configs, each
     once on the config axis, and ``slot[j]`` the config of row ``rows[j]``
     on that axis (``arange(len(rows))`` for the default ``which``).  A stack
     needs one level structure, and a zero frequency merges a qubit's two
     levels, so the rows are split by which frequencies are zero before they
-    are cut into blocks.
+    are cut into blocks.  The blocks are cut and ordered first, and each
+    part's operators are built when the caller reaches it, so a caller that
+    uses one part at a time holds one part's operators.
     """
     which = np.arange(len(cfgs)) if which is None else np.asarray(which)
     structure = ((cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0))[which]
-    parts = []
+    blocks = []
     # The distinct keys without `np.unique`, which imports `numpy.ma` (about 1 MB) to check for a mask.
     for key in dict.fromkeys(structure.tolist()):
         rows = np.flatnonzero(structure == key)
-        for start in range(0, len(rows), _PART_ROWS):
-            block = rows[start : start + _PART_ROWS]
-            members, slot = np.unique(which[block], return_inverse=True)
-            parts.append((block, slot, _stack(cfgs.take(members))))
-    return sorted(parts, key=lambda part: part[0][0])
+        blocks.extend(rows[start : start + _PART_ROWS] for start in range(0, len(rows), _PART_ROWS))
+    for block in sorted(blocks, key=lambda block: block[0]):
+        members, slot = np.unique(which[block], return_inverse=True)
+        yield block, slot, _stack(cfgs.take(members))

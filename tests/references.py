@@ -5,6 +5,10 @@ basis: Q[i, f] = (W U^dag)[i, f] U[f, i] as one broadcast matrix product,
 summed over the level of each basis state by the 0/1 matrix G as G^T Q G.
 `kdq._kernel` reads only the six entries of U that the swap coupling fills;
 this form reads all sixteen.
+
+`csv_text` is the CSV text of a table as one ``%`` call per row, every cell
+a Python float under ``%.17g``; `cli.write_csv` formats each distinct value
+of a column once instead.
 """
 
 import numpy as np
@@ -35,3 +39,11 @@ def dense_kernel(quantity, rho_s, ops, unitary=None):
     q = (weight @ dag(u)) * u.swapaxes(-1, -2)
     g = (level[..., :, None] == np.arange(energies.shape[-1])).astype(float)
     return g.swapaxes(-1, -2) @ q @ g, (-1.0 if quantity in (kdq.W, kdq.Q) else 1.0) * energies
+
+
+def csv_text(header, rows):
+    """The CSV text of a (rows, columns) float array under ``header``: one ``%.17g`` format per row."""
+    row_format = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)]
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
+    return "\n".join(lines) + "\n"

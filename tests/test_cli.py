@@ -246,7 +246,7 @@ class TestCustomRun:
             for a, b in ((first, second), (second, first))
         ]
         assert [len(r) for r in rows] == [1, 1]
-        assert rows[0][0][2:] == rows[1][0][2:]
+        assert np.array_equal(rows[0][0, 2:], rows[1][0, 2:])
         assert rows[0][0][2] == 0.0 and not any(math.isnan(v) for v in rows[0][0])
 
     def test_off_resonant_work_request_flagged(self):
@@ -316,7 +316,7 @@ class TestPresets:
         out = tmp_path / f"{preset}.csv"
         table = run(ExperimentSpec(preset=preset, cfg=None, state=None, out_path=str(out), points=points))
         meta = table.meta
-        reference = ResultTable(header=table.header, meta=meta)
+        rows = []
         for beta in meta["betas"]:
             for tau in meta["taus"]:
                 cfg = ModelConfig(omega_s=meta["omega_s"], omega_a=meta["omega_a"], g=meta["g"], tau=tau, beta=beta)
@@ -324,8 +324,8 @@ class TestPresets:
                 for phi_c in np.linspace(0.0, 2.0 * math.pi, points, endpoint=False):
                     rho_s = build_system_state(SystemStateParams(meta["rho11"], meta["r"], float(phi_c)))
                     report = nonpositivity(kdq_distribution(quantity, rho_s, cfg))
-                    reference.rows.append([beta, tau, float(phi_c), report.n_q, report.n_re, report.n_im])
-        write_csv(reference, tmp_path / "reference.csv")
+                    rows.append([beta, tau, float(phi_c), report.n_q, report.n_re, report.n_im])
+        write_csv(ResultTable(table.header, np.array(rows), meta), tmp_path / "reference.csv")
         assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_csv_special_values(self, tmp_path):
@@ -379,7 +379,7 @@ class TestPresets:
             assert row[cols["p_hi"]] + row[cols["p_lo"]] == pytest.approx(1.0, abs=1e-12)
             assert row[cols["w_hi"]] >= row[cols["w_lo"]]
         # At tau = 0 the collision is the identity, so O2 = 0: w = 0 with certainty.
-        assert table.rows[0] == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert np.array_equal(table.rows[0], [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 class TestMain:
@@ -745,6 +745,25 @@ class TestMain:
         assert child.returncode == 1 and child.stderr.startswith(expected), child.stderr
         assert child.stderr.count("\n") == 1
         assert not (tmp_path / "big.csv").exists()
+
+    def test_long_sweep_runs_in_bounded_memory(self, tmp_path):
+        # The table is one float array and the CSV is written in blocks, so
+        # 3e5 rows run in a 256 MB address space; holding every row as Python
+        # floats and every line as text took more than 320 MB.
+        count, out = 300_000, tmp_path / "long.csv"
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(CUSTOM_CONFIG.replace("linspace(0.0, 6.0, 5)", f"linspace(0.0, 6.0, {count})") + f"path = {out}\n")
+        limit = 256 << 20
+        child = subprocess.run(
+            [sys.executable, "-m", "kdcollide.cli", "run", str(cfg)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, f"custom: wrote {count} rows to {out}\n", "")
+        with open(out, encoding="utf-8") as lines:
+            assert next(lines) == "phi_c,skipped,delta_e_s,n_q_us,var_us_re,var_us_im\n"
+            assert sum(1 for _ in lines) == count
+        assert json.loads((tmp_path / "long.csv.meta.json").read_text())["rows"] == count
 
     def test_selftest_exit_code(self, capsys):
         assert main(["selftest"]) == 0

@@ -328,7 +328,7 @@ def test_fig7_columns_are_the_step_records():
         [float(step), r.q_s, r.q_a, r.w_s, r.w_a, r.delta_e_s, r.delta_e_a] for step, r in enumerate(records, start=1)
     ]
     assert table.header == ["step", "q_s", "q_a", "w_s", "w_a", "delta_e_s", "delta_e_a"]
-    assert table.rows == expected
+    assert np.array_equal(table.rows, expected)
 
 
 class TestSteadyState:

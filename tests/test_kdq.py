@@ -557,7 +557,7 @@ def config_rows(cfgs):
 
 def assert_stack_matches_per_config(cfgs, rho_s, quantities):
     # Every slice of each config-stack part equals the one-config views bit for bit.
-    parts = _operator_stacks(*config_rows(cfgs))
+    parts = list(_operator_stacks(*config_rows(cfgs)))
     assert sorted(np.concatenate([rows for rows, _, _ in parts]).tolist()) == list(range(len(cfgs)))
     for rows, slot, ops in parts:
         assert len({(cfgs[k].omega_s == 0.0, cfgs[k].omega_a == 0.0) for k in rows}) == 1
@@ -663,7 +663,7 @@ def test_config_rows_in_bounded_parts():
     distinct, which = config_rows(cfgs)
     phases = np.linspace(0.0, 2.0 * math.pi, len(cfgs))
     rho_s = model._system_states(model._StateArrays.build(rho11=0.25, r=0.4, phi_c=phases))
-    parts = _operator_stacks(distinct, which)
+    parts = list(_operator_stacks(distinct, which))
     assert sorted(np.concatenate([rows for rows, _, _ in parts]).tolist()) == list(range(len(cfgs)))
     assert [rows[0] for rows, _, _ in parts] == sorted(rows[0] for rows, _, _ in parts)
     structure = np.array([2 * (cfg.omega_s == 0.0) + (cfg.omega_a == 0.0) for cfg in cfgs])
@@ -679,6 +679,17 @@ def test_config_rows_in_bounded_parts():
             own = rows[members == k]
             assert_same_bits(matrix[members == k], kdq._kernel(kdq.USA, rho_s[own], cfgs[own[0]].operators)[0])
     assert sizes[0] == [model._PART_ROWS, model._PART_ROWS, np.count_nonzero(structure == 0) - 2 * model._PART_ROWS]
+
+
+def test_config_parts_build_operators_when_reached():
+    # The blocks are cut first; each part's `_stack` is built when the caller reaches the part.
+    cfgs = _MIXED_STACK[2][0]._arrays.replace(tau=np.linspace(0.1, 1.0, 2 * model._PART_ROWS + 1))
+    with mock.patch.object(model, "_stack", wraps=model._stack) as stack:
+        parts = _operator_stacks(cfgs)
+        rows, _, ops = next(parts)
+        assert stack.call_count == 1 and len(rows) == len(ops.u) == model._PART_ROWS
+        assert [len(rows) for rows, _, _ in parts] == [model._PART_ROWS, 1]
+        assert stack.call_count == 3
 
 
 def _assert_config_stack(rows):
