@@ -24,6 +24,9 @@ from .model import IDENTITY_2, ModelConfig, Operators, _ConfigArrays, _operator_
 
 # The fixed point is unique when S - I has a second-smallest singular value above this.
 _UNIQUENESS_BOUND = 1e-12
+# I of the 4x4 maps, and the 2x2 identity as the vector the steady state is projected from.
+_EYE_4 = np.eye(4)
+_IDENTITY_VECTOR = IDENTITY_2.ravel()
 
 
 def collision_unitary(cfg: ModelConfig) -> np.ndarray:
@@ -237,12 +240,14 @@ def find_steady_state(cfg: ModelConfig, tol: float = 1e-12) -> SteadyStateResult
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
     # Trace preservation gives S - I's population diagonal without cancellation.
-    s_minus_i = s - np.eye(4)
+    s_minus_i = s - _EYE_4
     s_minus_i[0, 0], s_minus_i[3, 3] = -s[3, 0], -s[0, 3]
     _, singular, vh = np.linalg.svd(s_minus_i)
-    null = vh[min(np.count_nonzero(singular > _UNIQUENESS_BOUND), 3):]
-    rho = (null.conj().T @ (null @ IDENTITY_2.ravel())).reshape(2, 2)
-    rho = 0.5 * (rho + dag(rho)) / np.trace(rho).real
+    # The singular values descend; counting among the first three keeps at least one null vector.
+    singular = singular.tolist()
+    null = vh[sum(value > _UNIQUENESS_BOUND for value in singular[:3]) :]
+    rho = (null.conj().T @ (null @ _IDENTITY_VECTOR)).reshape(2, 2)
+    rho = 0.5 * (rho + rho.conj().T) / (rho[0, 0] + rho[1, 1]).real
     residual = trace_distance(rho, collide_once(rho, cfg)[0])
-    converged = singular[-2] > _UNIQUENESS_BOUND and residual <= 10.0 * tol
-    return SteadyStateResult(rho, 0, residual, bool(converged))
+    converged = singular[2] > _UNIQUENESS_BOUND and residual <= 10.0 * tol
+    return SteadyStateResult(rho, 0, residual, converged)

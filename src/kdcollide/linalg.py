@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,32 +68,21 @@ def _powers(s: np.ndarray, rho_s0: np.ndarray, n: int) -> np.ndarray:
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2)||a - b||_1 for Hermitian a, b."""
+    """Trace distance (1/2)||a - b||_1 of two 2x2 Hermitian matrices, in closed form.
+
+    d = a - b has eigenvalues m -+ r, m = (d00 + d11)/2 and
+    r = hypot((d00 - d11)/2, |d10|), so the distance is max(|m|, r).  Like
+    `np.linalg.eigvalsh`, it reads the real diagonal and the lower triangle;
+    a NaN there gives NaN.
+    """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    # Relative to the matrix scale so the predicate works in any unit system.
-    scale = float(np.max(np.abs(m)))
-    return bool(np.max(np.abs(m - dag(m))) <= tol * scale) if scale > 0.0 else True
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= tol)
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return psd_floor(m) >= -tol
-
-
-def trace_one(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(abs(np.trace(m) - 1.0) <= tol)
-
-
-def is_density_matrix(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return is_hermitian(m, tol) and is_psd(m, tol) and trace_one(m, max(tol, 1e-12))
+    if a.shape != (2, 2):
+        raise ValueError(f"trace_distance takes 2x2 matrices, got {a.shape}")
+    (d00, _), (d10, d11) = (a - b).tolist()
+    d00, d11 = d00.real, d11.real
+    m, r = 0.5 * (d00 + d11), math.hypot(0.5 * (d00 - d11), abs(d10))
+    return math.nan if math.isnan(m) or math.isnan(r) else max(abs(m), r)
 
 
 def psd_floor(m: np.ndarray) -> float:
@@ -141,6 +131,16 @@ def group_levels(energies: np.ndarray) -> tuple[tuple[float, ...], np.ndarray]:
     return tuple(levels), index
 
 
+def _hermitian(m: np.ndarray, caller: str) -> np.ndarray:
+    """``m`` as a complex array; `ValueError` unless it equals its conjugate transpose to 1e-10 of its largest entry."""
+    m = np.asarray(m, dtype=complex)
+    # Relative to the matrix scale so the check works in any unit system.
+    scale = float(np.max(np.abs(m)))
+    if scale > 0.0 and not np.max(np.abs(m - dag(m))) <= 1e-10 * scale:
+        raise ValueError(f"{caller} requires a Hermitian matrix")
+    return m
+
+
 def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition with degenerate eigenvalues grouped.
 
@@ -148,10 +148,7 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     degenerate levels are grouped regardless of the overall energy scale;
     see `group_levels`.
     """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = np.linalg.eigh(_hermitian(m, "eig_hermitian"))
     evecs = evecs[:, ::-1]
     levels, index = group_levels(evals[::-1])
     blocks = (evecs[:, index == level] for level in range(len(levels)))
@@ -164,9 +161,6 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float, hbar: float = 1.0) -> np.n
     The package's propagators are closed forms (`model`); this generic one is
     their test reference.
     """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("unitary_from_hamiltonian requires a Hermitian matrix")
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(_hermitian(h, "unitary_from_hamiltonian"))
     phases = np.exp(-1j * evals * t / hbar)
     return (evecs * phases) @ evecs.conj().T

@@ -9,13 +9,21 @@ this form reads all sixteen.
 `csv_text` is the CSV text of a table as one ``%`` call per row, every cell
 a Python float under ``%.17g``; `cli.write_csv` formats each distinct value
 of a column once instead.
+
+`steady_state` is `collision.find_steady_state` with its per-call
+constructions (a fresh ``np.eye(4)``, ``np.count_nonzero``, ``np.trace``)
+and `eigvalsh_trace_distance`, the trace distance from ``eigvalsh`` of any
+Hermitian difference, where `linalg.trace_distance` has a 2x2 closed form.
+
+`is_hermitian`, `is_unitary`, `is_psd`, `trace_one` and `is_density_matrix`
+are the state and operator predicates the tests assert with.
 """
 
 import numpy as np
 
-from kdcollide import kdq
-from kdcollide.linalg import dag, tensor
-from kdcollide.model import SIGMA_X
+from kdcollide import collision, kdq
+from kdcollide.linalg import dag, psd_floor, tensor
+from kdcollide.model import IDENTITY_2, SIGMA_X
 
 
 def dense_kernel(quantity, rho_s, ops, unitary=None):
@@ -47,3 +55,44 @@ def csv_text(header, rows):
     lines = [",".join(header)]
     lines.extend(row_format % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
+
+
+def eigvalsh_trace_distance(a, b):
+    """(1/2)||a - b||_1 of two Hermitian matrices of any size, from the eigenvalues of a - b."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def steady_state(cfg, tol=1e-12):
+    """`collision.find_steady_state` with the identity built per call and an `eigvalsh` residual distance."""
+    s = collision._channel(collision.collision_unitary(cfg), cfg.operators.rho_a)
+    s_minus_i = s - np.eye(4)
+    s_minus_i[0, 0], s_minus_i[3, 3] = -s[3, 0], -s[0, 3]
+    _, singular, vh = np.linalg.svd(s_minus_i)
+    null = vh[min(np.count_nonzero(singular > collision._UNIQUENESS_BOUND), 3) :]
+    rho = (null.conj().T @ (null @ IDENTITY_2.ravel())).reshape(2, 2)
+    rho = 0.5 * (rho + dag(rho)) / np.trace(rho).real
+    residual = eigvalsh_trace_distance(rho, collision.collide_once(rho, cfg)[0])
+    converged = singular[-2] > collision._UNIQUENESS_BOUND and residual <= 10.0 * tol
+    return collision.SteadyStateResult(rho, 0, residual, bool(converged))
+
+
+def is_hermitian(m, tol=1e-10):
+    # Relative to the matrix scale so the predicate works in any unit system.
+    scale = float(np.max(np.abs(m)))
+    return bool(np.max(np.abs(m - dag(m))) <= tol * scale) if scale > 0.0 else True
+
+
+def is_unitary(m, tol=1e-12):
+    return bool(np.max(np.abs(dag(m) @ m - np.eye(m.shape[0]))) <= tol)
+
+
+def is_psd(m, tol=1e-10):
+    return psd_floor(m) >= -tol
+
+
+def trace_one(m, tol=1e-12):
+    return bool(abs(np.trace(m) - 1.0) <= tol)
+
+
+def is_density_matrix(m, tol=1e-10):
+    return is_hermitian(m, tol) and is_psd(m, tol) and trace_one(m, max(tol, 1e-12))

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import admissible_cases, random_case, random_density_matrix
+from conftest import admissible_cases, assert_same_bits, random_case, random_density_matrix
+from references import is_density_matrix, steady_state
 from kdcollide import analytic, kdq, model, smalltau
 from kdcollide.cli import ExperimentSpec, fig7_config, run
 from kdcollide.collision import (
@@ -19,14 +20,7 @@ from kdcollide.collision import (
     evolve,
     find_steady_state,
 )
-from kdcollide.linalg import (
-    dag,
-    is_density_matrix,
-    psd_floor,
-    tensor,
-    trace_distance,
-    unitary_from_hamiltonian,
-)
+from kdcollide.linalg import dag, psd_floor, tensor, trace_distance, unitary_from_hamiltonian
 from kdcollide.model import (
     MODE_WEAK,
     ModelConfig,
@@ -390,3 +384,18 @@ def test_steady_state_is_the_fixed_point(case):
         for _ in range(400):
             rho, _ = collide_once(rho, cfg)
         assert trace_distance(rho, result.state) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=admissible_cases())
+@example(case=(resonant_cfg(g=1.0, tau=0.0, lam=0.1), None))
+@example(case=(resonant_cfg(g=1.0, tau=math.pi, lam=0.1), None))
+def test_steady_state_matches_the_reference_solve(case):
+    # The same SVD and projection give the same bits; only the residual's
+    # distance formula differs (closed form against eigvalsh), in its last bits.
+    cfg, _ = case
+    result, reference = find_steady_state(cfg), steady_state(cfg)
+    assert_same_bits(result.state, reference.state)
+    assert result.converged == reference.converged
+    assert result.iterations == 0
+    assert abs(result.residual - reference.residual) <= 1e-16

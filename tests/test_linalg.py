@@ -1,25 +1,22 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_hermitian
+from references import eigvalsh_trace_distance, is_density_matrix, is_hermitian, is_psd, is_unitary, trace_one
 from kdcollide.linalg import (
     commutator,
     dag,
     eig_hermitian,
     group_levels,
-    is_density_matrix,
-    is_hermitian,
-    is_psd,
-    is_unitary,
     partial_trace,
     psd_floor,
     tensor,
     trace_distance,
-    trace_one,
     unitary_from_hamiltonian,
 )
 from kdcollide.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -196,6 +193,9 @@ class TestTraceDistance:
 
         rho = random_density_matrix(rng)
         assert trace_distance(rho, rho) == 0.0
+        for _ in range(200):
+            a = 10.0 ** rng.uniform(-300.0, 300.0) * random_hermitian(rng, 2)
+            assert trace_distance(a, a.copy()) == 0.0
 
     def test_orthogonal_pure_states(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -203,13 +203,55 @@ class TestTraceDistance:
         assert abs(trace_distance(p0, p1) - 1.0) < 1e-14
 
     def test_symmetric(self, rng):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        assert trace_distance(a, b) == trace_distance(b, a)
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            a, b = scale * random_hermitian(rng, 2), scale * random_hermitian(rng, 2)
+            assert trace_distance(a, b) == trace_distance(b, a)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match=re.escape("dimension mismatch: (2, 2) vs (4, 4)")):
             trace_distance(np.eye(2), np.eye(4))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 3), (2,), (2, 2, 2)])
+    def test_rejects_all_but_2x2(self, shape):
+        a = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(f"trace_distance takes 2x2 matrices, got {shape}")):
+            trace_distance(a, a)
+
+    def test_closed_form_matches_eigvalsh_across_scales(self, rng):
+        # Hermitian pairs from 1e-300 to 1e300, every third one a close pair.
+        for k in range(3000):
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            a = scale * random_hermitian(rng, 2)
+            b = a + scale * 1e-8 * random_hermitian(rng, 2) if k % 3 == 0 else scale * random_hermitian(rng, 2)
+            expected = eigvalsh_trace_distance(a, b)
+            assert abs(trace_distance(a, b) - expected) <= 1e-15 * expected
+
+    def test_closed_form_is_within_two_ulps_of_the_exact_distance(self, rng):
+        # max(|m|, r) of d in 60 digits; eigvalsh itself is off by up to
+        # about 1e-15, so this is the sharper check.
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            d = scale * random_hermitian(rng, 2)
+            with mpmath.workdps(60):
+                d00, d11 = mpmath.mpf(d[0, 0].real), mpmath.mpf(d[1, 1].real)
+                r = mpmath.sqrt(((d00 - d11) / 2) ** 2 + mpmath.mpf(d[1, 0].real) ** 2 + mpmath.mpf(d[1, 0].imag) ** 2)
+                exact = max(abs(d00 + d11) / 2, r)
+                assert abs(trace_distance(d, np.zeros((2, 2))) - exact) <= 2.0 * np.finfo(float).eps * exact
+
+    def test_reads_the_real_diagonal_and_the_lower_triangle(self, rng):
+        a = random_hermitian(rng, 2)
+        b = a.copy()
+        b[0, 1] += 5.0 + 3.0j
+        b[0, 0] += 2.0j
+        assert trace_distance(a, b) == 0.0
+        assert trace_distance(a, b) == eigvalsh_trace_distance(a, b)
+
+    def test_nan_gives_nan(self):
+        for index in [(0, 0), (1, 0), (1, 1)]:
+            a = np.eye(2, dtype=complex)
+            a[index] = math.nan
+            assert math.isnan(trace_distance(a, np.zeros((2, 2))))
 
 
 class TestPredicates:

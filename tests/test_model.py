@@ -12,17 +12,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, assert_same_bits
+from references import is_density_matrix, is_hermitian
 from kdcollide import model
 from kdcollide.cli import HBAR_SI, ExperimentSpec, fig7_config, parse_config, run
 from kdcollide.collision import evolve, find_steady_state
-from kdcollide.linalg import (
-    commutator,
-    group_levels,
-    is_density_matrix,
-    is_hermitian,
-    tensor,
-    unitary_from_hamiltonian,
-)
+from kdcollide.linalg import commutator, group_levels, tensor, unitary_from_hamiltonian
 from kdcollide.model import (
     IDENTITY_2,
     MODE_WEAK,

@@ -1,7 +1,11 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
+
+from kdcollide.collision import find_steady_state
+from kdcollide.model import ModelConfig
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
 _SPEC = importlib.util.spec_from_file_location("outputs", _TOOL)
@@ -50,3 +54,16 @@ def test_compare_of_equal_directories_succeeds(tmp_path, capsys):
 def test_usage(argv, capsys):
     assert outputs.main(argv) == 2
     assert capsys.readouterr().err.startswith("usage: python3 tools/outputs.py SRC OUT")
+
+
+def test_steady_lists_each_trajectory_solve(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs.write_steady({**os.environ, "PYTHONPATH": str(src)}, tmp_path)
+    lines = (tmp_path / "steady.txt").read_text(encoding="utf-8").splitlines()
+    cfgs = [cfg for seeded in outputs.inputs("trajectory") for cfg in seeded["solves"]]
+    assert len(lines) == len(cfgs) == 300
+    for line, cfg in zip(lines, cfgs):
+        result = find_steady_state(ModelConfig(**cfg))
+        *parts, converged = line.split(" ")
+        assert parts == ["%.17g" % x for z in result.state.ravel().tolist() for x in (z.real, z.imag)]
+        assert converged == str(result.converged)

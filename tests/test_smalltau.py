@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import admissible_cases, assert_same_bits, random_case, random_density_matrix, system_states
+from references import is_hermitian
 from kdcollide import kdq, smalltau
 from kdcollide.cli import HBAR_SI
-from kdcollide.linalg import eig_hermitian, is_hermitian, psd_floor, trace_distance
+from kdcollide.linalg import eig_hermitian, psd_floor, trace_distance
 from kdcollide.model import (
     MODE_WEAK,
     SIGMA_X,

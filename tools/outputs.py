@@ -12,7 +12,11 @@ process importing from SRC only:
 - ``tests/golden/custom.cfg``;
 - the custom sweep of the ``config_sweep`` benchmark workload at seeds 1 to
   3, its config text from ``benchmarks/workloads.generate``;
-- the ``selftest`` lines, in ``selftest.txt``.
+- the ``selftest`` lines, in ``selftest.txt``;
+- the 100 ``find_steady_state`` solves of the ``trajectory`` benchmark
+  workload at seeds 1 to 3, in ``steady.txt``: one line per solve with the
+  real and imaginary part of each of the state's four entries under
+  ``%.17g``, then ``converged``.
 
 Every CSV lands in OUT with its ``.meta.json``.  Two copies of the sources
 give the same outputs when ``diff -r`` finds no difference between their
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import re
@@ -41,6 +46,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# Solves each config of a JSON list on stdin and prints one steady.txt line per solve.
+STEADY = """
+import json, sys
+from kdcollide.collision import find_steady_state
+from kdcollide.model import ModelConfig
+for cfg in json.load(sys.stdin):
+    result = find_steady_state(ModelConfig(**cfg))
+    parts = ["%.17g" % x for z in result.state.ravel().tolist() for x in (z.real, z.imag)]
+    print(*parts, result.converged)
+"""
 USAGE = "usage: python3 tools/outputs.py SRC OUT\n       python3 tools/outputs.py --compare OUT_A OUT_B"
 
 
@@ -89,6 +104,23 @@ def compare(out_a: Path, out_b: Path) -> int:
     return status
 
 
+def inputs(workload: str) -> list[dict]:
+    """The inputs of a benchmark workload at each seed of SEEDS (`benchmarks/workloads.generate`)."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from workloads import generate
+
+    return [generate(workload, seed) for seed in SEEDS]
+
+
+def write_steady(env: dict[str, str], out: Path) -> None:
+    """Write ``steady.txt`` into OUT from a fresh process run under ``env``."""
+    cfgs = [cfg for seeded in inputs("trajectory") for cfg in seeded["solves"]]
+    with open(out / "steady.txt", "w", encoding="utf-8") as lines:
+        subprocess.run(
+            [sys.executable, "-c", STEADY], input=json.dumps(cfgs), text=True, env=env, cwd=out, stdout=lines, check=True
+        )
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(Path(argv[1]), Path(argv[2]))
@@ -112,15 +144,13 @@ def main(argv: list[str]) -> int:
         cli("preset", "fig7", "--collisions", str(collisions), "--out", f"fig7_collisions{collisions}.csv")
     cli("run", str(ROOT / "tests" / "golden" / "custom.cfg"), "--out", "custom.csv")
 
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    from workloads import generate
-
-    for seed in SEEDS:
+    for seed, sweep in zip(SEEDS, inputs("config_sweep")):
         config = out / f"config_sweep_seed{seed}.cfg"
-        config.write_text(generate("config_sweep", seed)["runs"][0]["config"], encoding="utf-8")
+        config.write_text(sweep["runs"][0]["config"], encoding="utf-8")
         cli("run", config.name, "--out", f"config_sweep_seed{seed}.csv")
     with open(out / "selftest.txt", "w", encoding="utf-8") as lines:
         cli("selftest", stdout=lines)
+    write_steady(env, out)
     return 0
 
 
