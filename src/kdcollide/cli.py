@@ -330,57 +330,51 @@ def parse_config(text: str) -> ExperimentSpec:
 def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...], which: np.ndarray) -> np.ndarray:
     """The `_OUTPUTS` columns of ``outputs`` for a stack of states, state k under config ``which[k]`` of ``cfgs``.
 
-    Row k of the result is state k.  The outputs that read the KDQ kernel
-    stack the configs in parts by `model._operator_stacks`, and each
-    quantity takes one kernel call per part; each analytic output is one
-    oracle call over every row, with no operators.  The work/heat regime of
-    the configs is checked once: raises ValueError when the split is
-    undefined for a config, and warns once per kind.
+    Row k of the result is state k.  Each analytic output is one oracle call
+    over every row, with no operators.  The outputs that read the KDQ kernel
+    stack the configs in parts by `model._operator_stacks`: each part builds
+    the states of its own rows and takes one kernel call per quantity, and at
+    most one `kdq._moments` and one `kdq._witnesses` call of it.  The
+    work/heat regime of the configs is checked once: raises ValueError when
+    the split is undefined for a config, and warns once per kind.
     """
     bounds = np.cumsum([0] + [len(_OUTPUTS[name].columns) for name in outputs]).tolist()
-    columns = {name: slice(lo, hi) for name, lo, hi in zip(outputs, bounds[:-1], bounds[1:])}
     table = np.empty((len(states), bounds[-1]))
-    for name in outputs:
-        if _OUTPUTS[name].reads == "analytic":
-            # Looked up on the module at each call, so that wrappers installed there see the calls.
-            oracle = getattr(analytic, _OUTPUTS[name].source)
-            table[:, columns[name]] = np.array(oracle(cfgs.take(which), states), ndmin=2).T
-    kernel_outputs = [name for name in outputs if _OUTPUTS[name].reads != "analytic"]
-    if not kernel_outputs:
+    # Each KDQ quantity -> the (reads, columns) of the outputs that read it, in output order.
+    reads_of: dict[str, list[tuple[str, slice]]] = {}
+    row_cfgs = None
+    for name, lo, hi in zip(outputs, bounds[:-1], bounds[1:]):
+        reads, source, _ = _OUTPUTS[name]
+        if reads != "analytic":
+            reads_of.setdefault(source, []).append((reads, slice(lo, hi)))
+            continue
+        row_cfgs = cfgs.take(which) if row_cfgs is None else row_cfgs
+        # Looked up on the module at each call, so that wrappers installed there see the calls.
+        table[:, lo:hi] = np.array(getattr(analytic, source)(row_cfgs, states), ndmin=2).T
+    if not reads_of:
         return table
     if _reads_split(outputs):
         kdq._check_work_heat_regime(cfgs.take(np.unique(which)))
-    rho_s = _system_states(states)
     for rows, slot, ops in _operator_stacks(cfgs, which):
-        kernels: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        reduced: dict[tuple[str, str], tuple[np.ndarray, ...] | np.ndarray] = {}
-
-        def reduce(reducer: str, quantity: str):
-            # The stacked "moments" or "witnesses" of a quantity, each computed once.
-            if (reducer, quantity) not in reduced:
-                if quantity not in kernels:
-                    kernels[quantity] = kdq._kernel(quantity, rho_s[rows], ops, slot=slot)
-                matrix, levels = kernels[quantity]
-                stack = kdq._moments(matrix, levels) if reducer == "moments" else kdq._witnesses(matrix)
-                reduced[reducer, quantity] = stack
-            return reduced[reducer, quantity]
-
-        for name in kernel_outputs:
-            reads, quantity, _ = _OUTPUTS[name]
-            if reads == "mean":
-                mean = reduce("moments", quantity)[0]
-                # Physical averages are real; a visible imaginary part means the
-                # pipeline is broken, not that truncation is in order.
-                complex_rows = np.abs(mean.imag) > 1e-12 * np.maximum(1.0, np.abs(mean.real))
-                if complex_rows.any():
-                    raise RuntimeError(f"expected a real average, got {complex(mean[complex_rows][0])}")
-                values = [mean.real]
-            elif reads == "var":
-                variance = reduce("moments", quantity)[2]
-                values = [variance.real, variance.imag]
-            else:
-                values = [reduce("witnesses", quantity)[..., _WITNESSES.index(reads)]]
-            table[rows, columns[name]] = np.array(values).T
+        rho_s = _system_states(states.take(rows))
+        for quantity, pairs in reads_of.items():
+            matrix, levels = kdq._kernel(quantity, rho_s, ops, slot=slot)
+            needs = {reads for reads, _ in pairs}
+            mean, _, variance = kdq._moments(matrix, levels) if needs & {"mean", "var"} else (None,) * 3
+            witnesses = kdq._witnesses(matrix) if needs.intersection(_WITNESSES) else None
+            for reads, columns in pairs:
+                if reads == "mean":
+                    # Physical averages are real; a visible imaginary part means the
+                    # pipeline is broken, not that truncation is in order.
+                    complex_rows = np.abs(mean.imag) > 1e-12 * np.maximum(1.0, np.abs(mean.real))
+                    if complex_rows.any():
+                        raise RuntimeError(f"expected a real average, got {complex(mean[complex_rows][0])}")
+                    values = [mean.real]
+                elif reads == "var":
+                    values = [variance.real, variance.imag]
+                else:
+                    values = [witnesses[..., _WITNESSES.index(reads)]]
+                table[rows, columns] = np.array(values).T
     return table
 
 

@@ -86,8 +86,13 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def psd_floor(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part; negative values measure PSD violation."""
-    return float(np.min(np.linalg.eigvalsh(0.5 * (m + dag(m)))))
+    """Smallest eigenvalue of the Hermitian part; negative values measure PSD violation.
+
+    NaN when the Hermitian part holds a NaN: `eigvalsh` reads one triangle, and
+    gives finite eigenvalues for a NaN on the diagonal.
+    """
+    hermitian = 0.5 * (m + dag(m))
+    return math.nan if np.isnan(hermitian).any() else float(np.min(np.linalg.eigvalsh(hermitian)))
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |0><1|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
+# The excitation swap s+ s- + s- s+ on the joint space; read-only, because every coupling shares it.
+SWAP = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)
+SWAP.setflags(write=False)
 
 MODE_EXACT = "exact"
 MODE_WEAK = "weakly_coherent"
@@ -233,36 +236,33 @@ class _StateQuantities:
 class _Arrays:
     """M parameter sets, each float field a length-M array: a row of ``values``.
 
-    ``LABELS`` name the non-float columns, which `build` passes to the
-    constructor and `replace` keeps.
+    ``LABELS`` name the non-float columns, each broadcast to the row count,
+    which `of` reads off the objects, `take` indexes and `replace` keeps.
     """
 
     FIELDS: tuple[str, ...] = ()
     LABELS: tuple[str, ...] = ()
     _xp = _ARRAY
 
-    def __init__(self, values: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray, **labels) -> None:
         self.values = values
         for name, row in zip(self.FIELDS, values):
             setattr(self, name, row)
+        for name in self.LABELS:
+            setattr(self, name, np.broadcast_to(labels[name], values.shape[1:]))
 
     def __len__(self) -> int:
         return self.values.shape[1]
 
     @classmethod
-    def _field_values(cls, objects: Sequence) -> np.ndarray:
-        """The fields of ``objects`` as read-only rows."""
+    def of(cls, objects: Sequence):
+        """The parameter arrays of one-object parameter sets, one row each; the float fields read-only."""
         values = np.array([[getattr(o, name) for name in cls.FIELDS] for o in objects], dtype=float).T
         values.setflags(write=False)
-        return values
-
-    @classmethod
-    def of(cls, objects: Sequence):
-        """The parameter arrays of one-object parameter sets, one row each."""
-        return cls(cls._field_values(objects))
+        return cls(values, **{name: np.array([getattr(o, name) for o in objects]) for name in cls.LABELS})
 
     def take(self, rows):
-        return type(self)(self.values[:, rows])
+        return type(self)(self.values[:, rows], **{name: getattr(self, name)[rows] for name in self.LABELS})
 
     def replace(self, **changes):
         """These rows with the given fields replaced, each broadcast to one length by `build`; unchecked."""
@@ -296,17 +296,6 @@ class _ConfigArrays(_Arrays, _ConfigQuantities):
 
     FIELDS = ("omega_s", "omega_a", "g", "tau", "beta", "lam", "lam_tilde", "hbar")
     LABELS = ("mode",)
-
-    def __init__(self, values: np.ndarray, mode) -> None:
-        super().__init__(values)
-        self.mode = np.broadcast_to(mode, values.shape[1:])
-
-    @classmethod
-    def of(cls, cfgs: Sequence[ModelConfig]) -> _ConfigArrays:
-        return cls(cls._field_values(cfgs), np.array([cfg.mode for cfg in cfgs]))
-
-    def take(self, rows) -> _ConfigArrays:
-        return _ConfigArrays(self.values[:, rows], self.mode[rows])
 
 
 class _StateArrays(_Arrays, _StateQuantities):
@@ -410,9 +399,7 @@ def build_hamiltonians(
     """
     h_s = 0.5 * cfg.hbar * cfg.omega_s * SIGMA_Z
     h_a = 0.5 * cfg.hbar * cfg.omega_a * SIGMA_Z
-    h_int = cfg.hbar * cfg.g * (
-        tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)
-    )
+    h_int = cfg.hbar * cfg.g * SWAP
     scale = 1.0 / math.sqrt(cfg.tau) if cfg.is_weak else 1.0
     h_sa = tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a) + scale * h_int
     return h_s, h_a, h_int, h_sa
@@ -460,7 +447,7 @@ class Operators(NamedTuple):
     the local levels in descending order and ``index_*`` the level of each
     local basis state (the `linalg.group_levels` of diag(H_S), diag(H_A)).
     chi_A is `SIGMA_X` for every config; `smalltau`, the one reader of the
-    coupling hbar*g*(s+ s- + s- s+) and of hbar*g*chi_A, forms them itself.
+    coupling hbar*g*`SWAP` and of hbar*g*chi_A, forms them itself.
     """
 
     u: np.ndarray

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _powers, commutator, dag, partial_trace, tensor
-from .model import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, ModelConfig, _ConfigArrays, _operator_stacks
-
-_SWAP = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)  # s+ s- + s- s+ on the joint space
+from .model import IDENTITY_2, SIGMA_X, SWAP, ModelConfig, _ConfigArrays, _operator_stacks
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ def _require_weak(cfg: ModelConfig) -> None:
 
 def _coupling(cfg: ModelConfig) -> np.ndarray:
     """H_int = hbar*g*(s+ s- + s- s+), with the arithmetic of `model.build_hamiltonians`."""
-    return (cfg.hbar * cfg.g) * _SWAP
+    return (cfg.hbar * cfg.g) * SWAP
 
 
 def coherent_correction_G(cfg: ModelConfig) -> np.ndarray:

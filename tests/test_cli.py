@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kdcollide import cli
+from kdcollide import analytic, cli, kdq, model
 from kdcollide.cli import (
     ConfigError,
     ExperimentSpec,
@@ -214,6 +214,39 @@ class TestCustomRun:
         copied_table = cli._table(spec, grid, spec.sweep, [skipped, copied], table.header[1:], table.meta)
         write_csv(copied_table, tmp_path / "copied.csv")
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "copied.csv").read_bytes()
+
+    def test_each_part_builds_only_its_own_states(self, monkeypatch):
+        # The evaluator builds the 2x2 states of one part of the configs at a
+        # time, never a stack of the whole sweep; the parts give the same bits.
+        spec = parse_config(CUSTOM_CONFIG.replace("linspace(0.0, 6.0, 5)", "linspace(0.0, 6.0, 200)"))
+        whole = run(spec).rows
+        sizes = []
+
+        def recorded(states):
+            sizes.append(len(states))
+            return system_states(states)
+
+        system_states = cli._system_states
+        monkeypatch.setattr(model, "_PART_ROWS", 64)
+        monkeypatch.setattr(cli, "_system_states", recorded)
+        assert np.array_equal(run(spec).rows, whole)
+        assert sizes == [64, 64, 64, 8]
+
+    def test_one_kernel_and_reduction_call_per_quantity_and_part(self, monkeypatch):
+        outputs = "delta_e_s, var_us, n_q_us, n_re_us, analytic_delta_e_s, analytic_delta_e_sa"
+        text = CUSTOM_CONFIG.replace("linspace(0.0, 6.0, 5)", "linspace(0.0, 6.0, 200)")
+        spec = parse_config(text.replace("delta_e_s, n_q_us, var_us", outputs))
+        monkeypatch.setattr(model, "_PART_ROWS", 64)
+        calls = {}
+        for module, name in [(kdq, "_kernel"), (kdq, "_moments"), (kdq, "_witnesses"),
+                             (analytic, "_delta_e_s"), (analytic, "_delta_e_sa")]:
+            calls[name] = mock.Mock(wraps=getattr(module, name))
+            monkeypatch.setattr(module, name, calls[name])
+        assert len(run(spec).rows) == 200
+        assert [c.args[0] for c in calls["_kernel"].call_args_list] == ["us"] * 4
+        assert calls["_moments"].call_count == calls["_witnesses"].call_count == 4
+        (oracle_s,), (oracle_sa,) = calls["_delta_e_s"].call_args_list, calls["_delta_e_sa"].call_args_list
+        assert oracle_s.args[0] is oracle_sa.args[0]
 
     def test_empty_sweep_single_row(self):
         text = CUSTOM_CONFIG.replace("[sweep]\nphi_c = linspace(0.0, 6.0, 5)\n", "")
@@ -690,6 +723,13 @@ class TestMain:
         out = tmp_path / f"{preset}.csv"
         assert main(["preset", preset, "--out", str(out), "--points", str(2**62)]) == 1
         assert capsys.readouterr().err == f"error: {2**62} points are too many to evaluate\n"
+        assert not out.exists()
+
+    def test_oversized_chain_fails_in_process(self, tmp_path, capsys):
+        # NumPy refuses the states of 10**18 collisions before it allocates them.
+        out = tmp_path / "fig7.csv"
+        assert main(["preset", "fig7", "--collisions", str(10**18), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {10**18} collisions are too many to evaluate\n"
         assert not out.exists()
 
     def test_oversized_chain_fails_with_size(self, tmp_path):

@@ -265,5 +265,15 @@ class TestPredicates:
         assert is_density_matrix(rho)
         assert not is_hermitian(rho + 1e-3 * np.array([[0, 1], [0, 0]]))
 
-    def test_psd_floor(self):
+    def test_psd_floor(self, rng):
         assert psd_floor(np.diag([1.0, -0.25]).astype(complex)) == -0.25
+        for dim in (2, 4):
+            m = random_hermitian(rng, dim) + 0.3 * rng.standard_normal((dim, dim))
+            assert psd_floor(m) == float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+
+    @pytest.mark.parametrize(
+        "m", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.nan]], [[1.0, 0.0], [np.nan, 1.0]]]
+    )
+    def test_psd_floor_of_a_nan_matrix_is_nan(self, m):
+        # A NaN state must not read as a PSD pass; eigvalsh alone gives [0, -0] for a NaN diagonal entry.
+        assert math.isnan(psd_floor(np.array(m, dtype=complex)))

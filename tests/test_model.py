@@ -393,6 +393,20 @@ class TestMessages:
         assert str(info.value) == message
         assert state_arrays([{**_STATE_BASE, **kwargs}, _STATE_BASE]).errors() == {0: message}
 
+    def test_checked_raises_the_first_rejected_row(self):
+        cfgs = model._ConfigArrays.build(**{**_CONFIG_BASE, "g": [1.0, -1.0]})
+        with pytest.raises(ValueError, match="^coupling g must be positive$"):
+            cfgs.checked()
+        assert cfgs.take([0]).checked().g.tolist() == [1.0]
+
+
+def test_labels_ride_of_and_take():
+    cfgs = model._ConfigArrays.of([ModelConfig(**{**_CONFIG_BASE, "g": g}) for g in (1.0, 2.0)])
+    assert cfgs.mode.tolist() == ["exact", "exact"]
+    weak = cfgs.replace(mode=["exact", MODE_WEAK]).take([1, 1, 0])
+    assert (weak.mode.tolist(), weak.g.tolist()) == ([MODE_WEAK, MODE_WEAK, "exact"], [2.0, 2.0, 1.0])
+    assert model._StateArrays.of([SystemStateParams(0.5)]).take([0, 0]).rho11.tolist() == [0.5, 0.5]
+
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
