@@ -35,7 +35,7 @@ per distinct model config (`model._ConfigArrays`) and one per grid point
 (`model._StateArrays`), whose checks are masks.  A custom run skips a row
 with the reason of its model config, else of its state, else of the first
 quantity undefined for its config (`validate` fails when every row would be
-skipped), and evaluates the others in one call over the stack of configs
+skipped), and evaluates the kept rows of the grid's own arrays in one call
 (`_evaluate`, shared with fig1 to fig4, which computes each analytic output
 as one call of the array oracle, and checks the work/heat regime once, so
 a sweep warns at most once per kind).  One table, `_OUTPUTS`, gives what
@@ -51,9 +51,10 @@ axis, then its value columns.
 A run's table holds its rows as one float array (`ResultTable`), which
 `write_csv` writes in blocks of rows.  Output is a deterministic CSV (17
 significant digits, no timestamps) plus a ``<path>.meta.json`` sidecar with
-the run parameters; for custom runs it also counts the skipped rows per
-reason in row order (``skip_reasons``, the row's numbers in the message
-masked as ``<x>``).
+the run parameters, encoded to its open file; for custom runs it also
+counts the skipped rows per reason in row order (``skip_reasons``, the row's
+numbers in the message masked as ``<x>``).  A write that fails leaves
+neither file.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class ExperimentSpec:
     preset: str
     cfg: ModelConfig | None
     state: SystemStateParams | None
-    sweep: tuple[tuple[str, tuple[float, ...]], ...] = ()
+    sweep: tuple[tuple[str, np.ndarray], ...] = ()  # (config key, read-only float64 values)
     outputs: tuple[str, ...] = ()
     out_path: str | None = None
     points: int = 512
@@ -167,41 +168,54 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
     formats each of its distinct 64-bit patterns once (so -0.0 and 0.0 stay
     apart) and enters the row format as strings; a column without a repeat
     stays floats under ``%.17g``.  ``table.rows`` may also be any sequence of
-    rows that NumPy turns into such an array.
+    rows that NumPy turns into such an array.  The sidecar is written as it is
+    encoded.  A write that raises first removes the files it opened.
     """
     path = Path(path)
     rows = np.asarray(table.rows, dtype=float)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(table.header) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            cells, formats = [], []
-            for column in rows[start : start + _CSV_BLOCK_ROWS].T:
-                # Bit patterns, not values; as int64, the index sort of `model._operator_stacks`, so that no
-                # more of NumPy's sort code is paged in.  With an inverse, `np.unique` leaves `numpy.ma` unimported.
-                distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-                if len(distinct) == len(column):
-                    cells.append(column.tolist())
-                    formats.append("%.17g")
-                else:
-                    text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
-                    cells.append(text[index].tolist())
-                    formats.append("%s")
-            # "%.17g" % v is format(float(v), ".17g") for every float, nan and inf included.
-            row_format = ",".join(formats) + "\n"
-            out.write("".join([row_format % row for row in zip(*cells)]))
-    meta = dict(table.meta)
-    meta["columns"] = table.header
-    meta["rows"] = len(rows)
-    meta["tool"] = "kdcollide"
-    meta["version"] = __version__
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    meta = {**table.meta, "columns": table.header, "rows": len(rows), "tool": "kdcollide", "version": __version__}
+    opened: list[Path] = []
+
+    def create(target: Path):
+        out = open(target, "w", encoding="utf-8")
+        opened.append(target)
+        return out
+
+    try:
+        with create(path) as out:
+            out.write(",".join(table.header) + "\n")
+            for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+                cells, formats = [], []
+                for column in rows[start : start + _CSV_BLOCK_ROWS].T:
+                    # Bit patterns, not values; as int64, the index sort of `model._operator_stacks`, so that no
+                    # more of NumPy's sort code is paged in.  With an inverse, `np.unique` leaves `numpy.ma` unimported.
+                    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+                    if len(distinct) == len(column):
+                        cells.append(column.tolist())
+                        formats.append("%.17g")
+                    else:
+                        text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
+                        cells.append(text[index].tolist())
+                        formats.append("%s")
+                # "%.17g" % v is format(float(v), ".17g") for every float, nan and inf included.
+                row_format = ",".join(formats) + "\n"
+                out.write("".join([row_format % row for row in zip(*cells)]))
+        with create(Path(f"{path}.meta.json")) as out:
+            # With an indent, `json.dump` and `json.dumps` share one pure-Python encoder: the same bytes.
+            json.dump(meta, out, indent=2, sort_keys=True)
+            out.write("\n")
+    except BaseException:
+        for target in opened:
+            target.unlink(missing_ok=True)
+        raise
 
 
 # --------------------------------------------------------------------------
 # config parsing
 
 
-def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
+def _parse_grid(raw: str, lineno: int) -> np.ndarray:
+    """A ``[sweep]`` value, ``linspace(start, stop, count)`` or listed values, as one read-only float64 array."""
     raw = raw.strip()
     if raw.startswith("linspace(") and raw.endswith(")"):
         inner = raw[len("linspace(") : -1]
@@ -214,14 +228,15 @@ def _parse_grid(raw: str, lineno: int) -> tuple[float, ...]:
             raise ConfigError(f"line {lineno}: bad linspace arguments: {exc}") from exc
         if count < 1:
             raise ConfigError(f"line {lineno}: linspace count must be >= 1")
-        grid = tuple(float(v) for v in _linspace(start, stop, count, where=f"line {lineno}: "))
+        grid = _linspace(start, stop, count, where=f"line {lineno}: ")
     else:
         try:
-            grid = tuple(float(p) for p in raw.split(","))
+            grid = np.array([float(p) for p in raw.split(",")])
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad grid value: {exc}") from exc
-    if not all(math.isfinite(v) for v in grid):
+    if not np.isfinite(grid).all():
         raise ConfigError(f"line {lineno}: sweep grid must be finite")
+    grid.flags.writeable = False
     return grid
 
 
@@ -327,35 +342,38 @@ def parse_config(text: str) -> ExperimentSpec:
 # evaluation and custom sweep execution
 
 
-def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...], which: np.ndarray) -> np.ndarray:
-    """The `_OUTPUTS` columns of ``outputs`` for a stack of states, state k under config ``which[k]`` of ``cfgs``.
+def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...], which, kept) -> np.ndarray:
+    """The `_OUTPUTS` columns of ``outputs`` for rows ``kept`` of a stack of states, state k under config ``which[k]``.
 
-    Row k of the result is state k.  Each analytic output is one oracle call
-    over every row, with no operators.  The outputs that read the KDQ kernel
-    stack the configs in parts by `model._operator_stacks`: each part builds
-    the states of its own rows and takes one kernel call per quantity, and at
-    most one `kdq._moments` and one `kdq._witnesses` call of it.  The
-    work/heat regime of the configs is checked once: raises ValueError when
-    the split is undefined for a config, and warns once per kind.
+    Row k of the result is state k, NaN unless k is in ``kept``.  Each analytic
+    output is one oracle call over the kept rows, with no operators.  The
+    outputs that read the KDQ kernel stack the kept rows' configs in parts by
+    `model._operator_stacks`: each part builds the states of its own rows and
+    takes one kernel call per quantity, and at most one `kdq._moments` and one
+    `kdq._witnesses` call of it.  The work/heat regime of those configs is
+    checked once: raises ValueError when the split is undefined for a config,
+    and warns once per kind.
     """
     bounds = np.cumsum([0] + [len(_OUTPUTS[name].columns) for name in outputs]).tolist()
-    table = np.empty((len(states), bounds[-1]))
+    table = np.full((len(states), bounds[-1]), math.nan)
+    which_kept = which[kept]
     # Each KDQ quantity -> the (reads, columns) of the outputs that read it, in output order.
     reads_of: dict[str, list[tuple[str, slice]]] = {}
-    row_cfgs = None
+    oracle_rows = None
     for name, lo, hi in zip(outputs, bounds[:-1], bounds[1:]):
         reads, source, _ = _OUTPUTS[name]
         if reads != "analytic":
             reads_of.setdefault(source, []).append((reads, slice(lo, hi)))
             continue
-        row_cfgs = cfgs.take(which) if row_cfgs is None else row_cfgs
+        oracle_rows = (cfgs.take(which_kept), states.take(kept)) if oracle_rows is None else oracle_rows
         # Looked up on the module at each call, so that wrappers installed there see the calls.
-        table[:, lo:hi] = np.array(getattr(analytic, source)(row_cfgs, states), ndmin=2).T
+        table[kept, lo:hi] = np.array(getattr(analytic, source)(*oracle_rows), ndmin=2).T
     if not reads_of:
         return table
     if _reads_split(outputs):
-        kdq._check_work_heat_regime(cfgs.take(np.unique(which)))
-    for rows, slot, ops in _operator_stacks(cfgs, which):
+        kdq._check_work_heat_regime(cfgs.take(np.unique(which_kept)))
+    for rows, slot, ops in _operator_stacks(cfgs, which_kept):
+        rows = kept[rows]
         rho_s = _system_states(states.take(rows))
         for quantity, pairs in reads_of.items():
             matrix, levels = kdq._kernel(quantity, rho_s, ops, slot=slot)
@@ -392,7 +410,7 @@ class _Grid(NamedTuple):
 
     def evaluate(self, outputs: tuple[str, ...]) -> np.ndarray:
         """`_evaluate` of every row; raises the ValueError of the first invalid config, else state."""
-        return _evaluate(self.cfgs.checked(), self.states.checked(), outputs, self.which)
+        return _evaluate(self.cfgs.checked(), self.states.checked(), outputs, self.which, np.arange(len(self.which)))
 
 
 def _grid(cfg: ModelConfig, state: SystemStateParams, axes) -> _Grid:
@@ -464,16 +482,10 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     """Evaluate every point of the sweep grid that `_sweep` does not skip."""
     grid, skipped, skip_reasons = _sweep(spec)
     header = [column for name in spec.outputs for column in _OUTPUTS[name].columns]
-    kept = np.flatnonzero(~skipped)
-    data = np.full((len(skipped), len(header)), math.nan)
-    if len(kept):
-        # Every row kept: the grid's own arrays, not a copy of them.
-        whole = len(kept) == len(skipped)
-        states, which = (grid.states, grid.which) if whole else (grid.states.take(kept), grid.which[kept])
-        data[kept] = _evaluate(grid.cfgs, states, spec.outputs, which)
+    data = _evaluate(grid.cfgs, grid.states, spec.outputs, grid.which, np.flatnonzero(~skipped))
     meta = {
         **_params_meta(spec.cfg, spec.state),
-        "sweep": {name: list(grid) for name, grid in spec.sweep},
+        "sweep": {name: values.tolist() for name, values in spec.sweep},
         "quantities": list(spec.outputs),
         "skip_reasons": skip_reasons,
     }

@@ -4,8 +4,10 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -70,6 +72,25 @@ class TestParseConfig:
         assert spec.sweep[0][0] == "phi_c"
         assert len(spec.sweep[0][1]) == 5
         assert spec.outputs == ("delta_e_s", "n_q_us", "var_us")
+
+    def test_sweep_values_are_one_read_only_array(self):
+        # A linspace is kept as NumPy's own array, not as Python floats too:
+        # parsing 2e5 points allocates less than twice their 1.6 MB.
+        sweep = "phi_c = linspace(0.0, 6.0, 200000)\nlambda = 0.1, -0.0, 0.2"
+        text = CUSTOM_CONFIG.replace("phi_c = linspace(0.0, 6.0, 5)", sweep)
+        tracemalloc.start()
+        try:
+            spec = parse_config(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 200_000 * 8
+        (phi_c, phases), (lam, lams) = spec.sweep
+        assert (phi_c, lam) == ("phi_c", "lambda")
+        for values in (phases, lams):
+            assert isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable
+        assert np.array_equal(phases, np.linspace(0.0, 6.0, 200_000))
+        assert lams.tolist() == [0.1, -0.0, 0.2] and math.copysign(1.0, lams[1]) == -1.0
 
     def test_unknown_key_reports_line(self):
         text = "[model]\nomega_s = 1.0\nfrequency = 2.0\n"
@@ -191,11 +212,11 @@ class TestCustomRun:
         assert len(table.rows) == 5
         assert all(row[1] == 0.0 for row in table.rows)
 
-    def test_sweep_without_skipped_rows_evaluates_the_grid_itself(self, tmp_path):
-        # With no row skipped, the evaluator reads the grid's own state and
-        # config-index arrays, not copies of them, and the CSV has the bytes
-        # that evaluating copies of every row gives.
-        spec = replace(parse_config(CUSTOM_CONFIG), out_path=str(tmp_path / "run.csv"))
+    @staticmethod
+    def _evaluated_on_the_grid(spec, tmp_path):
+        """Runs ``spec``; asserts one evaluator call on the grid's own state and config-index arrays with the
+        kept rows, and a CSV with the bytes that evaluating copies of the kept rows gives; returns the skip mask."""
+        spec = replace(spec, out_path=str(tmp_path / "run.csv"))
         sweeps = []
 
         def recorded(spec):
@@ -207,13 +228,29 @@ class TestCustomRun:
             with mock.patch.object(cli, "_evaluate", wraps=cli._evaluate) as evaluate:
                 table = run(spec)
         (grid, skipped, _), = sweeps
-        assert not skipped.any()
-        assert evaluate.call_args.args[1] is grid.states and evaluate.call_args.args[3] is grid.which
+        (call,) = evaluate.call_args_list
         kept = np.flatnonzero(~skipped)
-        copied = cli._evaluate(grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept])
-        copied_table = cli._table(spec, grid, spec.sweep, [skipped, copied], table.header[1:], table.meta)
-        write_csv(copied_table, tmp_path / "copied.csv")
+        assert call.args[1] is grid.states and call.args[3] is grid.which and np.array_equal(call.args[4], kept)
+        header = table.header[len(spec.sweep) :]  # "skipped", then the value columns
+        copied = np.full((len(skipped), len(header) - 1), math.nan)
+        copied[kept] = cli._evaluate(
+            grid.cfgs, grid.states.take(kept), spec.outputs, grid.which[kept], np.arange(len(kept))
+        )
+        write_csv(cli._table(spec, grid, spec.sweep, [skipped, copied], header, table.meta), tmp_path / "copied.csv")
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "copied.csv").read_bytes()
+        return skipped
+
+    def test_sweep_without_skipped_rows_evaluates_the_grid_itself(self, tmp_path):
+        # With no row skipped, the evaluator reads the grid's own state and
+        # config-index arrays, not copies of them, and the CSV has the bytes
+        # that evaluating copies of every row gives.
+        assert not self._evaluated_on_the_grid(parse_config(CUSTOM_CONFIG), tmp_path).any()
+
+    def test_sweep_with_skipped_rows_evaluates_the_grid_itself(self, tmp_path):
+        # The golden sweep skips its four lambda = 0.5 rows; the evaluator still
+        # reads the grid's own arrays, at the kept rows, in one call.
+        spec = parse_config((Path(__file__).parent / "golden" / "custom.cfg").read_text(encoding="utf-8"))
+        assert self._evaluated_on_the_grid(spec, tmp_path).sum() == 4
 
     def test_each_part_builds_only_its_own_states(self, monkeypatch):
         # The evaluator builds the 2x2 states of one part of the configs at a
@@ -766,8 +803,9 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "command, count",
-        # 3e7 values pass the linspace guard but not the parse under the limit;
-        # 3e6 parse and validate, and the run runs out of memory.
+        # 3e7 values parse into one float array under the limit, and the grid
+        # of their row positions does not fit beside it; 3e6 parse and
+        # validate, and the run runs out of memory.
         [("validate", 30_000_000), ("run", 30_000_000), ("run", 3_000_000)],
     )
     def test_sweep_out_of_memory_fails_with_line(self, command, count, tmp_path):
@@ -780,11 +818,23 @@ class TestMain:
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
-        # Python's MemoryError has no message; NumPy's names the array it could not allocate.
-        expected = "error: out of memory\n" if count > 10**7 else "error: Unable to allocate "
+        grid_line = f"error: the sweep grid has {count} rows, too many to evaluate\n"
+        # NumPy's MemoryError names the array it could not allocate.
+        expected = grid_line if count > 10**7 else "error: Unable to allocate "
         assert child.returncode == 1 and child.stderr.startswith(expected), child.stderr
         assert child.stderr.count("\n") == 1
         assert not (tmp_path / "big.csv").exists()
+
+    def test_failed_sidecar_write_leaves_no_csv(self, tmp_path, capsys):
+        # A directory stands where the sidecar goes: the run fails with one
+        # line, removes the CSV it wrote, and leaves the directory alone.
+        config, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+        config.write_text(CUSTOM_CONFIG)
+        (tmp_path / "run.csv.meta.json").mkdir()
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and (tmp_path / "run.csv.meta.json").is_dir()
 
     def test_long_sweep_runs_in_bounded_memory(self, tmp_path):
         # The table is one float array and the CSV is written in blocks, so

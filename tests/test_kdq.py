@@ -386,7 +386,7 @@ def test_stack_warns_once_per_kind():
     states = model._StateArrays.of([SystemStateParams(0.5)] * len(which))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidityWarning)
-        cli._evaluate(distinct, states, ("var_w",), which)
+        cli._evaluate(distinct, states, ("var_w",), which, np.arange(len(which)))
         (_, slot, ops), = _operator_stacks(distinct, which)
         kdq._kernel(kdq.W, model._system_states(states), ops, slot=slot)
     assert [str(w.message) for w in caught] == [

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from kdcollide import cli
 from kdcollide.collision import find_steady_state
 from kdcollide.model import ModelConfig
 
@@ -54,6 +55,18 @@ def test_compare_of_equal_directories_succeeds(tmp_path, capsys):
 def test_usage(argv, capsys):
     assert outputs.main(argv) == 2
     assert capsys.readouterr().err.startswith("usage: python3 tools/outputs.py SRC OUT")
+
+
+def test_custom_sweeps_cover_skipped_and_kept_rows():
+    # The set runs one golden sweep that skips rows and one that skips none,
+    # each with every output quantity.
+    skips = []
+    for name in outputs.CUSTOM:
+        spec = cli.parse_config((outputs.ROOT / "tests" / "golden" / f"{name}.cfg").read_text(encoding="utf-8"))
+        assert sorted(spec.outputs) == sorted(cli._OUTPUTS) and len(spec.sweep) == 2
+        _, skipped, _ = cli._sweep(spec)
+        skips.append(int(skipped.sum()))
+    assert skips == [4, 0]
 
 
 def test_steady_lists_each_trajectory_solve(tmp_path):

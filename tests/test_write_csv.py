@@ -7,7 +7,11 @@ The values include both zeros, NaNs with either sign and other payload bits,
 both infinities, the smallest subnormal, 1e308 and integral floats.
 """
 
+import json
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -51,3 +55,33 @@ def test_write_csv_is_one_format_per_row(tmp_path, rows, kinds, seed):
     path = tmp_path / "table.csv"
     cli.write_csv(cli.ResultTable(header, table), path)
     assert path.read_bytes() == csv_text(header, table).encode("utf-8")
+
+
+def test_sidecar_is_encoded_to_its_file(tmp_path):
+    # The sidecar's JSON goes to its file as it is encoded, not through one
+    # string of the whole text (20.9 MiB for this sweep list), with the bytes
+    # of that string.
+    meta = {"sweep": {"phi_c": np.linspace(0.0, 1.0, 200_000).tolist()}}
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(cli.ResultTable(["x"], np.zeros((1, 1)), meta), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    full = {**meta, "columns": ["x"], "rows": 1, "tool": "kdcollide", "version": cli.__version__}
+    assert (tmp_path / "table.csv.meta.json").read_text() == json.dumps(full, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_write_removes_only_the_files_it_opened(tmp_path):
+    # A header that is not text fails after the CSV is opened: the CSV goes.
+    # A directory where the CSV goes fails the open: the directory stays.
+    path = tmp_path / "table.csv"
+    with pytest.raises(TypeError):
+        cli.write_csv(cli.ResultTable([1], np.zeros((1, 1))), path)
+    assert list(tmp_path.iterdir()) == []
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli.write_csv(cli.ResultTable(["x"], np.zeros((1, 1))), path)
+    assert list(tmp_path.iterdir()) == [path] and path.is_dir()

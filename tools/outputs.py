@@ -9,7 +9,8 @@ process importing from SRC only:
 
 - the presets fig1 to fig6 at ``--points`` 16 and 128, fig7 at
   ``--collisions`` 8 and 400;
-- ``tests/golden/custom.cfg``;
+- the custom sweeps of `CUSTOM` in ``tests/golden``, one that skips rows
+  and one that skips none;
 - the custom sweep of the ``config_sweep`` benchmark workload at seeds 1 to
   3, its config text from ``benchmarks/workloads.generate``;
 - the ``selftest`` lines, in ``selftest.txt``;
@@ -46,6 +47,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# The golden custom sweeps, each with every output quantity: rows skipped, and none skipped.
+CUSTOM = ("custom", "custom_no_skip")
 # Solves each config of a JSON list on stdin and prints one steady.txt line per solve.
 STEADY = """
 import json, sys
@@ -142,7 +145,8 @@ def main(argv: list[str]) -> int:
             cli("preset", name, "--points", str(points), "--out", f"{name}_points{points}.csv")
     for collisions in (8, 400):
         cli("preset", "fig7", "--collisions", str(collisions), "--out", f"fig7_collisions{collisions}.csv")
-    cli("run", str(ROOT / "tests" / "golden" / "custom.cfg"), "--out", "custom.csv")
+    for name in CUSTOM:
+        cli("run", str(ROOT / "tests" / "golden" / f"{name}.cfg"), "--out", f"{name}.csv")
 
     for seed, sweep in zip(SEEDS, inputs("config_sweep")):
         config = out / f"config_sweep_seed{seed}.cfg"
