@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, analytic, collision, kdq, smalltau
+from . import __version__, _g17, analytic, collision, kdq, smalltau
 from .model import (
     MODE_EXACT,
     MODE_WEAK,
@@ -156,53 +156,60 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
 
-# Rows per block of `write_csv`: bounds the text it holds at once.
+# Rows per block of `write_csv`, and values per chunk of a sidecar array: bounds what it holds at once.
 _CSV_BLOCK_ROWS = 4096
+
+
+class _JsonArray(list):
+    """An array as `json` encodes a list: its values as Python floats one chunk at a time."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        super().__init__()
+        self.values = values.ravel()
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        for start in range(0, len(self.values), _CSV_BLOCK_ROWS):
+            yield from self.values[start : start + _CSV_BLOCK_ROWS].tolist()
+
+
+def _json_array(value):
+    """`json.dump`'s ``default``: an array of ``meta`` as a list."""
+    if isinstance(value, np.ndarray):
+        return _JsonArray(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_csv(table: ResultTable, path: str | Path) -> None:
     """Write the table and its metadata sidecar; output is byte-deterministic.
 
-    Every cell is ``"%.17g" % value``.  The rows go to the open file in
-    blocks of `_CSV_BLOCK_ROWS`.  In a block, a column that repeats a value
-    formats each of its distinct 64-bit patterns once (so -0.0 and 0.0 stay
-    apart) and enters the row format as strings; a column without a repeat
-    stays floats under ``%.17g``.  ``table.rows`` may also be any sequence of
-    rows that NumPy turns into such an array.  The sidecar is written as it is
-    encoded.  A write that raises first removes the files it opened.
+    Every cell is ``"%.17g" % value``: `_g17.block` formats each block of
+    `_CSV_BLOCK_ROWS` rows as NumPy array operations, and its text goes to
+    the file opened in binary mode.  ``table.rows`` may also be any sequence
+    of rows that NumPy turns into such an array.  The sidecar is written as
+    it is encoded, an array in ``meta`` as the list of its values.  A write
+    that raises first removes the files it opened.
     """
     path = Path(path)
     rows = np.asarray(table.rows, dtype=float)
     meta = {**table.meta, "columns": table.header, "rows": len(rows), "tool": "kdcollide", "version": __version__}
     opened: list[Path] = []
 
-    def create(target: Path):
-        out = open(target, "w", encoding="utf-8")
+    def create(target: Path, mode: str, **kwargs):
+        out = open(target, mode, **kwargs)
         opened.append(target)
         return out
 
     try:
-        with create(path) as out:
-            out.write(",".join(table.header) + "\n")
+        with create(path, "wb") as out:
+            out.write((",".join(table.header) + "\n").encode("utf-8"))
             for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-                cells, formats = [], []
-                for column in rows[start : start + _CSV_BLOCK_ROWS].T:
-                    # Bit patterns, not values; as int64, the index sort of `model._operator_stacks`, so that no
-                    # more of NumPy's sort code is paged in.  With an inverse, `np.unique` leaves `numpy.ma` unimported.
-                    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
-                    if len(distinct) == len(column):
-                        cells.append(column.tolist())
-                        formats.append("%.17g")
-                    else:
-                        text = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
-                        cells.append(text[index].tolist())
-                        formats.append("%s")
-                # "%.17g" % v is format(float(v), ".17g") for every float, nan and inf included.
-                row_format = ",".join(formats) + "\n"
-                out.write("".join([row_format % row for row in zip(*cells)]))
-        with create(Path(f"{path}.meta.json")) as out:
+                out.write(_g17.block(rows[start : start + _CSV_BLOCK_ROWS]))
+        with create(Path(f"{path}.meta.json"), "w", encoding="utf-8") as out:
             # With an indent, `json.dump` and `json.dumps` share one pure-Python encoder: the same bytes.
-            json.dump(meta, out, indent=2, sort_keys=True)
+            json.dump(meta, out, indent=2, sort_keys=True, default=_json_array)
             out.write("\n")
     except BaseException:
         for target in opened:
@@ -485,7 +492,7 @@ def _run_custom(spec: ExperimentSpec) -> ResultTable:
     data = _evaluate(grid.cfgs, grid.states, spec.outputs, grid.which, np.flatnonzero(~skipped))
     meta = {
         **_params_meta(spec.cfg, spec.state),
-        "sweep": {name: values.tolist() for name, values in spec.sweep},
+        "sweep": dict(spec.sweep),
         "quantities": list(spec.outputs),
         "skip_reasons": skip_reasons,
     }

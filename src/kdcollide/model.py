@@ -152,8 +152,9 @@ class _ConfigQuantities:
     def is_weak(self):
         return self.mode == MODE_WEAK
 
-    @property
+    @cached_property
     def z_a(self):
+        """The ancilla's partition function; computed once, as no field is written after construction."""
         return self._xp.partition_function(self.beta, self.omega_a, self.hbar)
 
     @property
@@ -234,7 +235,7 @@ class _StateQuantities:
 
 
 class _Arrays:
-    """M parameter sets, each float field a length-M array: a row of ``values``.
+    """M parameter sets, each float field a length-M array: a row of ``values``, read-only.
 
     ``LABELS`` name the non-float columns, each broadcast to the row count,
     which `of` reads off the objects, `take` indexes and `replace` keeps.
@@ -245,6 +246,7 @@ class _Arrays:
     _xp = _ARRAY
 
     def __init__(self, values: np.ndarray, **labels) -> None:
+        values.setflags(write=False)
         self.values = values
         for name, row in zip(self.FIELDS, values):
             setattr(self, name, row)
@@ -256,9 +258,8 @@ class _Arrays:
 
     @classmethod
     def of(cls, objects: Sequence):
-        """The parameter arrays of one-object parameter sets, one row each; the float fields read-only."""
+        """The parameter arrays of one-object parameter sets, one row each."""
         values = np.array([[getattr(o, name) for name in cls.FIELDS] for o in objects], dtype=float).T
-        values.setflags(write=False)
         return cls(values, **{name: np.array([getattr(o, name) for o in objects]) for name in cls.LABELS})
 
     def take(self, rows):

@@ -7,8 +7,8 @@ summed over the level of each basis state by the 0/1 matrix G as G^T Q G.
 this form reads all sixteen.
 
 `csv_text` is the CSV text of a table as one ``%`` call per row, every cell
-a Python float under ``%.17g``; `cli.write_csv` formats each distinct value
-of a column once instead.
+a Python float under ``%.17g``; `cli.write_csv` formats each block of rows as
+NumPy array operations instead (`kdcollide._g17`).
 
 `steady_state` is `collision.find_steady_state` with its per-call
 constructions (a fresh ``np.eye(4)``, ``np.count_nonzero``, ``np.trace``)

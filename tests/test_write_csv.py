@@ -5,17 +5,25 @@ or hold distinct bit patterns, over row counts that leave a block empty,
 partial, full or split, and compares the file with the reference text.
 The values include both zeros, NaNs with either sign and other payload bits,
 both infinities, the smallest subnormal, 1e308 and integral floats.
+
+The formatter behind it, `_g17.block`, is compared with ``"%.17g" % v`` cell
+by cell on every power of ten with its neighbours, on subnormals, on exact
+ties and on raw 64-bit patterns; its tables are checked against exact
+`Fraction` arithmetic.
 """
 
 import json
+import math
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kdcollide import cli
+from kdcollide import _g17, cli
 from references import csv_text
 
 _BLOCK = cli._CSV_BLOCK_ROWS
@@ -74,6 +82,28 @@ def test_sidecar_is_encoded_to_its_file(tmp_path):
     assert (tmp_path / "table.csv.meta.json").read_text() == json.dumps(full, indent=2, sort_keys=True) + "\n"
 
 
+def test_sidecar_encodes_an_array_as_its_list(tmp_path):
+    # A custom run's sweep values stay one read-only array in ``meta``: the
+    # sidecar holds the bytes of its list, encoded a chunk of Python floats
+    # at a time, not all 200 000 of them (4.6 MiB) at once.
+    values = np.linspace(0.0, 1.0, 200_000)
+    values.flags.writeable = False
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        cli.write_csv(cli.ResultTable(["x"], np.zeros((1, 1)), {"sweep": {"phi_c": values, "empty": values[:0]}}), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    full = {"sweep": {"phi_c": values.tolist(), "empty": []}, "columns": ["x"], "rows": 1, "tool": "kdcollide"}
+    full["version"] = cli.__version__
+    assert (tmp_path / "table.csv.meta.json").read_text() == json.dumps(full, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError):
+        cli.write_csv(cli.ResultTable(["x"], np.zeros((1, 1)), {"sweep": {1j}}), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_write_removes_only_the_files_it_opened(tmp_path):
     # A header that is not text fails after the CSV is opened: the CSV goes.
     # A directory where the CSV goes fails the open: the directory stays.
@@ -85,3 +115,65 @@ def test_failed_write_removes_only_the_files_it_opened(tmp_path):
     with pytest.raises(IsADirectoryError):
         cli.write_csv(cli.ResultTable(["x"], np.zeros((1, 1))), path)
     assert list(tmp_path.iterdir()) == [path] and path.is_dir()
+
+
+def _assert_g17(values):
+    """`_g17.block` of ``values`` as one column gives ``"%.17g" % v``, cell by cell."""
+    values = np.asarray(values, dtype=float)
+    assert _g17.block(values[:, None]).decode().splitlines() == ["%.17g" % v for v in values.tolist()]
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    _assert_g17(np.concatenate([powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf), -powers]))
+
+
+def test_subnormals():
+    least, largest = 5e-324, np.nextafter(2.2250738585072014e-308, 0.0)
+    rng = np.random.default_rng(7)
+    bits = rng.integers(1, 2**52, size=2000, dtype=np.uint64)
+    values = np.concatenate([[least, 2 * least, 3 * least, largest, 2.2250738585072014e-308], bits.view(float)])
+    _assert_g17(np.concatenate([values, -values]))
+
+
+def _ties() -> np.ndarray:
+    """Values in [1e13, 1e16) with a binary fraction whose 18th significant digit is an exact 5."""
+    rng = np.random.default_rng(11)
+    # (least, greatest) of the integer part, and the fraction's power of two: 1/16 at 14 integer digits,
+    # 1/8 at 15 and 1/4 at 16, the last only below 2^51, where a quarter is still a double.
+    groups = [(10**13, 10**14, 16), (10**14, 10**15, 8), (2**50, 2**51, 4)]
+    return np.concatenate(
+        [rng.integers(low, high, 300) + (2 * rng.integers(0, parts // 2, 300) + 1) / parts for low, high, parts in groups]
+    )
+
+
+def test_exact_ties_take_the_exact_text():
+    # dtoa rounds a tie half to even; the formatter hands such a cell to "%.17g".
+    ties = _ties()
+    for v in ties.tolist():
+        assert (Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))).denominator == 2, v
+    with mock.patch.object(_g17, "_exact", wraps=_g17._exact) as exact:
+        _assert_g17(np.concatenate([ties, -ties]))
+    assert exact.call_count >= 2 * len(ties)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 3))
+def test_raw_bit_patterns(patterns, columns):
+    values = np.array(patterns, dtype=np.uint64).view(float)
+    values = np.concatenate([values, np.zeros(-len(values) % columns)]).reshape(-1, columns)
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+    assert _g17.block(values).decode() == expected
+
+
+def test_tables_match_exact_arithmetic():
+    powers, _, ceilings, decades, _ = _g17._tables()
+    for row, k in enumerate(range(_g17._K, 309)):
+        scale, hi, hi_high, hi_low, lo = powers[:, row].tolist()
+        # 10^(16-k) = scale (hi + lo): hi rounded correctly, lo the rest rounded correctly.
+        exact = Fraction(10) ** (16 - k) / Fraction(scale)
+        assert hi == float(exact) and lo == float(exact - Fraction(hi)), k
+        assert hi_high + hi_low == hi and math.frexp(scale)[0] == 0.5
+        assert Fraction(ceilings[row]) >= Fraction(10) ** k > Fraction(np.nextafter(ceilings[row], 0.0))
+    for row, e in enumerate(range(_g17._E, 1025)):
+        assert Fraction(10) ** int(decades[row]) <= Fraction(2) ** (e - 1) < Fraction(10) ** int(decades[row] + 1)
