@@ -260,41 +260,36 @@ def _resonant_nonpositivity(cfgs: _ConfigArrays, states: _StateArrays) -> tuple[
 # N = 1 views
 
 
-def _view(oracle, cfg: ModelConfig, state: SystemStateParams):
-    """``oracle`` of one config and state: its arrays over N = 1 at their one row."""
-    return oracle(cfg._arrays, state._arrays)
-
-
 def delta_e_s(cfg: ModelConfig, state: SystemStateParams) -> float:
     """Average internal-energy change of the system over one collision."""
-    return float(_view(_delta_e_s, cfg, state)[0])
+    return float(_delta_e_s(cfg._arrays, state._arrays)[0])
 
 
 def delta_e_s_envelopes(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, float]:
     """(lower, upper) envelope of `delta_e_s`, dropping the oscillating term."""
-    lower, upper = _view(_delta_e_s_envelopes, cfg, state)
+    lower, upper = _delta_e_s_envelopes(cfg._arrays, state._arrays)
     return float(lower[0]), float(upper[0])
 
 
 def delta_e_sa(cfg: ModelConfig, state: SystemStateParams) -> float:
     """Average non-energy-preserving work over one collision."""
-    return float(_view(_delta_e_sa, cfg, state)[0])
+    return float(_delta_e_sa(cfg._arrays, state._arrays)[0])
 
 
 def delta_e_sa_limit(cfg: ModelConfig, state: SystemStateParams) -> float:
     """Extreme out-of-resonance form of `delta_e_sa`; valid for |detuning| >> g
     with either sign."""
-    return float(_view(_delta_e_sa_limit, cfg, state)[0])
+    return float(_delta_e_sa_limit(cfg._arrays, state._arrays)[0])
 
 
 def resonant_kdq_us(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     """The four internal-energy quasiprobabilities of the system at resonance (see `_resonant_kdq_us`)."""
-    return _view(_resonant_kdq_us, cfg, state)[0]
+    return _resonant_kdq_us(cfg._arrays, state._arrays)[0]
 
 
 def resonant_kdq_q(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     """Incoherent-heat quasiprobabilities (system side), real and non-negative."""
-    return _view(_resonant_kdq_q, cfg, state)[0]
+    return _resonant_kdq_q(cfg._arrays, state._arrays)[0]
 
 
 def resonant_kdq_w(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
@@ -303,12 +298,12 @@ def resonant_kdq_w(cfg: ModelConfig, state: SystemStateParams) -> np.ndarray:
     The coherence products use the quasiprobability prefactor (lambda, or
     lambda-tilde in the weakly coherent mode).
     """
-    return _view(_resonant_kdq_w, cfg, state)[0]
+    return _resonant_kdq_w(cfg._arrays, state._arrays)[0]
 
 
 def resonant_w_q_stats(cfg: ModelConfig, state: SystemStateParams) -> ResonantWorkHeatStats:
     """Mean and variance of coherent work and incoherent heat at resonance."""
-    stats = _view(_resonant_w_q_stats, cfg, state)
+    stats = _resonant_w_q_stats(cfg._arrays, state._arrays)
     return ResonantWorkHeatStats(
         float(stats.w_mean[0]), complex(stats.w_variance[0]), float(stats.q_mean[0]), float(stats.q_variance[0])
     )
@@ -316,11 +311,11 @@ def resonant_w_q_stats(cfg: ModelConfig, state: SystemStateParams) -> ResonantWo
 
 def resonant_energy_stats(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, complex]:
     """(mean, variance) of the system internal-energy change at resonance."""
-    mean, variance = _view(_resonant_energy_stats, cfg, state)
+    mean, variance = _resonant_energy_stats(cfg._arrays, state._arrays)
     return float(mean[0]), complex(variance[0])
 
 
 def resonant_nonpositivity(cfg: ModelConfig, state: SystemStateParams) -> tuple[float, float]:
     """(n_re, n_im) witnesses of the resonant internal-energy distribution."""
-    n_re, n_im = _view(_resonant_nonpositivity, cfg, state)
+    n_re, n_im = _resonant_nonpositivity(cfg._arrays, state._arrays)
     return float(n_re[0]), float(n_im[0])

@@ -79,7 +79,6 @@ from .model import (
     _ConfigArrays,
     _operator_stacks,
     _StateArrays,
-    _system_states,
     build_system_state,
 )
 
@@ -381,7 +380,7 @@ def _evaluate(cfgs: _ConfigArrays, states: _StateArrays, outputs: tuple[str, ...
         kdq._check_work_heat_regime(cfgs.take(np.unique(which_kept)))
     for rows, slot, ops in _operator_stacks(cfgs, which_kept):
         rows = kept[rows]
-        rho_s = _system_states(states.take(rows))
+        rho_s = build_system_state(states.take(rows))
         for quantity, pairs in reads_of.items():
             matrix, levels = kdq._kernel(quantity, rho_s, ops, slot=slot)
             needs = {reads for reads, _ in pairs}
@@ -638,7 +637,7 @@ def _coherent_work_sweep(spec: ExperimentSpec) -> ResultTable:
     base = replace(base, lam=base.lambda_max)
     axes = [("tau", _linspace(0.0, math.pi, spec.points))]
     grid = _grid(base, state, axes)
-    cfgs, rho_s = grid.cfgs.checked(), _system_states(grid.states)
+    cfgs, rho_s = grid.cfgs.checked(), build_system_state(grid.states)
     meta = {
         **_params_meta(base, state),
         "lambda": base.lam,

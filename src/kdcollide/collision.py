@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kdq
 from .linalg import _powers, commutator, dag, partial_trace, tensor, trace_distance
-from .model import IDENTITY_2, ModelConfig, Operators, _ConfigArrays, _operator_stacks, build_hamiltonians
+from .model import IDENTITY_2, ModelConfig, _ConfigArrays, _operator_stacks, build_hamiltonians
 
 # The fixed point is unique when S - I has a second-smallest singular value above this.
 _UNIQUENESS_BOUND = 1e-12
@@ -141,22 +141,18 @@ class _Chains:
 def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, thermo: bool) -> _Chains:
     """n collisions of M chains, chain m from state ``rho_s0[m]`` under config m, as array operations.
 
-    ``cfgs`` is one config (M = 1) or M configs as parameter arrays.  The
-    states come from `_powers` of each config's one-collision matrix S
-    (`_channel`).  With ``thermo``, the records are KDQ means, moments and
-    witnesses evaluated with each chain's own propagator, one kernel call
-    per quantity over the states before each collision of every chain of a
-    part of `model._operator_stacks` (one level structure, at most
-    `model._PART_ROWS` configs, each chain's config in its own slot); the
-    work/heat regime of the chains with the split (weak or resonant configs)
-    is checked once.
+    ``cfgs`` is one config (M = 1) or M configs as parameter arrays, run in the parts
+    of `model._operator_stacks` (one level structure, at most `model._PART_ROWS`
+    configs, each chain's config in its own slot).  The states come from `_powers`
+    of each config's one-collision matrix S (`_channel`).  With ``thermo``, the
+    records are KDQ means, moments and witnesses evaluated with each chain's own
+    propagator, one kernel call per quantity over the states before each collision
+    of every chain of a part; the work/heat regime of the chains with the split
+    (weak or resonant configs) is checked once.
     """
     if n < 1:
         raise ValueError("need at least one collision")
-    m, one = len(rho_s0), isinstance(cfgs, ModelConfig)
-    # Chains and their operators with a config axis, in parts of one level structure.
-    first = np.zeros(1, np.intp)
-    parts = [(first, first, Operators(*(a[None] for a in cfgs.operators)))] if one else list(_operator_stacks(cfgs))
+    m, parts = len(rho_s0), list(_operator_stacks(cfgs))
     states = np.empty((m, n + 1, 2, 2), dtype=complex)
     for chains, _, ops in parts:
         states[chains] = _powers(_channel(ops.u, ops.rho_a), rho_s0[chains], n)
@@ -165,7 +161,7 @@ def _evolve(cfgs: ModelConfig | _ConfigArrays, rho_s0: np.ndarray, n: int, therm
     split = np.atleast_1d(cfgs.is_weak | cfgs.is_resonant)
     quantities = [kdq.US, kdq.UA, kdq.USA]
     if split.any():
-        kdq._check_work_heat_regime(cfgs._arrays if one else cfgs.take(split))
+        kdq._check_work_heat_regime(cfgs._arrays.take(split))
         quantities += kdq._WORK_HEAT
     moments = {q: tuple(np.empty((m, n), dtype=complex) for _ in range(3)) for q in quantities}
     witnesses = {q: np.empty((m, n, 3)) for q in quantities if q in (kdq.US, kdq.UA, kdq.USA, kdq.Q)}

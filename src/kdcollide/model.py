@@ -144,8 +144,8 @@ class _ConfigQuantities:
 
     @property
     def is_resonant(self):
-        """|detuning| <= 1e-12 * max(1, |omega_s|, |omega_a|); the package's one resonance test."""
-        scale = self._xp.maximum(self._xp.maximum(abs(self.omega_s), abs(self.omega_a)), 1.0)
+        """|detuning| <= 1e-12 * max(|omega_s|, |omega_a|); the package's one resonance test, free of units."""
+        scale = self._xp.maximum(abs(self.omega_s), abs(self.omega_a))
         return abs(self.detuning) <= 1e-12 * scale
 
     @property
@@ -256,6 +256,11 @@ class _Arrays:
     def __len__(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def _arrays(self):
+        """These arrays: every parameter set, one object or many, answers ``_arrays`` with its arrays."""
+        return self
+
     @classmethod
     def of(cls, objects: Sequence):
         """The parameter arrays of one-object parameter sets, one row each."""
@@ -307,17 +312,6 @@ class _StateArrays(_Arrays, _StateQuantities):
     """
 
     FIELDS = ("rho11", "r", "phi_c")
-
-
-def _system_states(states: SystemStateParams | _StateArrays) -> np.ndarray:
-    """The density matrix of one state, or the (M, 2, 2) stack of M states: rho12 = r exp(i phi_c)."""
-    xp = states._xp
-    re, im = states.r * xp.cos(states.phi_c), states.r * xp.sin(states.phi_c)
-    rho = np.zeros(xp.shape(re) + (2, 2), dtype=complex)
-    rho[..., 0, 0], rho[..., 1, 1] = states.rho11, 1.0 - states.rho11
-    rho[..., 0, 1].real, rho[..., 0, 1].imag = re, im
-    rho[..., 1, 0].real, rho[..., 1, 0].imag = re, -im
-    return rho
 
 
 @dataclass(frozen=True)
@@ -381,9 +375,16 @@ class SystemStateParams(_StateQuantities):
         return _StateArrays.of([self])
 
 
-def build_system_state(params: SystemStateParams) -> np.ndarray:
-    """2x2 density matrix from the population/coherence parametrization."""
-    return _system_states(params)
+def build_system_state(params: SystemStateParams | _StateArrays) -> np.ndarray:
+    """2x2 density matrix from the population/coherence parametrization, rho12 = r exp(i phi_c),
+    or the (M, 2, 2) stack of the density matrices of M states given as `_StateArrays`."""
+    xp = params._xp
+    re, im = params.r * xp.cos(params.phi_c), params.r * xp.sin(params.phi_c)
+    rho = np.zeros(xp.shape(re) + (2, 2), dtype=complex)
+    rho[..., 0, 0], rho[..., 1, 1] = params.rho11, 1.0 - params.rho11
+    rho[..., 0, 1].real, rho[..., 0, 1].imag = re, im
+    rho[..., 1, 0].real, rho[..., 1, 0].imag = re, -im
+    return rho
 
 
 def build_hamiltonians(
@@ -541,7 +542,7 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
 
 
 def _operator_stacks(
-    cfgs: _ConfigArrays, which: np.ndarray | None = None
+    cfgs: ModelConfig | _ConfigArrays, which: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray, Operators]]:
     """The kernel's operators for a state stack whose row k is under config ``which[k]`` of ``cfgs``.
 
@@ -554,8 +555,13 @@ def _operator_stacks(
     levels, so the rows are split by which frequencies are zero before they
     are cut into blocks.  The blocks are cut and ordered first, and each
     part's operators are built when the caller reaches it, so a caller that
-    uses one part at a time holds one part's operators.
+    uses one part at a time holds one part's operators.  One `ModelConfig`
+    is one part, rows = slot = ``[0]``: its cached operators on a config
+    axis of length 1.
     """
+    if isinstance(cfgs, ModelConfig):
+        yield np.zeros(1, np.intp), np.zeros(1, np.intp), Operators(*(a[None] for a in cfgs.operators))
+        return
     which = np.arange(len(cfgs)) if which is None else np.asarray(which)
     structure = ((cfgs.omega_s == 0.0) * 2 + (cfgs.omega_a == 0.0))[which]
     blocks = []

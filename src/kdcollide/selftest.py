@@ -21,7 +21,6 @@ from .model import (
     _ConfigArrays,
     _operator_stacks,
     _StateArrays,
-    _system_states,
     build_system_state,
     partition_function,
 )
@@ -49,6 +48,10 @@ def random_parameters(rng: np.random.Generator, resonant: np.ndarray) -> tuple[_
     return cfgs, states.checked()
 
 
+# The draws of the checks whose labels state their count.
+_NORMALIZATION_DRAWS, _RESONANT_DRAWS, _DETUNED_DRAWS = 1000, 200, 200
+
+
 def _check_lambda_max() -> float:
     expected = {5.0: 0.082, 1.0: 0.443, 0.2: 0.498}
     worst = 0.0
@@ -66,7 +69,7 @@ def _stacks(rng: np.random.Generator, resonant, draws: int, classical: bool = Fa
     cfgs, states = random_parameters(rng, [resonant(k) for k in range(draws)])
     if classical:
         cfgs, states = cfgs.replace(lam=0.0), _StateArrays.build(rho11=states.rho11, r=0.0, phi_c=0.0)
-    rho_s = _system_states(states)
+    rho_s = build_system_state(states)
     for rows, _, ops in _operator_stacks(cfgs):
         yield cfgs.take(rows), states.take(rows), ops, rho_s[rows]
 
@@ -76,9 +79,9 @@ def _deviation(numeric: np.ndarray, expected) -> float:
     return float(np.max(np.abs(numeric - np.asarray(expected)), initial=0.0))
 
 
-def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
+def _check_normalization(rng: np.random.Generator) -> float:
     worst = 0.0
-    for cfgs, _, ops, rho_s in _stacks(rng, lambda k: k % 2 == 0, draws):
+    for cfgs, _, ops, rho_s in _stacks(rng, lambda k: k % 2 == 0, _NORMALIZATION_DRAWS):
         for quantity in (kdq.US, kdq.UA, kdq.USA):
             worst = max(worst, _deviation(kdq._kernel(quantity, rho_s, ops)[0].sum(axis=(-2, -1)), 1.0))
         # Heat sums to 1 and work to 0 where the split is defined: at the resonant draws.
@@ -88,9 +91,9 @@ def _check_normalization(rng: np.random.Generator, draws: int = 1000) -> float:
     return worst
 
 
-def _check_oracle_resonant(rng: np.random.Generator, draws: int = 200) -> float:
+def _check_oracle_resonant(rng: np.random.Generator) -> float:
     worst = 0.0
-    for cfgs, states, ops, rho_s in _stacks(rng, lambda k: True, draws):
+    for cfgs, states, ops, rho_s in _stacks(rng, lambda k: True, _RESONANT_DRAWS):
         kernels = {q: kdq._kernel(q, rho_s, ops) for q in (kdq.US, kdq.QS, kdq.WS, kdq.W, kdq.Q)}
         for quantity, oracle in (
             (kdq.US, analytic._resonant_kdq_us), (kdq.QS, analytic._resonant_kdq_q), (kdq.WS, analytic._resonant_kdq_w),
@@ -116,18 +119,18 @@ def _check_oracle_resonant(rng: np.random.Generator, draws: int = 200) -> float:
     return worst
 
 
-def _check_oracle_detuned(rng: np.random.Generator, draws: int = 200) -> float:
+def _check_oracle_detuned(rng: np.random.Generator) -> float:
     worst = 0.0
-    for cfgs, states, ops, rho_s in _stacks(rng, lambda k: False, draws):
+    for cfgs, states, ops, rho_s in _stacks(rng, lambda k: False, _DETUNED_DRAWS):
         for quantity, oracle in ((kdq.US, analytic._delta_e_s), (kdq.USA, analytic._delta_e_sa)):
             average = kdq._trace_average(quantity, rho_s, ops).real
             worst = max(worst, _deviation(average, oracle(cfgs, states)))
     return worst
 
 
-def _check_marginalization(rng: np.random.Generator, draws: int = 50) -> float:
+def _check_marginalization(rng: np.random.Generator) -> float:
     worst = 0.0
-    for _, _, ops, rho_s in _stacks(rng, lambda k: False, draws):
+    for _, _, ops, rho_s in _stacks(rng, lambda k: False, 50):
         usa = kdq._kernel(kdq.USA, rho_s, ops)[0]
         for quantity in (kdq.US, kdq.UA):
             marginal = kdq._block_sums(usa, ops.levels_s.shape[-1], ops.levels_a.shape[-1], quantity)
@@ -135,17 +138,17 @@ def _check_marginalization(rng: np.random.Generator, draws: int = 50) -> float:
     return worst
 
 
-def _check_tpm_limit(rng: np.random.Generator, draws: int = 50) -> float:
+def _check_tpm_limit(rng: np.random.Generator) -> float:
     worst = 0.0
-    for _, _, ops, rho_s in _stacks(rng, lambda k: False, draws, classical=True):
+    for _, _, ops, rho_s in _stacks(rng, lambda k: False, 50, classical=True):
         for quantity in (kdq.US, kdq.UA, kdq.USA):
             worst = max(worst, _deviation(kdq._witnesses(kdq._kernel(quantity, rho_s, ops)[0]), 0.0))
     return worst
 
 
-def _check_first_law(rng: np.random.Generator, draws: int = 25) -> float:
-    cfgs, states = random_parameters(rng, np.zeros(draws, bool))
-    columns = _evolve(cfgs, _system_states(states), 4, thermo=True).columns
+def _check_first_law(rng: np.random.Generator) -> float:
+    cfgs, states = random_parameters(rng, np.zeros(25, bool))
+    columns = _evolve(cfgs, build_system_state(states), 4, thermo=True).columns
     return _deviation(columns["delta_e_s"] + columns["delta_e_a"], columns["delta_e_sa"])
 
 
@@ -176,9 +179,9 @@ def run_selftest() -> int:
         print(f"selftest {'PASS' if ok else 'FAIL'}  {name}: max deviation {worst:.3e} (bound {bound:.0e})")
 
     report("caption lambda_max values", _check_lambda_max(), 5e-4)
-    report("KDQ normalization (1000 draws)", _check_normalization(rng), 1e-12)
-    report("resonant closed forms (200 draws)", _check_oracle_resonant(rng), 1e-10)
-    report("detuned closed forms (200 draws)", _check_oracle_detuned(rng), 1e-10)
+    report(f"KDQ normalization ({_NORMALIZATION_DRAWS} draws)", _check_normalization(rng), 1e-12)
+    report(f"resonant closed forms ({_RESONANT_DRAWS} draws)", _check_oracle_resonant(rng), 1e-10)
+    report(f"detuned closed forms ({_DETUNED_DRAWS} draws)", _check_oracle_detuned(rng), 1e-10)
     report("marginalization", _check_marginalization(rng), 1e-12)
     report("TPM limit", _check_tpm_limit(rng), 1e-12)
     report("first law per collision", _check_first_law(rng), 1e-10)

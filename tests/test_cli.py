@@ -252,6 +252,18 @@ class TestCustomRun:
         spec = parse_config((Path(__file__).parent / "golden" / "custom.cfg").read_text(encoding="utf-8"))
         assert self._evaluated_on_the_grid(spec, tmp_path).sum() == 4
 
+    def test_complex_average_raises(self, monkeypatch):
+        # A mean with a visible imaginary part means a broken pipeline: the run stops, naming the value.
+        moments = kdq._moments
+
+        def complex_mean(matrix, levels):
+            mean, second, variance = moments(matrix, levels)
+            return mean + 1e-3j, second, variance
+
+        monkeypatch.setattr(kdq, "_moments", complex_mean)
+        with pytest.raises(RuntimeError, match=r"^expected a real average, got \(\S+\+0\.001j\)$"):
+            run(parse_config(CUSTOM_CONFIG))
+
     def test_each_part_builds_only_its_own_states(self, monkeypatch):
         # The evaluator builds the 2x2 states of one part of the configs at a
         # time, never a stack of the whole sweep; the parts give the same bits.
@@ -263,9 +275,9 @@ class TestCustomRun:
             sizes.append(len(states))
             return system_states(states)
 
-        system_states = cli._system_states
+        system_states = cli.build_system_state
         monkeypatch.setattr(model, "_PART_ROWS", 64)
-        monkeypatch.setattr(cli, "_system_states", recorded)
+        monkeypatch.setattr(cli, "build_system_state", recorded)
         assert np.array_equal(run(spec).rows, whole)
         assert sizes == [64, 64, 64, 8]
 
@@ -804,10 +816,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "command, count",
         # 3e7 values parse into one float array under the limit, and the grid
-        # of their row positions does not fit beside it; 5e6 parse and
-        # validate, and the run runs out of memory.  (3e6 rows run since the
-        # sidecar keeps the sweep values as an array.)
-        [("validate", 30_000_000), ("run", 30_000_000), ("run", 5_000_000)],
+        # of their row positions does not fit beside it.
+        [("validate", 30_000_000), ("run", 30_000_000)],
     )
     def test_sweep_out_of_memory_fails_with_line(self, command, count, tmp_path):
         cfg = tmp_path / "big.cfg"
@@ -820,11 +830,36 @@ class TestMain:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         grid_line = f"error: the sweep grid has {count} rows, too many to evaluate\n"
-        # NumPy's MemoryError names the array it could not allocate.
-        expected = grid_line if count > 10**7 else "error: Unable to allocate "
-        assert child.returncode == 1 and child.stderr.startswith(expected), child.stderr
+        assert child.returncode == 1 and child.stderr.startswith(grid_line), child.stderr
         assert child.stderr.count("\n") == 1
         assert not (tmp_path / "big.csv").exists()
+
+    def test_sweep_table_larger_than_memory_fails_with_line(self, tmp_path):
+        # Every output that the detuned exact model defines, 23 columns: the
+        # evaluator's table of 3.2e6 rows (562 MiB) is larger than the 512 MB
+        # limit on its own, so the run runs out of memory however little the
+        # rest of it holds, while the same file validates under the limit.
+        outputs = [name for name, output in cli._OUTPUTS.items() if output.source not in kdq._WORK_HEAT]
+        assert sum(len(cli._OUTPUTS[name].columns) for name in outputs) == 23
+        count, out = 3_200_000, tmp_path / "big.csv"
+        text = CUSTOM_CONFIG.replace("linspace(0.0, 6.0, 5)", f"linspace(0.0, 1.0, {count})")
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(text.replace("delta_e_s, n_q_us, var_us", ", ".join(outputs)) + f"path = {out}\n")
+        limit = 512 << 20
+        children = {
+            command: subprocess.run(
+                [sys.executable, "-m", "kdcollide.cli", command, str(cfg)], capture_output=True, text=True,
+                timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            )
+            for command in ("validate", "run")
+        }
+        assert (children["validate"].returncode, children["validate"].stderr) == (0, "")
+        run_child = children["run"]
+        # NumPy's MemoryError names the array it could not allocate: the table.
+        assert run_child.returncode == 1 and run_child.stderr.startswith("error: Unable to allocate "), run_child.stderr
+        assert f"({count}, 23)" in run_child.stderr and run_child.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_failed_sidecar_write_leaves_no_csv(self, tmp_path, capsys):
         # A directory stands where the sidecar goes: the run fails with one

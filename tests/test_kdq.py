@@ -388,7 +388,7 @@ def test_stack_warns_once_per_kind():
         warnings.simplefilter("always", ValidityWarning)
         cli._evaluate(distinct, states, ("var_w",), which, np.arange(len(which)))
         (_, slot, ops), = _operator_stacks(distinct, which)
-        kdq._kernel(kdq.W, model._system_states(states), ops, slot=slot)
+        kdq._kernel(kdq.W, model.build_system_state(states), ops, slot=slot)
     assert [str(w.message) for w in caught] == [
         "coherent-work/heat split off resonance is not energy-preserving in 3 configs (largest |detuning| 1.5)",
         "pulse area g*tau exceeds pi/6 in 10 configs (largest 2.8): "
@@ -662,7 +662,7 @@ def test_config_rows_in_bounded_parts():
     cfgs = [cfgs[k] for k in order]
     distinct, which = config_rows(cfgs)
     phases = np.linspace(0.0, 2.0 * math.pi, len(cfgs))
-    rho_s = model._system_states(model._StateArrays.build(rho11=0.25, r=0.4, phi_c=phases))
+    rho_s = model.build_system_state(model._StateArrays.build(rho11=0.25, r=0.4, phi_c=phases))
     parts = list(_operator_stacks(distinct, which))
     assert sorted(np.concatenate([rows for rows, _, _ in parts]).tolist()) == list(range(len(cfgs)))
     assert [rows[0] for rows, _, _ in parts] == sorted(rows[0] for rows, _, _ in parts)

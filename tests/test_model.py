@@ -239,12 +239,15 @@ class TestConfigValidation:
                 SystemStateParams(**{**params, field: bad})
 
     def test_resonance_threshold(self):
-        # |detuning| <= 1e-12 * max(1, |omega_s|, |omega_a|).
+        # |detuning| <= 1e-12 * max(|omega_s|, |omega_a|).
         assert cfg_with(0.0).is_resonant
         assert cfg_with(5e-13).is_resonant
         assert not cfg_with(5e-11).is_resonant
         assert ModelConfig(omega_s=1e6 + 5e-7, omega_a=1e6, g=1.0, tau=0.5, beta=0.0).is_resonant
         assert not ModelConfig(omega_s=1e6 + 5e-6, omega_a=1e6, g=1.0, tau=0.5, beta=0.0).is_resonant
+        # Relative at every scale: omega_a = 0 is as detuned from 1e-12 as from 1, and two zeros are resonant.
+        assert not ModelConfig(omega_s=1e-12, omega_a=0.0, g=1e-12, tau=1e12, beta=0.0).is_resonant
+        assert ModelConfig(omega_s=0.0, omega_a=0.0, g=1.0, tau=0.5, beta=0.0).is_resonant
 
     @pytest.mark.parametrize("field", ["omega_s", "omega_a"])
     @pytest.mark.parametrize("omega", [5e-324, -5e-324, sys.float_info.min])
@@ -468,7 +471,7 @@ def test_stacked_operators_match_per_config(cases):
                 assert_same_bits(stacked[k], own)
         states = [state for _, state in rows]
         assert_same_bits(
-            model._system_states(model._StateArrays.of(states)), np.array([build_system_state(s) for s in states])
+            model.build_system_state(model._StateArrays.of(states)), np.array([build_system_state(s) for s in states])
         )
 
 

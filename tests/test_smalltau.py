@@ -155,6 +155,14 @@ class TestCoherentWorkAndHeat:
         with pytest.raises(ValueError):
             coherent_work_bch(random_density_matrix(rng), cfg)
 
+    def test_disagreeing_sides_raise(self, monkeypatch, rng):
+        # A doubled drive correction doubles the system side only: the ancilla side reads the coupling itself.
+        correction = smalltau.coherent_correction_G
+        monkeypatch.setattr(smalltau, "coherent_correction_G", lambda cfg: 2.0 * correction(cfg))
+        rho = build_system_state(SystemStateParams(0.3, 0.35, 1.1))
+        with pytest.raises(RuntimeError, match=r"^coherent-work expressions disagree: \S+ vs \S+$"):
+            coherent_work_bch(rho, weak_cfg())
+
 
 class TestMasterEquation:
     def test_traceless_rhs(self, rng):
@@ -380,6 +388,14 @@ class TestOperatorApproach:
         cfg, state = random_case(rng, resonant=False)
         with pytest.raises(ValueError):
             operator_approach(build_system_state(state), cfg)
+
+    def test_o1_off_null_raises(self, monkeypatch):
+        # chi_A with weight on the H_A diagonal gives O1 = -lam Tr[H_A chi_A] I, not zero.
+        monkeypatch.setattr(smalltau, "SIGMA_X", SIGMA_X + np.diag([1.0, 0.0]))
+        cfg = ModelConfig(omega_s=1.0, omega_a=1.0, g=1.0, tau=0.4, beta=0.1, lam=0.45)
+        message = "O1 is not null; chi_A must be hollow in the H_A eigenbasis"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            work_observables(cfg)
 
 
 # Resonant configs, with zero frequencies and ancilla coherences down to 0 and
