@@ -13,9 +13,7 @@ their N = 1 views on a `ModelConfig` and a `SystemStateParams`.
 Conventions: the pulse area is phi = g*tau, the coherence products are
 j1 = lambda*Re[rho12] and j2 = lambda*Im[rho12], and entry arrays are
 ordered by sigma_z index (initial index major, final index minor).
-`kdq.kdq_distribution` orders levels by descending energy instead, so the
-two orders agree only for positive frequencies.  Resonant formulas require
-omega_s == omega_a.
+Resonant formulas require omega_s == omega_a.
 Thermal weights enter in forms that cannot overflow (logistic functions of
 e^(-2|x|), x = beta*hbar*omega_a/2, or a and b divided by c_beta), so every
 formula reaches the zero-temperature limit; the logistic form also keeps the
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, SystemStateParams, _ConfigArrays, _StateArrays
+from .model import ModelConfig, SystemStateParams, _ConfigArrays, _StateArrays, _require_resonant
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,7 @@ def _delta_e_sa_limit(cfgs: _ConfigArrays, states: _StateArrays) -> np.ndarray:
 
 
 def _resonant_pieces(cfgs: _ConfigArrays, states: _StateArrays):
-    resonant = cfgs.is_resonant
-    if not resonant.all():
-        detuning = cfgs.detuning[np.argmin(resonant)]
-        raise ValueError(f"resonant closed form evaluated at detuning {detuning:.6g}")
+    _require_resonant(cfgs)
     w_up, w_dn = _ancilla_populations(cfgs)
     lam_r = cfgs.lambda_eff * states.r
     return w_up, w_dn, cfgs.g * cfgs.tau, lam_r * np.cos(states.phi_c), lam_r * np.sin(states.phi_c)

@@ -623,7 +623,7 @@ def _kdq_work_values(cfgs: _ConfigArrays, rho_s: np.ndarray) -> list[np.ndarray]
     q = np.empty((len(cfgs), 2, 2), dtype=complex)
     for rows, _, ops in _operator_stacks(cfgs):
         q[rows] = kdq._kernel(kdq.W, rho_s[rows], ops)[0]
-    # Ancilla levels (+hbar*omega/2, -hbar*omega/2): w = 0, +hbar*omega, -hbar*omega.
+    # Ancilla levels (+hbar*omega/2, -hbar*omega/2) for either sign of omega: w = 0, +hbar*omega, -hbar*omega.
     w0, w_plus, w_minus = np.trace(q, axis1=-2, axis2=-1), q[:, 0, 1], q[:, 1, 0]
     return [w0.real, w0.imag, w_plus.real, w_plus.imag, w_minus.real, w_minus.imag]
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kdq
 from .linalg import _powers, commutator, dag, partial_trace, tensor, trace_distance
-from .model import IDENTITY_2, ModelConfig, _ConfigArrays, _operator_stacks, build_hamiltonians
+from .model import IDENTITY_2, ModelConfig, _ConfigArrays, _operator_stacks, _require_weak, build_hamiltonians
 
 # The fixed point is unique when S - I has a second-smallest singular value above this.
 _UNIQUENESS_BOUND = 1e-12
@@ -63,8 +63,7 @@ def bch_collide_once(rho_s: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     non-PSD; no projection is applied, use `linalg.psd_floor` to record the
     violation.
     """
-    if not cfg.is_weak:
-        raise ValueError("bch_collide_once requires the weakly coherent mode")
+    _require_weak(cfg)
     h_sa = build_hamiltonians(cfg)[3]
     joint = tensor(rho_s, cfg.operators.rho_a)
     c1 = commutator(h_sa, joint)

@@ -20,18 +20,21 @@ Distributions over unit-trace states sum to 1, the coherent-work ones to 0.
 
 H_S and H_A are diagonal in the product basis |s a>, so every projector is a
 sum of basis projectors and every distribution is a block sum of one 4x4
-array, Q[i, f] = (W U^dag)[i, f] U[f, i], over the level of each basis
-state: system level, ancilla level, or (system, ancilla) pair in the kernel
-(`_kernel`).  The swap coupling conserves excitations, so U is nonzero only
-at |00>, |11> and the {|01>, |10>} block, and Q only at the six (i, f)
-where U[f, i] is: each is a sum of one or two products of named entries of
-rho_S, the ancilla operator and U (`_transitions`), and each block sum is a
-sum of named Q entries.  The kernel is elementwise arithmetic on arrays of
-rows, with no Kronecker product and no matrix product; the one-state views
-refuse a ``unitary`` with weight outside those six entries.  Only grouped
-``usa``, which only the one-state `kdq_distribution` computes, sums the pair
-matrix as G^T Q G (`_level_sums`), where the 0/1 matrix G marks the joint
-level of H_S + H_A (``linalg.group_levels`` of the pair levels) of each pair.
+array, Q[i, f] = (W U^dag)[i, f] U[f, i], over the level of each basis state:
+system level, ancilla level, or (system, ancilla) pair in the kernel
+(`_kernel`).  A qubit's levels are numbered by sigma_z basis index, as in
+`model` and `analytic`: level b is basis state b, level 0 at +hbar*omega/2
+whatever the sign of omega, or the one level 0 where omega = 0.  The swap
+coupling conserves excitations, so U is nonzero only at |00>, |11> and the
+{|01>, |10>} block, and Q only at the six (i, f) where U[f, i] is: each is a
+sum of one or two products of named entries of rho_S, the ancilla operator
+and U (`_transitions`), and each block sum is a sum of named Q entries.  The
+kernel is elementwise arithmetic on arrays of rows, with no Kronecker product
+and no matrix product; the one-state views refuse a ``unitary`` with weight
+outside those six entries.  Only grouped ``usa``, which only the one-state
+`kdq_distribution` computes, sums the pair matrix as G^T Q G (`_level_sums`),
+where the 0/1 matrix G marks the joint level of H_S + H_A
+(``linalg.group_levels`` of the pair levels) of each pair.
 
 The kernel is arithmetic on `model.Operators`.  The one-state views check
 their inputs' shapes and the work/heat regime (`_check_work_heat_regime`) of
@@ -73,10 +76,11 @@ class ValidityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransitionLabel:
-    """Initial/final eigenvalue indices of one transition.
+    """Initial/final level indices of one transition, by sigma_z basis index (level 0 at +hbar*omega/2).
 
     For ``usa`` the indices are (system, ancilla) pairs unless the
-    distribution was built with degenerate levels grouped.
+    distribution was built with degenerate levels grouped, when they index
+    the joint levels in descending energy.
     """
 
     quantity: str
@@ -234,13 +238,6 @@ def _entries(a: np.ndarray, index: tuple[tuple[int, ...], tuple[int, ...]], slot
     return entries if slot is None else entries[:, slot]
 
 
-def _reverse(matrix: np.ndarray, flip: np.ndarray, axes: tuple[int, int], shape: tuple[int, ...]) -> None:
-    """Reverse ``axes`` of ``matrix`` in place where ``flip``, a mask that broadcasts to its leading ``shape``."""
-    if flip.any():
-        flip = np.broadcast_to(flip, shape)
-        matrix[flip] = np.flip(matrix[flip], axes)
-
-
 def _weights(quantity: str, rho_s: np.ndarray, ops: Operators, slot) -> list[np.ndarray]:
     """W = rho_S (x) A, times the coherence prefactor for ``w``/``ws``, at the six basis pairs (i, k) that meet
     U's entries in `_transitions`: (0, 0), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2)."""
@@ -284,36 +281,29 @@ def _kernel(quantity: str, rho_s: np.ndarray, ops: Operators, unitary=None, slot
     """
     q = _transitions(quantity, rho_s, ops, unitary, slot)
     q00, q33, q11, q12, q21, q22 = q
-    levels_s, index_s, levels_a, index_a = ops[-4:]
+    levels_s, levels_a = ops.levels_s, ops.levels_a
     if quantity == USA:
         energies = (levels_s[..., :, None] + levels_a[..., None, :]).reshape(levels_s.shape[:-1] + (-1,))
     else:
         energies = levels_s if quantity in (US, WS, QS) else levels_a
     # w and q take the ancilla's values with the opposite sign: -(e_f - e_i).
     levels = (-1.0 if quantity in (W, Q) else 1.0) * energies
-    # flip is True where a qubit's basis state 0 is its lower level (negative frequency), and reverses its axes.
-    flip_s, flip_a = index_s[..., 0] == 1, index_a[..., 0] == 1
     if slot is not None:
-        levels, flip_s, flip_a = levels[slot], flip_s[slot], flip_a[slot]
-    shape = q00.shape
-    merged_s, merged_a = levels_s.shape[-1] == 1, levels_a.shape[-1] == 1
-    # The level sums at their (row, column) of basis indices: over one qubit's index, or Q itself over the pair
-    # index 2 s + a, with axes (system in, ancilla in, system fin, ancilla fin).  A qubit whose two levels merge
-    # (zero frequency) drops out of the pair, and a merged level sums them all.
-    if quantity in (US, WS, QS) or (quantity == USA and merged_a):
-        cells, values, flips, merged = _QUBIT, (q00 + q11, q12, q21, q22 + q33), [(flip_s, (-2, -1))], merged_s
-    elif quantity in (UA, W, Q) or merged_s:
-        cells, values, flips, merged = _QUBIT, (q00 + q22, q21, q12, q11 + q33), [(flip_a, (-2, -1))], merged_a
+        levels = levels[slot]
+    n = levels.shape[-1]
+    # The level sums at their (row, column) of basis indices, which are level indices: over one qubit's index,
+    # or Q itself over the pair index 2 s + a.  A qubit whose two levels merge (zero frequency) drops out of the
+    # pair, and a merged level (n = 1) sums them all.
+    if quantity in (US, WS, QS) or (quantity == USA and levels_a.shape[-1] == 1):
+        cells, values = _QUBIT, (q00 + q11, q12, q21, q22 + q33)
+    elif quantity in (UA, W, Q) or levels_s.shape[-1] == 1:
+        cells, values = _QUBIT, (q00 + q22, q21, q12, q11 + q33)
     else:
-        cells, values, flips, merged = _SWAP, q, [(flip_s, (-4, -2)), (flip_a, (-3, -1))], False
-    if merged:
-        matrix = ((values[0] + values[1]) + (values[2] + values[3]))[..., None, None]
-    else:
-        n = 2 * len(flips)
-        matrix = np.zeros(shape + (n, n), dtype=complex)
-        matrix[..., cells[0], cells[1]] = np.stack(values, axis=-1)
-        for flip, axes in flips:
-            _reverse(matrix.reshape(shape + (2,) * n), flip, axes, shape)
+        cells, values = _SWAP, q
+    if n == 1:
+        return ((values[0] + values[1]) + (values[2] + values[3]))[..., None, None], levels
+    matrix = np.zeros(q00.shape + (n, n), dtype=complex)
+    matrix[..., cells[0], cells[1]] = np.stack(values, axis=-1)
     return matrix, levels
 
 
@@ -332,11 +322,13 @@ def kdq_distribution(
 ) -> KdqDistribution:
     """KDQ distribution of one stochastic quantity for one 2x2 system state and a single collision.
 
-    The matrix is indexed [initial level, final level], levels in the order
-    of ``linalg.group_levels`` (descending energy).  ``usa`` uses the product
-    projectors labelled by (system, ancilla) index pairs; with
+    The matrix is indexed [initial level, final level], each qubit's levels
+    by sigma_z basis index: level 0 at +hbar*omega/2, which is the lower
+    level for omega < 0, and one level where omega = 0.  ``usa`` uses the
+    product projectors labelled by (system, ancilla) index pairs; with
     ``group_degenerate=True`` the pair levels of H_S + H_A that coincide
-    (resonance) are merged into joint eigenspace projectors instead.
+    (resonance) are merged into joint eigenspace projectors instead, in the
+    order of ``linalg.group_levels`` (descending energy).
     ``unitary``, if given, is one 4x4 propagator, zero outside the entries
     that the swap coupling fills.
     """

@@ -110,6 +110,18 @@ def _raise_first_failure(checks) -> None:
             raise ValueError(_MESSAGES[key].format(**args))
 
 
+def _require_weak(cfg: ModelConfig) -> None:
+    """Raise ValueError unless ``cfg`` is in the weakly coherent mode: the precondition of every weak-mode operation."""
+    if not cfg.is_weak:
+        raise ValueError("this operation requires the weakly coherent mode")
+
+
+def _require_resonant(cfgs: _ConfigArrays) -> None:
+    """Raise ValueError naming the detuning of the first detuned config: the precondition of every resonant form."""
+    if not cfgs.is_resonant.all():
+        raise ValueError(f"resonant interaction required (detuning {cfgs.detuning[np.argmin(cfgs.is_resonant)]:.6g})")
+
+
 # The functions behind the checks, derived quantities and operators, written
 # once over either backend: `math` on one config's or state's floats, where
 # NumPy's call overhead would make building one `ModelConfig` several times
@@ -445,9 +457,10 @@ class Operators(NamedTuple):
     hbar) (`collision_unitary`), ``u_bare`` the unscaled `measurement_unitary`
     (equal to ``u`` in exact mode), ``rho_a`` = ``rho_a_th`` + lambda_eff
     chi_A the ancilla state, ``prefactor`` the coherence prefactor (shape
-    (1, 1) per config), ``h_s``/``h_a`` the local Hamiltonians, ``levels_*``
-    the local levels in descending order and ``index_*`` the level of each
-    local basis state (the `linalg.group_levels` of diag(H_S), diag(H_A)).
+    (1, 1) per config), ``h_s``/``h_a`` the local Hamiltonians, and
+    ``levels_*`` the local levels in sigma_z basis order: diag(H_S),
+    diag(H_A) = (hbar*omega/2, -hbar*omega/2), so level b is basis state b
+    for either sign of omega, or the one level 0 where omega = 0.
     chi_A is `SIGMA_X` for every config; `smalltau`, the one reader of the
     coupling hbar*g*`SWAP` and of hbar*g*chi_A, forms them itself.
     """
@@ -460,9 +473,7 @@ class Operators(NamedTuple):
     h_s: np.ndarray
     h_a: np.ndarray
     levels_s: np.ndarray
-    index_s: np.ndarray
     levels_a: np.ndarray
-    index_a: np.ndarray
 
 
 # Where `_swap_propagators` writes each of its parts in the float view of a flat 4x4 complex matrix.
@@ -497,19 +508,18 @@ def _swap_propagators(cfgs: ModelConfig | _ConfigArrays, coupling) -> np.ndarray
 
 
 _SIGNS = np.array([1.0, -1.0])
-_LEVEL_ORDERS = np.array([[0, 1], [1, 0]])
 
 
-def _local_levels(x, xp) -> tuple[np.ndarray, np.ndarray]:
-    """`linalg.group_levels` of each qubit's level energies (x, -x), x = hbar*omega/2, in closed form.
+def _local_levels(x, xp) -> np.ndarray:
+    """Each qubit's level energies (x, -x), x = hbar*omega/2, in sigma_z basis order, or the one level 0.
 
     ``x`` is one value or an array that is all zeros (one merged level) or
     has none: `ModelConfig` keeps 2|x| finite, so the two levels merge only
-    at x = 0.
+    at x = 0.  For omega < 0 level 0 is the lower one.
     """
     if xp.any(x == 0.0):
-        return np.zeros(xp.shape(x) + (1,)), np.zeros(xp.shape(x) + (2,), dtype=int)
-    return np.multiply.outer(abs(x), _SIGNS), _LEVEL_ORDERS[xp.where(x < 0.0, 1, 0)]
+        return np.zeros(xp.shape(x) + (1,))
+    return np.multiply.outer(x, _SIGNS)
 
 
 def _matrices(x) -> np.ndarray:
@@ -537,7 +547,7 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
     x_s, x_a = 0.5 * cfgs.hbar * cfgs.omega_s, 0.5 * cfgs.hbar * cfgs.omega_a
     return Operators(
         u, u_bare, rho_a_th + _matrices(cfgs.lambda_eff) * SIGMA_X, rho_a_th, _matrices(cfgs.kdq_coherence_prefactor),
-        _matrices(x_s) * SIGMA_Z, _matrices(x_a) * SIGMA_Z, *_local_levels(x_s, xp), *_local_levels(x_a, xp),
+        _matrices(x_s) * SIGMA_Z, _matrices(x_a) * SIGMA_Z, _local_levels(x_s, xp), _local_levels(x_a, xp),
     )
 
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _powers, commutator, dag, partial_trace, tensor
-from .model import IDENTITY_2, SIGMA_X, SWAP, ModelConfig, _ConfigArrays, _operator_stacks
+from .model import (
+    IDENTITY_2, SIGMA_X, SWAP, ModelConfig, _ConfigArrays, _operator_stacks, _require_resonant, _require_weak,
+)
 
 
 @dataclass(frozen=True)
@@ -35,11 +37,6 @@ class OperatorWorkSpectrum:
 
     def moment(self, k: int) -> float:
         return float(sum(v**k * p for v, p in zip(self.values, self.probs)))
-
-
-def _require_weak(cfg: ModelConfig) -> None:
-    if not cfg.is_weak:
-        raise ValueError("this operation requires the weakly coherent mode")
 
 
 def _coupling(cfg: ModelConfig) -> np.ndarray:
@@ -149,12 +146,6 @@ def integrate_master_equation(
     step = identity + h_l @ (identity + (h_l / 2.0) @ (identity + (h_l / 3.0) @ (identity + h_l / 4.0)))
     states = _powers(step[None], np.asarray(rho_s0, dtype=complex)[None], steps)[0]
     return dt * np.arange(steps + 1), states
-
-
-def _require_resonant(cfgs: _ConfigArrays) -> None:
-    """Raise ValueError naming the detuning of the first detuned config."""
-    if not cfgs.is_resonant.all():
-        raise ValueError(f"resonant interaction required (detuning {cfgs.detuning[np.argmin(cfgs.is_resonant)]:.6g})")
 
 
 def _work_observables(cfgs: ModelConfig | _ConfigArrays) -> tuple[np.ndarray, np.ndarray]:

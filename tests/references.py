@@ -26,6 +26,11 @@ from kdcollide.linalg import dag, psd_floor, tensor
 from kdcollide.model import IDENTITY_2, SIGMA_X
 
 
+def _basis_levels(levels):
+    """The level of each basis state of one qubit: level b for basis state b, or level 0 where the two merge."""
+    return np.arange(2) if levels.shape[-1] == 2 else np.zeros(2, int)
+
+
 def dense_kernel(quantity, rho_s, ops, unitary=None):
     """``(matrix, levels)`` of a (..., 2, 2) stack of system states, as `kdq._kernel` without ``slot``."""
     u = ops.u_bare if unitary is None else unitary
@@ -35,15 +40,15 @@ def dense_kernel(quantity, rho_s, ops, unitary=None):
         weight = tensor(rho_s, ops.rho_a_th)
     else:
         weight = ops.prefactor * tensor(rho_s, SIGMA_X)
+    index_s, index_a = _basis_levels(ops.levels_s), _basis_levels(ops.levels_a)
     # The level of basis state b = 2 * (system index) + (ancilla index).
     if quantity in (kdq.US, kdq.WS, kdq.QS):
-        energies, level = ops.levels_s, np.repeat(ops.index_s, 2, axis=-1)
+        energies, level = ops.levels_s, np.repeat(index_s, 2)
     elif quantity in (kdq.UA, kdq.W, kdq.Q):
-        energies, level = ops.levels_a, np.tile(ops.index_a, 2)
+        energies, level = ops.levels_a, np.tile(index_a, 2)
     else:
         energies = (ops.levels_s[..., :, None] + ops.levels_a[..., None, :]).reshape(ops.levels_s.shape[:-1] + (-1,))
-        level = ops.index_s[..., :, None] * ops.levels_a.shape[-1] + ops.index_a[..., None, :]
-        level = level.reshape(level.shape[:-2] + (4,))
+        level = (index_s[:, None] * ops.levels_a.shape[-1] + index_a[None, :]).ravel()
     q = (weight @ dag(u)) * u.swapaxes(-1, -2)
     g = (level[..., :, None] == np.arange(energies.shape[-1])).astype(float)
     return g.swapaxes(-1, -2) @ q @ g, (-1.0 if quantity in (kdq.W, kdq.Q) else 1.0) * energies

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -342,6 +342,12 @@ class TestResonantNonPositivity:
         with pytest.raises(ValueError):
             analytic.resonant_kdq_us(cfg, state)
 
+    def test_detuned_input_names_its_detuning(self):
+        # The one resonance precondition of `model`, shared with `smalltau`.
+        cfg = ModelConfig(omega_s=1.5, omega_a=1.0, g=1.0, tau=0.4, beta=0.1, lam=0.45)
+        with pytest.raises(ValueError, match=r"^resonant interaction required \(detuning 0.5\)$"):
+            analytic.resonant_kdq_us(cfg, SystemStateParams(0.3, 0.4, 1.0))
+
 
 @settings(max_examples=100, deadline=None)
 @given(case=admissible_cases())
@@ -371,6 +377,9 @@ def test_kernel_matches_oracle_at_large_collision_phases(case, exponent):
 
 @settings(max_examples=100, deadline=None)
 @given(case=admissible_cases().filter(lambda case: case[0].is_resonant))
+@example(
+    case=(ModelConfig(omega_s=-0.8, omega_a=-0.8, g=0.7, tau=0.5, beta=1.2, lam=0.3), SystemStateParams(0.3, 0.4, 0.9))
+)
 def test_resonant_closed_forms_match_kdq(case):
     cfg, state = case
     rho_s = build_system_state(state)
@@ -384,21 +393,19 @@ def test_resonant_closed_forms_match_kdq(case):
         (q.mean, stats.q_mean), (q.variance, stats.q_variance),
     ):
         assert abs(numeric - closed) <= 1e-10
-    # The oracle assumes two levels per qubit in sigma_z order; the kernel
-    # merges the levels of a zero frequency and orders them by descending
-    # energy, so entries agree only for positive ones.
+    # The oracle assumes two levels per qubit; the kernel merges the levels
+    # of a zero frequency.  Both order levels by sigma_z index.
     if any(len(levels) < 2 for levels in (cfg.operators.levels_s, cfg.operators.levels_a)):
         return
     n_re, n_im = analytic.resonant_nonpositivity(cfg, state)
     report = kdq.nonpositivity(dist[kdq.US])
     assert abs(report.n_re - n_re) <= 1e-10 and abs(report.n_im - n_im) <= 1e-10
-    if min(cfg.omega_s, cfg.omega_a) > 0:
-        for quantity, oracle in (
-            (kdq.US, analytic.resonant_kdq_us),
-            (kdq.QS, analytic.resonant_kdq_q),
-            (kdq.WS, analytic.resonant_kdq_w),
-        ):
-            assert np.max(np.abs(dist[quantity].quasiprobs() - oracle(cfg, state))) <= 1e-10
+    for quantity, oracle in (
+        (kdq.US, analytic.resonant_kdq_us),
+        (kdq.QS, analytic.resonant_kdq_q),
+        (kdq.WS, analytic.resonant_kdq_w),
+    ):
+        assert np.max(np.abs(dist[quantity].quasiprobs() - oracle(cfg, state))) <= 1e-10
 
 
 # --------------------------------------------------------------------------

@@ -124,6 +124,11 @@ class TestBch:
         with pytest.raises(ValueError):
             bch_collide_once(random_density_matrix(rng), resonant_cfg(lam=0.1))
 
+    def test_weak_mode_message(self, rng):
+        # The one weak-mode precondition of `model`, shared with `smalltau`.
+        with pytest.raises(ValueError, match=r"^this operation requires the weakly coherent mode$"):
+            bch_collide_once(random_density_matrix(rng), resonant_cfg(lam=0.1))
+
     def test_small_tau_limit(self, rng):
         rho = random_density_matrix(rng)
         cfg = resonant_cfg(tau=1e-8, lam_tilde=0.2, mode=MODE_WEAK)

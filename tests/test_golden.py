@@ -1,4 +1,4 @@
-"""Golden fixtures: every preset and one custom sweep against committed CSVs.
+"""Golden fixtures: every preset and two custom sweeps against committed CSVs.
 
 The fixtures pin the numbers, not the bytes: a refactor may move the last
 ulp, so each cell must satisfy |new - old| <= 1e-12 |old| + 1e-14, while the
@@ -16,8 +16,10 @@ intended:
         PYTHONPATH=src python -m kdcollide.cli preset $p --points 16 \\
             --collisions 8 --out tests/golden/$p.csv
     done
-    PYTHONPATH=src python -m kdcollide.cli run tests/golden/custom.cfg \\
-        --out tests/golden/custom.csv
+    for c in custom custom_signs; do
+        PYTHONPATH=src python -m kdcollide.cli run tests/golden/$c.cfg \\
+            --out tests/golden/$c.csv
+    done
     rm tests/golden/*.meta.json
 """
 
@@ -31,6 +33,8 @@ from kdcollide.cli import ExperimentSpec, fig7_config, parse_config, run
 
 GOLDEN = Path(__file__).parent / "golden"
 PRESETS = ("fig1", "fig2", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7")
+# The custom sweeps with a fixture: one that skips rows, and one over frequencies of either sign and zero.
+CUSTOM = ("custom", "custom_signs")
 REL_TOL = 1e-12
 ABS_TOL = 1e-14
 # Energy unit of each preset's cells where it is not 1.
@@ -65,8 +69,9 @@ def test_preset_matches_golden(name, tmp_path):
     _assert_matches(out, name, UNIT.get(name, 1.0))
 
 
-def test_custom_sweep_matches_golden(tmp_path):
-    out = tmp_path / "custom.csv"
-    spec = parse_config((GOLDEN / "custom.cfg").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("name", CUSTOM)
+def test_custom_sweep_matches_golden(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    spec = parse_config((GOLDEN / f"{name}.cfg").read_text(encoding="utf-8"))
     run(replace(spec, out_path=str(out)))
-    _assert_matches(out, "custom")
+    _assert_matches(out, name)

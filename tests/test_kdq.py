@@ -446,11 +446,18 @@ class TestSystemSideSplit:
         assert_allclose(q_ws + q_qs, q_us, atol=1e-13)
 
 
+def _by_basis_state(dec):
+    """(eigenvalues, projectors) of a diagonal 2x2 Hamiltonian, ordered by the first basis state each projects on."""
+    order = sorted(range(len(dec.projectors)), key=lambda k: int(np.argmax(np.diagonal(dec.projectors[k]).real)))
+    return [dec.eigenvalues[k] for k in order], [dec.projectors[k] for k in order]
+
+
 def reference_distribution(quantity, rho_s, cfg, unitary=None, group_degenerate=False):
     """(labels, values, quasiprobs) from explicit projectors.
 
     Each entry is Tr[U^dag P_fin U P_in W] with the projectors P of
-    `eig_hermitian` and one trace per entry, independent of the block-sum
+    `eig_hermitian`, each qubit's in the order of the basis states they
+    project on, and one trace per entry, independent of the block-sum
     kernel of `kdq_distribution`.
     """
     u = measurement_unitary(cfg) if unitary is None else unitary
@@ -462,14 +469,14 @@ def reference_distribution(quantity, rho_s, cfg, unitary=None, group_degenerate=
         weight = tensor(rho_s, rho_a_th)
     else:
         weight = cfg.kdq_coherence_prefactor * tensor(rho_s, chi_a)
-    dec_s, dec_a = eig_hermitian(h_s), eig_hermitian(h_a)
+    (energies_s, projectors_s), (energies_a, projectors_a) = (_by_basis_state(eig_hermitian(h)) for h in (h_s, h_a))
     if quantity in (kdq.US, kdq.WS, kdq.QS):
-        projectors = [tensor(p, IDENTITY_2) for p in dec_s.projectors]
-        energies = list(dec_s.eigenvalues)
+        projectors = [tensor(p, IDENTITY_2) for p in projectors_s]
+        energies = energies_s
         labels = list(range(len(energies)))
     elif quantity in (kdq.UA, kdq.W, kdq.Q):
-        projectors = [tensor(IDENTITY_2, p) for p in dec_a.projectors]
-        energies = list(dec_a.eigenvalues)
+        projectors = [tensor(IDENTITY_2, p) for p in projectors_a]
+        energies = energies_a
         labels = list(range(len(energies)))
     elif group_degenerate:
         dec = eig_hermitian(tensor(h_s, IDENTITY_2) + tensor(IDENTITY_2, h_a))
@@ -477,10 +484,10 @@ def reference_distribution(quantity, rho_s, cfg, unitary=None, group_degenerate=
         labels = list(range(len(energies)))
     else:
         projectors, energies, labels = [], [], []
-        for ell, p_s in enumerate(dec_s.projectors):
-            for k, p_a in enumerate(dec_a.projectors):
+        for ell, p_s in enumerate(projectors_s):
+            for k, p_a in enumerate(projectors_a):
                 projectors.append(tensor(p_s, p_a))
-                energies.append(dec_s.eigenvalues[ell] + dec_a.eigenvalues[k])
+                energies.append(energies_s[ell] + energies_a[k])
                 labels.append((ell, k))
     sign = -1.0 if quantity in (kdq.W, kdq.Q) else 1.0
     out_labels, values, probs = [], [], []

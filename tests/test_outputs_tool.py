@@ -58,15 +58,16 @@ def test_usage(argv, capsys):
 
 
 def test_custom_sweeps_cover_skipped_and_kept_rows():
-    # The set runs one golden sweep that skips rows and one that skips none,
-    # each with every output quantity.
+    # The set runs one golden sweep that skips rows and two that skip none,
+    # one of them over frequencies of either sign and zero, each with every
+    # output quantity.
     skips = []
     for name in outputs.CUSTOM:
         spec = cli.parse_config((outputs.ROOT / "tests" / "golden" / f"{name}.cfg").read_text(encoding="utf-8"))
         assert sorted(spec.outputs) == sorted(cli._OUTPUTS) and len(spec.sweep) == 2
         _, skipped, _ = cli._sweep(spec)
         skips.append(int(skipped.sum()))
-    assert skips == [4, 0]
+    assert skips == [4, 0, 0]
 
 
 def test_steady_lists_each_trajectory_solve(tmp_path):

@@ -9,8 +9,8 @@ process importing from SRC only:
 
 - the presets fig1 to fig6 at ``--points`` 16 and 128, fig7 at
   ``--collisions`` 8 and 400;
-- the custom sweeps of `CUSTOM` in ``tests/golden``, one that skips rows
-  and one that skips none;
+- the custom sweeps of `CUSTOM` in ``tests/golden``: one that skips rows,
+  one that skips none, and one over negative, zero and positive frequencies;
 - the custom sweep of the ``config_sweep`` benchmark workload at seeds 1 to
   3, its config text from ``benchmarks/workloads.generate``;
 - the ``selftest`` lines, in ``selftest.txt``;
@@ -47,8 +47,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
-# The golden custom sweeps, each with every output quantity: rows skipped, and none skipped.
-CUSTOM = ("custom", "custom_no_skip")
+# The golden custom sweeps, each with every output quantity: rows skipped, none skipped, and frequencies of
+# either sign and zero.
+CUSTOM = ("custom", "custom_no_skip", "custom_signs")
 # Solves each config of a JSON list on stdin and prints one steady.txt line per solve.
 STEADY = """
 import json, sys
