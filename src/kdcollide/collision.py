@@ -4,6 +4,8 @@ Each collision applies Phi(rho_S) = Tr_A[U (rho_S (x) rho_A) U^dag], the 4x4
 matrix S of `_channel`; `collide_once` alone forms the joint state.  A
 trajectory's states are S^k rho_S, computed by repeated squaring
 (`linalg._powers`, which also steps the master equation of `smalltau`).
+`find_steady_state` solves Phi(rho) = rho in closed form from the entries
+and phases of the swap propagator, with no S.
 `_evolve` runs a stack of chains, one per config, as array operations: its
 step records are columns of KDQ means, moments and witnesses, from one
 kernel call per quantity over every state of each part of up to 4 096
@@ -20,13 +22,11 @@ import numpy as np
 
 from . import kdq
 from .linalg import _powers, commutator, dag, partial_trace, tensor, trace_distance
-from .model import IDENTITY_2, ModelConfig, _ConfigArrays, _operator_stacks, _require_weak, build_hamiltonians
+from .model import ModelConfig, _ConfigArrays, _operator_stacks, _require_weak, build_hamiltonians
 
-# The fixed point is unique when S - I has a second-smallest singular value above this.
+# The fixed point is unique when one collision moves both population (|b|^2) and coherence (|w| = |1 - z|)
+# by more than this.
 _UNIQUENESS_BOUND = 1e-12
-# I of the 4x4 maps, and the 2x2 identity as the vector the steady state is projected from.
-_EYE_4 = np.eye(4)
-_IDENTITY_VECTOR = IDENTITY_2.ravel()
 
 
 def collision_unitary(cfg: ModelConfig) -> np.ndarray:
@@ -110,7 +110,7 @@ class CollisionTrajectory:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """`find_steady_state` output; ``iterations`` is always 0 (no iteration)."""
+    """`find_steady_state` output: the closed-form fixed point, so ``iterations`` is always 0."""
 
     state: np.ndarray
     iterations: int
@@ -222,27 +222,68 @@ def evolve(
     return CollisionTrajectory(states, tuple(records))
 
 
-def find_steady_state(cfg: ModelConfig, tol: float = 1e-12) -> SteadyStateResult:
-    """Fixed point of the one-collision map from one SVD of S - I.
+def _one_minus_phase(x: float) -> complex:
+    """1 - exp(-i x) without cancellation: 2 sin^2(x/2) + i sin(x)."""
+    return complex(2.0 * math.sin(0.5 * x) ** 2, math.sin(x))
 
-    The state is the identity projected onto the null space of S - I
-    (singular values <= 1e-12) at unit trace.  ``converged`` requires a unique
-    fixed point (second-smallest singular value above 1e-12; tau = 0 and
-    resonant g*tau = omega*tau = pi, both S = I, fail) and a ``residual``
-    ||rho - Phi(rho)|| <= 10*tol, with Phi applied by `collide_once`, not S.
+
+def _coherence_gap(cfg: ModelConfig) -> complex:
+    """w = 1 - z, z = U[0, 0] U[1, 1] the factor of a coherence per collision, formed from the phases.
+
+    {|01>, |10>} rotates at Omega = hypot(delta/2, k), k the collision
+    coupling, so U[1, 1] = (1 + n) e^{-iX}/2 + (1 - n) e^{iX}/2 with X =
+    Omega*tau and n = delta/(2 Omega).  Then z = (1 + r) e^{-i psi_s}/2 +
+    (1 - r) e^{-i psi_a}/2, r = |n|, with psi_s = omega_s tau + d and psi_a
+    = omega_a tau - d, d = sign(delta) (X - |delta| tau/2), and w is the
+    same weighted sum of the 1 - e^{-i psi}.  X - |delta| tau/2 is
+    tau k^2/(Omega + |delta|/2) and 1 - r is k^2/(Omega (Omega + |delta|/2)),
+    so no term cancels, also where U[0, 0] and U[1, 1] nearly cancel each
+    other's phase (omega_s tau near 0 at a detuning).  Omega > 0.
+    """
+    k, tau, delta = cfg.collision_coupling, cfg.tau, cfg.detuning
+    half = 0.5 * abs(delta)
+    omega = math.hypot(half, k)
+    lag = k * k / (omega + half)  # Omega - |delta|/2
+    d = math.copysign(tau * lag, delta)
+    # (1 + r)/2 and (1 - r)/2.
+    heavy, light = 0.5 + 0.5 * half / omega, 0.5 * lag / omega
+    return heavy * _one_minus_phase(cfg.omega_s * tau + d) + light * _one_minus_phase(cfg.omega_a * tau - d)
+
+
+def find_steady_state(cfg: ModelConfig, tol: float = 1e-12) -> SteadyStateResult:
+    """Fixed point of the one-collision map in closed form.
+
+    The swap propagator conserves excitations.  With e = U[0, 0],
+    b = U[2, 1] (imaginary), z = e U[1, 1], q0 = rho_A[0, 0] and
+    l = lambda_eff, one collision maps the population p = rho[0, 0] and the
+    coherence c = rho[0, 1] as p -> |U[1, 1]|^2 p + |b|^2 q0 +
+    2 l Re(U[1, 1] b* c) and c -> z c + e b l (1 - 2p).  With w = 1 - z
+    (`_coherence_gap`) and R = Re(z/w) = (|b|^2 - Re w)/|w|^2 the fixed point
+    has 1 - 2p = (1 - 2 q0)/(1 + 4 l^2 R) and c = e b l (1 - 2p)/w, each to
+    a few ulps of its terms, so weakly coupled collisions keep their digits.
+
+    ``converged`` requires a unique fixed point (|b|^2 and |w| above 1e-12)
+    and a ``residual`` ||rho - Phi(rho)|| <= 10*tol, with Phi applied by
+    `collide_once`.  A map without one moves at most 2e-12 of population
+    (|b|^2 <= 2|w| always), so it fixes the maximally mixed state to within
+    |b|^2/2; that state is returned, unconverged.  tau = 0 and the
+    resonant g*tau = omega*tau = pi are two such maps.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    s = _channel(collision_unitary(cfg), cfg.operators.rho_a)
-    # Trace preservation gives S - I's population diagonal without cancellation.
-    s_minus_i = s - _EYE_4
-    s_minus_i[0, 0], s_minus_i[3, 3] = -s[3, 0], -s[0, 3]
-    _, singular, vh = np.linalg.svd(s_minus_i)
-    # The singular values descend; counting among the first three keeps at least one null vector.
-    singular = singular.tolist()
-    null = vh[sum(value > _UNIQUENESS_BOUND for value in singular[:3]) :]
-    rho = (null.conj().T @ (null @ _IDENTITY_VECTOR)).reshape(2, 2)
-    rho = 0.5 * (rho + rho.conj().T) / (rho[0, 0] + rho[1, 1]).real
+    ops = cfg.operators
+    e, b = ops.u[0, 0].item(), ops.u[2, 1].item()
+    moved = abs(b) ** 2
+    # `_coherence_gap` divides by Omega, which is positive where population moves.
+    w = _coherence_gap(cfg) if moved > _UNIQUENESS_BOUND else 0j
+    unique = moved > _UNIQUENESS_BOUND and abs(w) > _UNIQUENESS_BOUND
+    polarization, c = 0.0, 0j
+    if unique:
+        lam = cfg.lambda_eff
+        r = (moved - w.real) / (w.real**2 + w.imag**2)
+        polarization = (1.0 - 2.0 * ops.rho_a[0, 0].real) / (1.0 + 4.0 * lam * lam * r)
+        c = e * b * lam * polarization / w
+    p = 0.5 - 0.5 * polarization
+    rho = np.array([[p, c], [c.conjugate(), 1.0 - p]])
     residual = trace_distance(rho, collide_once(rho, cfg)[0])
-    converged = singular[2] > _UNIQUENESS_BOUND and residual <= 10.0 * tol
-    return SteadyStateResult(rho, 0, residual, converged)
+    return SteadyStateResult(rho, 0, residual, unique and residual <= 10.0 * tol)

@@ -182,6 +182,13 @@ class _ConfigQuantities:
         return xp.where(self.is_weak, self.lam_tilde * xp.sqrt(xp.where(self.is_weak, self.tau, 0.0)), self.lam)
 
     @property
+    def collision_coupling(self):
+        """Coupling of the collision propagator: g, or g/sqrt(tau) in the weakly coherent mode."""
+        # An exact config's tau may be 0, so it divides by sqrt(1) there.
+        xp = self._xp
+        return self.g / xp.sqrt(xp.where(self.is_weak, self.tau, 1.0))
+
+    @property
     def kdq_coherence_prefactor(self):
         """Prefactor of the coherent-work quasiprobabilities (lam or lam_tilde)."""
         return self._xp.where(self.is_weak, self.lam_tilde, self.lam)
@@ -216,8 +223,8 @@ class _ConfigQuantities:
         }
         for name, phase in phases.items():
             yield xp.logical_not(xp.isfinite(phase)), "phase", {"name": name, "value": phase, "tau": tau}
-        # The weak propagator's phase; an exact config's tau may be 0, so it divides by 1 there.
-        phase = tau * xp.hypot(0.5 * delta, self.g / xp.sqrt(xp.where(weak, tau, 1.0)))
+        # The weak propagator's phase.
+        phase = tau * xp.hypot(0.5 * delta, self.collision_coupling)
         args = {"name": "tau*hypot(delta/2, g/sqrt(tau))", "value": phase, "tau": tau}
         yield weak & xp.logical_not(xp.isfinite(phase)), "phase", args
         for name in ("omega_s", "omega_a"):
@@ -535,11 +542,10 @@ def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
     arithmetic of `build_hamiltonians` and `build_ancilla`, which it does
     not call.
     """
-    xp, weak = cfgs._xp, cfgs.is_weak
-    u = u_bare = _swap_propagators(cfgs, cfgs.g)
-    if xp.any(weak):
-        scaled = _swap_propagators(cfgs, cfgs.g / xp.sqrt(xp.where(weak, cfgs.tau, 1.0)))
-        u = np.where(_matrices(weak), scaled, u_bare)
+    xp = cfgs._xp
+    u_bare = _swap_propagators(cfgs, cfgs.g)
+    # An exact config's collision coupling is g itself, so its rows equal those of u_bare.
+    u = _swap_propagators(cfgs, cfgs.collision_coupling) if xp.any(cfgs.is_weak) else u_bare
     shape = xp.shape(cfgs.tau)
     rho_a_th = np.zeros(shape + (4,), dtype=complex)
     rho_a_th[..., 0], rho_a_th[..., 3] = _thermal_populations(cfgs)

@@ -10,20 +10,25 @@ this form reads all sixteen.
 a Python float under ``%.17g``; `cli.write_csv` formats each block of rows as
 NumPy array operations instead (`kdcollide._g17`).
 
-`steady_state` is `collision.find_steady_state` with its per-call
-constructions (a fresh ``np.eye(4)``, ``np.count_nonzero``, ``np.trace``)
-and `eigvalsh_trace_distance`, the trace distance from ``eigvalsh`` of any
-Hermitian difference, where `linalg.trace_distance` has a 2x2 closed form.
+`steady_state` solves the fixed point of one collision as the null vector
+of S - I from one SVD, the 4x4 map S of `collision._channel`, with its
+residual from `eigvalsh_trace_distance`, the trace distance from
+``eigvalsh`` of any Hermitian difference.  `collision.find_steady_state`
+has a closed form of the fixed point and a 2x2 closed-form distance
+instead.  `exact_steady_state` is the fixed point at 50 digits: the
+propagator from ``mpmath.expm`` of the Hamiltonian, S from it, and a
+linear solve.
 
 `is_hermitian`, `is_unitary`, `is_psd`, `trace_one` and `is_density_matrix`
 are the state and operator predicates the tests assert with.
 """
 
+import mpmath
 import numpy as np
 
 from kdcollide import collision, kdq
 from kdcollide.linalg import dag, psd_floor, tensor
-from kdcollide.model import IDENTITY_2, SIGMA_X
+from kdcollide.model import IDENTITY_2, MODE_WEAK, SIGMA_X
 
 
 def _basis_levels(levels):
@@ -79,6 +84,42 @@ def steady_state(cfg, tol=1e-12):
     residual = eigvalsh_trace_distance(rho, collision.collide_once(rho, cfg)[0])
     converged = singular[-2] > collision._UNIQUENESS_BOUND and residual <= 10.0 * tol
     return collision.SteadyStateResult(rho, 0, residual, bool(converged))
+
+
+def exact_steady_state(cfg):
+    """The fixed point of one collision under ``cfg``, from the exact values of its floats at 50 digits.
+
+    U = expm(-i H tau/hbar) with H/hbar = (omega_s sigma_z (x) I + I (x)
+    omega_a sigma_z)/2 + k (s+ s- + s- s+), k = g, or g/sqrt(tau) in the
+    weakly coherent mode; rho_A = diag(1 - t, 1 + t)/2 + l sigma_x with
+    t = tanh(beta hbar omega_a/2) and l = lambda_eff.  The state solves
+    (S - I) vec(rho) = 0 with unit trace in place of the first row, which
+    trace preservation makes redundant.  Returns a 2x2 complex array.
+    """
+    mp = mpmath
+    with mp.workdps(50):
+        omega_s, omega_a, g, tau, beta, lam, lam_tilde, hbar = (
+            mp.mpf(getattr(cfg, name)) for name in ("omega_s", "omega_a", "g", "tau", "beta", "lam", "lam_tilde", "hbar")
+        )
+        if cfg.mode == MODE_WEAK:
+            g, lam = g / mp.sqrt(tau), lam_tilde * mp.sqrt(tau)
+        h = mp.diag([(omega_s + omega_a) / 2, (omega_s - omega_a) / 2, (omega_a - omega_s) / 2, -(omega_s + omega_a) / 2])
+        h[1, 2] = h[2, 1] = g
+        u = mp.expm(-1j * tau * h)
+        t = mp.tanh(beta * hbar * omega_a / 2)
+        rho_a = mp.matrix([[(1 - t) / 2, lam], [lam, (1 + t) / 2]])
+        # (S - I)[(i, j), (m, p)] = sum_{k, n, q} U[(i, k), (m, n)] rho_A[n, q] conj(U[(j, k), (p, q)]) - delta.
+        a = mp.matrix(4, 4)
+        for row, (i, j) in enumerate(np.ndindex(2, 2)):
+            for col, (m, p) in enumerate(np.ndindex(2, 2)):
+                terms = (
+                    u[2 * i + k, 2 * m + n] * rho_a[n, q] * mp.conj(u[2 * j + k, 2 * p + q])
+                    for k, n, q in np.ndindex(2, 2, 2)
+                )
+                a[row, col] = mp.fsum(terms) - (row == col)
+        a[0, 0], a[0, 1], a[0, 2], a[0, 3] = 1, 0, 0, 1
+        rho = mp.lu_solve(a, mp.matrix([1, 0, 0, 0]))
+        return np.array([complex(rho[n]) for n in range(4)]).reshape(2, 2)
 
 
 def is_hermitian(m, tol=1e-10):
