@@ -155,8 +155,8 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
 
-# Rows per block of `write_csv`, and values per chunk of a sidecar array: bounds what it holds at once.
-_CSV_BLOCK_ROWS = 4096
+# Values per chunk of a sidecar array: bounds what `write_csv` holds at once.
+_JSON_CHUNK = 4096
 
 
 class _JsonArray(list):
@@ -170,8 +170,8 @@ class _JsonArray(list):
         return len(self.values)
 
     def __iter__(self):
-        for start in range(0, len(self.values), _CSV_BLOCK_ROWS):
-            yield from self.values[start : start + _CSV_BLOCK_ROWS].tolist()
+        for start in range(0, len(self.values), _JSON_CHUNK):
+            yield from self.values[start : start + _JSON_CHUNK].tolist()
 
 
 def _json_array(value):
@@ -184,12 +184,13 @@ def _json_array(value):
 def write_csv(table: ResultTable, path: str | Path) -> None:
     """Write the table and its metadata sidecar; output is byte-deterministic.
 
-    Every cell is ``"%.17g" % value``: `_g17.block` formats each block of
-    `_CSV_BLOCK_ROWS` rows as NumPy array operations, and its text goes to
-    the file opened in binary mode.  ``table.rows`` may also be any sequence
-    of rows that NumPy turns into such an array.  The sidecar is written as
-    it is encoded, an array in ``meta`` as the list of its values.  A write
-    that raises first removes the files it opened.
+    Every cell is ``"%.17g" % value``: `_g17.blocks` formats the rows a
+    block of a few thousand cells at a time as NumPy array operations, and
+    each block's text goes to the file opened in binary mode.
+    ``table.rows`` may also be any sequence of rows that NumPy turns into
+    such an array.  The sidecar is written as it is encoded, an array in
+    ``meta`` as the list of its values.  A write that raises first removes
+    the files it opened.
     """
     path = Path(path)
     rows = np.asarray(table.rows, dtype=float)
@@ -204,8 +205,7 @@ def write_csv(table: ResultTable, path: str | Path) -> None:
     try:
         with create(path, "wb") as out:
             out.write((",".join(table.header) + "\n").encode("utf-8"))
-            for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-                out.write(_g17.block(rows[start : start + _CSV_BLOCK_ROWS]))
+            out.writelines(_g17.blocks(rows))
         with create(Path(f"{path}.meta.json"), "w", encoding="utf-8") as out:
             # With an indent, `json.dump` and `json.dumps` share one pure-Python encoder: the same bytes.
             json.dump(meta, out, indent=2, sort_keys=True, default=_json_array)

@@ -44,6 +44,11 @@ _BOUND = 1e-12
 # Scale factors log-uniform over [1e-30, 1e30].
 _scales = st.floats(-30.0, 30.0).map(lambda exponent: 10.0**exponent)
 
+# Detuned, with an omega_s that s = 1e-21 takes to exactly 0: the scaled config is resonant, another model.
+_UNDERFLOWS = (
+    ModelConfig(omega_s=3.3220094743514328e-304, omega_a=0.0, g=1.0, tau=1.0, beta=0.0), SystemStateParams(0.0)
+)
+
 # The mean output of each KDQ quantity, for the second moment of its variance.
 _MEAN_OF = {q: name for name, q in cli._MEANS.items()}
 
@@ -62,11 +67,15 @@ def _by_frequency(cfg, s, collision):
 
 
 def _scaled(cfg, scaling, factor, collision=False):
-    """(scaled config, energy factor, factor of the coherent-work weights); skips a config the model rejects."""
+    """(scaled config, energy factor, factor of the coherent-work weights); skips a config the model rejects
+    and a scaling that takes a nonzero frequency to 0, which gives another model (a detuned one may turn
+    resonant)."""
     try:
-        return scaling(cfg, factor, collision)
+        scaled = scaling(cfg, factor, collision)
     except ValueError:  # a level energy below the smallest normal float
         assume(False)
+    assume(all((getattr(scaled[0], name) == 0.0) == (getattr(cfg, name) == 0.0) for name in ("omega_s", "omega_a")))
+    return scaled
 
 
 def _unit(cfg) -> float:
@@ -99,6 +108,7 @@ def _second_moment(columns, name, source):
 @given(case=admissible_cases(), c=_scales, s=_scales)
 # Detuned by omega_a = 0; resonant once scaled down, while the resonance test had an absolute floor of 1e-12.
 @example(case=(ModelConfig(omega_s=1.0, omega_a=0.0, g=1.0, tau=1.0, beta=0.0), SystemStateParams(0.0)), c=1.0, s=1e-12)
+@example(case=_UNDERFLOWS, c=1.0, s=1e-21)
 def test_every_output_column_is_scale_covariant(case, c, s):
     cfg, state = case
     # The coherent-work/heat outputs are defined where the split is.
@@ -135,6 +145,7 @@ def test_every_output_column_is_scale_covariant(case, c, s):
     ),
     c=1.0, s=1.901301228823868e-21,
 )
+@example(case=_UNDERFLOWS, c=1.0, s=1e-21)
 def test_evolve_records_and_steady_states_are_scale_covariant(case, c, s):
     cfg, state = case
     rho_s, unit = build_system_state(state), _unit(cfg)

@@ -2,13 +2,15 @@
 
 Each example writes a float array whose columns either repeat a few values
 or hold distinct bit patterns, over row counts that leave a block empty,
-partial, full or split, and compares the file with the reference text.
+partial, full or split, and compares the file with the reference text.  A
+block is as many whole rows as fit in ``_g17._CELLS`` cells, or one row.
 The values include both zeros, NaNs with either sign and other payload bits,
 both infinities, the smallest subnormal, 1e308 and integral floats.
 
 The formatter behind it, `_g17.block`, is compared with ``"%.17g" % v`` cell
 by cell on every power of ten with its neighbours, on subnormals, on exact
-ties and on raw 64-bit patterns; its tables are checked against exact
+ties in the first, a middle and the last column and on raw 64-bit patterns,
+also written in blocks of a few cells; its tables are checked against exact
 `Fraction` arithmetic.
 """
 
@@ -26,7 +28,6 @@ from hypothesis import strategies as st
 from kdcollide import _g17, cli
 from references import csv_text
 
-_BLOCK = cli._CSV_BLOCK_ROWS
 _NANS = np.array(
     [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001, 0x7FF4000000000000],
     dtype=np.uint64,
@@ -52,11 +53,14 @@ def _column(rng: np.random.Generator, kind: str, rows: int) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    rows=st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]) | st.integers(0, 64),
     kinds=st.lists(st.sampled_from(["distinct", "integral", "signed", "repeats"]), min_size=1, max_size=6),
+    blocks=st.integers(0, 2),
+    extra=st.sampled_from([-1, 0, 1, 7]) | st.integers(0, 64),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_write_csv_is_one_format_per_row(tmp_path, rows, kinds, seed):
+def test_write_csv_is_one_format_per_row(tmp_path, kinds, blocks, extra, seed):
+    # Whole blocks of rows of this width, and one row short of them, or a few rows past.
+    rows = max(0, blocks * (_g17._CELLS // len(kinds)) + extra)
     rng = np.random.default_rng(seed)
     table = np.column_stack([_column(rng, kind, rows) for kind in kinds]).reshape(rows, len(kinds))
     header = [f"c{k}" for k in range(len(kinds))]
@@ -123,6 +127,11 @@ def _assert_g17(values):
     assert _g17.block(values[:, None]).decode().splitlines() == ["%.17g" % v for v in values.tolist()]
 
 
+def _joined(table: np.ndarray) -> str:
+    """The CSV text of ``table`` with each cell ``"%.17g" % v`` on its own, joined by ``,`` per row."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+
+
 def test_powers_of_ten_and_their_neighbours():
     powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
     _assert_g17(np.concatenate([powers, np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf), -powers]))
@@ -157,17 +166,48 @@ def test_exact_ties_take_the_exact_text():
     assert exact.call_count >= 2 * len(ties)
 
 
+def test_exact_ties_in_any_column_end_in_their_separator():
+    # A tie's text comes from "%.17g" with the separator of its own column: "," before the last, "\n" in it.
+    ties = _ties()
+    first, middle, last = ties[0::3], -ties[1::3], ties[2::3]
+    table = np.column_stack([first, np.full(len(first), 0.5), middle, last])
+    with mock.patch.object(_g17, "_exact", wraps=_g17._exact) as exact:
+        assert _g17.block(table).decode() == _joined(table)
+    separators = {value: chr(separator) for (value, separator), _ in exact.call_args_list}
+    assert {separators[v] for v in first.tolist() + middle.tolist()} == {","}
+    assert {separators[v] for v in last.tolist()} == {"\n"}
+
+
+@pytest.mark.parametrize("shape", [(1000, 7), (3, _g17._CELLS + 1)])
+def test_blocks_of_whole_rows(tmp_path, shape):
+    # 7 cells a row: a block of `_CELLS` cells would end mid-row, so it holds the whole rows that fit.
+    # A row of more than `_CELLS` cells is a block of its own.
+    rows, columns = shape
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    header = [f"c{k}" for k in range(columns)]
+    with mock.patch.object(_g17, "block", wraps=_g17.block) as block:
+        cli.write_csv(cli.ResultTable(header, table), tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_text() == ",".join(header) + "\n" + _joined(table)
+    sizes = [len(call.args[0]) for call in block.call_args_list]
+    step = max(1, _g17._CELLS // columns)
+    assert len(sizes) > 1 and sum(sizes) == rows and sizes[:-1] == [step] * (len(sizes) - 1) and sizes[-1] <= step
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 3))
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.integers(1, 7))
 def test_raw_bit_patterns(patterns, columns):
+    # As one block, and in blocks of at most five cells: one to five rows, or one row of six or seven.
     values = np.array(patterns, dtype=np.uint64).view(float)
     values = np.concatenate([values, np.zeros(-len(values) % columns)]).reshape(-1, columns)
-    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
-    assert _g17.block(values).decode() == expected
+    assert _g17.block(values).decode() == _joined(values)
+    with mock.patch.object(_g17, "_CELLS", 5):
+        assert b"".join(_g17.blocks(values)).decode() == _joined(values)
 
 
 def test_tables_match_exact_arithmetic():
-    powers, _, ceilings, decades, _ = _g17._tables()
+    powers, _, ceilings, decades, _, quads = _g17._tables()
+    assert [int(word).to_bytes(4, "little").decode() for word in quads] == [f"{n:04}" for n in range(10**4)]
     for row, k in enumerate(range(_g17._K, 309)):
         scale, hi, hi_high, hi_low, lo = powers[:, row].tolist()
         # 10^(16-k) = scale (hi + lo): hi rounded correctly, lo the rest rounded correctly.
