@@ -16,13 +16,13 @@ exists once.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import operator
 import sys
+import types
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -86,27 +86,40 @@ _MESSAGES = {
 }
 
 
-def _first_failures(checks: list[tuple[np.ndarray, str, dict]]) -> dict[int, str]:
+def _first_failures(checks) -> dict[int, str]:
     """Row -> the message of its first failing check, for the failing rows in row order.
 
-    ``checks`` are (mask, `_MESSAGES` key, format arguments) in check order;
-    an argument that is an array is read at the row.
+    ``checks`` is a `_checks` generator over parameter arrays, of each
+    check's failure mask in check order.  A mask that fails some row is
+    answered True, and the generator yields that check's `_MESSAGES` key and
+    format arguments, whose arrays are read at the row; the passing checks'
+    arguments are never built.
     """
-    masks = np.array([mask for mask, _, _ in checks])
-    failing = np.flatnonzero(masks.any(axis=0)).tolist()
+    masks, failed = [], {}
+    for mask in checks:
+        if mask.any():
+            failed[len(masks)] = checks.send(True)
+        masks.append(mask)
+    if not failed:
+        return {}
+    masks = np.array(masks)
+    rows = np.flatnonzero(masks.any(axis=0)).tolist()
     first = masks.argmax(axis=0)
     errors = {}
-    for row in failing:
-        _, key, args = checks[first[row]]
+    for row in rows:
+        key, args = failed[first[row]]
         values = {name: v[row].item() if isinstance(v, np.ndarray) else v for name, v in args.items()}
         errors[row] = _MESSAGES[key].format(**values)
     return errors
 
 
 def _raise_first_failure(checks) -> None:
-    """Raise ValueError with the message of the first failing check of one config's or state's floats."""
-    for failed, key, args in checks:
+    """Raise ValueError with the message of the first failing check of a `_checks` generator over one config's
+    or state's floats.  Answered True there, it yields that check's `_MESSAGES` key and format arguments, the
+    only ones built, and no later check runs."""
+    for failed in checks:
         if failed:
+            key, args = checks.send(True)
             raise ValueError(_MESSAGES[key].format(**args))
 
 
@@ -122,6 +135,40 @@ def _require_resonant(cfgs: _ConfigArrays) -> None:
         raise ValueError(f"resonant interaction required (detuning {cfgs.detuning[np.argmin(cfgs.is_resonant)]:.6g})")
 
 
+class _cached_property:
+    """`functools.cached_property` without the lock that it takes on first use before Python 3.12, which costs
+    about 0.4 us of a one-config build: the first use stores its value in the instance's ``__dict__``, where
+    every later use finds it."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+def _at_rows(rows: np.ndarray, f: Callable, cfgs: _ConfigArrays) -> np.ndarray:
+    """``f`` of the configs at the rows of a mask, evaluated on those rows only, and 0 at the others."""
+    out = np.zeros(len(rows))
+    if rows.any():
+        out[rows] = f(cfgs.take(rows))
+    return out
+
+
+def _namespace(name: str, **functions) -> types.ModuleType:
+    """The functions as the attributes of a module object, where CPython finds them about twice as fast as in a
+    `types.SimpleNamespace`: the checks and the builder read some 70 of them per config."""
+    namespace = types.ModuleType(name)
+    vars(namespace).update(functions)
+    return namespace
+
+
 # The functions behind the checks, derived quantities and operators, written
 # once over either backend: `math` on one config's or state's floats, where
 # NumPy's call overhead would make building one `ModelConfig` several times
@@ -130,15 +177,16 @@ def _require_resonant(cfgs: _ConfigArrays) -> None:
 # percent of arguments, so the arrays take those from `math` element by element.
 # Under ``overflow_to_inf`` an overflowing array product is inf without a
 # NumPy warning, as a float product is.
-_SCALAR = SimpleNamespace(
-    isfinite=math.isfinite, logical_not=operator.not_, sqrt=math.sqrt, sin=math.sin, cos=math.cos, exp=math.exp,
-    hypot=math.hypot, maximum=max, where=lambda condition, a, b: a if condition else b, any=bool,
-    shape=lambda x: (), partition_function=partition_function, overflow_to_inf=contextlib.nullcontext,
+_SCALAR = _namespace(
+    "_SCALAR", isfinite=math.isfinite, logical_not=operator.not_, sqrt=math.sqrt, sin=math.sin, cos=math.cos,
+    exp=math.exp, hypot=math.hypot, maximum=max, where=lambda condition, a, b: a if condition else b, any=bool,
+    at_rows=lambda row, f, cfg: f(cfg) if row else 0.0, shape=lambda x: (), partition_function=partition_function,
+    overflow_to_inf=contextlib.nullcontext,
 )
-_ARRAY = SimpleNamespace(
-    isfinite=np.isfinite, logical_not=np.logical_not, sqrt=np.sqrt, sin=np.sin, cos=np.cos,
+_ARRAY = _namespace(
+    "_ARRAY", isfinite=np.isfinite, logical_not=np.logical_not, sqrt=np.sqrt, sin=np.sin, cos=np.cos,
     exp=lambda x: _elementwise(math.exp, x), hypot=lambda x, y: _elementwise(math.hypot, x, y), maximum=np.maximum,
-    where=np.where, any=np.any, shape=np.shape,
+    where=np.where, any=np.ndarray.any, at_rows=_at_rows, shape=np.shape,
     partition_function=lambda *args: _elementwise(partition_function, *args),
     overflow_to_inf=lambda: np.errstate(over="ignore"),
 )
@@ -160,11 +208,11 @@ class _ConfigQuantities:
         scale = self._xp.maximum(abs(self.omega_s), abs(self.omega_a))
         return abs(self.detuning) <= 1e-12 * scale
 
-    @property
+    @_cached_property
     def is_weak(self):
         return self.mode == MODE_WEAK
 
-    @cached_property
+    @_cached_property
     def z_a(self):
         """The ancilla's partition function; computed once, as no field is written after construction."""
         return self._xp.partition_function(self.beta, self.omega_a, self.hbar)
@@ -174,9 +222,9 @@ class _ConfigQuantities:
         """Largest coherence magnitude keeping the ancilla state PSD."""
         return 1.0 / self.z_a
 
-    @property
+    @_cached_property
     def lambda_eff(self):
-        """Coherence magnitude actually entering the ancilla state."""
+        """Coherence magnitude actually entering the ancilla state; read by the checks and by `_stack`."""
         # Exact rows take sqrt(0): their tau is unbounded, and lam_tilde*sqrt(tau) could overflow.
         xp = self._xp
         return xp.where(self.is_weak, self.lam_tilde * xp.sqrt(xp.where(self.is_weak, self.tau, 0.0)), self.lam)
@@ -194,45 +242,65 @@ class _ConfigQuantities:
         return self._xp.where(self.is_weak, self.lam_tilde, self.lam)
 
     def _checks(self):
-        """(failed, `_MESSAGES` key, format arguments) of each check of `ModelConfig`, in order.
+        """Whether each check of `ModelConfig` fails, in check order: a bool, or a mask over parameter arrays.
 
         Lazy, so that one config's checks stop at the first failure: a later
-        check may assume that the earlier ones passed.
+        check may assume that the earlier ones passed.  Answered True after a
+        check, it yields that check's `_MESSAGES` key and format arguments
+        before it goes on, so that only the failing checks build them
+        (`_raise_first_failure`, `_first_failures`).
         """
         xp = self._xp
         for name in _ConfigArrays.FIELDS:
             value = getattr(self, name)
-            yield xp.logical_not(xp.isfinite(value)), "finite", {"name": name, "value": value}
+            if (yield xp.logical_not(xp.isfinite(value))):
+                yield "finite", {"name": name, "value": value}
         weak, tau = self.is_weak, self.tau
-        yield (self.mode != MODE_EXACT) & xp.logical_not(weak), "mode", {"value": self.mode}
-        yield self.g <= 0.0, "g", {}
-        yield self.hbar <= 0.0, "hbar", {}
+        if (yield (self.mode != MODE_EXACT) & xp.logical_not(weak)):
+            yield "mode", {"value": self.mode}
+        if (yield self.g <= 0.0):
+            yield "g", {}
+        if (yield self.hbar <= 0.0):
+            yield "hbar", {}
         for name in ("omega_s", "omega_a"):
             omega = getattr(self, name)
-            args = {"name": name, "value": omega}
-            yield (omega != 0.0) & (abs(0.5 * self.hbar * omega) < sys.float_info.min), "small", args
-            yield xp.logical_not(xp.isfinite(self.hbar * omega)), "large", args
-        yield xp.logical_not(xp.isfinite(4.0 * self.hbar * self.g)), "coupling", {"value": self.g}
-        yield self.beta < 0.0, "beta", {}
-        yield weak & (tau <= 0.0), "weak_tau", {}
-        yield xp.logical_not(weak) & (tau < 0.0), "tau", {}
+            if (yield (omega != 0.0) & (abs(0.5 * self.hbar * omega) < sys.float_info.min)):
+                yield "small", {"name": name, "value": omega}
+            if (yield xp.logical_not(xp.isfinite(self.hbar * omega))):
+                yield "large", {"name": name, "value": omega}
+        if (yield xp.logical_not(xp.isfinite(4.0 * self.hbar * self.g))):
+            yield "coupling", {"value": self.g}
+        if (yield self.beta < 0.0):
+            yield "beta", {}
+        if (yield weak & (tau <= 0.0)):
+            yield "weak_tau", {}
+        if (yield xp.logical_not(weak) & (tau < 0.0)):
+            yield "tau", {}
         delta = self.detuning
-        phases = {
-            "(omega_s + omega_a)*tau/2": 0.5 * (self.omega_s + self.omega_a) * tau,
-            "tau*sqrt(4*g^2 + delta^2)": tau * xp.sqrt(4.0 * self.g * self.g + delta * delta),
-        }
-        for name, phase in phases.items():
-            yield xp.logical_not(xp.isfinite(phase)), "phase", {"name": name, "value": phase, "tau": tau}
-        # The weak propagator's phase.
-        phase = tau * xp.hypot(0.5 * delta, self.collision_coupling)
-        args = {"name": "tau*hypot(delta/2, g/sqrt(tau))", "value": phase, "tau": tau}
-        yield weak & xp.logical_not(xp.isfinite(phase)), "phase", args
+        phases = (
+            ("(omega_s + omega_a)*tau/2", 0.5 * (self.omega_s + self.omega_a) * tau),
+            ("tau*sqrt(4*g^2 + delta^2)", tau * xp.sqrt(4.0 * self.g * self.g + delta * delta)),
+        )
+        for name, phase in phases:
+            if (yield xp.logical_not(xp.isfinite(phase))):
+                yield "phase", {"name": name, "value": phase, "tau": tau}
+        # The weak propagator's phase, taken at the weak rows only: an exact row passes either way.
+        phase = xp.at_rows(weak, _weak_phase, self)
+        if (yield weak & xp.logical_not(xp.isfinite(phase))):
+            yield "phase", {"name": "tau*hypot(delta/2, g/sqrt(tau))", "value": phase, "tau": tau}
         for name in ("omega_s", "omega_a"):
             energy = self.hbar * getattr(self, name)
             square = (2.0 * energy) * (2.0 * energy)
-            yield xp.logical_not(xp.isfinite(square)), "square", {"name": name, "value": energy}
+            if (yield xp.logical_not(xp.isfinite(square))):
+                yield "square", {"name": name, "value": energy}
         lam, bound = self.lambda_eff, self.lambda_max
-        yield abs(lam) > bound + _BOUNDARY_SLACK, "lambda", {"value": lam, "bound": bound}
+        if (yield abs(lam) > bound + _BOUNDARY_SLACK):
+            yield "lambda", {"value": lam, "bound": bound}
+
+
+def _weak_phase(cfgs: ModelConfig | _ConfigArrays):
+    """tau*hypot(delta/2, g/sqrt(tau)), the phase of each weak config's propagator."""
+    return cfgs.tau * cfgs._xp.hypot(0.5 * cfgs.detuning, cfgs.collision_coupling)
 
 
 class _StateQuantities:
@@ -241,16 +309,21 @@ class _StateQuantities:
     _xp = _SCALAR
 
     def _checks(self):
-        """(failed, `_MESSAGES` key, format arguments) of each check of `SystemStateParams`, in order; lazy."""
+        """Whether each check of `SystemStateParams` fails, in check order; lazy, and answered True it yields
+        the check's `_MESSAGES` key and format arguments, as `_ConfigQuantities._checks` does."""
         xp = self._xp
         for name in _StateArrays.FIELDS:
             value = getattr(self, name)
-            yield xp.logical_not(xp.isfinite(value)), "finite", {"name": name, "value": value}
-        yield xp.logical_not((0.0 <= self.rho11) & (self.rho11 <= 1.0)), "rho11", {}
-        yield self.r < 0.0, "r", {}
+            if (yield xp.logical_not(xp.isfinite(value))):
+                yield "finite", {"name": name, "value": value}
+        if (yield xp.logical_not((0.0 <= self.rho11) & (self.rho11 <= 1.0))):
+            yield "rho11", {}
+        if (yield self.r < 0.0):
+            yield "r", {}
         # r*r, not r**2: a float's power raises OverflowError past r ~ 1.3e154.
         bound = self.rho11 * (1.0 - self.rho11)
-        yield self.r * self.r > bound + _BOUNDARY_SLACK, "positivity", {"value": self.r, "bound": bound}
+        if (yield self.r * self.r > bound + _BOUNDARY_SLACK):
+            yield "positivity", {"value": self.r, "bound": bound}
 
 
 class _Arrays:
@@ -302,7 +375,7 @@ class _Arrays:
     def errors(self) -> dict[int, str]:
         """Row -> the message with which the one-object type rejects it, for the rejected rows in row order."""
         with np.errstate(all="ignore"):
-            return _first_failures(list(self._checks()))
+            return _first_failures(self._checks())
 
     def checked(self):
         """These rows; raises the first rejected row's ValueError."""
@@ -356,21 +429,19 @@ class ModelConfig(_ConfigQuantities):
     def __post_init__(self) -> None:
         _raise_first_failure(self._checks())
 
-    @cached_property
+    @_cached_property
     def _arrays(self) -> _ConfigArrays:
         """This config as `_ConfigArrays` with M = 1; equality, hash and `replace` ignore it."""
         return _ConfigArrays.of([self])
 
-    @cached_property
+    @_cached_property
     def operators(self) -> Operators:
-        """This config's `Operators`: the `_stack` of this one config without its config axis, read-only.
+        """This config's `Operators`: the `_stack` of this one config, without a config axis.
 
-        Built on first use; equality, hash and `replace` ignore it.
+        Views of one read-only buffer of 101 floats or fewer, built on first
+        use; equality, hash and `replace` ignore them.
         """
-        ops = _stack(self)
-        for a in ops:
-            a.setflags(write=False)
-        return ops
+        return _stack(self)
 
 
 @dataclass(frozen=True)
@@ -388,7 +459,7 @@ class SystemStateParams(_StateQuantities):
     def __post_init__(self) -> None:
         _raise_first_failure(self._checks())
 
-    @cached_property
+    @_cached_property
     def _arrays(self) -> _StateArrays:
         """This state as `_StateArrays` with M = 1; equality, hash and `replace` ignore it."""
         return _StateArrays.of([self])
@@ -446,7 +517,7 @@ def _thermal_populations(cfgs: ModelConfig | _ConfigArrays):
         x = 0.5 * cfgs.beta * cfgs.hbar * cfgs.omega_a
     t = xp.exp(-2.0 * abs(x))
     low, high = t / (1.0 + t), 1.0 / (1.0 + t)
-    return xp.where(x >= 0.0, low, high), xp.where(x >= 0.0, high, low)
+    return xp.where(x >= 0.0, (low, high), (high, low))
 
 
 # Rows per part of `_operator_stacks`: bounds the kernel's per-row arrays,
@@ -459,15 +530,17 @@ class Operators(NamedTuple):
 
     A stack's arrays carry a leading config axis, which the kernel aligns
     with a state stack's rows directly or through each row's slot on it;
-    one config's own arrays have none and are read-only, because every
-    caller shares them.  ``u`` is the collision propagator exp(-i H_SA tau /
-    hbar) (`collision_unitary`), ``u_bare`` the unscaled `measurement_unitary`
-    (equal to ``u`` in exact mode), ``rho_a`` = ``rho_a_th`` + lambda_eff
-    chi_A the ancilla state, ``prefactor`` the coherence prefactor (shape
-    (1, 1) per config), ``h_s``/``h_a`` the local Hamiltonians, and
-    ``levels_*`` the local levels in sigma_z basis order: diag(H_S),
-    diag(H_A) = (hbar*omega/2, -hbar*omega/2), so level b is basis state b
-    for either sign of omega, or the one level 0 where omega = 0.
+    one config's own arrays have none.  Every field is a C-contiguous
+    read-only view of the one float buffer that `_stack` fills, so no caller
+    can change operators that others share.  ``u`` is the collision
+    propagator exp(-i H_SA tau / hbar) (`collision_unitary`), ``u_bare`` the
+    unscaled `measurement_unitary` (equal to ``u`` in exact mode), ``rho_a``
+    = ``rho_a_th`` + lambda_eff chi_A the ancilla state, ``prefactor`` the
+    coherence prefactor (float, shape (1, 1) per config), ``h_s``/``h_a`` the
+    local Hamiltonians, and ``levels_*`` the local levels (float) in sigma_z
+    basis order: diag(H_S), diag(H_A) = (hbar*omega/2, -hbar*omega/2), so
+    level b is basis state b for either sign of omega, or the one level 0
+    where omega = 0.  The other fields are complex.
     chi_A is `SIGMA_X` for every config; `smalltau`, the one reader of the
     coupling hbar*g*`SWAP` and of hbar*g*chi_A, forms them itself.
     """
@@ -483,20 +556,24 @@ class Operators(NamedTuple):
     levels_a: np.ndarray
 
 
-# Where `_swap_propagators` writes each of its parts in the float view of a flat 4x4 complex matrix.
-_SWAP_PARTS = np.array([2 * (4 * i + j) + part for i, j, part in [
+# Where `_swap_parts` go in the float view of a flat 4x4 complex matrix.
+_SWAP_PARTS = [2 * (4 * i + j) + part for i, j, part in [
     (0, 0, 0), (0, 0, 1), (3, 3, 0), (3, 3, 1), (1, 1, 0), (1, 1, 1), (2, 2, 0), (2, 2, 1), (1, 2, 1), (2, 1, 1),
-]])
+]]
+# Where the parts of a 2x2 complex matrix go in its float view: the real parts of [0, 0], [1, 1], [0, 1] and
+# [1, 0] of an ancilla state, and also the imaginary part of [1, 1] of a local Hamiltonian.
+_ANCILLA_PARTS = [0, 6, 2, 4]
+_HAMILTONIAN_PARTS = [0, 6, 2, 4, 7]
 
 
-def _swap_propagators(cfgs: ModelConfig | _ConfigArrays, coupling) -> np.ndarray:
-    """exp(-i H tau / hbar) of each config, H = H_S (x) I + I (x) H_A + hbar*coupling*(s+ s- + s- s+).
+def _swap_parts(cfgs: ModelConfig | _ConfigArrays, coupling) -> list:
+    """The nonzero real and imaginary parts, at `_SWAP_PARTS`, of exp(-i H tau / hbar) of each config,
+    H = H_S (x) I + I (x) H_A + hbar*coupling*(s+ s- + s- s+).
 
-    4x4 for one config, (M, 4, 4) for M.  The swap coupling conserves
-    excitations: |00> and |11> pick up a phase and its conjugate, and
-    {|01>, |10>} rotates under delta/2 sigma_z + coupling sigma_x at
-    Omega = sqrt(delta^2/4 + coupling^2) > 0, giving the block
-    [[diag, off], [off, conj(diag)]].  hbar cancels.
+    The swap coupling conserves excitations: |00> and |11> pick up a phase
+    and its conjugate, and {|01>, |10>} rotates under delta/2 sigma_z +
+    coupling sigma_x at Omega = sqrt(delta^2/4 + coupling^2) > 0, giving the
+    block [[diag, off], [off, conj(diag)]].  hbar cancels.
     """
     xp = cfgs._xp
     half_delta, tau = 0.5 * cfgs.detuning, cfgs.tau
@@ -507,54 +584,97 @@ def _swap_propagators(cfgs: ModelConfig | _ConfigArrays, coupling) -> np.ndarray
     diag_im, off_im = -sin_by_omega * half_delta, -sin_by_omega * coupling
     angle = -0.5 * (cfgs.omega_s + cfgs.omega_a) * tau
     phase_re, phase_im, diag_re = xp.cos(angle), xp.sin(angle), xp.cos(omega * tau)
-    shape = xp.shape(tau)
-    u = np.zeros(shape + (32,))
-    parts = [phase_re, phase_im, phase_re, -phase_im, diag_re, diag_im, diag_re, -diag_im, off_im, off_im]
-    u[..., _SWAP_PARTS] = np.array(parts).T
-    return u.view(complex).reshape(shape + (4, 4))
+    return [phase_re, phase_im, phase_re, -phase_im, diag_re, diag_im, diag_re, -diag_im, off_im, off_im]
 
 
-_SIGNS = np.array([1.0, -1.0])
+@functools.lru_cache(maxsize=16)
+def _layout(
+    shape: tuple[int, ...], propagators: int, levels_s: int, levels_a: int
+) -> tuple[np.ndarray, int, Callable[[np.ndarray], Operators]]:
+    """How `_stack` lays out the operators of the configs of ``shape`` (() for one config) in one float buffer.
 
-
-def _local_levels(x, xp) -> np.ndarray:
-    """Each qubit's level energies (x, -x), x = hbar*omega/2, in sigma_z basis order, or the one level 0.
-
-    ``x`` is one value or an array that is all zeros (one merged level) or
-    has none: `ModelConfig` keeps 2|x| finite, so the two levels merge only
-    at x = 0.  For omega < 0 level 0 is the lower one.
+    Returns where it writes its parts, in order, the buffer's length, and
+    the function that views a filled buffer as `Operators`.  The buffer
+    holds the operators one after another as C-contiguous blocks, the
+    complex ones first: ``propagators`` (2: ``u`` and ``u_bare``; 1:
+    ``u_bare``, which exact configs share as ``u``), ``rho_a``,
+    ``rho_a_th``, ``h_s``, ``h_a``, ``prefactor``, ``levels_s``,
+    ``levels_a``.  The one level of a merged qubit is +0, like every entry
+    that no part is written to.  Cached, with the views' bounds and shapes:
+    a stack's positions are a (parts, M) array, at most 16 of which are kept.
     """
-    if xp.any(x == 0.0):
-        return np.zeros(xp.shape(x) + (1,))
-    return np.multiply.outer(x, _SIGNS)
+    m = math.prod(shape)
+    fields = [
+        *[(32, _SWAP_PARTS)] * propagators, (8, _ANCILLA_PARTS), (8, _ANCILLA_PARTS[:2]),
+        (8, _HAMILTONIAN_PARTS), (8, _HAMILTONIAN_PARTS), (1, [0]),
+        (levels_s, [0, 1] if levels_s == 2 else []), (levels_a, [0, 1] if levels_a == 2 else []),
+    ]
+    blocks, start = [], 0
+    for size, parts in fields:
+        blocks.append(m * start + np.add.outer(np.array(parts, np.intp), size * np.arange(m)))
+        start += size
+    positions = np.concatenate(blocks).reshape(-1, *shape)
+    positions.setflags(write=False)  # every `_stack` call of this layout shares it
+    # In floats, the complex blocks end at `floats`, the propagators at `unitaries` of them.  One config's
+    # prefactor is (1, 1), whose one entry `prefactor` indexes in a stack's case too; its levels are slices,
+    # and a stack's are reshaped to (M, levels).
+    floats, unitaries = 2 * (16 * propagators + 16) * m, 16 * propagators * m
+    unitary_shape, matrix_shape = (propagators, *shape, 4, 4), (4, *shape, 2, 2)
+    prefactor = (slice(0, m), *[None] * (len(shape) + 1))
+    bounds_s, bounds_a = slice(m, (1 + levels_s) * m), slice((1 + levels_s) * m, None)
+    shape_s, shape_a = (*shape, levels_s), (*shape, levels_a)
 
+    def views(buffer: np.ndarray) -> Operators:
+        matrices = buffer[:floats].view(complex)
+        u = matrices[:unitaries].reshape(unitary_shape)
+        u_bare = u[-1]
+        two_by_two = matrices[unitaries:].reshape(matrix_shape)
+        tail = buffer[floats:]
+        level_s, level_a = tail[bounds_s], tail[bounds_a]
+        if shape:
+            level_s, level_a = level_s.reshape(shape_s), level_a.reshape(shape_a)
+        return Operators(
+            u[0] if propagators == 2 else u_bare, u_bare, two_by_two[0], two_by_two[1], tail[prefactor],
+            two_by_two[2], two_by_two[3], level_s, level_a,
+        )
 
-def _matrices(x) -> np.ndarray:
-    """One value or an array of them, broadcastable against 2x2 or 4x4 matrices."""
-    return np.asarray(x)[..., None, None]
+    return positions, start * m, views
 
 
 def _stack(cfgs: ModelConfig | _ConfigArrays) -> Operators:
     """The operators of one config, or of M configs with one local level count each on a leading axis.
 
     The one operator builder: `ModelConfig.operators` is its one-config
-    case, computed with `math` on the config's floats.  Filled with the
-    arithmetic of `build_hamiltonians` and `build_ancilla`, which it does
-    not call.
+    case, computed with `math` on the config's floats.  It computes each
+    nonzero real or imaginary part of every operator once per config,
+    writes them with one scatter into one float buffer (`_layout`), freezes
+    it, and returns views of it.  The parts are those of the arithmetic of
+    `build_hamiltonians` and `build_ancilla`, which it does not call, bit
+    for bit.
     """
     xp = cfgs._xp
-    u_bare = _swap_propagators(cfgs, cfgs.g)
-    # An exact config's collision coupling is g itself, so its rows equal those of u_bare.
-    u = _swap_propagators(cfgs, cfgs.collision_coupling) if xp.any(cfgs.is_weak) else u_bare
-    shape = xp.shape(cfgs.tau)
-    rho_a_th = np.zeros(shape + (4,), dtype=complex)
-    rho_a_th[..., 0], rho_a_th[..., 3] = _thermal_populations(cfgs)
-    rho_a_th = rho_a_th.reshape(shape + (2, 2))
+    # An exact config's collision coupling is g itself, so its u is u_bare.
+    swap = _swap_parts(cfgs, cfgs.collision_coupling) if xp.any(cfgs.is_weak) else []
+    low, high = _thermal_populations(cfgs)
+    # rho_a_th + lambda_eff*chi_A is 0 + lambda_eff off the diagonal: +0 where lambda_eff is -0.
+    lam = cfgs.lambda_eff + 0.0
     x_s, x_a = 0.5 * cfgs.hbar * cfgs.omega_s, 0.5 * cfgs.hbar * cfgs.omega_a
-    return Operators(
-        u, u_bare, rho_a_th + _matrices(cfgs.lambda_eff) * SIGMA_X, rho_a_th, _matrices(cfgs.kdq_coherence_prefactor),
-        _matrices(x_s) * SIGMA_Z, _matrices(x_a) * SIGMA_Z, _local_levels(x_s, xp), _local_levels(x_a, xp),
+    # The complex products x*SIGMA_Z: x*0 (-0 where x < 0) off the diagonal and in [1, 1]'s imaginary part.
+    zero_s, zero_a = x_s * 0.0, x_a * 0.0
+    # `ModelConfig` keeps 2|x| finite, so a qubit's levels merge only at x = 0: in every row of a stack or none.
+    merged_s, merged_a = xp.any(x_s == 0.0), xp.any(x_a == 0.0)
+    parts = [
+        *swap, *_swap_parts(cfgs, cfgs.g), low, high, lam, lam, low, high, x_s, -x_s, zero_s, zero_s, zero_s,
+        x_a, -x_a, zero_a, zero_a, zero_a, cfgs.kdq_coherence_prefactor,
+        *([] if merged_s else [x_s, -x_s]), *([] if merged_a else [x_a, -x_a]),
+    ]
+    positions, size, views = _layout(
+        xp.shape(cfgs.tau), 2 if swap else 1, 1 if merged_s else 2, 1 if merged_a else 2
     )
+    buffer = np.zeros(size)
+    buffer[positions] = np.array(parts, float)
+    buffer.setflags(write=False)
+    return views(buffer)
 
 
 def _operator_stacks(

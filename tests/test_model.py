@@ -401,6 +401,41 @@ class TestMessages:
             cfgs.checked()
         assert cfgs.take([0]).checked().g.tolist() == [1.0]
 
+    def test_checks_build_format_arguments_only_when_asked(self):
+        # A passing config's checks yield False, one per check, and no format
+        # arguments; answered True after a failing check, they yield its key and arguments.
+        checks = list(ModelConfig(**_CONFIG_BASE)._checks())
+        assert len(checks) == 25 and all(failed is False for failed in checks)
+        checks = config_arrays([_CONFIG_BASE, {**_CONFIG_BASE, "lam": 0.5}])._checks()
+        failing = [(mask.tolist(), checks.send(True)) for mask in checks if mask.any()]
+        assert len(failing) == 1
+        mask, (key, args) = failing[0]
+        assert (key, mask, args["value"].tolist()) == ("lambda", [False, True], [0.0, 0.5])
+        assert_same_bits(args["bound"], np.full(2, 1.0 / partition_function(1.0, 1.0)))
+
+    def test_weak_phase_takes_hypot_at_the_weak_rows_only(self, monkeypatch):
+        # Only a weak row can fail the weak propagator's phase check, so an
+        # exact config or row takes no hypot there.
+        calls = []
+
+        def counting(hypot, measure):
+            return lambda x, y: calls.append(measure(x)) or hypot(x, y)
+
+        monkeypatch.setattr(model._SCALAR, "hypot", counting(model._SCALAR.hypot, lambda x: "float"))
+        monkeypatch.setattr(model._ARRAY, "hypot", counting(model._ARRAY.hypot, len))
+        weak = {**_CONFIG_BASE, "lam_tilde": 0.2, "mode": MODE_WEAK}
+        bad = {**weak, "g": 1e150, "tau": 1e-320}
+        ModelConfig(**_CONFIG_BASE)
+        assert calls == []
+        ModelConfig(**weak)
+        assert calls == ["float"]
+        calls.clear()
+        assert config_arrays([_CONFIG_BASE] * 3).errors() == {}
+        assert calls == []
+        message = "collision phase tau*hypot(delta/2, g/sqrt(tau)) = inf is not finite at tau = 1e-320"
+        assert config_arrays([bad, _CONFIG_BASE, weak, _CONFIG_BASE, bad]).errors() == {0: message, 4: message}
+        assert calls == [3]
+
 
 def test_labels_ride_of_and_take():
     cfgs = model._ConfigArrays.of([ModelConfig(**{**_CONFIG_BASE, "g": g}) for g in (1.0, 2.0)])
@@ -472,6 +507,27 @@ def test_stacked_operators_match_per_config(cases):
         assert_same_bits(
             model.build_system_state(model._StateArrays.of(states)), np.array([build_system_state(s) for s in states])
         )
+
+
+@pytest.mark.parametrize("omega_s, omega_a", [(1.0, 1.3), (-1.0, -1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+@pytest.mark.parametrize("weak", [False, True])
+def test_operator_layout(omega_s, omega_a, weak):
+    # Each field's shape and dtype, C-contiguous and read-only, for one config
+    # and for a stack of configs (with a weak one or not), with the one level 0
+    # of a zero frequency; the prefactor bit for bit.
+    exact = [cfg_with(omega_s=omega_s, omega_a=omega_a, lam=lam) for lam in (0.2, -0.0)]
+    cfgs = exact + [cfg_with(omega_s=omega_s, omega_a=omega_a, tau=0.3, lam_tilde=0.25, mode=MODE_WEAK)] * weak
+    levels = [1 if omega == 0.0 else 2 for omega in (omega_s, omega_a)]
+    shapes = [(4, 4), (4, 4), (2, 2), (2, 2), (1, 1), (2, 2), (2, 2), (levels[0],), (levels[1],)]
+    dtypes = [complex] * 4 + [float] + [complex] * 2 + [float] * 2
+    stack = model._stack(model._ConfigArrays.of(cfgs))
+    for ops, axis in [(cfg.operators, ()) for cfg in cfgs] + [(stack, (len(cfgs),))]:
+        assert [a.shape for a in ops] == [axis + shape for shape in shapes]
+        assert [a.dtype for a in ops] == [np.dtype(dtype) for dtype in dtypes]
+        assert all(a.flags.c_contiguous and not a.flags.writeable for a in ops)
+    for cfg in cfgs:
+        assert_same_bits(cfg.operators.prefactor, np.array([[cfg.kdq_coherence_prefactor]]))
+    assert_same_bits(stack.prefactor, np.array([[[cfg.kdq_coherence_prefactor]] for cfg in cfgs]))
 
 
 @pytest.fixture
@@ -548,11 +604,23 @@ class TestOperatorCache:
         assert cfg.operators is ops
         with pytest.raises(ValueError):
             ops.u[0, 0] = 0.0
+        # Views of a buffer frozen before they were taken: none can be made writable again.
+        for a in ops:
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
         twin = replace(cfg)
         assert twin == cfg and hash(twin) == hash(cfg)
         assert twin.operators is not ops
         assert_allclose(twin.operators.u, ops.u, rtol=0, atol=0)
         assert SIGMA_X.flags.writeable
+
+    def test_cached_on_first_use_and_documented_on_the_class(self):
+        # The cache is the instance's __dict__; the class shows the docstring, as help() reads it.
+        cfg = cfg_with(lam=0.2)
+        assert "operators" not in vars(cfg)
+        ops = cfg.operators
+        assert vars(cfg)["operators"] is ops
+        assert ModelConfig.operators.__doc__.startswith("This config's `Operators`")
 
     def test_cached_operators_free_with_their_config(self):
         # Operators that referred back to their config would form a cycle,
