@@ -461,9 +461,11 @@ def _sweep(spec: ExperimentSpec) -> tuple[_Grid, np.ndarray, dict[str, int]]:
     skipped = np.isin(grid.which, [*cfg_errors, *regime_errors])
     skipped[list(state_errors)] = True
     skip_reasons: dict[str, int] = {}
+    masked: dict[str, str] = {}  # each distinct message's reason, masked once
     for row in np.flatnonzero(skipped).tolist():
         config = grid.which[row]
-        reason = _ROW_NUMBER.sub("<x>", cfg_errors.get(config) or state_errors.get(row) or regime_errors[config])
+        message = cfg_errors.get(config) or state_errors.get(row) or regime_errors[config]
+        reason = masked.get(message) or masked.setdefault(message, _ROW_NUMBER.sub("<x>", message))
         skip_reasons[reason] = skip_reasons.get(reason, 0) + 1
     return grid, skipped, skip_reasons
 

@@ -58,6 +58,16 @@ def _elementwise(f: Callable[..., float], *args: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, *(a.tolist() for a in args)), float, len(args[0]))
 
 
+def _partition_functions(beta: np.ndarray, omega: np.ndarray, hbar=1.0) -> np.ndarray:
+    """`partition_function` of each row, bit for bit: x in its operation order, `math.cosh` where |x| < 710."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf or nan, and no warning
+        x = 0.5 * beta * hbar * omega
+        z = np.full(x.shape, math.inf)
+        below = abs(x) < 710.0
+        z[below] = 2.0 * _elementwise(math.cosh, x[below])
+    return z
+
+
 # Every message with which a config or state parameter is rejected, by check.
 _MESSAGES = {
     "finite": "{name} must be finite, got {value!r}",
@@ -174,7 +184,8 @@ def _namespace(name: str, **functions) -> types.ModuleType:
 # NumPy's call overhead would make building one `ModelConfig` several times
 # slower, and NumPy on parameter arrays.  NumPy's sqrt, sin and cos give
 # `math`'s bits; its exp, cosh and hypot differ in the last ulp on a few
-# percent of arguments, so the arrays take those from `math` element by element.
+# percent of arguments, so the arrays take those from `math` element by element
+# (`_elementwise`), cosh only where |x| < 710 (`_partition_functions`).
 # Under ``overflow_to_inf`` an overflowing array product is inf without a
 # NumPy warning, as a float product is.
 _SCALAR = _namespace(
@@ -186,8 +197,7 @@ _SCALAR = _namespace(
 _ARRAY = _namespace(
     "_ARRAY", isfinite=np.isfinite, logical_not=np.logical_not, sqrt=np.sqrt, sin=np.sin, cos=np.cos,
     exp=lambda x: _elementwise(math.exp, x), hypot=lambda x, y: _elementwise(math.hypot, x, y), maximum=np.maximum,
-    where=np.where, any=np.ndarray.any, at_rows=_at_rows, shape=np.shape,
-    partition_function=lambda *args: _elementwise(partition_function, *args),
+    where=np.where, any=np.ndarray.any, at_rows=_at_rows, shape=np.shape, partition_function=_partition_functions,
     overflow_to_inf=lambda: np.errstate(over="ignore"),
 )
 
@@ -214,7 +224,11 @@ class _ConfigQuantities:
 
     @_cached_property
     def z_a(self):
-        """The ancilla's partition function; computed once, as no field is written after construction."""
+        """The ancilla's partition function; computed once, as no field is written after construction.
+
+        Arrays carry it through `take`, and through a `replace` of fields
+        other than beta, omega_a and hbar; one config's `_arrays` start from its float.
+        """
         return self._xp.partition_function(self.beta, self.omega_a, self.hbar)
 
     @property
@@ -329,21 +343,25 @@ class _StateQuantities:
 class _Arrays:
     """M parameter sets, each float field a length-M array: a row of ``values``, read-only.
 
-    ``LABELS`` name the non-float columns, each broadcast to the row count,
-    which `of` reads off the objects, `take` indexes and `replace` keeps.
+    ``LABELS`` name the non-float columns, and ``DERIVED`` the cached derived
+    quantities with the fields that each is computed from.  Each is
+    broadcast to the row count: `of` reads the labels off the objects, `take`
+    indexes them and `replace` keeps them (a derived one if computed, and
+    none of its fields is replaced).
     """
 
     FIELDS: tuple[str, ...] = ()
     LABELS: tuple[str, ...] = ()
+    DERIVED: dict[str, tuple[str, ...]] = {}
     _xp = _ARRAY
 
-    def __init__(self, values: np.ndarray, **labels) -> None:
+    def __init__(self, values: np.ndarray, **columns) -> None:
         values.setflags(write=False)
         self.values = values
         for name, row in zip(self.FIELDS, values):
             setattr(self, name, row)
-        for name in self.LABELS:
-            setattr(self, name, np.broadcast_to(labels[name], values.shape[1:]))
+        for name in columns:
+            setattr(self, name, np.broadcast_to(columns[name], values.shape[1:]))
 
     def __len__(self) -> int:
         return self.values.shape[1]
@@ -359,12 +377,18 @@ class _Arrays:
         values = np.array([[getattr(o, name) for name in cls.FIELDS] for o in objects], dtype=float).T
         return cls(values, **{name: np.array([getattr(o, name) for o in objects]) for name in cls.LABELS})
 
+    def _columns(self, changed=()) -> dict[str, np.ndarray]:
+        """The labels, and each derived array computed so far that depends on no field in ``changed``."""
+        kept = [name for name, fields in self.DERIVED.items() if name in vars(self) and not set(fields) & set(changed)]
+        return {name: getattr(self, name) for name in (*self.LABELS, *kept)}
+
     def take(self, rows):
-        return type(self)(self.values[:, rows], **{name: getattr(self, name)[rows] for name in self.LABELS})
+        return type(self)(self.values[:, rows], **{name: value[rows] for name, value in self._columns().items()})
 
     def replace(self, **changes):
         """These rows with the given fields replaced, each broadcast to one length by `build`; unchecked."""
-        return self.build(**{**{name: getattr(self, name) for name in self.FIELDS + self.LABELS}, **changes})
+        fields = {name: getattr(self, name) for name in self.FIELDS}
+        return self.build(**{**fields, **self._columns(changes), **changes})
 
     @classmethod
     def build(cls, **fields):
@@ -394,6 +418,7 @@ class _ConfigArrays(_Arrays, _ConfigQuantities):
 
     FIELDS = ("omega_s", "omega_a", "g", "tau", "beta", "lam", "lam_tilde", "hbar")
     LABELS = ("mode",)
+    DERIVED = {"z_a": ("beta", "omega_a", "hbar")}
 
 
 class _StateArrays(_Arrays, _StateQuantities):
@@ -431,8 +456,10 @@ class ModelConfig(_ConfigQuantities):
 
     @_cached_property
     def _arrays(self) -> _ConfigArrays:
-        """This config as `_ConfigArrays` with M = 1; equality, hash and `replace` ignore it."""
-        return _ConfigArrays.of([self])
+        """This config as `_ConfigArrays` with M = 1, holding its Z_A; equality, hash and `replace` ignore it."""
+        arrays = _ConfigArrays.of([self])
+        arrays.z_a = np.array([self.z_a])
+        return arrays
 
     @_cached_property
     def operators(self) -> Operators:

@@ -212,6 +212,17 @@ class TestCustomRun:
         assert len(table.rows) == 5
         assert all(row[1] == 0.0 for row in table.rows)
 
+    def test_each_skip_message_masked_once(self, monkeypatch):
+        # The rows of a config share its message, which is masked once however many rows it skips.
+        text = (Path(__file__).parent / "golden" / "custom.cfg").read_text(encoding="utf-8")
+        text = text.replace("lambda = -0.3, 0.0, 0.2, 0.5", "lambda = -0.3, 0.5, 0.6, 0.7")
+        messages, pattern = [], cli._ROW_NUMBER
+        masking = mock.Mock(sub=lambda repl, message: messages.append(message) or pattern.sub(repl, message))
+        monkeypatch.setattr(cli, "_ROW_NUMBER", masking)
+        _, skipped, skip_reasons = cli._sweep(parse_config(text))
+        assert skip_reasons == {"ancilla coherence <x> exceeds the positivity bound 1/Z_A = <x>": 12}
+        assert skipped.sum() == 12 and len(messages) == len(set(messages)) == 3
+
     @staticmethod
     def _evaluated_on_the_grid(spec, tmp_path):
         """Runs ``spec``; asserts one evaluator call on the grid's own state and config-index arrays with the

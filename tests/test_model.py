@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -443,6 +444,54 @@ def test_labels_ride_of_and_take():
     weak = cfgs.replace(mode=["exact", MODE_WEAK]).take([1, 1, 0])
     assert (weak.mode.tolist(), weak.g.tolist()) == ([MODE_WEAK, MODE_WEAK, "exact"], [2.0, 2.0, 1.0])
     assert model._StateArrays.of([SystemStateParams(0.5)]).take([0, 0]).rho11.tolist() == [0.5, 0.5]
+
+
+def _fresh_z_a(cfgs):
+    """The Z_A of configs rebuilt from their fields, which carry none, and checked against the per-row float."""
+    fields = {name: getattr(cfgs, name) for name in (*model._ConfigArrays.FIELDS, "mode")}
+    z_a = model._ConfigArrays.build(**fields).z_a
+    assert_same_bits(z_a, [partition_function(*row) for row in zip(cfgs.beta, cfgs.omega_a, cfgs.hbar)])
+    return z_a
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases=st.lists(admissible_cases(), min_size=1, max_size=6), data=st.data())
+def test_z_a_rides_take_and_replace(cases, data):
+    # Z_A is carried, not recomputed, by a config's one-row arrays, `take`
+    # and a `replace` that leaves beta, omega_a and hbar alone, with the bits
+    # of a fresh build; a `replace` of any of those three fields computes it anew.
+    cfgs = model._ConfigArrays.of([cfg for cfg, _ in cases])
+    assert "z_a" not in vars(cfgs)
+    assert_same_bits(cfgs.z_a, _fresh_z_a(cfgs))
+    n = len(cfgs)
+    indices = st.lists(st.integers(0, n - 1), min_size=1, max_size=8)
+    rows = data.draw(st.one_of(indices, st.lists(st.booleans(), min_size=n, max_size=n)))
+    taken = cfgs.take(np.array(rows))
+    kept = taken.replace(lam=0.0, tau=2.0 * taken.tau, mode=MODE_WEAK)
+    # The one-row arrays of a config, replaced as a sweep grid replaces them: Z_A broadcast to the grid.
+    grid = cases[0][0]._arrays.replace(g=np.linspace(0.5, 1.5, 3))
+    for arrays in (cases[0][0]._arrays, taken, kept, grid):
+        assert "z_a" in vars(arrays)
+        assert_same_bits(arrays.z_a, _fresh_z_a(arrays))
+    for name in ("beta", "omega_a", "hbar"):
+        changed = taken.replace(**{name: 0.5 * getattr(taken, name)})
+        assert "z_a" not in vars(changed)
+        assert_same_bits(changed.z_a, _fresh_z_a(changed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=20))
+def test_array_partition_function_matches_scalar(args):
+    # At x = 0.5*beta*hbar*omega of either sign of zero, beside and at the
+    # overflow cut |x| = 710, infinite and NaN, and at random arguments,
+    # NaN and inf among them: the same bits as the float function, and no
+    # NumPy warning, as float arithmetic gives none.
+    edges = [0.0, -0.0, 709.99, -709.99, 710.0, -710.0, math.inf, -math.inf, math.nan]
+    beta, hbar, omega = (np.array(column) for column in zip(*[(2.0, 1.0, x) for x in edges], *args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = model._ARRAY.partition_function(beta, omega, hbar)
+    assert_same_bits(z, [partition_function(*row) for row in zip(beta.tolist(), omega.tolist(), hbar.tolist())])
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

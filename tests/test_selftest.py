@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from kdcollide import kdq
+from conftest import assert_same_bits
+from kdcollide import kdq, model, selftest
 from kdcollide.selftest import random_parameters, run_selftest
 
 # (name, bound) of the seven deviation checks, in print order.
@@ -66,3 +67,42 @@ def test_random_parameters_are_admissible_and_seeded():
     cfgs_again, states_again = random_parameters(np.random.default_rng(20240601), resonant)
     assert np.array_equal(cfgs.values, cfgs_again.values) and np.array_equal(cfgs.mode, cfgs_again.mode)
     assert np.array_equal(states.values, states_again.values)
+
+
+# The resonance of each check's draws, in the order in which the checks draw.
+CHECK_DRAWS = [
+    np.arange(1000) % 2 == 0, np.ones(200, bool), np.zeros(200, bool), np.zeros(50, bool), np.zeros(50, bool),
+    np.zeros(25, bool),
+]
+
+
+def test_one_draw_equals_the_checks_draws_in_turn():
+    cfgs, states = selftest._draw(np.random.default_rng(20240601), selftest._DRAWS.values())
+    rng = np.random.default_rng(20240601)
+    parts = [random_parameters(rng, resonant) for resonant in CHECK_DRAWS]
+    for ours, theirs in ((cfgs, [c for c, _ in parts]), (states, [s for _, s in parts])):
+        assert_same_bits(ours.values, np.concatenate([part.values for part in theirs], axis=1))
+    assert cfgs.mode.tolist() == np.concatenate([c.mode for c, _ in parts]).tolist()
+    assert_same_bits(cfgs.z_a, np.concatenate([c.z_a for c, _ in parts]))
+
+
+def test_selftest_takes_each_math_value_once_and_stacks_once(monkeypatch, capsys):
+    # Per drawn config: Z_A, then hypot and exp in its operator stack.  The
+    # one-config builds of the BCH check are not stacks of parameter arrays.
+    elements, stacks = [], []
+    elementwise, stack = model._elementwise, model._stack
+
+    def counted_elementwise(f, *args):
+        elements.append(len(args[0]))
+        return elementwise(f, *args)
+
+    def counted_stack(cfgs):
+        stacks.extend([len(cfgs)] if isinstance(cfgs, model._ConfigArrays) else [])
+        return stack(cfgs)
+
+    monkeypatch.setattr(model, "_elementwise", counted_elementwise)
+    monkeypatch.setattr(model, "_stack", counted_stack)
+    assert run_selftest() == 0
+    capsys.readouterr()
+    assert sum(elements) <= 3 * sum(map(len, CHECK_DRAWS))
+    assert len(stacks) <= 3
